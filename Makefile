@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench vis conformance chaos cover lint lockwall replay durability ci
+.PHONY: all build test race vet allocgate vis conformance chaos cover lint lockwall replay durability instancing ci
 
 all: build
 
@@ -19,12 +19,27 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# bench smoke-checks the reply-phase allocation benchmark; the pooled
-# and indexed variants must stay at 0 allocs/op (CI enforces this as a
-# hard gate).
-bench:
-	$(GO) test -run=NONE -bench=BenchmarkReplyPhaseAllocs -benchmem -benchtime=100x .
-	$(GO) test -run=NONE -bench=BenchmarkFaultConnPassthrough -benchmem -benchtime=1000x ./internal/transport/
+# allocgate is the one 0 allocs/op gate (CI runs it as a hard gate): each
+# line below is a (package, benchmark regexp, benchtime) triple, and every
+# benchmark line the triple prints must end in "0 allocs/op" — the pooled
+# and indexed reply paths, the once-per-frame visibility-index build, the
+# idle fault injector (production conns are wrapped unconditionally when
+# -fault* flags exist), and the recorder tap.
+define ALLOC_GATES
+. BenchmarkReplyPhaseAllocs/(pooled|indexed) 100x
+. BenchmarkVisIndexBuild 100x
+./internal/transport/ BenchmarkFaultConnPassthrough 1000x
+./internal/replay/ BenchmarkRecorderOverhead 10000x
+endef
+export ALLOC_GATES
+
+allocgate:
+	@echo "$$ALLOC_GATES" | while read -r pkg bench n; do \
+		$(GO) test -run=NONE -bench="$$bench" -benchmem -benchtime="$$n" "$$pkg" | \
+		awk -v b="$$bench" '/^Benchmark/ { seen++; print "gate: " $$0; if ($$0 !~ / 0 allocs\/op[ \t]*$$/) bad++ } \
+			END { if (!seen || bad) { print "ALLOCATION REGRESSION: " b ": " seen+0 " benchmark lines, " bad+0 " allocating"; exit 1 } }' \
+		|| exit 1; \
+	done
 
 # vis runs the frame-coherent interest-management acceptance set: the
 # randomized byte-identity property suite (indexed vs naive snapshots,
@@ -113,4 +128,4 @@ instancing:
 	$(GO) test -v -run 'TestSchedulerDispatchZeroAllocs|TestMatchManagerTailGate' ./internal/match/
 	$(GO) test -run=NONE -bench=BenchmarkMatchManager -benchmem -benchtime=10000x ./internal/match/
 
-ci: vet build lint race bench conformance chaos replay durability instancing
+ci: vet build lint race allocgate conformance chaos replay durability instancing

@@ -8,14 +8,18 @@
 //
 // regenerates the full result set in one command. cmd/qbench produces
 // the long-form tables (and paper-length two-minute runs with -dur 120).
+//
+// Ownership rule: this file and cmd/qbench own the virtual-time paper
+// figures and the 0 allocs/op micro-gates (`make allocgate`); everything
+// measured on a live engine — throughput, latency, CPU per reply over a
+// real transport — belongs to bench/qload. Do not add a wall-clock
+// benchmark of a running server here.
 package qserve_test
 
 import (
 	"fmt"
 	"testing"
-	"time"
 
-	"qserve/internal/botclient"
 	"qserve/internal/entity"
 	"qserve/internal/experiments"
 	"qserve/internal/game"
@@ -24,7 +28,6 @@ import (
 	"qserve/internal/protocol"
 	"qserve/internal/server"
 	"qserve/internal/simserver"
-	"qserve/internal/transport"
 	"qserve/internal/worldmap"
 )
 
@@ -269,71 +272,6 @@ func BenchmarkAblationBatching(b *testing.B) {
 				res := mustRun(b, cfg)
 				b.ReportMetric(res.FrameLog.RequestsPerThreadPerFrame(), "req/thread/frame")
 				b.ReportMetric(res.ResponseTimeMs(), "resp_ms")
-			}
-		})
-	}
-}
-
-// BenchmarkLiveParallelServer exercises the real goroutine engine over
-// the in-memory network: it measures wall-clock request/reply throughput
-// of the deployable server rather than the simulated one. On a multicore
-// host the thread counts separate; on one core they collapse, which is
-// exactly why the figure-generating benchmarks above use virtual time.
-func BenchmarkLiveParallelServer(b *testing.B) {
-	for _, threads := range []int{1, 4} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			m := worldmap.MustGenerate(experiments.PaperMapConfig(1))
-			world, err := game.NewWorld(game.Config{Map: m, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			net := transport.NewNetwork(transport.NetworkConfig{QueueLen: 4096})
-			conns := make([]transport.Conn, threads)
-			for i := range conns {
-				conns[i], _ = net.Listen(fmt.Sprintf("srv:%d", i))
-			}
-			srv, err := server.NewParallel(server.Config{
-				World: world, Conns: conns, Threads: threads,
-				Strategy: locking.Optimized{}, MaxClients: 64,
-				SelectTimeout: time.Millisecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv.Start()
-			defer srv.Stop()
-
-			bots := make([]*botclient.Bot, 16)
-			for i := range bots {
-				bc, _ := net.Listen("")
-				bots[i], err = botclient.New(botclient.Config{
-					Name: fmt.Sprintf("b%d", i), Conn: bc,
-					Server: transport.MemAddr("srv:0"), Map: m, Seed: int64(i + 1),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := bots[i].Connect(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, bot := range bots {
-					bot.Step()
-				}
-				// Give the server a beat to form replies, as a paced
-				// client frame would.
-				time.Sleep(500 * time.Microsecond)
-			}
-			b.StopTimer()
-			deadline := time.Now().Add(200 * time.Millisecond)
-			for srv.Replies() < int64(b.N*len(bots)/2) && time.Now().Before(deadline) {
-				time.Sleep(5 * time.Millisecond)
-			}
-			elapsed := srv.Duration().Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(srv.Replies())/elapsed, "replies/s")
 			}
 		})
 	}

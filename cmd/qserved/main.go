@@ -29,7 +29,6 @@ import (
 	"qserve/internal/game"
 	"qserve/internal/locking"
 	"qserve/internal/match"
-	"qserve/internal/metrics"
 	"qserve/internal/replay"
 	"qserve/internal/server"
 	"qserve/internal/transport"
@@ -222,13 +221,8 @@ func main() {
 		case <-sig:
 			fmt.Println("\nshutting down ...")
 			// Graceful drain: notify every connected client it is being
-			// disconnected, then stop. Engines that predate Shutdown fall
-			// back to a plain Stop.
-			if g, ok := eng.(interface{ Shutdown() }); ok {
-				g.Shutdown()
-			} else {
-				eng.Stop()
-			}
+			// disconnected, then stop.
+			eng.Shutdown()
 			if rec != nil {
 				if err := rec.Close(); err != nil {
 					fmt.Fprintln(os.Stderr, "qserved: closing session log:", err)
@@ -378,7 +372,6 @@ func openPorts(addr string, n int) ([]transport.Conn, error) {
 func printBreakdowns(eng server.Engine) {
 	for i, bd := range eng.Breakdowns() {
 		fmt.Printf("thread %d: %s\n", i, bd.String())
-		_ = metrics.Dur(bd.Total())
 	}
 	fmt.Printf("total: frames=%d replies=%d duration=%s in=%dKB out=%dKB\n",
 		eng.Frames(), eng.Replies(), eng.Duration().Truncate(time.Millisecond),

@@ -8,7 +8,9 @@ import (
 
 	"qserve/internal/balance"
 	"qserve/internal/game"
+	"qserve/internal/metrics"
 	"qserve/internal/protocol"
+	"qserve/internal/replay"
 	"qserve/internal/server"
 	"qserve/internal/simserver"
 	"qserve/internal/transport"
@@ -108,11 +110,6 @@ func (lc *lockClient) awaitAck(t *testing.T, seq uint32) {
 	}
 }
 
-type liveEngine interface {
-	Start()
-	Stop()
-}
-
 // runLive drives the scenario through a live engine over the mem
 // transport. threads == 0 selects the sequential engine; stealing turns
 // on the work-stealing request scheduler.
@@ -135,6 +132,10 @@ func runLive(t *testing.T, sc *Scenario, threads int, pol balance.Policy, steali
 		}
 		conns[i] = c
 	}
+	rec, err := replay.NewRecorder(sc.Map, sc.WorldSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := server.Config{
 		World:         world,
 		Conns:         conns,
@@ -143,8 +144,9 @@ func runLive(t *testing.T, sc *Scenario, threads int, pol balance.Policy, steali
 		SelectTimeout: 2 * time.Millisecond,
 		Balance:       pol,
 		Stealing:      stealing,
+		Record:        rec,
 	}
-	var eng liveEngine
+	var eng server.Engine
 	var par *server.Parallel
 	if threads == 0 {
 		seq, err := server.NewSequential(cfg)
@@ -188,6 +190,16 @@ func runLive(t *testing.T, sc *Scenario, threads int, pol balance.Policy, steali
 		}
 	}
 	eng.Stop()
+	// Every engine counts an executed command at the one commit point the
+	// recorder taps, so the two must agree exactly (MergeThreads reports
+	// the per-thread mean; the total is the sum).
+	var total metrics.Breakdown
+	for _, bd := range eng.Breakdowns() {
+		total.Add(&bd)
+	}
+	if moves := rec.Finish(world).Moves(); total.ExecCmds == 0 || total.ExecCmds != int64(moves) {
+		t.Fatalf("Breakdown.ExecCmds = %d, recorder captured %d moves", total.ExecCmds, moves)
+	}
 	if par != nil && pol.Enabled {
 		if par.Migrations() == 0 {
 			t.Fatal("balance-on run performed no migrations: the conformance table is not exercising migration")

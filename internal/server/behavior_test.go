@@ -1,9 +1,12 @@
 package server
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"qserve/internal/checkpoint"
 	"qserve/internal/game"
 	"qserve/internal/locking"
 	"qserve/internal/protocol"
@@ -20,15 +23,17 @@ type rawClient struct {
 	w    protocol.Writer
 }
 
-func newRawClient(t *testing.T, net *transport.Network, srv string) *rawClient {
+// newRawClient opens a raw endpoint at addr ("" picks one) talking to
+// the server's first endpoint.
+func newRawClient(t *testing.T, net *transport.Network, addr string) *rawClient {
 	t.Helper()
-	conn, err := net.Listen("")
+	conn, err := net.Listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &rawClient{
 		conn: conn,
-		srv:  transport.MemAddr(srv),
+		srv:  transport.MemAddr("srv:0"),
 		buf:  make([]byte, 8192),
 	}
 }
@@ -57,79 +62,291 @@ func (c *rawClient) recv(t *testing.T, timeout time.Duration) any {
 	return msg
 }
 
-func startSeq(t *testing.T, clientTimeout time.Duration) (*Sequential, *transport.Network) {
-	t.Helper()
-	m := worldmap.MustGenerate(worldmap.DefaultConfig())
-	w, err := game.NewWorld(game.Config{Map: m, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := transport.NewNetwork(transport.NetworkConfig{})
-	conn, _ := net.Listen("srv:0")
-	srv, err := NewSequential(Config{
-		World: w, Conns: []transport.Conn{conn},
-		SelectTimeout: 2 * time.Millisecond,
-		ClientTimeout: clientTimeout,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	t.Cleanup(srv.Stop)
-	return srv, net
+// parityEngines are the hosts the protocol-parity table runs under: the
+// frame core on one unsynchronised lane, on one locking lane, and on two
+// lanes with pooled, stealable execution.
+var parityEngines = []struct {
+	name     string
+	threads  int
+	stealing bool
+}{
+	{"sequential", 0, false},
+	{"parallel-1", 1, false},
+	{"parallel-2-steal", 2, true},
 }
 
-func TestPingPong(t *testing.T) {
-	_, net := startSeq(t, 0)
-	c := newRawClient(t, net, "srv:0")
-	c.send(t, &protocol.Ping{Nonce: 0xFEEDFACE})
-	msg := c.recv(t, 2*time.Second)
-	pong, ok := msg.(*protocol.Pong)
-	if !ok {
-		t.Fatalf("got %T, want Pong", msg)
+// parityRig is one engine under test plus the raw clients scripted
+// against it. Every observation a row makes lands in the transcript, and
+// the transcripts must be equal across engines.
+type parityRig struct {
+	t   *testing.T
+	eng Engine
+	net *transport.Network
+	log []string
+}
+
+func (r *parityRig) logf(format string, args ...any) {
+	r.log = append(r.log, fmt.Sprintf(format, args...))
+}
+
+func (r *parityRig) session() *session {
+	switch e := r.eng.(type) {
+	case *Sequential:
+		return &e.session
+	case *Parallel:
+		return &e.session
 	}
-	if pong.Nonce != 0xFEEDFACE {
-		t.Errorf("nonce = %#x", pong.Nonce)
+	r.t.Fatalf("unknown engine %T", r.eng)
+	return nil
+}
+
+func (r *parityRig) client(addr string) *rawClient { return newRawClient(r.t, r.net, addr) }
+
+// exchange sends one datagram and logs what comes back — the reply's
+// kind and protocol-visible fields, or "silence". Like a real client it
+// follows Accept.Addr to its owning thread's endpoint.
+func (r *parityRig) exchange(c *rawClient, msg any) {
+	r.t.Helper()
+	c.send(r.t, msg)
+	switch m := c.recv(r.t, 150*time.Millisecond).(type) {
+	case nil:
+		r.logf("silence")
+	case *protocol.Accept:
+		c.srv = transport.MemAddr(m.Addr)
+		r.logf("accept client=%d", m.ClientID)
+	case *protocol.Reject:
+		r.logf("reject %q", m.Reason)
+	case *protocol.Pong:
+		r.logf("pong %#x", m.Nonce)
+	case *protocol.Disconnected:
+		r.logf("disconnected %q", m.Reason)
+	case *protocol.Snapshot:
+		kind := "delta"
+		if m.BaseFrame == 0 {
+			kind = "full"
+		}
+		r.logf("snapshot ack=%d %s", m.AckSeq, kind)
+	default:
+		r.logf("%T", m)
 	}
 }
 
-func TestMoveFromUnknownClientIgnored(t *testing.T) {
-	srv, net := startSeq(t, 0)
-	c := newRawClient(t, net, "srv:0")
-	c.send(t, &protocol.Move{Seq: 1, Cmd: protocol.MoveCmd{Msec: 30}})
-	if msg := c.recv(t, 100*time.Millisecond); msg != nil {
-		t.Errorf("unknown client's move answered with %T", msg)
-	}
-	if srv.NumClients() != 0 {
-		t.Error("phantom client registered")
-	}
+func (r *parityRig) connect(c *rawClient, name string) {
+	r.t.Helper()
+	r.exchange(c, &protocol.Connect{Name: name, FrameMs: 33})
 }
 
-func TestStaleClientEvicted(t *testing.T) {
-	srv, net := startSeq(t, 150*time.Millisecond)
-	c := newRawClient(t, net, "srv:0")
-	c.send(t, &protocol.Connect{Name: "ghost", FrameMs: 33})
-	if _, ok := c.recv(t, 2*time.Second).(*protocol.Accept); !ok {
-		t.Fatal("no accept")
-	}
-	// Another client keeps the server's frame loop alive while the
-	// first goes silent.
-	keeper := newRawClient(t, net, "srv:0")
-	keeper.send(t, &protocol.Connect{Name: "keeper", FrameMs: 33})
-	if _, ok := keeper.recv(t, 2*time.Second).(*protocol.Accept); !ok {
-		t.Fatal("keeper not accepted")
-	}
+func (r *parityRig) move(c *rawClient, seq, ack uint32) {
+	r.t.Helper()
+	r.exchange(c, &protocol.Move{Seq: seq, Ack: ack, Cmd: protocol.MoveCmd{Msec: 33, Forward: 320}})
+}
 
-	deadline := time.Now().Add(5 * time.Second)
-	seq := uint32(0)
-	for srv.NumClients() != 1 && time.Now().Before(deadline) {
-		seq++
-		keeper.send(t, &protocol.Move{Seq: seq, Cmd: protocol.MoveCmd{Msec: 33}})
-		keeper.recv(t, 10*time.Millisecond)
-		time.Sleep(10 * time.Millisecond)
+// moveUntilAnswered retransmits a move, as a client's tick would, until
+// the server answers it: a multi-lane engine completes a parked
+// survivor's resume at the frame barrier and drops its moves until then.
+func (r *parityRig) moveUntilAnswered(c *rawClient, seq uint32) {
+	r.t.Helper()
+	for try := 0; try < 20; try++ {
+		mark := len(r.log)
+		r.move(c, seq, 0)
+		if r.log[mark] != "silence" {
+			return
+		}
+		r.log = r.log[:mark]
 	}
-	if got := srv.NumClients(); got != 1 {
-		t.Errorf("clients after timeout = %d, want 1 (ghost evicted)", got)
+	r.logf("move %d never answered", seq)
+}
+
+func (r *parityRig) clients() { r.logf("clients=%d", r.eng.NumClients()) }
+
+// TestProtocolParity feeds the same scripted datagram sequences to the
+// sequential engine, a one-thread parallel engine and a two-thread
+// stealing one, and requires the same reply kinds, reject reasons and
+// client counts from each: the wire rules live once (frame.go), so no
+// host may answer differently.
+func TestProtocolParity(t *testing.T) {
+	parkedSurvivor := func(cfg *Config) {
+		e, err := cfg.World.SpawnPlayer()
+		if err != nil {
+			panic(err)
+		}
+		cfg.Restore = &RestoreState{JoinIdx: 1, NextClientID: 8, Clients: []checkpoint.ClientRec{
+			{ID: 7, EntID: int32(e.ID), LastSeq: 900, RepliedFrame: 500, Name: "survivor", Addr: "old:0"},
+		}}
+	}
+	rows := []struct {
+		name string
+		cfg  func(*Config)
+		run  func(r *parityRig)
+		want []string
+	}{
+		{
+			name: "connect-and-duplicate-connect",
+			run: func(r *parityRig) {
+				c := r.client("")
+				r.connect(c, "dup")
+				r.move(c, 1, 0)
+				r.move(c, 2, 0)
+				// A retransmitted Connect is re-accepted under the same id
+				// and resets the delta baseline: the restarted peer gets
+				// full state again.
+				r.connect(c, "dup")
+				r.clients()
+				r.move(c, 3, 0)
+			},
+			want: []string{"accept client=0", "snapshot ack=1 full", "snapshot ack=2 delta",
+				"accept client=0", "clients=1", "snapshot ack=3 full"},
+		},
+		{
+			name: "ping",
+			run:  func(r *parityRig) { r.exchange(r.client(""), &protocol.Ping{Nonce: 0xFEEDFACE}) },
+			want: []string{"pong 0xfeedface"},
+		},
+		{
+			name: "move-from-unknown-address",
+			run: func(r *parityRig) {
+				r.move(r.client(""), 1, 0)
+				r.clients()
+			},
+			want: []string{"silence", "clients=0"},
+		},
+		{
+			name: "old-duplicate-and-wild-seq",
+			run: func(r *parityRig) {
+				c := r.client("")
+				r.connect(c, "d")
+				r.move(c, 5, 0)
+				r.move(c, 6, 0)
+				r.move(c, 6, 0) // duplicate
+				r.move(c, 4, 0) // reordered stale datagram
+				// A corrupted forward jump is dropped without poisoning the
+				// filter: the next in-order move is still accepted.
+				r.move(c, 7+maxSeqAdvance, 0)
+				r.move(c, 7, 0)
+			},
+			want: []string{"accept client=0", "snapshot ack=5 full", "snapshot ack=6 delta",
+				"silence", "silence", "silence", "snapshot ack=7 delta"},
+		},
+		{
+			name: "resynced-seq-after-restore",
+			cfg:  parkedSurvivor,
+			run: func(r *parityRig) {
+				// The survivor's peer restarted its seq space far below the
+				// recovered lastSeq: its first move re-seeds the window
+				// once, after which the filter is armed again.
+				c := r.client("old:0")
+				r.connect(c, "whoever")
+				r.moveUntilAnswered(c, 1)
+				r.move(c, 1, 0)
+				r.move(c, 2, 0)
+				r.clients()
+			},
+			want: []string{"accept client=7", "snapshot ack=1 full", "silence", "snapshot ack=2 delta", "clients=1"},
+		},
+		{
+			name: "bare-move-from-parked-survivor",
+			cfg:  parkedSurvivor,
+			run: func(r *parityRig) {
+				// The client that never noticed the crash: no Connect, just
+				// moves from its old address.
+				r.moveUntilAnswered(r.client("old:0"), 1)
+			},
+			want: []string{"snapshot ack=1 full"},
+		},
+		{
+			name: "ack-gap-invalidates-baseline",
+			run: func(r *parityRig) {
+				c := r.client("")
+				r.connect(c, "gap")
+				// One frame per acknowledged move, so the last reply's frame
+				// is well past baselineGapFrames.
+				n := uint32(baselineGapFrames + 8)
+				for seq := uint32(1); seq <= n; seq++ {
+					c.send(r.t, &protocol.Move{Seq: seq, Cmd: protocol.MoveCmd{Msec: 33}})
+					if _, ok := c.recv(r.t, 2*time.Second).(*protocol.Snapshot); !ok {
+						r.t.Fatalf("move %d not answered", seq)
+					}
+				}
+				r.move(c, n+1, 1) // acknowledges a frame far behind: full state
+				r.move(c, n+2, 0) // no information: delta continues
+			},
+			want: []string{"accept client=0",
+				fmt.Sprintf("snapshot ack=%d full", baselineGapFrames+9),
+				fmt.Sprintf("snapshot ack=%d delta", baselineGapFrames+10)},
+		},
+		{
+			name: "connect-when-full",
+			cfg:  func(cfg *Config) { cfg.MaxClients = 1 },
+			run: func(r *parityRig) {
+				r.connect(r.client(""), "first")
+				r.connect(r.client(""), "second")
+				r.clients()
+			},
+			want: []string{"accept client=0", `reject "server full"`, "clients=1"},
+		},
+		{
+			name: "connect-while-draining",
+			run: func(r *parityRig) {
+				c := r.client("")
+				r.connect(c, "early")
+				r.session().draining.Store(true)
+				r.connect(r.client(""), "late")
+				r.connect(c, "early")
+				r.clients()
+			},
+			want: []string{"accept client=0", `reject "server shutting down"`, `reject "server shutting down"`, "clients=1"},
+		},
+		{
+			name: "disconnect",
+			run: func(r *parityRig) {
+				c := r.client("")
+				r.connect(c, "bye")
+				r.exchange(c, &protocol.Disconnect{})
+				r.clients()
+				r.move(c, 1, 0)
+				r.exchange(c, &protocol.Disconnect{})
+			},
+			want: []string{"accept client=0", `disconnected "bye"`, "clients=0", "silence", "silence"},
+		},
+		{
+			name: "silent-client-timeout",
+			cfg:  func(cfg *Config) { cfg.ClientTimeout = 150 * time.Millisecond },
+			run: func(r *parityRig) {
+				ghost, keeper := r.client(""), r.client("")
+				r.connect(ghost, "ghost")
+				// Another client keeps the frame loop alive while the first
+				// goes silent.
+				r.connect(keeper, "keeper")
+				deadline := time.Now().Add(5 * time.Second)
+				for seq := uint32(1); r.eng.NumClients() != 1 && time.Now().Before(deadline); seq++ {
+					keeper.send(r.t, &protocol.Move{Seq: seq, Cmd: protocol.MoveCmd{Msec: 33}})
+					keeper.recv(r.t, 10*time.Millisecond)
+					time.Sleep(10 * time.Millisecond)
+				}
+				r.clients()
+			},
+			want: []string{"accept client=0", "accept client=1", "clients=1"},
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			for _, pe := range parityEngines {
+				t.Run(pe.name, func(t *testing.T) {
+					rig := newRigCfg(t, pe.threads, 0, locking.Optimized{}, func(cfg *Config) {
+						cfg.MaxClients = 8
+						cfg.Stealing = pe.stealing
+						if row.cfg != nil {
+							row.cfg(cfg)
+						}
+					})
+					r := &parityRig{t: t, eng: rig.engine, net: rig.net}
+					row.run(r)
+					if !reflect.DeepEqual(r.log, row.want) {
+						t.Errorf("transcript diverged:\n got %q\nwant %q", r.log, row.want)
+					}
+				})
+			}
+		})
 	}
 }
 
@@ -152,14 +369,14 @@ func TestEventsReachSilentClients(t *testing.T) {
 	defer srv.Stop()
 
 	// Two clients; the first will idle, the second will fight.
-	idle := newRawClient(t, net, "srv:0")
+	idle := newRawClient(t, net, "")
 	idle.send(t, &protocol.Connect{Name: "idle", FrameMs: 33})
 	acc, ok := idle.recv(t, 2*time.Second).(*protocol.Accept)
 	if !ok {
 		t.Fatal("idle not accepted")
 	}
 	_ = acc
-	active := newRawClient(t, net, "srv:0")
+	active := newRawClient(t, net, "")
 	active.send(t, &protocol.Connect{Name: "active", FrameMs: 33})
 	if _, ok := active.recv(t, 2*time.Second).(*protocol.Accept); !ok {
 		t.Fatal("active not accepted")
@@ -233,53 +450,6 @@ func TestDeltaCompressionBoundsBandwidth(t *testing.T) {
 	}
 	t.Logf("avg reply %.0f bytes, %d replies, in=%d out=%d",
 		perReply, replies, rig.engine.BytesIn(), bytesOut)
-}
-
-func TestDuplicateAndReorderedMovesDropped(t *testing.T) {
-	srv, net := startSeq(t, 0)
-	c := newRawClient(t, net, "srv:0")
-	c.send(t, &protocol.Connect{Name: "d", FrameMs: 33})
-	if _, ok := c.recv(t, 2*time.Second).(*protocol.Accept); !ok {
-		t.Fatal("no accept")
-	}
-	mv := func(seq uint32) {
-		c.send(t, &protocol.Move{Seq: seq, Cmd: protocol.MoveCmd{Msec: 33, Forward: 320}})
-		time.Sleep(5 * time.Millisecond)
-	}
-	mv(5)
-	mv(6)
-	mv(6) // duplicate
-	mv(4) // reordered stale datagram
-	mv(7)
-	// Drain replies; the highest acked sequence must be 7 and no reply
-	// may ack 4 after 6 was seen.
-	deadline := time.Now().Add(2 * time.Second)
-	var acks []uint32
-	for time.Now().Before(deadline) {
-		msg := c.recv(t, 50*time.Millisecond)
-		if msg == nil {
-			break
-		}
-		if snap, ok := msg.(*protocol.Snapshot); ok {
-			acks = append(acks, snap.AckSeq)
-		}
-	}
-	if len(acks) == 0 {
-		t.Fatal("no snapshots")
-	}
-	seen6 := false
-	for _, a := range acks {
-		if a == 6 {
-			seen6 = true
-		}
-		if seen6 && (a == 4 || a == 5) {
-			t.Fatalf("stale sequence %d acked after 6: %v", a, acks)
-		}
-	}
-	if last := acks[len(acks)-1]; last != 7 {
-		t.Errorf("final ack = %d, want 7 (acks %v)", last, acks)
-	}
-	_ = srv
 }
 
 func TestSeqOlderWraparound(t *testing.T) {

@@ -7,13 +7,12 @@ import (
 	"qserve/internal/entity"
 	"qserve/internal/game"
 	"qserve/internal/metrics"
-	"qserve/internal/transport"
 )
 
 // This file is the engine side of durable world state (DESIGN.md §12):
-// the capture glue both live engines call at the reply barrier, and the
-// restore seeding that parks a recovered session's clients for
-// reconnection. The DES has its own copy of the capture call so it can
+// the capture glue the frame-end sweep (endFrame) calls at the reply
+// barrier, and the restore seeding that parks a recovered session's
+// clients for reconnection. The DES has its own copy of the capture call so it can
 // charge the cost model.
 
 // RestoreState seeds an engine from a recovered session (see
@@ -113,8 +112,8 @@ func (t *clientTable) nextIDSnapshot() uint16 {
 // has no transport address until its player reconnects. seqResync covers
 // a peer whose own seq space moved while the server was down; the
 // baseline starts invalid — the resumed client explicitly cannot rely on
-// delta continuity across a restart. Returns the parked clients for
-// engine-specific post-processing (mux routing).
+// delta continuity across a restart. Returns the parked clients for the
+// caller to route (session.restore).
 func parkRestoredClients(clients *clientTable, rs *RestoreState, threads int, now time.Time) []*client {
 	parked := make([]*client, 0, len(rs.Clients))
 	for i := range rs.Clients {
@@ -143,15 +142,4 @@ func parkRestoredClients(clients *clientTable, rs *RestoreState, threads int, no
 	}
 	clients.setNextID(rs.NextClientID)
 	return parked
-}
-
-// resumeClient completes a parked client's reconnect handshake: rebind
-// to the (possibly new) address, invalidate the baseline, and lift the
-// parked state. The seqResync flag set at park time stays set until the
-// owner accepts the first move.
-func resumeClient(clients *clientTable, c *client, from transport.Addr, now time.Time) {
-	clients.rebind(c, from)
-	c.resetBaseline.Store(true)
-	c.awaitingResume.Store(false)
-	c.touch(now)
 }

@@ -9,11 +9,9 @@ import (
 
 	"qserve/internal/areanode"
 	"qserve/internal/balance"
-	"qserve/internal/entity"
 	"qserve/internal/game"
 	"qserve/internal/locking"
 	"qserve/internal/metrics"
-	"qserve/internal/protocol"
 	"qserve/internal/transport"
 )
 
@@ -22,77 +20,31 @@ import (
 // static subset of the clients, synchronized by the frame controller's
 // global barriers and by region locks over the areanode tree.
 type Parallel struct {
-	cfg     Config
-	world   *game.World
+	session
 	fc      *frameCtl
-	clients *clientTable
 	prov    *locking.MutexProvider
 	workers []*worker
-	// stealing caches Config.Stealing && Threads > 1: with one worker
-	// there is nobody to steal from and the pool indirection is pure
-	// overhead.
-	stealing bool
-
-	// globalMu is the single lock serializing the global state buffer
-	// (§3.3: "All accesses to the global state buffer are synchronized
-	// with a single lock").
-	globalMu    sync.Mutex
-	frameEvents []protocol.GameEvent
 
 	frameLog *metrics.FrameLog
-	replies  atomic.Int64
-	joinIdx  atomic.Int64
-	bytesIn  atomic.Int64
-	bytesOut atomic.Int64
 
 	// Dynamic load balancing (nil/unused when cfg.Balance is off). The
-	// mux sits between the endpoints and the workers so the master can
-	// re-route a migrated client's datagrams; the balancer itself is only
-	// touched from masterCleanup, which the frame controller makes
-	// exclusive.
-	mux        *transport.Mux
+	// session's mux sits between the endpoints and the workers so the
+	// master can re-route a migrated client's datagrams; the balancer
+	// itself is only touched from masterCleanup, which the frame controller
+	// makes exclusive.
 	bal        *balance.Balancer
 	migrations atomic.Int64
 	balClients []*client
 	balLoads   []int64
 	balThreads []int
 
-	// sweepBuf is the master's scratch snapshot for the per-frame client
-	// sweep in masterCleanup; kept separate from balClients so a
-	// rebalance in the same cleanup pass doesn't clobber it.
-	sweepBuf []*client
+	frameT0 time.Time // frame start stamp; master writes, cleanup reads (fc-ordered)
 
-	stop      chan struct{}
-	stopOnce  sync.Once
-	wg        sync.WaitGroup
-	started   time.Time
-	stopped   time.Time
-	lastFrame time.Time // master-only access, ordered by the frame ctl
-	frameT0   time.Time // frame start stamp; master writes, cleanup reads (fc-ordered)
-
-	// Failure-model state. shed is the overload ladder; draining refuses
-	// new connections during Shutdown; wedges/panics/faultEvictions count
-	// watchdog detections, contained panics, and the clients evicted by
-	// either containment path. wedgeLog keeps the structured records.
-	shed           shedController
-	draining       atomic.Bool
-	wedges         atomic.Int64
-	faultEvictions atomic.Int64
-	wedgeMu        sync.Mutex
-	wedgeLog       []WedgeRecord
-
-	// worldGuard makes abandonment race-free. Request-phase world
-	// mutations always hold its read side (shared — they are already
-	// serialized against each other by region locks, so this costs two
-	// uncontended atomics per request). World readers that the barrier
-	// normally protects — the reply phase, the world update, the shed-far
-	// scan — take the write side, but only while a zombie is outstanding
-	// (fc.hasZombies): an abandoned worker may wake from its wedge at any
-	// moment and finish the request it was executing, and its read-side
-	// section is the only thing those lockless readers can synchronize
-	// with. In normal operation the guard is never locked exclusively and
-	// readers skip it entirely.
-	worldGuard sync.RWMutex
+	// Failure-model state: wedges counts watchdog detections; wedgeLog
+	// keeps the structured records.
+	wedges   atomic.Int64
+	wedgeMu  sync.Mutex
+	wedgeLog []WedgeRecord
 
 	// pendingEvict holds clients whose eviction was decided in the reply
 	// phase (a reply-side panic), where removing the player would race the
@@ -101,34 +53,9 @@ type Parallel struct {
 	pendingMu    sync.Mutex
 	pendingEvict []*client
 
-	// pendingResume holds reconnect handshakes for restore-parked clients
-	// (DESIGN.md §12). A Connect may arrive on any thread's endpoint, but
-	// resuming rewrites client identity state (addr, byAddr key) that the
-	// owning thread and the disconnect paths read — so, like pendingEvict,
-	// the application is deferred to masterCleanup where no request is in
-	// flight. The Accept is sent immediately; moves sent before the resume
-	// lands are dropped and retransmitted by the client's normal tick.
-	resumeMu      sync.Mutex
-	pendingResume []resumePending
-
-	// ckptBuf is the master's client-snapshot scratch for the checkpoint
-	// capture at the frame barrier.
-	ckptBuf []*client
-
-	// Scratch for the master's shed-far computation.
-	shedClients []*client
-	shedDists   []float64
-
 	// vis coordinates the once-per-frame visibility-index build that the
 	// workers partition among themselves at the reply barrier.
 	vis *visBuilder
-}
-
-// resumePending is one queued reconnect: the parked client and the
-// address its player is now calling from.
-type resumePending struct {
-	c    *client
-	addr transport.Addr
 }
 
 // WedgeRecord describes one watchdog detection: which worker was stuck,
@@ -143,13 +70,11 @@ type WedgeRecord struct {
 	HasClient bool
 }
 
-// worker is one server thread's private state.
+// worker is one server thread: a lane plus the parallel engine's locking,
+// stealing and watchdog state.
 type worker struct {
-	id   int
-	conn transport.Conn
-	bd   metrics.Breakdown
+	lane
 
-	locker  locking.RegionLocker
 	lockCtx game.LockContext
 
 	// Per-frame instrumentation, reset when the frame's request phase
@@ -170,30 +95,12 @@ type worker struct {
 	outstanding atomic.Int64
 	activeHint  atomic.Uint64
 
-	writer protocol.Writer
-	stash  []byte
-	recvBf []byte
-
-	// Reply-phase scratch, reused across clients and frames so the reply
-	// hot path allocates nothing in steady state.
-	reply      ReplyScratch
-	frameEv    []protocol.GameEvent
-	backlogBuf []protocol.GameEvent
-	clientBuf  []*client
-
 	// Watchdog publication: the phase this worker is executing (wpIdle
-	// when at a barrier or in select), when it entered it, and the client
-	// whose request it is serving (id+1; 0 = none). phaseStart is written
-	// before phase, so a non-idle phase always pairs with a fresh stamp.
+	// when at a barrier or in select) and when it entered it; the lane's
+	// serving field names the client. phaseStart is written before phase,
+	// so a non-idle phase always pairs with a fresh stamp.
 	phase      atomic.Int32
 	phaseStart atomic.Int64
-	serving    atomic.Int32
-
-	// zombie mirrors the frame controller's abandonment verdict as a
-	// cheap atomic so the request drain loop can poll it per datagram
-	// without taking the controller's mutex. The controller's map stays
-	// authoritative; this is only the fast-path signal.
-	zombie atomic.Bool
 }
 
 // Watchdog-visible worker phases.
@@ -233,31 +140,30 @@ func NewParallel(cfg Config) (*Parallel, error) {
 		return nil, err
 	}
 	s := &Parallel{
-		cfg:      cfg,
-		world:    cfg.World,
 		fc:       newFrameCtl(),
-		clients:  newClientTable(cfg.MaxClients),
 		prov:     locking.NewMutexProvider(cfg.World.Tree.NumNodes()),
 		frameLog: metrics.NewFrameLog(cfg.World.Tree.NumLeaves()),
-		stop:     make(chan struct{}),
 		vis:      newVisBuilder(),
 	}
+	s.init(cfg)
+	// With one worker there is nobody to steal from and the pool
+	// indirection is pure overhead.
 	s.stealing = cfg.Stealing && cfg.Threads > 1
 	for i := 0; i < cfg.Threads; i++ {
-		w := &worker{
-			id:     i,
-			conn:   cfg.Conns[i],
-			recvBf: make([]byte, transport.MaxDatagram),
-		}
-		w.locker = locking.RegionLocker{
+		w := &worker{}
+		w.id = i
+		w.conn = cfg.Conns[i]
+		w.scratch = newFrameScratch()
+		w.locker = &locking.RegionLocker{
 			Tree:     s.world.Tree,
 			Provider: &timedProvider{inner: s.prov, tree: s.world.Tree, bd: &w.bd},
 		}
 		w.lockCtx = game.LockContext{
-			Locker:   &w.locker,
+			Locker:   w.locker,
 			Strategy: cfg.Strategy,
 		}
 		s.workers = append(s.workers, w)
+		s.lanes = append(s.lanes, &w.lane)
 	}
 	if cfg.Balance.Enabled && cfg.Threads > 1 {
 		// Interpose the mux so client→thread routing can change at
@@ -270,25 +176,9 @@ func NewParallel(cfg Config) (*Parallel, error) {
 		s.bal = balance.New(cfg.Balance)
 	}
 	if rs := cfg.Restore; rs != nil {
-		// Crash recovery: resume frame numbering where the recovered
-		// session left off (checkpoint file names and replay logs stay
-		// monotonic), restore the allocation counters, and park the
-		// surviving clients for reconnection. Routing a parked client's
-		// checkpointed address up-front means a survivor calling from the
-		// same endpoint reaches its owning thread immediately.
 		s.fc.setFrame(rs.Frame + 1)
-		s.joinIdx.Store(int64(rs.JoinIdx))
-		parked := parkRestoredClients(s.clients, rs, cfg.Threads, time.Now())
-		if s.mux != nil {
-			for _, c := range parked {
-				if c.addrStr != "" {
-					s.mux.Route(transport.MemAddr(c.addrStr), c.thread)
-				}
-			}
-		}
-		s.workers[0].bd.RecoveryNs = rs.RecoveryNs
+		s.restore(rs)
 	}
-	s.shed.init(&s.cfg)
 	return s, nil
 }
 
@@ -296,7 +186,7 @@ func NewParallel(cfg Config) (*Parallel, error) {
 // initialization time").
 func (s *Parallel) Start() {
 	s.started = time.Now()
-	s.lastFrame = s.cfg.timeNow()
+	s.lastTick = s.cfg.timeNow()
 	s.frameT0 = s.started
 	for _, w := range s.workers {
 		s.wg.Add(1)
@@ -311,59 +201,6 @@ func (s *Parallel) Start() {
 	}
 }
 
-// Stop shuts the pool down and waits for the threads to exit. Any frame
-// in progress completes first. Stop is idempotent. Breakdowns and the
-// frame log must only be read after Stop returns.
-func (s *Parallel) Stop() {
-	s.stopOnce.Do(func() {
-		close(s.stop)
-		s.wg.Wait()
-		if s.mux != nil {
-			s.mux.Close()
-		}
-		s.stopped = time.Now()
-	})
-}
-
-func (s *Parallel) stopping() bool {
-	select {
-	case <-s.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// Shutdown performs a graceful stop: new connection attempts are refused
-// immediately, the frame in progress completes (Stop's semantics), and
-// every connected client is sent a final Disconnected notice on its
-// owning thread's endpoint before being dropped from the table.
-func (s *Parallel) Shutdown() {
-	s.draining.Store(true)
-	s.Stop()
-	var wr protocol.Writer
-	s.clients.forEach(func(c *client) {
-		wr.Reset()
-		if c.addr != nil &&
-			protocol.Encode(&wr, &protocol.Disconnected{Reason: "server shutting down"}) == nil {
-			s.bytesOut.Add(int64(len(wr.Bytes())))
-			_ = s.cfg.Conns[c.thread].Send(c.addr, wr.Bytes())
-		}
-		s.clients.remove(c)
-	})
-}
-
-// SetFrameBudget adjusts the overload ladder's frame budget at runtime
-// (0 disables shedding). Safe to call while the server runs.
-func (s *Parallel) SetFrameBudget(d time.Duration) { s.shed.setBudget(d) }
-
-// ShedLevel returns the overload ladder's current level.
-func (s *Parallel) ShedLevel() int { return int(s.shed.current()) }
-
-// FaultEvictions returns how many clients were evicted by the
-// containment paths (panic recovery and wedge quarantine).
-func (s *Parallel) FaultEvictions() int64 { return s.faultEvictions.Load() }
-
 // Wedges returns a copy of the watchdog's detection records.
 func (s *Parallel) Wedges() []WedgeRecord {
 	s.wedgeMu.Lock()
@@ -376,7 +213,7 @@ func (s *Parallel) workerLoop(w *worker) {
 	for {
 		// Select: block for a request on this thread's endpoint.
 		t0 := time.Now()
-		n, from, err := w.conn.Recv(w.recvBf, s.cfg.SelectTimeout)
+		n, from, err := w.conn.Recv(w.scratch.recvBuf, s.cfg.SelectTimeout)
 		w.bd.Charge(metrics.CompIdle, time.Since(t0).Nanoseconds())
 		if s.stopping() {
 			return
@@ -388,7 +225,6 @@ func (s *Parallel) workerLoop(w *worker) {
 			return // endpoint closed
 		}
 		s.bytesIn.Add(int64(n))
-		w.stash = append(w.stash[:0], w.recvBf[:n]...)
 
 		role := s.fc.join(w.id)
 		for role == roleMissed {
@@ -411,9 +247,7 @@ func (s *Parallel) workerLoop(w *worker) {
 				w.bd.Charge(metrics.CompIdle, time.Since(t0).Nanoseconds())
 			}
 			s.frameT0 = time.Now()
-			t0 = s.frameT0
-			s.runWorldUpdate()
-			w.bd.Charge(metrics.CompWorld, time.Since(t0).Nanoseconds())
+			s.runWorldUpdate(w)
 			s.fc.openRequests()
 		} else {
 			t0 = time.Now()
@@ -425,7 +259,8 @@ func (s *Parallel) workerLoop(w *worker) {
 			}
 		}
 
-		// Request phase: the stashed packet, then drain the queue. The
+		// Request phase: the packet select returned (still in the receive
+		// buffer — nothing above touches it), then drain the queue. The
 		// zombie poll lets an abandoned worker stop mid-drain instead of
 		// racing the frame that moved on without it. With stealing on, the
 		// drain only pools move commands (connection traffic is still
@@ -445,16 +280,16 @@ func (s *Parallel) workerLoop(w *worker) {
 			}
 		}
 		w.beginPhase(wpRequest)
-		s.safeProcessPacket(w, w.stash, from)
+		s.safeProcessPacket(w, w.scratch.recvBuf[:n], from)
 		for !w.zombie.Load() {
 			t0 = time.Now()
-			n, from, err = w.conn.Recv(w.recvBf, 0)
+			n, from, err = w.conn.Recv(w.scratch.recvBuf, 0)
 			w.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
 			if err != nil {
 				break // queue empty
 			}
 			s.bytesIn.Add(int64(n))
-			s.safeProcessPacket(w, w.recvBf[:n], from)
+			s.safeProcessPacket(w, w.scratch.recvBuf[:n], from)
 		}
 		if s.stealing {
 			s.fc.doneDraining(w.id)
@@ -533,38 +368,12 @@ func (s *Parallel) zombieRecover(w *worker) {
 		}
 	})
 	for _, c := range evict {
-		s.evictClient(w, c, "request stalled the server")
+		s.evictClient(&w.lane, c, "request stalled the server")
 	}
 	w.zombie.Store(false)
 	s.fc.acquit(w.id)
 	log.Printf("server: thread %d recovered from abandonment (released %d locks, evicted %d quarantined clients)",
 		w.id, released, len(evict))
-}
-
-// evictClient removes a client the containment paths decided is at
-// fault, notifying it with a Disconnected message.
-func (s *Parallel) evictClient(w *worker, c *client, reason string) {
-	if !s.claimForRemoval(w, c) {
-		return
-	}
-	s.clients.remove(c)
-	s.unroute(c)
-	s.removePlayerLocked(w, c.entID)
-	if r := s.cfg.Record; r != nil {
-		r.RecordDisconnect(c.id, DiscReasonEvict)
-	}
-	s.send(w, c.addr, &protocol.Disconnected{Reason: reason})
-	s.faultEvictions.Add(1)
-}
-
-// unroute forgets a client's mux route, keyed by its cached address
-// string so a restore-parked client (addr nil until reconnect) is handled
-// uniformly.
-func (s *Parallel) unroute(c *client) {
-	if s.mux == nil || c.addrStr == "" {
-		return
-	}
-	s.mux.Unroute(transport.MemAddr(c.addrStr))
 }
 
 // safeProcessPacket contains a panic in request handling to the client
@@ -573,7 +382,41 @@ func (s *Parallel) unroute(c *client) {
 // adversarial request must never take the server down.
 func (s *Parallel) safeProcessPacket(w *worker, data []byte, from transport.Addr) {
 	defer s.recoverWorker(w, "request")
-	s.processPacket(w, data, from)
+	c, m := s.dispatch(&w.lane, data, from)
+	if c == nil {
+		return
+	}
+	if c.thread != w.id {
+		// A command for a client another thread owns; a client's state —
+		// sequence tracking, reply flags, baseline — is owned by one thread.
+		// With the mux in place this happens transiently after a migration
+		// (a datagram pumped before the routing update took effect): bounce
+		// it to the owner's port so the command is executed, not lost. The
+		// forward stamp freezes the client's assignment until the command
+		// lands, so the datagram chases at most one migration. Without the
+		// mux it is a client ignoring Accept.Addr — drop, as the static
+		// design always did.
+		if s.mux != nil {
+			c.fwdFrame.Store(s.fc.frameNumber() + 1)
+			s.mux.Forward(c.thread, data, from)
+		}
+		return
+	}
+	e := poolEntry{c: c, m: *m, owner: w.id, idx: w.poolIdx, hint: c.leafHint.Load()}
+	if s.stealing {
+		// Stamp the command with its commit order and pool it; outstanding
+		// gates the worker's request barrier, which passes only when every
+		// entry it pooled this frame has been executed (by anyone).
+		w.poolIdx++
+		w.outstanding.Add(1)
+		w.pool.push(e)
+		return
+	}
+	// Static assignment: the owner executes inline, through the same
+	// executor with the entry's park budget spent — a blocking first
+	// acquire, so it never parks.
+	e.parks = maxStealParks
+	s.safeExecPoolEntry(w, e)
 }
 
 // safeSendReplies is the reply-phase analogue. A panic skips the rest of
@@ -588,7 +431,15 @@ func (s *Parallel) safeSendReplies(w *worker) {
 		s.worldGuard.Lock()
 		defer s.worldGuard.Unlock()
 	}
-	s.sendReplies(w)
+	// Build (or help build) the frame's shared visibility index first.
+	// Every worker passes through here after the request barrier, so the
+	// encode shards are split across all threads; acquire wall time is
+	// the worker's share of the cache build (idle waiting included).
+	frame := s.fc.frameNumber()
+	buildT0 := time.Now()
+	vi := s.vis.acquire(frame, s.world)
+	w.bd.SnapBuildNs += time.Since(buildT0).Nanoseconds()
+	s.sendReplies(&w.lane, vi, uint32(frame))
 }
 
 func (s *Parallel) recoverWorker(w *worker, phase string) {
@@ -599,16 +450,15 @@ func (s *Parallel) recoverWorker(w *worker, phase string) {
 	released := w.locker.ReleaseAll()
 	w.bd.PanicsRecovered++
 	var victim *client
-	if cid := w.serving.Load(); cid > 0 {
+	if cid := w.serving.Swap(0); cid > 0 {
 		victim = s.clients.lookupID(uint16(cid - 1))
 	}
-	w.serving.Store(0)
 	if victim != nil {
 		victim.quarantined.Store(true)
 		victim.quarantinedBy.Store(int32(w.id) + 1)
 		if phase == "request" {
 			// Request phase: world writes are lock-protected, evict inline.
-			s.evictClient(w, victim, "server error handling your request")
+			s.evictClient(&w.lane, victim, "server error handling your request")
 		} else {
 			// Reply phase: removing the player writes the world while the
 			// other threads read it locklessly. Defer to masterCleanup,
@@ -718,486 +568,39 @@ func (s *Parallel) watchdog() {
 	}
 }
 
-// minWorldTick rate-limits the world-physics phase like QuakeWorld's
-// sv_mintic: frames arriving faster than this skip the P stage.
-const minWorldTick = 12 * time.Millisecond
-
 // runWorldUpdate performs the master's world-physics phase. Its writes
 // are lockless by the barrier; in degraded mode (outstanding zombie) it
 // holds the world guard exclusively against a waking zombie's request.
 //
 //qvet:phase=physics
-func (s *Parallel) runWorldUpdate() {
-	// The dt comes from the frame-logic clock (Config.Clock when
-	// replaying) — the only wall-clock input world evolution sees.
-	now := s.cfg.timeNow()
-	dt := now.Sub(s.lastFrame)
-	if dt < minWorldTick {
-		return
-	}
-	s.lastFrame = now
+func (s *Parallel) runWorldUpdate(w *worker) {
 	if s.fc.hasZombies() {
 		s.worldGuard.Lock()
 		defer s.worldGuard.Unlock()
 	}
-	res := s.world.RunWorldFrame(dt.Seconds())
-	if r := s.cfg.Record; r != nil {
-		r.RecordTick(dt.Nanoseconds())
-	}
-	if len(res.Events) > 0 {
-		s.appendEvents(res.Events)
-	}
+	s.worldTick(&w.lane)
 }
 
-func (s *Parallel) appendEvents(events []game.Event) {
-	wire := wireEvents(events)
-	s.globalMu.Lock()
-	s.frameEvents = append(s.frameEvents, wire...)
-	s.globalMu.Unlock()
-}
-
-// snapshotFrameEvents copies the global state buffer into dst for reply
-// building; dst is a reusable per-thread buffer.
-func (s *Parallel) snapshotFrameEvents(dst []protocol.GameEvent) []protocol.GameEvent {
-	s.globalMu.Lock()
-	defer s.globalMu.Unlock()
-	return append(dst, s.frameEvents...)
-}
-
-// processPacket dispatches one datagram during the request phase.
-func (s *Parallel) processPacket(w *worker, data []byte, from transport.Addr) {
-	t0 := time.Now()
-	msg, err := protocol.Decode(data)
-	if err != nil {
-		w.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
-		return
-	}
-	switch m := msg.(type) {
-	case *protocol.Move:
-		c := s.clients.lookup(from)
-		w.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
-		if c == nil || c.quarantined.Load() {
-			return
-		}
-		if c.awaitingResume.Load() {
-			// Restore-parked client: moves are dropped until the reconnect
-			// handshake (a Connect) lands at the barrier. Unlike the
-			// sequential engine, the parallel engine cannot adopt the
-			// address in place — the owner's addr write would race the
-			// disconnect paths on other threads.
-			return
-		}
-		if c.thread != w.id {
-			// A command for a client another thread owns. With the mux in
-			// place this happens transiently after a migration (a datagram
-			// pumped before the routing update took effect): bounce it to
-			// the owner's port so the command is executed, not lost. The
-			// forward stamp freezes the client's assignment until the
-			// command lands, so the datagram chases at most one migration.
-			// Without the mux it is a client ignoring Accept.Addr — drop,
-			// as the static design always did.
-			if s.mux != nil {
-				c.fwdFrame.Store(s.fc.frameNumber() + 1)
-				s.mux.Forward(c.thread, data, from)
-			}
-			return
-		}
-		if s.stealing {
-			s.enqueueMove(w, c, m)
-			return
-		}
-		s.execMove(w, c, m)
-	case *protocol.Connect:
-		w.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
-		s.handleConnect(w, m, from)
-	case *protocol.Disconnect:
-		w.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
-		s.handleDisconnect(w, from)
-	case *protocol.Ping:
-		w.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
-		s.send(w, from, &protocol.Pong{Nonce: m.Nonce})
-	default:
-		w.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
-	}
-}
-
-// baselineGapFrames is the widest reply-frame gap a client may fall
-// behind before its delta baseline is invalidated: past it, the client
-// has likely lost the snapshots the baseline assumes it holds, so the
-// next reply resends full entity state. Ack 0 means "no information" and
-// never invalidates.
-const baselineGapFrames = 64
-
-// execMove runs one gameplay request, separating exec time from lock
-// time (the lock component accrues inside the timed provider during the
-// call; the difference is pure execution).
-//
-//qvet:phase=exec
-func (s *Parallel) execMove(w *worker, c *client, m *protocol.Move) {
-	// A client's state — sequence tracking, reply flags, baseline — is
-	// owned by one thread; a datagram that reaches another thread's
-	// endpoint (a client ignoring the Accept.Addr redirect) must not let
-	// two threads mutate that state concurrently.
-	if c.thread != w.id {
-		return
-	}
-	// Re-stamp the watchdog clock per request so the deadline measures a
-	// single stalled request, not an accumulating healthy phase, and a
-	// wedge record's serving client is the request that actually stalled.
-	w.phaseStart.Store(time.Now().UnixNano())
-	// Drop duplicates and reordered datagrams: UDP may replay an old
-	// move, and executing it would rewind the player's intent. The
-	// engine's netchan does the same with its sequence check. Wild
-	// forward jumps are corrupted datagrams and are dropped *without*
-	// advancing lastSeq, so they cannot poison the filter. A resumed
-	// client's first move re-seeds lastSeq instead (seqResync): its peer's
-	// seq space may have moved arbitrarily while the server was down.
-	if m.Seq != 0 && (seqOlder(m.Seq, c.lastSeq) || seqWild(m.Seq, c.lastSeq)) &&
-		!c.seqResync.Load() {
-		return
-	}
-	if m.Ack != 0 && c.repliedFrame.Load()-m.Ack > baselineGapFrames {
-		// The client is acknowledging a frame far behind the last reply we
-		// sent it: delta continuity is lost. Invalidation here (request
-		// phase) is ordered before the reply phase by the frame barrier.
-		c.baseline.Invalidate()
-	}
-	ent := s.world.Ents.Get(c.entID)
-	if ent == nil {
-		return
-	}
-	// Publish which client this thread is serving, for the watchdog and
-	// panic containment. The test seam runs here too — before any region
-	// lock is taken, so an injected wedge never strands locks.
-	w.serving.Store(int32(c.id) + 1)
-	if s.cfg.Hooks.PreExec != nil {
-		s.cfg.Hooks.PreExec(w.id, c.id)
-	}
-	if w.zombie.Load() {
-		// The watchdog abandoned this worker while the request sat in the
-		// pre-exec seam: the frame has moved on without it, and executing
-		// the stale command now would write into frames that no longer
-		// expect this thread. Drop it; zombieRecover owns the cleanup.
-		w.serving.Store(0)
-		return
-	}
-	// Liveness (ent.Active, Health) is checked inside ExecuteMove under
-	// the region guard — checking here would race with another thread's
-	// concurrent damage or removal.
-	var stats locking.AcquireStats
-	var mask uint64
-	w.lockCtx.Stats = &stats
-	w.lockCtx.LeafMask = &mask
-
-	lockBefore := w.bd.Ns[metrics.CompLock]
-	t0 := time.Now()
-	res := s.executeMoveGuarded(ent, &m.Cmd, &w.lockCtx)
-	span := time.Since(t0).Nanoseconds()
-	lockDelta := w.bd.Ns[metrics.CompLock] - lockBefore
-	if exec := span - lockDelta; exec > 0 {
-		w.bd.Charge(metrics.CompExec, exec)
-		w.frameExecNs += exec
-		// Per-client load for the balancer: decayed at each rebalance, so
-		// it tracks recent cost rather than lifetime cost. Only the owning
-		// thread writes it; the master reads it at the barrier.
-		c.loadNs.Add(exec)
-	}
-	w.bd.ExecCmds++
-	w.serving.Store(0)
-
-	if len(res.Events) > 0 {
-		s.appendEvents(res.Events)
-	}
-	w.frameReqs++
-	w.frameLeafMask |= mask
-	w.frameLockOps += stats.LeafLockOps
-
-	c.replyPending = true
-	c.lastSeq = m.Seq
-	c.seqResync.Store(false)
-	c.touch(time.Now())
-	if r := s.cfg.Record; r != nil {
-		r.RecordMove(c.id, m.Seq, &m.Cmd)
-	}
-	// The client's forwarded datagram (if this was one) has landed; lift
-	// the migration freeze.
-	c.fwdFrame.Store(0)
-}
-
-// executeMoveGuarded wraps move execution in the world guard's read side
-// (see worldGuard). The deferred unlock keeps the guard panic-safe: a
-// panic in game code unwinds through here before recoverWorker runs.
-//
-//qvet:phase=exec
-func (s *Parallel) executeMoveGuarded(ent *entity.Entity, cmd *protocol.MoveCmd, lc *game.LockContext) game.MoveResult {
-	s.worldGuard.RLock()
-	defer s.worldGuard.RUnlock()
-	return s.world.ExecuteMove(ent, cmd, lc)
-}
-
-// handleConnect admits a new player. Connection requests "are associated
-// with the connection or disconnection protocols ... or other facilities
-// that do not affect gameplay", so they are processed inline; the spawn
-// itself takes a region lock over the spawn area.
-func (s *Parallel) handleConnect(w *worker, m *protocol.Connect, from transport.Addr) {
-	if s.draining.Load() {
-		s.send(w, from, &protocol.Reject{Reason: "server shutting down"})
-		return
-	}
-	if existing := s.clients.lookup(from); existing != nil {
-		if existing.quarantined.Load() {
-			return // pending eviction; don't resurrect
-		}
-		if existing.awaitingResume.Load() {
-			// Restore-parked survivor calling back from its checkpointed
-			// address: queue the resume for the barrier (see pendingResume)
-			// and accept immediately — the Accept's contents are all stable.
-			s.queueResume(existing, from)
-			s.send(w, from, &protocol.Accept{
-				ClientID: existing.id,
-				EntityID: int32(existing.entID),
-				MapName:  s.world.Map.Name,
-				Addr:     s.cfg.Conns[existing.thread].LocalAddr().String(),
-			})
-			return
-		}
-		// Duplicate connect (retransmit or client restart): re-accept
-		// idempotently, and flag the delta baseline for reset — a
-		// restarted client has no memory of the entity states the baseline
-		// assumes. The flag (not a direct Invalidate) keeps the baseline
-		// single-owner: connects may arrive on any thread's endpoint, and
-		// the owning thread consumes the flag in its reply phase.
-		existing.resetBaseline.Store(true)
-		s.send(w, from, &protocol.Accept{
-			ClientID: existing.id,
-			EntityID: int32(existing.entID),
-			MapName:  s.world.Map.Name,
-			Addr:     s.cfg.Conns[existing.thread].LocalAddr().String(),
-		})
-		return
-	}
-	if resume := s.clients.lookupResume(m.Name); resume != nil {
-		// Survivor reconnecting from a new address (NAT rebind across the
-		// restart): matched by name. Resumes at the barrier like the
-		// same-address path; no new client slot is consumed.
-		s.queueResume(resume, from)
-		s.send(w, from, &protocol.Accept{
-			ClientID: resume.id,
-			EntityID: int32(resume.entID),
-			MapName:  s.world.Map.Name,
-			Addr:     s.cfg.Conns[resume.thread].LocalAddr().String(),
-		})
-		return
-	}
-	if s.shed.current() >= shedRejectNew {
-		// Overload ladder level 3: protect the clients already connected.
-		w.bd.BusyRejects++
-		s.send(w, from, &protocol.Reject{Reason: "busy"})
-		return
-	}
-	if s.clients.count() >= s.cfg.MaxClients {
-		s.send(w, from, &protocol.Reject{Reason: "server full"})
-		return
-	}
-	ent, err := s.spawnPlayerLocked(w)
-	if err != nil {
-		s.send(w, from, &protocol.Reject{Reason: "no entity slots"})
-		return
-	}
-	idx := int(s.joinIdx.Add(1) - 1)
-	c := &client{
-		entID:  ent.ID,
-		name:   m.Name,
-		addr:   from,
-		thread: s.cfg.Assign(idx, s.cfg.Threads, s.cfg.MaxClients),
-	}
-	c.touch(time.Now())
-	if !s.clients.add(c) {
-		s.removePlayerLocked(w, ent.ID)
-		s.send(w, from, &protocol.Reject{Reason: "server full"})
-		return
-	}
-	if s.mux != nil {
-		// Pin the client's datagrams to its owning thread regardless of
-		// which endpoint they arrive at; migrations re-route later.
-		s.mux.Route(from, c.thread)
-	}
-	if r := s.cfg.Record; r != nil {
-		r.RecordConnect(c.id, int32(ent.ID), c.thread, m.Name)
-	}
-	s.send(w, from, &protocol.Accept{
-		ClientID: c.id,
-		EntityID: int32(ent.ID),
-		MapName:  s.world.Map.Name,
-		Addr:     s.cfg.Conns[c.thread].LocalAddr().String(),
-	})
-}
-
-// spawnPlayerLocked spawns a player under a region lock covering the
-// spawn location, keeping the tree mutation safe against concurrent
-// request processing.
-func (s *Parallel) spawnPlayerLocked(w *worker) (*entity.Entity, error) {
-	s.worldGuard.RLock()
-	defer s.worldGuard.RUnlock()
-	guard := w.locker.Acquire(s.world.Map.Bounds, nil)
-	defer guard.Release()
-	return s.world.SpawnPlayer()
-}
-
-func (s *Parallel) removePlayerLocked(w *worker, id entity.ID) {
-	s.worldGuard.RLock()
-	defer s.worldGuard.RUnlock()
-	guard := w.locker.Acquire(s.world.Map.Bounds, nil)
-	defer guard.Release()
-	s.world.RemovePlayer(id)
-}
-
-func (s *Parallel) handleDisconnect(w *worker, from transport.Addr) {
-	c := s.clients.lookup(from)
-	if c == nil || c.quarantined.Load() {
-		return // quarantined: the recovering thread owns the removal
-	}
-	if !s.claimForRemoval(w, c) {
-		return
-	}
-	s.clients.remove(c)
-	s.unroute(c)
-	s.removePlayerLocked(w, c.entID)
-	if r := s.cfg.Record; r != nil {
-		r.RecordDisconnect(c.id, DiscReasonClient)
-	}
-	s.send(w, from, &protocol.Disconnected{Reason: "bye"})
-}
-
-// sendReplies forms and transmits the snapshots for this worker's
-// clients that requested during the frame — reply processing "involves
-// reading global state but writing only private (per-client) reply
-// messages".
-//
-//qvet:phase=reply
-//qvet:noalloc
-func (s *Parallel) sendReplies(w *worker) {
-	// Build (or help build) the frame's shared visibility index first.
-	// Every worker passes through here after the request barrier, so the
-	// encode shards are split across all threads; acquire wall time is
-	// the worker's share of the cache build (idle waiting included).
-	buildT0 := time.Now()
-	vi := s.vis.acquire(s.fc.frameNumber(), s.world)
-	w.bd.SnapBuildNs += time.Since(buildT0).Nanoseconds()
-
-	w.frameEv = s.snapshotFrameEvents(w.frameEv[:0])
-	frame := uint32(s.fc.frameNumber())
-	serverTime := uint32(s.world.Time * 1000)
-	level := s.shed.current()
-	entityLimit := 0
-	if level >= shedEntityCap {
-		entityLimit = s.cfg.OverloadEntityCap
-	}
-	w.clientBuf = s.clients.forThreadBuf(w.clientBuf, w.id, func(c *client) {
-		if !c.replyPending || c.quarantined.Load() {
-			return
-		}
-		if level >= shedFarHalf && c.shedFar.Load() && frame&1 == 1 {
-			// Overload ladder level 1: clients far from the action get
-			// every other snapshot. replyPending stays set, so the reply
-			// goes out next frame; the skipped snapshot is invisible to
-			// delta continuity (the baseline only advances on sends).
-			w.bd.RepliesShed++
-			return
-		}
-		c.replyPending = false
-		ent := s.world.Ents.Get(c.entID)
-		if ent == nil || !ent.Active {
-			return
-		}
-		if c.resetBaseline.Swap(false) {
-			c.baseline.Invalidate()
-		}
-		w.serving.Store(int32(c.id) + 1)
-		w.backlogBuf = c.drainBacklog(w.backlogBuf[:0])
-		data, st := w.reply.FormSnapshot(s.world, vi, ent, &c.baseline,
-			frame, c.lastSeq, serverTime, w.backlogBuf, w.frameEv, entityLimit)
-		w.serving.Store(0)
-		w.bd.SnapMergeNs += st.SnapNs
-		if data == nil {
-			return
-		}
-		s.bytesOut.Add(int64(len(data)))
-		_ = w.conn.Send(c.addr, data)
-		w.bd.ReplyBytes += int64(st.Bytes)
-		w.bd.ReplyDatagrams++
-		w.bd.ReplyAllocs += int64(st.Allocs)
-		w.bd.EntitiesCapped += int64(st.Capped)
-		c.markReplied(frame)
-		s.replies.Add(1)
-	})
-}
-
-// masterCleanup runs after all replies: it distributes the frame's
-// events to clients that were not replied to, evicts dead clients,
-// records the frame, and clears the global state buffer ("the master
-// thread clears this global state buffer before signaling the end of the
-// current frame").
+// masterCleanup runs after all replies, single-threaded at the barrier:
+// the engine's barrier-deferred work first — evictions decided during
+// the reply phase, the balancer, queued reconnects — then the shared
+// frame-end sweep, then the frame log.
 func (s *Parallel) masterCleanup(w *worker) {
-	frame := uint32(s.fc.frameNumber())
-	s.globalMu.Lock()
-	events := s.frameEvents
-	// Truncate in place: events stays valid because it is consumed below,
-	// before endFrame lets any thread append to the buffer again.
-	s.frameEvents = s.frameEvents[:0]
-	s.globalMu.Unlock()
+	frame := s.fc.frameNumber()
 
-	now := time.Now()
-	var stale []*client
-	s.sweepBuf = s.clients.forEachBuf(s.sweepBuf, func(c *client) {
-		if c.repliedFrame.Load() != frame {
-			c.queueEvents(events)
-		}
-		// Quarantined clients belong to their recovering thread; clients
-		// on a zombie thread are skipped because eviction takes region
-		// locks the wedged thread may hold.
-		if c.quarantined.Load() || s.workers[c.thread].zombie.Load() {
-			return
-		}
-		if now.UnixNano()-c.lastActive.Load() > int64(s.cfg.ClientTimeout) {
-			stale = append(stale, c)
-		}
-	})
-	for _, c := range stale {
-		if !s.claimForRemoval(w, c) {
-			continue
-		}
-		s.clients.remove(c)
-		s.unroute(c)
-		s.removePlayerLocked(w, c.entID)
-		if r := s.cfg.Record; r != nil {
-			r.RecordDisconnect(c.id, DiscReasonTimeout)
-		}
-	}
-
-	// Evictions decided during the reply phase (reply-side panics) were
-	// deferred to this point, where no thread is reading the world.
 	s.pendingMu.Lock()
 	pending := s.pendingEvict
 	s.pendingEvict = nil
 	s.pendingMu.Unlock()
 	for _, c := range pending {
-		s.evictClient(w, c, "server error handling your request")
-	}
-
-	// Overload ladder: feed the frame's duration, then refresh the
-	// shed-far flags while a shed level is active.
-	level := s.shed.observe(time.Since(s.frameT0).Nanoseconds())
-	if level >= shedFarHalf {
-		s.computeShedFar()
+		s.evictClient(&w.lane, c, "server error handling your request")
 	}
 
 	rec := metrics.FrameRecord{
-		Frame:             s.fc.frameNumber(),
+		Frame:             frame,
 		RequestsByThread:  make([]int, len(s.workers)),
 		LeafLocksByThread: make([]uint64, len(s.workers)),
 		ExecNsByThread:    make([]int64, len(s.workers)),
-		ShedLevel:         int(level),
 	}
 	parts := s.fc.currentParticipants()
 	rec.Participants = len(parts)
@@ -1212,81 +615,11 @@ func (s *Parallel) masterCleanup(w *worker) {
 		rec.Migrations = s.rebalance()
 	}
 	s.applyResumes()
+
+	s.endFrame(&w.lane, frame, s.frameT0, s.fc.hasZombies())
+
+	rec.ShedLevel = s.ShedLevel()
 	s.frameLog.Append(rec)
-	if r := s.cfg.Record; r != nil {
-		r.RecordShed(int(level))
-		r.RecordFrameEnd(s.fc.frameNumber())
-	}
-
-	// Durable checkpoint capture (DESIGN.md §12): after every reply
-	// committed and after the frame's record taps ran, so the redo-log cut
-	// names exactly the state the snapshot contains. The entity table is
-	// read-only here by the barrier; in degraded mode the world guard
-	// excludes a waking zombie's writes, like every other barrier-side
-	// reader.
-	if wr := s.cfg.Checkpoint; wr != nil {
-		if frame := s.fc.frameNumber(); wr.Due(frame) {
-			if s.fc.hasZombies() {
-				s.worldGuard.Lock()
-				s.ckptBuf = captureCheckpoint(wr, s.world, s.clients, s.ckptBuf,
-					s.cfg.Record, frame, int(s.joinIdx.Load()), &w.bd)
-				s.worldGuard.Unlock()
-			} else {
-				s.ckptBuf = captureCheckpoint(wr, s.world, s.clients, s.ckptBuf,
-					s.cfg.Record, frame, int(s.joinIdx.Load()), &w.bd)
-			}
-		}
-	}
-}
-
-// queueResume enqueues a parked client's reconnect for the barrier.
-func (s *Parallel) queueResume(c *client, from transport.Addr) {
-	s.resumeMu.Lock()
-	s.pendingResume = append(s.pendingResume, resumePending{c: c, addr: from})
-	s.resumeMu.Unlock()
-}
-
-// applyResumes completes queued reconnect handshakes at the frame
-// barrier: rebind the client to its new address, invalidate the delta
-// baseline, re-route the mux, and lift the parked state. Single-threaded
-// by masterCleanup's position in the frame protocol.
-func (s *Parallel) applyResumes() {
-	s.resumeMu.Lock()
-	pending := s.pendingResume
-	s.pendingResume = nil
-	s.resumeMu.Unlock()
-	if len(pending) == 0 {
-		return
-	}
-	now := time.Now()
-	for _, pr := range pending {
-		c := pr.c
-		// Retransmitted Connects queue duplicates; the first application
-		// clears awaitingResume and the rest fall through here. A client
-		// reaped or quarantined while queued stays untouched.
-		if !c.awaitingResume.Load() || c.quarantined.Load() || s.clients.lookupID(c.id) != c {
-			continue
-		}
-		old := c.addrStr
-		resumeClient(s.clients, c, pr.addr, now)
-		if s.mux != nil {
-			if old != "" && old != c.addrStr {
-				s.mux.Unroute(transport.MemAddr(old))
-			}
-			s.mux.Route(pr.addr, c.thread)
-		}
-	}
-}
-
-// computeShedFar refreshes the shed-far flags for this engine's clients.
-// Master only, at the frame barrier. It reads entity positions, so in
-// degraded mode it excludes a waking zombie's writes like the reply pass.
-func (s *Parallel) computeShedFar() {
-	if s.fc.hasZombies() {
-		s.worldGuard.Lock()
-		defer s.worldGuard.Unlock()
-	}
-	s.shedClients, s.shedDists = markShedFar(s.world, s.clients, s.shedClients, s.shedDists)
 }
 
 // rebalance runs at the frame barrier, the only point where no region
@@ -1384,40 +717,17 @@ func fwdFreezeExpired(stamp, frame uint64) bool {
 	return frame-stamp >= fwdFreezeFrames
 }
 
-func (s *Parallel) send(w *worker, to transport.Addr, msg any) {
-	if to == nil {
-		return // restore-parked client: no transport address yet
-	}
-	w.writer.Reset()
-	if err := protocol.Encode(&w.writer, msg); err != nil {
-		return
-	}
-	s.bytesOut.Add(int64(len(w.writer.Bytes())))
-	_ = w.conn.Send(to, w.writer.Bytes())
-}
-
-// Breakdowns returns a copy of each thread's execution-time breakdown.
-// Engine-level robustness counters (watchdog detections, mux queue
-// drops) are folded into thread 0's copy so MergeThreads reports see
-// them.
+// Breakdowns returns a copy of each thread's execution-time breakdown,
+// with the engine-level watchdog detections folded into thread 0's copy
+// so MergeThreads reports see them.
 func (s *Parallel) Breakdowns() []metrics.Breakdown {
-	out := make([]metrics.Breakdown, len(s.workers))
-	for i, w := range s.workers {
-		out[i] = w.bd
-	}
+	out := s.session.Breakdowns()
 	out[0].WedgesDetected += s.wedges.Load()
-	if s.mux != nil {
-		out[0].MuxDrops += s.mux.Drops()
-	}
 	return out
 }
 
 // FrameLog returns the per-frame activity log.
 func (s *Parallel) FrameLog() *metrics.FrameLog { return s.frameLog }
-
-// Replies returns the number of replies sent — the numerator of the
-// server response rate.
-func (s *Parallel) Replies() int64 { return s.replies.Load() }
 
 // Migrations returns how many client→thread migrations the balancer
 // performed.
@@ -1425,22 +735,3 @@ func (s *Parallel) Migrations() int64 { return s.migrations.Load() }
 
 // Frames returns the number of completed server frames.
 func (s *Parallel) Frames() uint64 { return s.fc.frameNumber() }
-
-// NumClients returns the connected-client count.
-func (s *Parallel) NumClients() int { return s.clients.count() }
-
-// BytesIn returns total payload bytes received.
-func (s *Parallel) BytesIn() int64 { return s.bytesIn.Load() }
-
-// BytesOut returns total payload bytes sent — with delta compression this
-// stays well within a 100 Mbit budget at maximum player counts, matching
-// the paper's observation that server bandwidth is not a bottleneck.
-func (s *Parallel) BytesOut() int64 { return s.bytesOut.Load() }
-
-// Duration returns the run's wall-clock duration (zero until stopped).
-func (s *Parallel) Duration() time.Duration {
-	if s.stopped.IsZero() {
-		return time.Since(s.started)
-	}
-	return s.stopped.Sub(s.started)
-}

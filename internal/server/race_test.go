@@ -174,3 +174,37 @@ func TestMigrationRaceStress(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveCountersPolledWhileRunning exists to be run under -race: the
+// counters an operator polls on a running server (qserved's -stats
+// ticker reads Frames, Replies and NumClients from its own goroutine)
+// must be readable while bots drive either engine.
+func TestLiveCountersPolledWhileRunning(t *testing.T) {
+	for _, threads := range []int{0, 2} {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			rig := newRig(t, threads, 4, locking.Optimized{})
+			stop := make(chan struct{})
+			polled := make(chan uint64)
+			go func() {
+				var frames uint64
+				for {
+					select {
+					case <-stop:
+						polled <- frames
+						return
+					default:
+					}
+					frames = rig.engine.Frames()
+					_ = rig.engine.Replies()
+					_ = rig.engine.NumClients()
+					time.Sleep(200 * time.Microsecond)
+				}
+			}()
+			rig.drive(40, time.Millisecond)
+			close(stop)
+			if frames := <-polled; frames == 0 {
+				t.Error("poller never saw a completed frame")
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"qserve/internal/botclient"
+	"qserve/internal/checkpoint"
 	"qserve/internal/game"
 	"qserve/internal/locking"
 	"qserve/internal/metrics"
@@ -407,21 +408,46 @@ func TestPanicContainmentSequential(t *testing.T) {
 
 // --- overload shedding ------------------------------------------------
 
-// TestOverloadShedLadder drives the ladder end to end: an impossible
-// frame budget trips levels 1→3 (half-rate far clients, entity caps,
-// busy rejections), near clients keep at least 80% of their pre-overload
-// response rate, and restoring the budget walks the ladder back down
-// with hysteresis.
+// TestOverloadShedLadder drives the ladder end to end on both engines:
+// an impossible frame budget trips levels 1→3 (half-rate far clients,
+// entity caps, busy rejections), near clients keep at least 80% of their
+// pre-overload response rate, and restoring the budget walks the ladder
+// back down with hysteresis. Level 3 protects the clients the server
+// already has: only a genuinely new address is refused — an admitted
+// client's retransmitted Connect and a restore-parked survivor's resume
+// (by address and by name) are re-accepted.
 func TestOverloadShedLadder(t *testing.T) {
+	for _, threads := range []int{0, 2} {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) { testOverloadShedLadder(t, threads) })
+	}
+}
+
+func testOverloadShedLadder(t *testing.T, threads int) {
 	const (
 		numBots = 8
 		window  = 60
 	)
-	rig := newRigCfg(t, 2, numBots, locking.Optimized{}, func(cfg *Config) {
+	parked := []checkpoint.ClientRec{
+		{ID: 0, Name: "by-addr", Addr: "old:0"},
+		{ID: 1, Name: "by-name", Addr: "old:1"},
+	}
+	rig := newRigCfg(t, threads, numBots, locking.Optimized{}, func(cfg *Config) {
 		cfg.Assign = RoundRobinAssign
 		cfg.OverloadEntityCap = 1 // guarantee truncation at level 2
+		for i := range parked {
+			e, err := cfg.World.SpawnPlayer()
+			if err != nil {
+				t.Fatal(err)
+			}
+			parked[i].EntID = int32(e.ID)
+		}
+		cfg.Restore = &RestoreState{JoinIdx: len(parked), NextClientID: uint16(len(parked)), Clients: parked}
 	})
-	par := rig.engine.(*Parallel)
+	eng := rig.engine.(interface {
+		Engine
+		SetFrameBudget(time.Duration)
+		ShedLevel() int
+	})
 
 	// Pre-overload baseline window.
 	rig.drive(20, 2*time.Millisecond) // warm-up
@@ -430,26 +456,39 @@ func TestOverloadShedLadder(t *testing.T) {
 	pre := deltas(replyCounts(rig.bots), pre0)
 
 	// Impossible budget: every frame is over, the ladder climbs to 3.
-	par.SetFrameBudget(time.Nanosecond)
+	eng.SetFrameBudget(time.Nanosecond)
 	rig.drive(60, 2*time.Millisecond) // > trip*3 frames of ramp
-	if lvl := par.ShedLevel(); lvl != int(shedRejectNew) {
+	if lvl := eng.ShedLevel(); lvl != int(shedRejectNew) {
 		t.Fatalf("shed level = %d after sustained overload, want %d", lvl, shedRejectNew)
 	}
 
-	// Level 3 refuses new connections with "busy".
-	bc, err := rig.net.Listen("late-joiner")
-	if err != nil {
-		t.Fatal(err)
+	// Level 3 refuses new connections with "busy" ...
+	connect := func(name, addr string) (*botclient.Bot, error) {
+		bc, err := rig.net.Listen(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := botclient.New(botclient.Config{
+			Name: name, Conn: bc, Server: transport.MemAddr("srv:0"),
+			Map: rig.m, Seed: 99,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, b.Connect()
 	}
-	late, err := botclient.New(botclient.Config{
-		Name: "late", Conn: bc, Server: transport.MemAddr("srv:0"),
-		Map: rig.m, Seed: 99,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := late.Connect(); err == nil || !strings.Contains(err.Error(), "busy") {
+	if _, err := connect("late", "late-joiner"); err == nil || !strings.Contains(err.Error(), "busy") {
 		t.Errorf("overloaded server accepted a new client (err=%v), want busy rejection", err)
+	}
+	// ... but not the clients it already has.
+	if err := rig.bots[0].Connect(); err != nil {
+		t.Errorf("admitted client's duplicate Connect refused at shed level 3: %v", err)
+	}
+	if b, err := connect("whoever", parked[0].Addr); err != nil || b.ClientID() != parked[0].ID {
+		t.Errorf("parked survivor's resume by address at shed level 3: err=%v", err)
+	}
+	if b, err := connect(parked[1].Name, "fresh:1"); err != nil || b.ClientID() != parked[1].ID {
+		t.Errorf("parked survivor's resume by name at shed level 3: err=%v", err)
 	}
 
 	// Overload window: at least half the retained clients (the near
@@ -470,9 +509,9 @@ func TestOverloadShedLadder(t *testing.T) {
 
 	// Hysteresis restore: frames comfortably under budget walk the
 	// ladder back to zero (clear*3 consecutive under-budget frames).
-	par.SetFrameBudget(time.Hour)
+	eng.SetFrameBudget(time.Hour)
 	rig.drive(150, 2*time.Millisecond)
-	if lvl := par.ShedLevel(); lvl != int(shedNone) {
+	if lvl := eng.ShedLevel(); lvl != int(shedNone) {
 		t.Errorf("shed level = %d after load cleared, want 0", lvl)
 	}
 	post0 := replyCounts(rig.bots)
@@ -489,12 +528,10 @@ func TestOverloadShedLadder(t *testing.T) {
 			restored, numBots, pre, post)
 	}
 
-	rig.engine.Stop()
+	eng.Stop()
 	var bd metrics.Breakdown
-	for _, b := range rig.engine.Breakdowns() {
-		bd.RepliesShed += b.RepliesShed
-		bd.EntitiesCapped += b.EntitiesCapped
-		bd.BusyRejects += b.BusyRejects
+	for _, b := range eng.Breakdowns() {
+		bd.Add(&b)
 	}
 	if bd.RepliesShed == 0 {
 		t.Error("ladder engaged but RepliesShed == 0")
@@ -505,15 +542,18 @@ func TestOverloadShedLadder(t *testing.T) {
 	if bd.BusyRejects == 0 {
 		t.Error("busy rejection not counted in BusyRejects")
 	}
-	// The shed level must also be visible in the frame log.
-	maxLevel := 0
-	for _, fr := range par.FrameLog().Frames {
-		if fr.ShedLevel > maxLevel {
-			maxLevel = fr.ShedLevel
+	// The shed level must also be visible in the parallel engine's frame
+	// log.
+	if par, ok := rig.engine.(*Parallel); ok {
+		maxLevel := 0
+		for _, fr := range par.FrameLog().Frames {
+			if fr.ShedLevel > maxLevel {
+				maxLevel = fr.ShedLevel
+			}
 		}
-	}
-	if maxLevel != int(shedRejectNew) {
-		t.Errorf("FrameLog max shed level = %d, want %d", maxLevel, shedRejectNew)
+		if maxLevel != int(shedRejectNew) {
+			t.Errorf("FrameLog max shed level = %d, want %d", maxLevel, shedRejectNew)
+		}
 	}
 }
 
@@ -591,8 +631,7 @@ func TestGracefulShutdown(t *testing.T) {
 			setDraining(false)
 
 			// Shutdown notifies the connected client.
-			type shutdowner interface{ Shutdown() }
-			eng.(shutdowner).Shutdown()
+			eng.Shutdown()
 			deadline := time.Now().Add(2 * time.Second)
 			for {
 				msg := recvMsg(t, cc, time.Until(deadline))

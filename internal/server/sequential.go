@@ -2,7 +2,6 @@ package server
 
 import (
 	"log"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,56 +13,16 @@ import (
 
 // Sequential is the unmodified single-threaded server of Figure 1: spin
 // in select, then per frame run world physics, drain and execute the
-// request queue, and reply to every requester. It performs no locking at
-// all — the baseline the parallel engine's single-thread overhead is
-// measured against (§4.1).
+// request queue, and reply to every requester. It performs no region
+// locking at all — the baseline the parallel engine's single-thread
+// overhead is measured against (§4.1). It is the frame core (frame.go)
+// on one lane with no synchronisation added.
 type Sequential struct {
-	cfg     Config
-	world   *game.World
-	conn    transport.Conn
-	clients *clientTable
-
-	bd          metrics.Breakdown
-	frameEvents []protocol.GameEvent
-	frames      uint64
-	replies     atomic.Int64
-	joinIdx     int
-	bytesIn     atomic.Int64
-	bytesOut    atomic.Int64
-
-	writer  protocol.Writer
-	recvBuf []byte
-	stash   []byte
-
-	// Reply-phase scratch, reused across clients and frames (see
-	// reply.go for the ownership rules). vis is the per-frame visibility
-	// index, rebuilt serially at the top of each reply phase.
-	reply      ReplyScratch
-	backlogBuf []protocol.GameEvent
-	vis        game.VisIndex
-	// clientBuf is the reused snapshot scratch for per-frame client
-	// sweeps (sendReplies, event flush); single-threaded, never nested.
-	clientBuf []*client
-	// scratch, in stepped mode with Config.Shared set, is the pooled
-	// buffer set currently backing the fields above; nil while idle.
-	scratch *frameScratch
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-	started  time.Time
-	stopped  time.Time
-	last     time.Time
-
-	// Failure-model state: overload ladder, shutdown drain flag, the
-	// client being served (for panic containment), and fault-eviction
-	// count. Single-threaded, so serving needs no atomicity.
-	shed           shedController
-	draining       atomic.Bool
-	serving        *client
-	faultEvictions atomic.Int64
-	shedClients    []*client
-	shedDists      []float64
+	session
+	lane lane
+	// frames counts completed frames. Atomic because Frames is polled
+	// from other goroutines (qserved's -stats ticker) while the loop runs.
+	frames atomic.Uint64
 }
 
 // NewSequential builds the sequential engine over the first endpoint.
@@ -71,28 +30,18 @@ func NewSequential(cfg Config) (*Sequential, error) {
 	if err := cfg.fill(false); err != nil {
 		return nil, err
 	}
-	s := &Sequential{
-		cfg:     cfg,
-		world:   cfg.World,
-		conn:    cfg.Conns[0],
-		clients: newClientTable(cfg.MaxClients),
-		stop:    make(chan struct{}),
-	}
+	s := &Sequential{}
+	s.init(cfg)
+	s.lane.conn = cfg.Conns[0]
+	s.lanes = []*lane{&s.lane}
 	if cfg.Shared == nil {
-		// Classic mode owns its buffers for life; stepped mode with a
-		// shared pool borrows them per activity burst (step.go).
-		s.recvBuf = make([]byte, transport.MaxDatagram)
+		// Classic mode owns its buffers for life; with a shared pool they
+		// are borrowed per activity burst (step.go).
+		s.lane.scratch = newFrameScratch()
 	}
-	s.shed.init(&s.cfg)
 	if rs := cfg.Restore; rs != nil {
-		// Resume a recovered session: frame numbering continues past the
-		// recovered frame (keeping checkpoint names monotonic), allocation
-		// counters pick up where the crashed server left off, and the
-		// survivors are parked for reconnection.
-		s.frames = rs.Frame + 1
-		s.joinIdx = rs.JoinIdx
-		parkRestoredClients(s.clients, rs, 1, time.Now())
-		s.bd.RecoveryNs = rs.RecoveryNs
+		s.frames.Store(rs.Frame + 1)
+		s.restore(rs)
 	}
 	return s, nil
 }
@@ -100,11 +49,11 @@ func NewSequential(cfg Config) (*Sequential, error) {
 // Start launches the server loop goroutine.
 func (s *Sequential) Start() {
 	s.started = time.Now()
-	s.last = s.cfg.timeNow()
-	if s.cfg.Shared != nil && s.scratch == nil {
+	s.lastTick = s.cfg.timeNow()
+	if s.lane.scratch == nil {
 		// The threaded loop blocks in Recv and can't park buffers at idle
 		// points; borrow a scratch set once and keep it for the run.
-		s.attachScratch(s.cfg.Shared.get())
+		s.lane.scratch = s.cfg.Shared.get()
 	}
 	s.wg.Add(1)
 	go func() {
@@ -113,61 +62,13 @@ func (s *Sequential) Start() {
 	}()
 }
 
-// Stop shuts the loop down after the current frame. Stop is idempotent.
-// Breakdowns must only be read after Stop returns.
-func (s *Sequential) Stop() {
-	s.stopOnce.Do(func() {
-		close(s.stop)
-		s.wg.Wait()
-		s.stopped = time.Now()
-	})
-}
-
-func (s *Sequential) stopping() bool {
-	select {
-	case <-s.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// Shutdown performs a graceful stop: new connection attempts are refused
-// immediately, the frame in progress completes, and every connected
-// client is sent a final Disconnected notice before being dropped.
-func (s *Sequential) Shutdown() {
-	s.draining.Store(true)
-	s.Stop()
-	var wr protocol.Writer
-	s.clients.forEach(func(c *client) {
-		if c.addr != nil {
-			wr.Reset()
-			if protocol.Encode(&wr, &protocol.Disconnected{Reason: "server shutting down"}) == nil {
-				s.bytesOut.Add(int64(len(wr.Bytes())))
-				_ = s.conn.Send(c.addr, wr.Bytes())
-			}
-		}
-		s.clients.remove(c)
-	})
-}
-
-// SetFrameBudget adjusts the overload ladder's frame budget at runtime
-// (0 disables shedding).
-func (s *Sequential) SetFrameBudget(d time.Duration) { s.shed.setBudget(d) }
-
-// ShedLevel returns the overload ladder's current level.
-func (s *Sequential) ShedLevel() int { return int(s.shed.current()) }
-
-// FaultEvictions returns how many clients were evicted by panic
-// containment.
-func (s *Sequential) FaultEvictions() int64 { return s.faultEvictions.Load() }
-
 func (s *Sequential) loop() {
+	ln := &s.lane
 	for {
 		// S: select.
 		t0 := time.Now()
-		n, from, err := s.conn.Recv(s.recvBuf, s.cfg.SelectTimeout)
-		s.bd.Charge(metrics.CompIdle, time.Since(t0).Nanoseconds())
+		n, from, err := ln.conn.Recv(ln.scratch.recvBuf, s.cfg.SelectTimeout)
+		ln.bd.Charge(metrics.CompIdle, time.Since(t0).Nanoseconds())
 		if s.stopping() {
 			return
 		}
@@ -177,60 +78,91 @@ func (s *Sequential) loop() {
 		if err != nil {
 			return
 		}
-		s.bytesIn.Add(int64(n))
-		s.stash = append(s.stash[:0], s.recvBuf[:n]...)
-
-		// P: world physics, rate-limited like QuakeWorld's sv_mintic.
-		// The dt comes from the frame-logic clock (Config.Clock when
-		// replaying) — the only wall-clock input world evolution sees.
-		t0 = time.Now()
-		nowv := s.cfg.timeNow()
-		if dt := nowv.Sub(s.last); dt >= minWorldTick {
-			res := s.world.RunWorldFrame(dt.Seconds())
-			s.last = nowv
-			if r := s.cfg.Record; r != nil {
-				r.RecordTick(dt.Nanoseconds())
-			}
-			s.frameEvents = append(s.frameEvents, wireEvents(res.Events)...)
-		}
-		s.bd.Charge(metrics.CompWorld, time.Since(t0).Nanoseconds())
-
-		frameT0 := time.Now()
-
-		// Rx/E: receive and process requests until the queue is empty.
-		s.safeProcessPacket(s.stash, from)
-		for {
-			t0 = time.Now()
-			n, from, err = s.conn.Recv(s.recvBuf, 0)
-			s.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
-			if err != nil {
-				break
-			}
-			s.bytesIn.Add(int64(n))
-			s.safeProcessPacket(s.recvBuf[:n], from)
-		}
-
-		// T/Tx: form and send replies.
-		t0 = time.Now()
-		s.safeSendReplies()
-		s.bd.Charge(metrics.CompReply, time.Since(t0).Nanoseconds())
-
-		s.endFrame(frameT0)
+		s.runFrame(n, from)
 	}
 }
 
-// safeProcessPacket contains a panic in request handling to the client
-// that caused it (see the parallel engine's identical policy): the
-// client is evicted and the loop continues — a malformed or adversarial
-// request must never take the server down.
-func (s *Sequential) safeProcessPacket(data []byte, from transport.Addr) {
-	defer s.recoverLoop("request")
-	s.processPacket(data, from)
+// runFrame is one server frame: world physics, request drain, reply
+// phase, frame bookkeeping. first > 0 is the length of a datagram from
+// firstFrom already sitting in the receive buffer — the one the threaded
+// loop blocked for; the stepped mode passes 0 and never blocks. It
+// reports whether any datagram was processed.
+func (s *Sequential) runFrame(first int, firstFrom transport.Addr) (sawTraffic bool) {
+	ln := &s.lane
+	// P: world physics. It does not touch the receive buffer, so the
+	// first datagram keeps until the request phase.
+	s.worldTick(ln)
+
+	frameT0 := time.Now()
+
+	// Rx/E: receive and process requests until the queue is empty.
+	n, from := first, firstFrom
+	for {
+		if n > 0 {
+			s.bytesIn.Add(int64(n))
+			sawTraffic = true
+			s.processPacket(ln.scratch.recvBuf[:n], from)
+		}
+		t0 := time.Now()
+		var err error
+		n, from, err = ln.conn.Recv(ln.scratch.recvBuf, 0)
+		ln.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
+		if err != nil {
+			break
+		}
+	}
+
+	// T/Tx: form and send replies — but only when someone can receive
+	// one. The empty-server skip is what makes an idle match's tick cheap.
+	if s.clients.count() > 0 {
+		t0 := time.Now()
+		s.replyPhase()
+		ln.bd.Charge(metrics.CompReply, time.Since(t0).Nanoseconds())
+	}
+
+	s.endFrame(ln, s.frames.Load(), frameT0, false)
+	s.frames.Add(1)
+	return sawTraffic
 }
 
-func (s *Sequential) safeSendReplies() {
+// processPacket handles one datagram, containing a panic in request
+// handling to the client that caused it (see the parallel engine's
+// identical policy): the client is evicted and the loop continues — a
+// malformed or adversarial request must never take the server down.
+func (s *Sequential) processPacket(data []byte, from transport.Addr) {
+	defer s.recoverLoop("request")
+	if c, m := s.dispatch(&s.lane, data, from); c != nil {
+		s.runMove(c, m)
+	}
+}
+
+// runMove executes one gameplay request with no locking at all: the nil
+// Locker short-circuits every lock path.
+//
+//qvet:phase=exec
+func (s *Sequential) runMove(c *client, m *protocol.Move) {
+	ln := &s.lane
+	ent := s.admitMove(ln, c, m)
+	if ent == nil {
+		return
+	}
+	t0 := time.Now()
+	res := s.world.ExecuteMove(ent, &m.Cmd, &game.LockContext{})
+	ln.bd.Charge(metrics.CompExec, time.Since(t0).Nanoseconds())
+	ln.serving.Store(0)
+	s.appendEvents(res.Events)
+	s.commitMove(ln, c, m)
+}
+
+// replyPhase builds the frame's visibility index serially, then runs the
+// one lane's reply pass over it.
+func (s *Sequential) replyPhase() {
 	defer s.recoverLoop("reply")
-	s.sendReplies()
+	ln := &s.lane
+	buildT0 := time.Now()
+	ln.scratch.vis.Build(s.world)
+	ln.bd.SnapBuildNs += time.Since(buildT0).Nanoseconds()
+	s.sendReplies(ln, &ln.scratch.vis, uint32(s.frames.Load()))
 }
 
 func (s *Sequential) recoverLoop(phase string) {
@@ -238,316 +170,17 @@ func (s *Sequential) recoverLoop(phase string) {
 	if r == nil {
 		return
 	}
-	s.bd.PanicsRecovered++
-	victim := s.serving
-	s.serving = nil
+	ln := &s.lane
+	ln.bd.PanicsRecovered++
+	var victim *client
+	if cid := ln.serving.Swap(0); cid > 0 {
+		victim = s.clients.lookupID(uint16(cid - 1))
+	}
 	if victim != nil {
-		s.clients.remove(victim)
-		s.world.RemovePlayer(victim.entID)
-		if rec := s.cfg.Record; rec != nil {
-			rec.RecordDisconnect(victim.id, DiscReasonEvict)
-		}
-		s.send(victim.addr, &protocol.Disconnected{Reason: "server error handling your request"})
-		s.faultEvictions.Add(1)
+		s.evictClient(ln, victim, "server error handling your request")
 	}
 	log.Printf("server: recovered panic in %s phase: %v (evicted client: %v)", phase, r, victim != nil)
 }
 
-func (s *Sequential) processPacket(data []byte, from transport.Addr) {
-	t0 := time.Now()
-	msg, err := protocol.Decode(data)
-	s.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
-	if err != nil {
-		return
-	}
-	switch m := msg.(type) {
-	case *protocol.Move:
-		c := s.clients.lookup(from)
-		if c == nil {
-			return
-		}
-		if m.Seq != 0 && (seqOlder(m.Seq, c.lastSeq) || seqWild(m.Seq, c.lastSeq)) &&
-			!c.seqResync.Load() {
-			// Duplicate, reordered, or corrupted-sequence datagram. A
-			// client resuming across a server restart (seqResync) is exempt
-			// once: its peer's seq space may have restarted below — or run
-			// ahead of — the recovered counter.
-			return
-		}
-		if c.addr == nil {
-			// Parked survivor whose first datagram arrived from its old
-			// address before any Connect: adopt the address (it matched the
-			// byAddr index to get here) and lift the parked state.
-			c.addr = from
-			c.awaitingResume.Store(false)
-		}
-		if m.Ack != 0 && c.repliedFrame.Load()-m.Ack > baselineGapFrames {
-			c.baseline.Invalidate() // delta continuity lost; resend full state
-		}
-		ent := s.world.Ents.Get(c.entID)
-		if ent == nil || !ent.Active {
-			return
-		}
-		s.serving = c
-		if s.cfg.Hooks.PreExec != nil {
-			s.cfg.Hooks.PreExec(0, c.id)
-		}
-		t0 = time.Now()
-		// No locking at all: nil Locker short-circuits every lock path.
-		res := s.world.ExecuteMove(ent, &m.Cmd, &game.LockContext{})
-		s.bd.Charge(metrics.CompExec, time.Since(t0).Nanoseconds())
-		s.serving = nil
-		s.frameEvents = append(s.frameEvents, wireEvents(res.Events)...)
-		c.replyPending = true
-		c.lastSeq = m.Seq
-		c.seqResync.Store(false)
-		c.touch(time.Now())
-		if r := s.cfg.Record; r != nil {
-			r.RecordMove(c.id, m.Seq, &m.Cmd)
-		}
-	case *protocol.Connect:
-		s.handleConnect(m, from)
-	case *protocol.Disconnect:
-		if c := s.clients.lookup(from); c != nil {
-			s.clients.remove(c)
-			s.world.RemovePlayer(c.entID)
-			if r := s.cfg.Record; r != nil {
-				r.RecordDisconnect(c.id, DiscReasonClient)
-			}
-			s.send(from, &protocol.Disconnected{Reason: "bye"})
-		}
-	case *protocol.Ping:
-		s.send(from, &protocol.Pong{Nonce: m.Nonce})
-	}
-}
-
-func (s *Sequential) handleConnect(m *protocol.Connect, from transport.Addr) {
-	if s.draining.Load() {
-		s.send(from, &protocol.Reject{Reason: "server shutting down"})
-		return
-	}
-	if s.shed.current() >= shedRejectNew {
-		s.bd.BusyRejects++
-		s.send(from, &protocol.Reject{Reason: "busy"})
-		return
-	}
-	if existing := s.clients.lookup(from); existing != nil {
-		if existing.awaitingResume.Load() {
-			// Survivor of a restart reconnecting from its old address:
-			// resume the parked identity instead of admitting a new player.
-			resumeClient(s.clients, existing, from, time.Now())
-		}
-		// Reconnect: the client has no memory of the baseline's states.
-		existing.baseline.Invalidate()
-		s.send(from, &protocol.Accept{
-			ClientID: existing.id,
-			EntityID: int32(existing.entID),
-			MapName:  s.world.Map.Name,
-			Addr:     s.conn.LocalAddr().String(),
-		})
-		return
-	}
-	if resume := s.clients.lookupResume(m.Name); resume != nil {
-		// Survivor reconnecting from a new address (NAT rebind across the
-		// restart): match by name, rebind in place.
-		resumeClient(s.clients, resume, from, time.Now())
-		resume.baseline.Invalidate()
-		s.send(from, &protocol.Accept{
-			ClientID: resume.id,
-			EntityID: int32(resume.entID),
-			MapName:  s.world.Map.Name,
-			Addr:     s.conn.LocalAddr().String(),
-		})
-		return
-	}
-	if s.clients.count() >= s.cfg.MaxClients {
-		s.send(from, &protocol.Reject{Reason: "server full"})
-		return
-	}
-	ent, err := s.world.SpawnPlayer()
-	if err != nil {
-		s.send(from, &protocol.Reject{Reason: "no entity slots"})
-		return
-	}
-	c := &client{
-		entID:  ent.ID,
-		name:   m.Name,
-		addr:   from,
-		thread: 0,
-	}
-	c.touch(time.Now())
-	s.joinIdx++
-	if !s.clients.add(c) {
-		s.world.RemovePlayer(ent.ID)
-		s.send(from, &protocol.Reject{Reason: "server full"})
-		return
-	}
-	if r := s.cfg.Record; r != nil {
-		r.RecordConnect(c.id, int32(ent.ID), 0, m.Name)
-	}
-	s.send(from, &protocol.Accept{
-		ClientID: c.id,
-		EntityID: int32(ent.ID),
-		MapName:  s.world.Map.Name,
-		Addr:     s.conn.LocalAddr().String(),
-	})
-}
-
-// sendReplies forms and transmits the frame's snapshots. It is the
-// single-threaded analogue of the parallel engine's reply phase and is
-// held to the same static discipline: read-only over the entity table,
-// allocation-free in steady state.
-//
-//qvet:phase=reply
-//qvet:noalloc
-func (s *Sequential) sendReplies() {
-	// Build the frame's visibility index once; every client's snapshot
-	// below is a merge over it instead of a fresh table scan.
-	buildT0 := time.Now()
-	s.vis.Build(s.world)
-	s.bd.SnapBuildNs += time.Since(buildT0).Nanoseconds()
-
-	frame := uint32(s.frames)
-	serverTime := uint32(s.world.Time * 1000)
-	level := s.shed.current()
-	entityLimit := 0
-	if level >= shedEntityCap {
-		entityLimit = s.cfg.OverloadEntityCap
-	}
-	s.clientBuf = s.clients.forEachBuf(s.clientBuf, func(c *client) {
-		if !c.replyPending {
-			return
-		}
-		if level >= shedFarHalf && c.shedFar.Load() && frame&1 == 1 {
-			// Overload ladder level 1: far clients get every other
-			// snapshot; replyPending stays set so the reply goes out next
-			// frame.
-			s.bd.RepliesShed++
-			return
-		}
-		c.replyPending = false
-		ent := s.world.Ents.Get(c.entID)
-		if ent == nil || !ent.Active {
-			return
-		}
-		if c.resetBaseline.Swap(false) {
-			c.baseline.Invalidate()
-		}
-		s.serving = c
-		s.backlogBuf = c.drainBacklog(s.backlogBuf[:0])
-		data, st := s.reply.FormSnapshot(s.world, &s.vis, ent, &c.baseline,
-			frame, c.lastSeq, serverTime, s.backlogBuf, s.frameEvents, entityLimit)
-		s.serving = nil
-		s.bd.SnapMergeNs += st.SnapNs
-		if data == nil {
-			return
-		}
-		s.bytesOut.Add(int64(len(data)))
-		_ = s.conn.Send(c.addr, data)
-		s.bd.ReplyBytes += int64(st.Bytes)
-		s.bd.ReplyDatagrams++
-		s.bd.ReplyAllocs += int64(st.Allocs)
-		s.bd.EntitiesCapped += int64(st.Capped)
-		c.markReplied(frame)
-		s.replies.Add(1)
-	})
-}
-
-func (s *Sequential) endFrame(frameT0 time.Time) {
-	frame := uint32(s.frames)
-	events := s.frameEvents
-	// Truncate in place: events is consumed below, before the next frame
-	// appends to the buffer again.
-	s.frameEvents = s.frameEvents[:0]
-	now := time.Now()
-	var stale []*client
-	s.clientBuf = s.clients.forEachBuf(s.clientBuf, func(c *client) {
-		if c.repliedFrame.Load() != frame {
-			c.queueEvents(events)
-		}
-		if now.UnixNano()-c.lastActive.Load() > int64(s.cfg.ClientTimeout) {
-			stale = append(stale, c)
-		}
-	})
-	for _, c := range stale {
-		s.clients.remove(c)
-		s.world.RemovePlayer(c.entID)
-		if r := s.cfg.Record; r != nil {
-			r.RecordDisconnect(c.id, DiscReasonTimeout)
-		}
-	}
-	if level := s.shed.observe(time.Since(frameT0).Nanoseconds()); level >= shedFarHalf {
-		s.shedClients, s.shedDists = markShedFar(s.world, s.clients, s.shedClients, s.shedDists)
-	}
-	if r := s.cfg.Record; r != nil {
-		r.RecordShed(int(s.shed.current()))
-		r.RecordFrameEnd(s.frames)
-	}
-	if wr := s.cfg.Checkpoint; wr != nil && wr.Due(s.frames) {
-		// Reply barrier: every reply for this frame has been sent and no
-		// request is in flight, so the world is frame-stable. Runs after
-		// the record taps so the checkpoint's redo-log cut covers them.
-		s.clientBuf = captureCheckpoint(wr, s.world, s.clients, s.clientBuf,
-			s.cfg.Record, s.frames, s.joinIdx, &s.bd)
-	}
-	s.frames++
-}
-
-func (s *Sequential) send(to transport.Addr, msg any) {
-	if to == nil {
-		return // parked restored client: no peer to notify yet
-	}
-	s.writer.Reset()
-	if err := protocol.Encode(&s.writer, msg); err != nil {
-		return
-	}
-	s.bytesOut.Add(int64(len(s.writer.Bytes())))
-	_ = s.conn.Send(to, s.writer.Bytes())
-}
-
-// Breakdowns returns the single thread's execution-time breakdown.
-func (s *Sequential) Breakdowns() []metrics.Breakdown {
-	return []metrics.Breakdown{s.bd}
-}
-
-// Replies returns the number of replies sent.
-func (s *Sequential) Replies() int64 { return s.replies.Load() }
-
 // Frames returns the number of completed frames.
-func (s *Sequential) Frames() uint64 { return s.frames }
-
-// NumClients returns the connected-client count.
-func (s *Sequential) NumClients() int { return s.clients.count() }
-
-// BytesIn returns total payload bytes received.
-func (s *Sequential) BytesIn() int64 { return s.bytesIn.Load() }
-
-// BytesOut returns total payload bytes sent.
-func (s *Sequential) BytesOut() int64 { return s.bytesOut.Load() }
-
-// Duration returns the run's wall-clock duration.
-func (s *Sequential) Duration() time.Duration {
-	if s.stopped.IsZero() {
-		return time.Since(s.started)
-	}
-	return s.stopped.Sub(s.started)
-}
-
-// Engine is the interface both live servers satisfy, letting tests,
-// examples, and the harness treat them uniformly.
-type Engine interface {
-	Start()
-	Stop()
-	Breakdowns() []metrics.Breakdown
-	Replies() int64
-	Frames() uint64
-	NumClients() int
-	Duration() time.Duration
-	BytesIn() int64
-	BytesOut() int64
-}
-
-var (
-	_ Engine = (*Sequential)(nil)
-	_ Engine = (*Parallel)(nil)
-)
+func (s *Sequential) Frames() uint64 { return s.frames.Load() }

@@ -33,14 +33,25 @@ type SharedBufs struct {
 // demand.
 func NewSharedBufs() *SharedBufs { return &SharedBufs{} }
 
-// frameScratch is one engine's per-frame buffer set, pooled across
-// instances.
+// frameScratch is one lane's per-frame buffer set: the receive buffer and
+// everything the reply pass reuses across clients and frames so the hot
+// path allocates nothing in steady state (see reply.go for the ownership
+// rules). A lane owns one for life, or — a stepped engine with
+// Config.Shared — borrows one from the pool per activity burst.
 type frameScratch struct {
-	recvBuf    []byte
-	reply      ReplyScratch
+	recvBuf []byte
+	reply   ReplyScratch
+	// vis is the sequential engine's per-frame visibility index, rebuilt
+	// serially at the top of each reply phase; parallel lanes share the
+	// engine's cooperatively built one instead.
 	vis        game.VisIndex
+	frameEv    []protocol.GameEvent
 	backlogBuf []protocol.GameEvent
 	clientBuf  []*client
+}
+
+func newFrameScratch() *frameScratch {
+	return &frameScratch{recvBuf: make([]byte, transport.MaxDatagram)}
 }
 
 // get borrows a scratch set, building one only when the pool is dry.
@@ -58,11 +69,21 @@ func (p *SharedBufs) get() *frameScratch {
 	}
 	p.made++
 	p.mu.Unlock()
-	return &frameScratch{recvBuf: make([]byte, transport.MaxDatagram)}
+	return newFrameScratch()
 }
 
-// put parks a scratch set for the next borrower.
+// put parks a scratch set for the next borrower. Grown capacity travels
+// with the set (the next borrower benefits); retained pointers do not —
+// the client sweep buffer is cleared and the visibility index drops its
+// world reference, so a parked set cannot keep another match's state
+// reachable.
 func (p *SharedBufs) put(sc *frameScratch) {
+	sc.vis.Detach()
+	cb := sc.clientBuf[:cap(sc.clientBuf)]
+	for i := range cb {
+		cb[i] = nil
+	}
+	sc.clientBuf = cb[:0]
 	p.mu.Lock()
 	p.free = append(p.free, sc)
 	p.mu.Unlock()

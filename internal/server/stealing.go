@@ -236,25 +236,6 @@ func (p *stealPool) drain() int {
 	return n
 }
 
-// enqueueMove stamps a move command with its commit order and adds it to
-// the worker's frame pool. outstanding gates the worker's request
-// barrier: it passes only when every entry it pooled this frame has been
-// executed (by anyone).
-//
-//qvet:phase=exec
-func (s *Parallel) enqueueMove(w *worker, c *client, m *protocol.Move) {
-	e := poolEntry{
-		c:     c,
-		m:     *m,
-		owner: w.id,
-		idx:   w.poolIdx,
-		hint:  c.leafHint.Load(),
-	}
-	w.poolIdx++
-	w.outstanding.Add(1)
-	w.pool.push(e)
-}
-
 // runStealPhase executes pooled requests until every entry this worker
 // pooled has completed: its own pool head-first, then steals from the
 // other workers. It is the worker's replacement for the inline execution
@@ -357,11 +338,11 @@ func (s *Parallel) activeRegionHints(w *worker) uint64 {
 // (WatchdogDeadline=0) nothing will ever break it, and spinning on
 // would just wedge this worker too. The caller skips the removal; the
 // periodic paths (stale sweep) retry on later frames.
-func (s *Parallel) claimForRemoval(w *worker, c *client) bool {
+func (s *session) claimForRemoval(ln *lane, c *client) bool {
 	if !s.stealing {
 		return true
 	}
-	me := int32(w.id) + 1
+	me := int32(ln.id) + 1
 	var deadline time.Time
 	for !c.claim.CompareAndSwap(0, me) {
 		if c.claim.Load() == me {
@@ -433,12 +414,11 @@ func (s *Parallel) parkPoolEntry(w *worker, e poolEntry) {
 	e.c.claim.Store(0)
 }
 
-// safeExecPoolEntry contains a panic in a pooled request to the client
-// that caused it, exactly like safeProcessPacket does for inline
-// execution; the executing worker — thief or owner — recovers, and the
-// served client is evicted. A panic counts as completed (not parked), so
-// the deferred accounting in runPoolEntry still releases the claim and
-// the barrier.
+// safeExecPoolEntry contains a panic in a move execution to the client
+// that caused it; the executing worker — thief or owner, pooled or
+// inline — recovers, and the served client is evicted. A panic counts as
+// completed (not parked), so the deferred accounting in runPoolEntry
+// still releases the claim and the barrier.
 //
 //qvet:phase=exec
 func (s *Parallel) safeExecPoolEntry(w *worker, e poolEntry) (parked bool) {
@@ -450,39 +430,31 @@ func (s *Parallel) safeExecPoolEntry(w *worker, e poolEntry) (parked bool) {
 	return s.execPoolEntry(w, e)
 }
 
-// execPoolEntry is execMove for a pooled entry: the same sequence filter,
-// baseline bookkeeping, watchdog publication, and commit, plus the
-// try-first acquisition that makes stolen work park instead of block.
-// Reports parked=true when the entry must be retried (no side effects
-// were applied).
+// execPoolEntry is the parallel engine's one move executor: admission,
+// watchdog publication, the guarded execution, and the commit, plus the
+// try-first acquisition that makes pooled work park instead of block
+// while the entry has park budget left. It separates exec time from lock
+// time (the lock component accrues inside the timed provider during the
+// call; the difference is pure execution). Reports parked=true when the
+// entry must be retried (no side effects were applied).
 //
 //qvet:phase=exec
 func (s *Parallel) execPoolEntry(w *worker, e poolEntry) (parked bool) {
-	c, m := e.c, &e.m
+	c := e.c
 	// The watchdog deadline measures a single request, not the whole
-	// phase: a worker that executes many stolen requests in one frame is
-	// busy, not wedged, and the wedge record must name the request that
+	// phase: a worker that executes many requests in one frame is busy,
+	// not wedged, and the wedge record must name the request that
 	// actually stalled.
 	w.phaseStart.Store(time.Now().UnixNano())
-	if c.gone.Load() || c.quarantined.Load() {
-		return false
-	}
-	if m.Seq != 0 && (seqOlder(m.Seq, c.lastSeq) || seqWild(m.Seq, c.lastSeq)) &&
-		!c.seqResync.Load() {
-		return false
-	}
-	if m.Ack != 0 && c.repliedFrame.Load()-m.Ack > baselineGapFrames {
-		c.baseline.Invalidate()
-	}
-	ent := s.world.Ents.Get(c.entID)
+	ent := s.admitMove(&w.lane, c, &e.m)
 	if ent == nil {
 		return false
 	}
-	w.serving.Store(int32(c.id) + 1)
-	if s.cfg.Hooks.PreExec != nil {
-		s.cfg.Hooks.PreExec(w.id, c.id)
-	}
 	if w.zombie.Load() {
+		// The watchdog abandoned this worker while the request sat in the
+		// pre-exec seam: the frame has moved on without it, and executing
+		// the stale command now would write into frames that no longer
+		// expect this thread. Drop it; zombieRecover owns the cleanup.
 		w.serving.Store(0)
 		return false
 	}
@@ -495,7 +467,7 @@ func (s *Parallel) execPoolEntry(w *worker, e poolEntry) (parked bool) {
 
 	lockBefore := w.bd.Ns[metrics.CompLock]
 	t0 := time.Now()
-	res, committed := s.executePoolMoveGuarded(w, e, ent)
+	res := s.executePoolMoveGuarded(w, c, &e.m, ent)
 	span := time.Since(t0).Nanoseconds()
 	w.lockCtx.TryFirst = false
 	w.activeHint.Store(0)
@@ -507,56 +479,43 @@ func (s *Parallel) execPoolEntry(w *worker, e poolEntry) (parked bool) {
 	if exec := span - lockDelta; exec > 0 {
 		w.bd.Charge(metrics.CompExec, exec)
 		w.frameExecNs += exec
-		// Balance accounting names the serving client: the cost charges
-		// the client whose request this was, never the thief that
-		// happened to execute it.
+		// Per-client load for the balancer, decayed at each rebalance so it
+		// tracks recent cost. It names the serving client: the cost charges
+		// the client whose request this was, never the thief that happened
+		// to execute it.
 		c.loadNs.Add(exec)
 		if e.owner != w.id {
 			w.bd.Steals++
 			w.bd.StealsNs += exec
 		}
 	}
-	w.bd.ExecCmds++
-	if len(res.Events) > 0 {
-		s.appendEvents(res.Events)
-	}
+	s.appendEvents(res.Events)
 	// Frame instrumentation stays with the executing worker — it records
 	// what each thread did, and the thief did this work.
 	w.frameReqs++
 	w.frameLeafMask |= mask
 	w.frameLockOps += stats.LeafLockOps
-	if committed && mask != 0 {
+	if mask != 0 {
 		c.leafHint.Store(mask)
 	}
 	return false
 }
 
-// executePoolMoveGuarded runs the move and, when it executed (not
-// parked, not dead), commits the client's reply state inside the same
-// world-guard read section. Inline execution commits outside the guard —
-// safe because only the owner touches those fields — but a pooled commit
-// may come from a thief, and in degraded (zombie-outstanding) mode the
-// owner's reply pass synchronizes with concurrent request work only
-// through the world guard.
+// executePoolMoveGuarded runs the move and, unless it parked, commits the
+// client's reply state inside the same world-guard read section (see
+// worldGuard): the commit may come from a thief, and in degraded
+// (zombie-outstanding) mode the owner's reply pass synchronizes with
+// concurrent request work only through the world guard. The deferred
+// unlock keeps the guard panic-safe: a panic in game code unwinds through
+// here before recoverWorker runs.
 //
 //qvet:phase=exec
-func (s *Parallel) executePoolMoveGuarded(w *worker, e poolEntry, ent *entity.Entity) (res game.MoveResult, committed bool) {
+func (s *Parallel) executePoolMoveGuarded(w *worker, c *client, m *protocol.Move, ent *entity.Entity) game.MoveResult {
 	s.worldGuard.RLock()
 	defer s.worldGuard.RUnlock()
-	res = s.world.ExecuteMove(ent, &e.m.Cmd, &w.lockCtx)
-	if res.Parked {
-		return res, false
+	res := s.world.ExecuteMove(ent, &m.Cmd, &w.lockCtx)
+	if !res.Parked {
+		s.commitMove(&w.lane, c, m)
 	}
-	c := e.c
-	c.replyPending = true
-	c.lastSeq = e.m.Seq
-	c.seqResync.Store(false)
-	c.touch(time.Now())
-	if r := s.cfg.Record; r != nil {
-		// Tap at the commit, never on a park: parked entries re-execute
-		// and would otherwise be recorded twice.
-		r.RecordMove(c.id, e.m.Seq, &e.m.Cmd)
-	}
-	c.fwdFrame.Store(0)
-	return res, true
+	return res
 }

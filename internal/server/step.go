@@ -1,11 +1,6 @@
 package server
 
-import (
-	"time"
-
-	"qserve/internal/game"
-	"qserve/internal/metrics"
-)
+import "time"
 
 // Stepped mode (DESIGN.md §13): instead of owning a goroutine that spins
 // in select (Start/loop), a Sequential engine can be driven one frame at
@@ -20,100 +15,23 @@ import (
 // once instead of Start; then call StepFrame on the scheduler's cadence.
 func (s *Sequential) StartStepped() {
 	s.started = time.Now()
-	s.last = s.cfg.timeNow()
+	s.lastTick = s.cfg.timeNow()
 }
 
-// StepFrame runs exactly one frame — world physics, request drain, reply
-// phase, frame bookkeeping — without ever blocking on the connection.
-// It returns whether the match is active: a datagram arrived or a client
-// is connected. An idle match (false) only pays the physics tick, skips
-// the visibility build and reply sweep entirely, and parks its shared
-// frame scratch back in the pool, so thousands of idle matches hold no
-// warm buffers and coalesce onto a slow cadence.
+// StepFrame runs exactly one frame (runFrame) without ever blocking on
+// the connection. It returns whether the match is active: a datagram
+// arrived or a client is connected. An idle match (false) only pays the
+// physics tick, skips the visibility build and reply sweep entirely, and
+// parks its shared frame scratch back in the pool, so thousands of idle
+// matches hold no warm buffers and coalesce onto a slow cadence.
 func (s *Sequential) StepFrame() bool {
-	if s.cfg.Shared != nil && s.scratch == nil {
-		s.attachScratch(s.cfg.Shared.get())
+	if s.lane.scratch == nil {
+		s.lane.scratch = s.cfg.Shared.get()
 	}
-
-	// P: world physics, same rate limit and frame-logic clock as loop().
-	t0 := time.Now()
-	nowv := s.cfg.timeNow()
-	if dt := nowv.Sub(s.last); dt >= minWorldTick {
-		res := s.world.RunWorldFrame(dt.Seconds())
-		s.last = nowv
-		if r := s.cfg.Record; r != nil {
-			r.RecordTick(dt.Nanoseconds())
-		}
-		s.frameEvents = append(s.frameEvents, wireEvents(res.Events)...)
-	}
-	s.bd.Charge(metrics.CompWorld, time.Since(t0).Nanoseconds())
-
-	frameT0 := time.Now()
-
-	// Rx/E: drain and execute everything queued; never block.
-	sawTraffic := false
-	for {
-		t0 = time.Now()
-		n, from, err := s.conn.Recv(s.recvBuf, 0)
-		s.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
-		if err != nil {
-			break
-		}
-		s.bytesIn.Add(int64(n))
-		sawTraffic = true
-		s.safeProcessPacket(s.recvBuf[:n], from)
-	}
-
-	// T/Tx: form and send replies — but only when someone can receive
-	// one. The empty-match skip is what makes idle ticks cheap.
-	if s.clients.count() > 0 {
-		t0 = time.Now()
-		s.safeSendReplies()
-		s.bd.Charge(metrics.CompReply, time.Since(t0).Nanoseconds())
-	}
-
-	s.endFrame(frameT0)
-
-	active := sawTraffic || s.clients.count() > 0
-	if !active && s.scratch != nil {
-		s.detachScratch()
+	active := s.runFrame(0, nil) || s.clients.count() > 0
+	if !active && s.cfg.Shared != nil {
+		s.cfg.Shared.put(s.lane.scratch)
+		s.lane.scratch = nil
 	}
 	return active
-}
-
-// attachScratch adopts a pooled frame-scratch set as this engine's
-// per-frame buffers.
-func (s *Sequential) attachScratch(sc *frameScratch) {
-	s.scratch = sc
-	s.recvBuf = sc.recvBuf
-	s.reply = sc.reply
-	s.vis = sc.vis
-	s.backlogBuf = sc.backlogBuf
-	s.clientBuf = sc.clientBuf
-}
-
-// detachScratch returns the engine's per-frame buffers to the shared
-// pool. Grown capacity travels with the scratch set (the next borrower
-// benefits); retained pointers do not — the client sweep buffer is
-// cleared and the visibility index drops its world reference, so a
-// parked scratch set cannot keep another match's state reachable.
-func (s *Sequential) detachScratch() {
-	sc := s.scratch
-	s.scratch = nil
-	sc.recvBuf = s.recvBuf
-	sc.reply = s.reply
-	sc.vis = s.vis
-	sc.vis.Detach()
-	sc.backlogBuf = s.backlogBuf[:0]
-	cb := s.clientBuf[:cap(s.clientBuf)]
-	for i := range cb {
-		cb[i] = nil
-	}
-	sc.clientBuf = cb[:0]
-	s.recvBuf = nil
-	s.reply = ReplyScratch{}
-	s.vis = game.VisIndex{}
-	s.backlogBuf = nil
-	s.clientBuf = nil
-	s.cfg.Shared.put(sc)
 }
