@@ -62,12 +62,12 @@ chaos:
 	$(GO) test -race -v -run 'TestChaosSoak|TestWatchdog|TestPanicContainment|TestOverloadShedLadder|TestGracefulShutdown|TestFrameCtl' ./internal/server/
 	$(GO) test -race -run 'TestDecodeSurvivesFaultInjector|Fuzz' ./internal/protocol/
 
-# lockwall runs the work-stealing ablation (DESIGN.md §10): the paper's
-# worst case — conservative locking, 160 players, 2/4/8 threads — with
-# the static per-owner request scheduler vs the conflict-aware
-# work-stealing scheduler, reporting the 8T lock-share reduction.
+# lockwall gates the work-stealing ablation (DESIGN.md §10) on the paper's
+# worst case — conservative locking, 160 players, 8 threads: stealing must
+# cut the static schedule's lock share by >= 25% with the response rate
+# within 1%. `qbench -exp lockwall` prints the full 2/4/8T table.
 lockwall:
-	$(GO) run ./cmd/qbench -exp lockwall -dur 5
+	$(GO) test -v -run 'TestLockwallGate' ./internal/experiments/
 
 # replay runs the deterministic record/replay acceptance set
 # (DESIGN.md §11): bit-identity of a session recorded on parallel 8T
@@ -128,4 +128,4 @@ instancing:
 	$(GO) test -v -run 'TestSchedulerDispatchZeroAllocs|TestMatchManagerTailGate' ./internal/match/
 	$(GO) test -run=NONE -bench=BenchmarkMatchManager -benchmem -benchtime=10000x ./internal/match/
 
-ci: vet build lint race allocgate conformance chaos replay durability instancing
+ci: vet build lint race allocgate conformance chaos lockwall replay durability instancing

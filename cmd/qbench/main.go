@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, table1, fig1, fig2, fig3, fig4, fig5, fig6, fig7a, fig7b, fig7c, imbalance, coverage, wait, saturation, ablations, mapstudy, visibility, balance, chaos, lockwall, durability, instancing")
+	exp := flag.String("exp", "all", "experiment to run: all, table1, fig1, fig2, fig3, fig4, fig5, fig6, fig7a, fig7b, fig7c, imbalance, coverage, wait, saturation, ablations, mapstudy, visibility, balance, lockwall, durability")
 	dur := flag.Float64("dur", 10, "virtual seconds per configuration (paper: 120)")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	out := flag.String("o", "", "also write the report to this file")
@@ -77,14 +77,10 @@ func main() {
 		report, err = experiments.Visibility(opts)
 	case "balance":
 		report, err = experiments.Balance(opts)
-	case "chaos":
-		report, err = experiments.Chaos(opts)
 	case "lockwall":
 		report, err = experiments.Lockwall(opts)
 	case "durability":
 		report, err = experiments.Durability(opts)
-	case "instancing":
-		report, err = experiments.Instancing(opts)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)

@@ -160,7 +160,7 @@ func main() {
 	// The stream recorder flushes every completed frame, so the log on
 	// disk is a valid redo tail even after a kill -9 (a torn in-flight
 	// frame is cut at the last intact record on recovery).
-	var rec *replay.StreamRecorder
+	var rec *replay.Recorder
 	if *recordPath != "" {
 		if rec, err = replay.NewStreamRecorder(*recordPath, m, worldSeed); err != nil {
 			fatal(err)

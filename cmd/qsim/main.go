@@ -35,7 +35,6 @@ func main() {
 	ckptDir := flag.String("checkpoint", "", "capture durable checkpoints into this directory during the run")
 	ckptInterval := flag.Uint64("checkpoint-interval", checkpoint.DefaultInterval, "frames between checkpoints")
 	ckptDelta := flag.Int("checkpoint-delta", checkpoint.DefaultDeltaEvery, "delta checkpoints between full images")
-	matchesN := flag.Int("matches", 0, "simulate a fleet of N independent matches of this configuration (per-match seeds) and print per-match rollups plus the aggregate")
 	flag.Parse()
 
 	cfg := simserver.Config{
@@ -93,10 +92,6 @@ func main() {
 			os.Exit(1)
 		}
 		cfg.Checkpoint = ckw
-	}
-	if *matchesN > 1 {
-		runMatchFleet(cfg, *matchesN)
-		return
 	}
 	res, err := simserver.Run(cfg)
 	if err != nil {
@@ -165,58 +160,6 @@ func main() {
 		fmt.Print(experiments.RenderTimeline(res.Trace, res.Threads, 96))
 		fmt.Println("W=world r=requests b=barrier R=reply o=wait-open e=wait-end .=idle")
 	}
-}
-
-// runMatchFleet simulates n independent matches of one configuration —
-// the DES counterpart of qserved -matches, where each match is its own
-// engine — and prints per-match rollups plus the fleet aggregate. Seeds
-// vary per match so the rows show the workload's natural spread.
-func runMatchFleet(cfg simserver.Config, n int) {
-	t := metrics.Table{
-		Title:  fmt.Sprintf("Fleet: %d matches x %d players, %d threads each", n, cfg.Players, cfg.Threads),
-		Header: []string{"match", "frames", "requests", "replies", "rate/s", "resp ms", "exec", "lock", "idle"},
-	}
-	var (
-		frames            uint64
-		requests, replies int64
-		rate, respSum     float64
-		agg               metrics.Breakdown
-	)
-	for i := 0; i < n; i++ {
-		mc := cfg
-		mc.Seed = cfg.Seed + int64(i)
-		res, err := simserver.Run(mc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		bd := res.Avg
-		t.AddRow(fmt.Sprintf("m%d", i),
-			fmt.Sprint(res.Frames),
-			fmt.Sprint(res.Requests),
-			fmt.Sprint(res.Resp.Replies),
-			metrics.F1(res.ResponseRate()),
-			metrics.F1(res.ResponseTimeMs()),
-			metrics.Pct(bd.Percent(metrics.CompExec)),
-			metrics.Pct(bd.Percent(metrics.CompLock)),
-			metrics.Pct(bd.Percent(metrics.CompIdle)))
-		frames += res.Frames
-		requests += res.Requests
-		replies += res.Resp.Replies
-		rate += res.ResponseRate()
-		respSum += res.ResponseTimeMs()
-		agg.Add(&bd)
-	}
-	fmt.Print(t.Render())
-	fmt.Printf("aggregate: frames=%d requests=%d replies=%d rate=%.1f/s mean resp=%.1fms\n",
-		frames, requests, replies, rate, respSum/float64(n))
-	fmt.Printf("aggregate breakdown: exec=%s lock=%s recv=%s reply=%s idle=%s world=%s\n",
-		metrics.Pct(agg.Percent(metrics.CompExec)),
-		metrics.Pct(agg.Percent(metrics.CompLock)),
-		metrics.Pct(agg.Percent(metrics.CompRecv)),
-		metrics.Pct(agg.Percent(metrics.CompReply)),
-		metrics.Pct(agg.Percent(metrics.CompIdle)),
-		metrics.Pct(agg.Percent(metrics.CompWorld)))
 }
 
 func pct(a, b int64) float64 {

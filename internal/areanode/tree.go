@@ -45,20 +45,19 @@ type Item struct {
 	// collect). Typed as any to keep this package dependency-free.
 	Owner any
 
-	node       int32 // node index the item is linked under, -1 if none
+	// at is 1 + the index of the node the item is linked under, 0 when
+	// unlinked. Only the item's own insert and splice write it — never a
+	// neighbour's, unlike prev/next — so the item's mover may read it
+	// outside the node lock that guards the list.
+	at         int32
 	prev, next *Item // intrusive circular list with per-node sentinels
 }
 
 // Linked reports whether the item is currently linked into a tree.
-func (it *Item) Linked() bool { return it.node >= 0 && it.prev != nil }
+func (it *Item) Linked() bool { return it.at != 0 }
 
 // NodeIndex returns the node the item is linked under, or -1.
-func (it *Item) NodeIndex() int32 {
-	if !it.Linked() {
-		return -1
-	}
-	return it.node
-}
+func (it *Item) NodeIndex() int32 { return it.at - 1 }
 
 // Node is one areanode. Exported fields are immutable after NewTree.
 type Node struct {
@@ -113,7 +112,6 @@ func NewTree(bounds geom.AABB, depth int) *Tree {
 	for i := range t.nodes {
 		s := &t.nodes[i].sentinel
 		s.prev, s.next = s, s
-		s.node = int32(i)
 		if t.nodes[i].IsLeaf() {
 			t.nodes[i].LeafOrdinal = int32(len(t.leaves))
 			t.leaves = append(t.leaves, int32(i))
@@ -208,7 +206,7 @@ done:
 	n := &t.nodes[ni]
 	insert := func() {
 		s := &n.sentinel
-		it.node = ni
+		it.at = ni + 1
 		it.next = s.next
 		it.prev = s
 		s.next.prev = it
@@ -236,14 +234,14 @@ func (t *Tree) UnlinkGuarded(it *Item, guard NodeGuard) {
 	if !it.Linked() {
 		return
 	}
-	ni := it.node
+	ni := it.NodeIndex()
 	n := &t.nodes[ni]
 	splice := func() {
 		n.count--
 		it.prev.next = it.next
 		it.next.prev = it.prev
 		it.prev, it.next = nil, nil
-		it.node = -1
+		it.at = 0
 	}
 	if guard != nil {
 		guard(ni, n.IsLeaf(), splice)

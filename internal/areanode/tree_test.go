@@ -3,6 +3,7 @@ package areanode
 import (
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"qserve/internal/geom"
@@ -449,5 +450,63 @@ func BenchmarkLeavesTouching(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = tr.LeavesTouching(query, buf[:0])
+	}
+}
+
+// TestLinkedIsOwnerReadUnderConcurrentSplices is the -race regression for
+// Linked(): two movers whose items share only an ancestor node's list.
+// One relinks its item through the interior-node guard, and every splice
+// rewrites the neighbour's list pointers under that node's lock; the
+// other — as ExecuteMove's relink does before it takes any node lock —
+// asks whether its own item is linked. The answer must come from state
+// only the item's owner writes.
+func TestLinkedIsOwnerReadUnderConcurrentSplices(t *testing.T) {
+	tr := NewTree(worldBounds(), 2)
+	// Both boxes straddle the root's division plane, so both items link
+	// at the root and are list neighbours there.
+	c := worldBounds().Center()
+	crossing := geom.Box(c.Sub(geom.V(8, 8, 8)), c.Add(geom.V(8, 8, 8)))
+	var mu sync.Mutex
+	guard := func(_ int32, isLeaf bool, splice func()) {
+		if !isLeaf {
+			mu.Lock()
+			defer mu.Unlock()
+		}
+		splice()
+	}
+	still, mover := &Item{ID: 1}, &Item{ID: 2}
+	tr.LinkGuarded(still, crossing, guard)
+	if still.NodeIndex() != 0 {
+		t.Fatalf("crossing item linked at node %d, want the root", still.NodeIndex())
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			tr.LinkGuarded(mover, crossing, guard)
+			tr.UnlinkGuarded(mover, guard)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			if !still.Linked() {
+				t.Error("item reported unlinked while a neighbour was spliced")
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	wg.Wait()
+	if n := tr.TotalLinked(); n != 1 {
+		t.Errorf("tree holds %d items after the run, want 1", n)
 	}
 }

@@ -30,15 +30,7 @@ func Lockwall(o Options) (string, error) {
 	}
 	var summary strings.Builder
 	for _, th := range []int{2, 4, 8} {
-		o.Progress("lockwall: threads=%d static", th)
-		static, err := run(baseConfig(o, players, th, false, locking.Conservative{}))
-		if err != nil {
-			return "", err
-		}
-		o.Progress("lockwall: threads=%d stealing", th)
-		cfg := baseConfig(o, players, th, false, locking.Conservative{})
-		cfg.Stealing = true
-		stolen, err := run(cfg)
+		static, stolen, err := lockwallArms(o, players, th)
 		if err != nil {
 			return "", err
 		}
@@ -54,6 +46,20 @@ func Lockwall(o Options) (string, error) {
 		}
 	}
 	return t.Render() + summary.String(), nil
+}
+
+// lockwallArms runs one thread count's two arms: the static schedule and
+// the stealing one, identical otherwise.
+func lockwallArms(o Options, players, threads int) (static, stolen *simserver.Result, err error) {
+	cfg := baseConfig(o, players, threads, false, locking.Conservative{})
+	o.Progress("lockwall: threads=%d static", threads)
+	if static, err = run(cfg); err != nil {
+		return nil, nil, err
+	}
+	o.Progress("lockwall: threads=%d stealing", threads)
+	cfg.Stealing = true
+	stolen, err = run(cfg)
+	return static, stolen, err
 }
 
 // lockwallRow renders one arm: the breakdown components the lock wall is

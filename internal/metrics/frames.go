@@ -26,10 +26,6 @@ type FrameRecord struct {
 	// Migrations is how many clients the balancer moved at this frame's
 	// barrier.
 	Migrations int
-	// ShedLevel is the overload ladder's level during this frame (0 =
-	// full service, 1 = far clients at half snapshot rate, 2 = entity
-	// caps, 3 = new connections refused).
-	ShedLevel int
 }
 
 // FrameLog accumulates frame records and derives the paper's per-frame

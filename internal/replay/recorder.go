@@ -2,6 +2,8 @@ package replay
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 
@@ -18,6 +20,15 @@ import (
 // steady state (the overhead tests gate this), well under the cost of
 // the move execution it rides on.
 //
+// With a file sink (NewStreamRecorder) the same recorder is the redo log
+// of the durability design (DESIGN.md §12): the header hits the disk at
+// open, and at each frame-end tap the frame's items are framed, written
+// out and dropped from memory — one file write per frame, off the
+// per-move path — so after a kill -9 the file holds a decodable prefix
+// of the input stream up to (at worst) the frame in flight. The process
+// page cache makes the write visible to a restarted process without
+// fsync; surviving power loss is a documented non-goal.
+//
 // Ordering: calls for one client are already serialized by the engine's
 // per-client commit discipline, so the log preserves per-client FIFO —
 // the only order the wire can observe (DESIGN.md §10). Cross-client
@@ -25,8 +36,11 @@ import (
 // of a free-running session, and the exact global order of a
 // lockstep-driven one (DESIGN.md §11).
 type Recorder struct {
-	mu    sync.Mutex
-	items []Item
+	mu sync.Mutex
+	// items is the whole session in memory; with a sink, the records
+	// since the last frame flush, and flushed counts the ones before.
+	items   []Item
+	flushed int
 	// ticks mirrors the KindTick count, readable without the mutex: the
 	// replay driver polls it to learn that a pending virtual-clock
 	// advance has actually been consumed by a world update.
@@ -38,6 +52,13 @@ type Recorder struct {
 	worldSeed int64
 	mapJSON   []byte
 	m         *worldmap.Map
+
+	// The optional file sink: the open log, its reused framing buffers,
+	// and the first encode or write error.
+	f       *os.File
+	wbuf    []byte
+	scratch []byte
+	err     error
 }
 
 var _ server.Recorder = (*Recorder)(nil)
@@ -58,6 +79,32 @@ func NewRecorder(m *worldmap.Map, worldSeed int64) (*Recorder, error) {
 		mapJSON:   mb.Bytes(),
 		m:         m,
 	}, nil
+}
+
+// NewStreamRecorder builds a recorder whose sink is the file at path
+// (truncating any previous file); the log header is written immediately.
+func NewStreamRecorder(path string, m *worldmap.Map, worldSeed int64) (*Recorder, error) {
+	r, err := NewRecorder(m, worldSeed)
+	if err != nil {
+		return nil, err
+	}
+	lg := &Log{WorldSeed: worldSeed, ProtoVer: protocol.Version, Map: m, mapJSON: r.mapJSON}
+	header, err := lg.Encode() // no items: magic + version + header record
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.Write(header); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("replay: writing log header: %w", err)
+	}
+	r.f = f
+	r.wbuf = make([]byte, 0, 1<<16)
+	r.scratch = make([]byte, 0, 32)
+	return r, nil
 }
 
 // Reserve pre-grows the item buffer so the next n taps are guaranteed
@@ -120,21 +167,65 @@ func (r *Recorder) RecordShed(level int) {
 	r.mu.Unlock()
 }
 
-// RecordFrameEnd implements server.Recorder.
+// RecordFrameEnd implements server.Recorder and, with a sink, flushes
+// the frame's records to the file — the durability point the
+// checkpoint's RecItems cut refers to.
 func (r *Recorder) RecordFrameEnd(frame uint64) {
-	r.append(Item{Kind: KindFrame, Frame: frame})
+	r.mu.Lock()
+	r.items = append(r.items, Item{Kind: KindFrame, Frame: frame})
+	r.flushLocked()
+	r.mu.Unlock()
+}
+
+// flushLocked frames the buffered items into the sink and drops them.
+func (r *Recorder) flushLocked() {
+	if r.f == nil {
+		return
+	}
+	for i := range r.items {
+		var err error
+		r.wbuf, r.scratch, err = appendRecord(r.wbuf, r.scratch, &r.items[i])
+		if err != nil && r.err == nil {
+			r.err = err
+		}
+	}
+	if _, err := r.f.Write(r.wbuf); err != nil && r.err == nil {
+		r.err = fmt.Errorf("replay: writing log: %w", err)
+	}
+	r.flushed += len(r.items)
+	r.items = r.items[:0]
+	r.wbuf = r.wbuf[:0]
 }
 
 // Items returns the number of records captured so far.
 func (r *Recorder) Items() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.items)
+	return r.flushed + len(r.items)
 }
 
-// Finish seals the recording into a Log. When world is non-nil its
-// table digest is stamped into the end record — the fidelity target a
-// replay of this log reports against. Call after the engine stopped
+// Close flushes any buffered records, closes the sink, and returns the
+// first encode or write error of the session. The log stays headless (no
+// end record): readers use DecodePrefix, which does not require one. A
+// recorder without a sink has nothing to close.
+func (r *Recorder) Close() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.f == nil {
+		return r.err
+	}
+	r.flushLocked()
+	if err := r.f.Close(); err != nil && r.err == nil {
+		r.err = err
+	}
+	r.f = nil
+	return r.err
+}
+
+// Finish seals an in-memory recording into a Log (a sink-backed recorder
+// keeps only the unflushed tail; its log is the file). When world is
+// non-nil its table digest is stamped into the end record — the fidelity
+// target a replay of this log reports against. Call after the engine stopped
 // (the world must be quiescent); the recorder may be reused afterwards
 // only for inspection, not further recording.
 func (r *Recorder) Finish(world *game.World) *Log {

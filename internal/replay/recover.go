@@ -63,8 +63,8 @@ func (rv *Recovery) RestoreState(recoveryNs int64) *server.RestoreState {
 // produced them — DESIGN.md §11), so the recovered table digest matches
 // the crashed server's at its last flushed frame.
 //
-// tailLog may be "" (checkpoint only) or name a `.qrl` file recorded by
-// a StreamRecorder alongside the checkpoints; a torn tail (kill -9 mid
+// tailLog may be "" (checkpoint only) or name a `.qrl` file streamed by
+// NewStreamRecorder alongside the checkpoints; a torn tail (kill -9 mid
 // flush) is cut at the last intact record.
 func Recover(dir, tailLog string) (*Recovery, error) {
 	ck, err := checkpoint.LoadLatest(dir)

@@ -140,8 +140,8 @@ func TestRecoverCrossEngine(t *testing.T) {
 				t.Fatal("lockstep recording should match its own end digest")
 			}
 
-			// The recorded log doubles as the redo tail a StreamRecorder
-			// would have left behind.
+			// The recorded log doubles as the redo tail a file-sink
+			// recorder would have left behind.
 			data, err := lg.Encode()
 			if err != nil {
 				t.Fatal(err)

@@ -3,167 +3,9 @@ package replay
 import (
 	"fmt"
 	"os"
-	"sync"
-	"sync/atomic"
 
 	"qserve/internal/protocol"
-	"qserve/internal/worldmap"
 )
-
-// StreamRecorder is the durable sibling of Recorder: a server.Recorder
-// that appends framed records to a `.qrl` file as the session runs
-// instead of accumulating them in memory. It is the redo log of the
-// durability design (DESIGN.md §12): the header hits the disk at open,
-// and each frame's records are written out at the frame-end tap, so
-// after a kill -9 the file holds a decodable prefix of the input stream
-// up to (at worst) the frame in flight. The process page cache makes the
-// write visible to a restarted process without fsync; surviving power
-// loss is a documented non-goal.
-//
-// The tap costs are the same as Recorder's — one mutex and an append to
-// a pre-grown buffer — plus one file write per frame, off the per-move
-// path.
-type StreamRecorder struct {
-	mu       sync.Mutex
-	f        *os.File
-	pending  []byte // framed records since the last frame flush
-	scratch  []byte // per-record payload encode buffer
-	items    int64  // records appended (the checkpoint RecItems cut point)
-	ticks    atomic.Int64
-	lastShed int32
-	err      error
-}
-
-// NewStreamRecorder creates path (truncating any previous file) and
-// writes the log header immediately.
-func NewStreamRecorder(path string, m *worldmap.Map, worldSeed int64) (*StreamRecorder, error) {
-	lg := &Log{WorldSeed: worldSeed, ProtoVer: protocol.Version, Map: m}
-	header, err := lg.Encode() // no items: magic + version + header record
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Write(header); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("replay: writing log header: %w", err)
-	}
-	return &StreamRecorder{
-		f:        f,
-		pending:  make([]byte, 0, 1<<16),
-		scratch:  make([]byte, 0, 32),
-		lastShed: -1,
-	}, nil
-}
-
-func (r *StreamRecorder) append(it Item) {
-	r.mu.Lock()
-	r.appendLocked(it)
-	r.mu.Unlock()
-}
-
-func (r *StreamRecorder) appendLocked(it Item) {
-	var err error
-	r.pending, r.scratch, err = appendRecord(r.pending, r.scratch, &it)
-	if err != nil && r.err == nil {
-		r.err = err
-		return
-	}
-	r.items++
-}
-
-// RecordTick implements server.Recorder.
-func (r *StreamRecorder) RecordTick(dtNs int64) {
-	r.append(Item{Kind: KindTick, DtNs: dtNs})
-	r.ticks.Add(1)
-}
-
-// TickCount mirrors Recorder.TickCount.
-func (r *StreamRecorder) TickCount() int64 { return r.ticks.Load() }
-
-// RecordMove implements server.Recorder.
-func (r *StreamRecorder) RecordMove(clientID uint16, seq uint32, cmd *protocol.MoveCmd) {
-	r.append(Item{Kind: KindMove, Client: clientID, Seq: seq, Cmd: *cmd})
-}
-
-// RecordConnect implements server.Recorder.
-func (r *StreamRecorder) RecordConnect(clientID uint16, entID int32, thread int, name string) {
-	r.append(Item{Kind: KindConnect, Client: clientID, Ent: entID, Thread: uint8(thread), Name: name})
-}
-
-// RecordDisconnect implements server.Recorder.
-func (r *StreamRecorder) RecordDisconnect(clientID uint16, reason uint8) {
-	r.append(Item{Kind: KindDisconnect, Client: clientID, Reason: reason})
-}
-
-// RecordMigrate implements server.Recorder.
-func (r *StreamRecorder) RecordMigrate(clientID uint16, to int) {
-	r.append(Item{Kind: KindMigrate, Client: clientID, To: uint8(to)})
-}
-
-// RecordShed implements server.Recorder; only level changes are logged,
-// matching Recorder so the two produce identical streams.
-func (r *StreamRecorder) RecordShed(level int) {
-	r.mu.Lock()
-	if int32(level) != r.lastShed {
-		r.lastShed = int32(level)
-		r.appendLocked(Item{Kind: KindShed, Level: uint8(level)})
-	}
-	r.mu.Unlock()
-}
-
-// RecordFrameEnd implements server.Recorder and flushes the frame's
-// records to the file — the durability point the checkpoint's RecItems
-// cut refers to.
-func (r *StreamRecorder) RecordFrameEnd(frame uint64) {
-	r.mu.Lock()
-	r.appendLocked(Item{Kind: KindFrame, Frame: frame})
-	r.flushLocked()
-	r.mu.Unlock()
-}
-
-func (r *StreamRecorder) flushLocked() {
-	if len(r.pending) == 0 || r.f == nil {
-		return
-	}
-	if _, err := r.f.Write(r.pending); err != nil && r.err == nil {
-		r.err = fmt.Errorf("replay: writing log: %w", err)
-	}
-	r.pending = r.pending[:0]
-}
-
-// Items returns the number of records appended so far.
-func (r *StreamRecorder) Items() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return int(r.items)
-}
-
-// Err returns the first write or encode error.
-func (r *StreamRecorder) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
-// Close flushes any buffered records and closes the file. The log stays
-// headless (no end record): readers use DecodePrefix, which does not
-// require one.
-func (r *StreamRecorder) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.f == nil {
-		return r.err
-	}
-	r.flushLocked()
-	if err := r.f.Close(); err != nil && r.err == nil {
-		r.err = err
-	}
-	r.f = nil
-	return r.err
-}
 
 // DecodePrefix parses as much of a possibly torn log as is intact: the
 // header must decode (a log whose header is damaged carries no usable

@@ -11,17 +11,8 @@ import (
 	"qserve/internal/worldmap"
 )
 
-// tapScript drives the same sequence of recorder taps into any
-// server.Recorder implementation.
-func tapScript(r interface {
-	RecordTick(int64)
-	RecordMove(uint16, uint32, *protocol.MoveCmd)
-	RecordConnect(uint16, int32, int, string)
-	RecordDisconnect(uint16, uint8)
-	RecordMigrate(uint16, int)
-	RecordShed(int)
-	RecordFrameEnd(uint64)
-}) {
+// tapScript drives one fixed sequence of recorder taps.
+func tapScript(r *Recorder) {
 	r.RecordConnect(0, 1, 0, "alice")
 	r.RecordConnect(1, 2, 1, "bob")
 	for f := uint64(1); f <= 12; f++ {
@@ -43,10 +34,11 @@ func tapScript(r interface {
 	r.RecordFrameEnd(13)
 }
 
-// TestStreamRecorderMatchesRecorder drives identical taps through the
-// in-memory Recorder and the durable StreamRecorder and requires the
-// `.qrl` file to decode to the identical item stream — the stream
-// recorder is a drop-in sibling, not a second format.
+// TestStreamRecorderMatchesRecorder drives identical taps through a
+// Recorder with and without the file sink and requires the `.qrl` file
+// to decode to exactly Finish()'s items — the sink is the same stream,
+// not a second format — with the tap counters agreeing although the
+// sink drops flushed items from memory.
 func TestStreamRecorderMatchesRecorder(t *testing.T) {
 	m, err := worldmap.GenerateArena(worldmap.DefaultArenaConfig())
 	if err != nil {

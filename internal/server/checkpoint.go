@@ -36,19 +36,13 @@ type RestoreState struct {
 	RecoveryNs int64
 }
 
-// recorderItems reports the replay-log cut point for a checkpoint: how
-// many items the session recorder has committed. Both replay.Recorder
-// and replay.StreamRecorder implement it; a session without one (or with
-// a custom Recorder that doesn't) checkpoints with cut 0, meaning
-// "replay the whole log" — correct, just slower to recover.
-type recorderItems interface{ Items() int }
-
 // captureCheckpoint runs one Begin/AddClient/Commit cycle against the
 // frame-stable world. Called by the frame master after every reply
 // committed and after the frame's record taps ran, so the redo-log cut
 // point (RecItems) names exactly the items whose effects the snapshot
-// contains. buf is the caller's reused client-snapshot scratch; the
-// return value is the (possibly grown) buffer to stash back.
+// contains; a session without a recorder checkpoints with cut 0, meaning
+// "replay the whole log". buf is the caller's reused client-snapshot
+// scratch; the return value is the (possibly grown) buffer to stash back.
 //
 // The walk is read-only over the entity table and allocation-free in
 // steady state — the same discipline as the reply phase it runs behind.
@@ -59,8 +53,8 @@ func captureCheckpoint(wr *checkpoint.Writer, world *game.World, clients *client
 	buf []*client, rec Recorder, frame uint64, joinIdx int, bd *metrics.Breakdown) []*client {
 	t0 := time.Now()
 	items := 0
-	if ri, ok := rec.(recorderItems); ok {
-		items = ri.Items()
+	if rec != nil {
+		items = rec.Items()
 	}
 	meta := checkpoint.Meta{
 		Frame:        frame,

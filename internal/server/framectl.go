@@ -386,18 +386,3 @@ func (fc *frameCtl) setFrame(n uint64) {
 	defer fc.mu.Unlock()
 	fc.frame = n
 }
-
-// currentParticipants returns a copy of the participant set excluding
-// abandoned workers (master use, during reply/cleanup when the set is
-// frozen).
-func (fc *frameCtl) currentParticipants() []int {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	out := make([]int, 0, len(fc.participants))
-	for _, p := range fc.participants {
-		if !fc.zombies[p] {
-			out = append(out, p)
-		}
-	}
-	return out
-}

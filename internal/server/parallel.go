@@ -25,8 +25,6 @@ type Parallel struct {
 	prov    *locking.MutexProvider
 	workers []*worker
 
-	frameLog *metrics.FrameLog
-
 	// Dynamic load balancing (nil/unused when cfg.Balance is off). The
 	// session's mux sits between the endpoints and the workers so the
 	// master can re-route a migrated client's datagrams; the balancer
@@ -76,13 +74,6 @@ type worker struct {
 	lane
 
 	lockCtx game.LockContext
-
-	// Per-frame instrumentation, reset when the frame's request phase
-	// begins and harvested by the master at frame end.
-	frameReqs     int
-	frameLeafMask uint64
-	frameLockOps  int
-	frameExecNs   int64
 
 	// Work-stealing state (Config.Stealing). pool holds this worker's
 	// clients' move commands for the current frame; poolIdx stamps their
@@ -140,10 +131,9 @@ func NewParallel(cfg Config) (*Parallel, error) {
 		return nil, err
 	}
 	s := &Parallel{
-		fc:       newFrameCtl(),
-		prov:     locking.NewMutexProvider(cfg.World.Tree.NumNodes()),
-		frameLog: metrics.NewFrameLog(cfg.World.Tree.NumLeaves()),
-		vis:      newVisBuilder(),
+		fc:   newFrameCtl(),
+		prov: locking.NewMutexProvider(cfg.World.Tree.NumNodes()),
+		vis:  newVisBuilder(),
 	}
 	s.init(cfg)
 	// With one worker there is nobody to steal from and the pool
@@ -266,7 +256,6 @@ func (s *Parallel) workerLoop(w *worker) {
 		// drain only pools move commands (connection traffic is still
 		// handled inline); the pooled work executes in the steal phase
 		// below, overlapped with other workers still draining.
-		w.frameReqs, w.frameLeafMask, w.frameLockOps, w.frameExecNs = 0, 0, 0, 0
 		w.poolIdx = 0
 		if s.stealing {
 			// Leftover pool entries at frame start are stale by
@@ -402,7 +391,7 @@ func (s *Parallel) safeProcessPacket(w *worker, data []byte, from transport.Addr
 		}
 		return
 	}
-	e := poolEntry{c: c, m: *m, owner: w.id, idx: w.poolIdx, hint: c.leafHint.Load()}
+	e := poolEntry{Client: c, Move: *m, Owner: w.id, Idx: w.poolIdx, Hint: c.leafHint.Load()}
 	if s.stealing {
 		// Stamp the command with its commit order and pool it; outstanding
 		// gates the worker's request barrier, which passes only when every
@@ -415,7 +404,7 @@ func (s *Parallel) safeProcessPacket(w *worker, data []byte, from transport.Addr
 	// Static assignment: the owner executes inline, through the same
 	// executor with the entry's park budget spent — a blocking first
 	// acquire, so it never parks.
-	e.parks = maxStealParks
+	e.Parks = MaxStealParks
 	s.safeExecPoolEntry(w, e)
 }
 
@@ -584,7 +573,7 @@ func (s *Parallel) runWorldUpdate(w *worker) {
 // masterCleanup runs after all replies, single-threaded at the barrier:
 // the engine's barrier-deferred work first — evictions decided during
 // the reply phase, the balancer, queued reconnects — then the shared
-// frame-end sweep, then the frame log.
+// frame-end sweep.
 func (s *Parallel) masterCleanup(w *worker) {
 	frame := s.fc.frameNumber()
 
@@ -596,30 +585,12 @@ func (s *Parallel) masterCleanup(w *worker) {
 		s.evictClient(&w.lane, c, "server error handling your request")
 	}
 
-	rec := metrics.FrameRecord{
-		Frame:             frame,
-		RequestsByThread:  make([]int, len(s.workers)),
-		LeafLocksByThread: make([]uint64, len(s.workers)),
-		ExecNsByThread:    make([]int64, len(s.workers)),
-	}
-	parts := s.fc.currentParticipants()
-	rec.Participants = len(parts)
-	for _, wid := range parts {
-		ww := s.workers[wid]
-		rec.RequestsByThread[wid] = ww.frameReqs
-		rec.LeafLocksByThread[wid] = ww.frameLeafMask
-		rec.LeafLockOps += ww.frameLockOps
-		rec.ExecNsByThread[wid] = ww.frameExecNs
-	}
 	if s.bal != nil {
-		rec.Migrations = s.rebalance()
+		s.rebalance()
 	}
 	s.applyResumes()
 
 	s.endFrame(&w.lane, frame, s.frameT0, s.fc.hasZombies())
-
-	rec.ShedLevel = s.ShedLevel()
-	s.frameLog.Append(rec)
 }
 
 // rebalance runs at the frame barrier, the only point where no region
@@ -630,7 +601,7 @@ func (s *Parallel) masterCleanup(w *worker) {
 // plain assignments: the thread field, the mux route, and nothing else —
 // the reply baseline, sequence state, and backlog travel with the client
 // struct and must NOT be reset (a migration is invisible on the wire).
-func (s *Parallel) rebalance() int {
+func (s *Parallel) rebalance() {
 	cs := s.balClients[:0]
 	s.clients.forEach(func(c *client) { cs = append(cs, c) })
 	sort.Slice(cs, func(i, j int) bool { return cs[i].id < cs[j].id })
@@ -695,7 +666,6 @@ func (s *Parallel) rebalance() int {
 		c.loadNs.Add(v>>1 - v)
 	}
 	s.migrations.Add(int64(applied))
-	return applied
 }
 
 // fwdFreezeFrames bounds the migration freeze of a client whose
@@ -725,9 +695,6 @@ func (s *Parallel) Breakdowns() []metrics.Breakdown {
 	out[0].WedgesDetected += s.wedges.Load()
 	return out
 }
-
-// FrameLog returns the per-frame activity log.
-func (s *Parallel) FrameLog() *metrics.FrameLog { return s.frameLog }
 
 // Migrations returns how many client→thread migrations the balancer
 // performed.

@@ -39,6 +39,9 @@ type Recorder interface {
 	// RecordFrameEnd marks the end of frame processing (a span
 	// delimiter for the shrinker; no world effect).
 	RecordFrameEnd(frame uint64)
+	// Items returns how many records have been logged so far — the
+	// redo-log cut point a checkpoint taken now must carry.
+	Items() int
 }
 
 // Disconnect reasons recorded by the engines. The replayer treats them

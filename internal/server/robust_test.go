@@ -427,6 +427,7 @@ func testOverloadShedLadder(t *testing.T, threads int) {
 		numBots = 8
 		window  = 60
 	)
+	tap := &shedTap{}
 	parked := []checkpoint.ClientRec{
 		{ID: 0, Name: "by-addr", Addr: "old:0"},
 		{ID: 1, Name: "by-name", Addr: "old:1"},
@@ -442,6 +443,7 @@ func testOverloadShedLadder(t *testing.T, threads int) {
 			parked[i].EntID = int32(e.ID)
 		}
 		cfg.Restore = &RestoreState{JoinIdx: len(parked), NextClientID: uint16(len(parked)), Clients: parked}
+		cfg.Record = tap
 	})
 	eng := rig.engine.(interface {
 		Engine
@@ -542,18 +544,29 @@ func testOverloadShedLadder(t *testing.T, threads int) {
 	if bd.BusyRejects == 0 {
 		t.Error("busy rejection not counted in BusyRejects")
 	}
-	// The shed level must also be visible in the parallel engine's frame
-	// log.
-	if par, ok := rig.engine.(*Parallel); ok {
-		maxLevel := 0
-		for _, fr := range par.FrameLog().Frames {
-			if fr.ShedLevel > maxLevel {
-				maxLevel = fr.ShedLevel
-			}
-		}
-		if maxLevel != int(shedRejectNew) {
-			t.Errorf("FrameLog max shed level = %d, want %d", maxLevel, shedRejectNew)
-		}
+	// The ladder must also reach the record tap: up to the top and back.
+	if got := tap.max.Load(); got != int32(shedRejectNew) {
+		t.Errorf("recorded max shed level = %d, want %d", got, shedRejectNew)
+	}
+	if got := tap.last.Load(); got != int32(shedNone) {
+		t.Errorf("last recorded shed level = %d, want %d", got, shedNone)
+	}
+}
+
+// shedTap is a Recorder that keeps only the shed ladder's reports.
+type shedTap struct{ max, last atomic.Int32 }
+
+func (*shedTap) RecordTick(int64)                             {}
+func (*shedTap) RecordMove(uint16, uint32, *protocol.MoveCmd) {}
+func (*shedTap) RecordConnect(uint16, int32, int, string)     {}
+func (*shedTap) RecordDisconnect(uint16, uint8)               {}
+func (*shedTap) RecordMigrate(uint16, int)                    {}
+func (*shedTap) RecordFrameEnd(uint64)                        {}
+func (*shedTap) Items() int                                   { return 0 }
+func (r *shedTap) RecordShed(level int) {
+	r.last.Store(int32(level))
+	if int32(level) > r.max.Load() {
+		r.max.Store(int32(level))
 	}
 }
 

@@ -185,9 +185,8 @@ func TestParallelEndToEnd(t *testing.T) {
 			if linked := rig.world.Tree.TotalLinked(); linked == 0 {
 				t.Error("tree empty after run")
 			}
-			p := rig.engine.(*Parallel)
-			if len(p.FrameLog().Frames) == 0 {
-				t.Error("frame log empty")
+			if rig.engine.Frames() == 0 {
+				t.Error("no frames completed")
 			}
 		})
 	}

@@ -250,8 +250,8 @@ func TestStealingPanicOnStolenRequest(t *testing.T) {
 func TestPoolScanBlocksClientOnFailedClaim(t *testing.T) {
 	c := &client{}
 	var p stealPool
-	p.push(poolEntry{c: c, owner: 0, idx: 0})
-	p.push(poolEntry{c: c, owner: 0, idx: 1})
+	p.push(poolEntry{Client: c, Owner: 0, Idx: 0})
+	p.push(poolEntry{Client: c, Owner: 0, Idx: 1})
 
 	// An earlier request of this client is in flight on another worker.
 	c.claim.Store(99)
@@ -264,7 +264,7 @@ func TestPoolScanBlocksClientOnFailedClaim(t *testing.T) {
 	// block the client outright, never fall through to idx 1.
 	thief := &worker{lane: lane{id: 1}}
 	if e, ok := p.take(thief, true, 0); ok {
-		t.Fatalf("thief scan claimed idx=%d of a client blocked at its oldest entry", e.idx)
+		t.Fatalf("thief scan claimed idx=%d of a client blocked at its oldest entry", e.Idx)
 	}
 
 	// An owner's take retries with a fresh scan, which may legitimately
@@ -276,13 +276,13 @@ func TestPoolScanBlocksClientOnFailedClaim(t *testing.T) {
 	if !ok {
 		t.Fatal("owner take found nothing despite the released claim")
 	}
-	if e.idx != 0 {
-		t.Fatalf("scan claimed idx=%d ahead of the client's oldest entry", e.idx)
+	if e.Idx != 0 {
+		t.Fatalf("scan claimed idx=%d ahead of the client's oldest entry", e.Idx)
 	}
 	c.claim.Store(0)
 	p.scanClaimHook = nil
-	if e, ok := p.take(w, false, 0); !ok || e.idx != 1 {
-		t.Fatalf("remaining entry = (%v, idx=%d), want idx=1", ok, e.idx)
+	if e, ok := p.take(w, false, 0); !ok || e.Idx != 1 {
+		t.Fatalf("remaining entry = (%v, idx=%d), want idx=1", ok, e.Idx)
 	}
 }
 
@@ -297,7 +297,7 @@ func TestPoolScanPreservesPerClientFIFO(t *testing.T) {
 	c := &client{}
 	var p stealPool
 	for i := 0; i < entries; i++ {
-		p.push(poolEntry{c: c, owner: 0, idx: i})
+		p.push(poolEntry{Client: c, Owner: 0, Idx: i})
 	}
 
 	var mu sync.Mutex
@@ -320,7 +320,7 @@ func TestPoolScanPreservesPerClientFIFO(t *testing.T) {
 				continue
 			}
 			mu.Lock()
-			got = append(got, e.idx)
+			got = append(got, e.Idx)
 			mu.Unlock()
 			// Hold the claim across a reschedule so the other executor's
 			// scans keep observing it held, then release mid-whatever scan
@@ -346,6 +346,144 @@ func TestPoolScanPreservesPerClientFIFO(t *testing.T) {
 		if idx != i {
 			t.Fatalf("per-client FIFO violated: position %d committed entry %d", i, idx)
 		}
+	}
+}
+
+// plainClient is the discrete-event engine's shape of a client handle: the
+// claim is a plain bool, because one context runs at a time.
+type plainClient struct{ claimed bool }
+
+func claimPlain(c *plainClient) bool {
+	if c.claimed {
+		return false
+	}
+	c.claimed = true
+	return true
+}
+
+// TestStealPoolPlainClaim runs the shared pool the way the DES
+// instantiates it: a client's second entry is not taken while its first
+// is claimed, by owner or thief, and other clients' entries still are.
+func TestStealPoolPlainClaim(t *testing.T) {
+	a, b := &plainClient{}, &plainClient{}
+	var p StealPool[*plainClient, int]
+	p.Push(StealEntry[*plainClient, int]{Client: a, Idx: 0})
+	p.Push(StealEntry[*plainClient, int]{Client: a, Idx: 1})
+	p.Push(StealEntry[*plainClient, int]{Client: b, Idx: 2})
+
+	if e, ok := p.Take(false, 0, claimPlain); !ok || e.Idx != 0 {
+		t.Fatalf("first take = (%v, idx=%d), want a's oldest entry", ok, e.Idx)
+	}
+	// a is mid-execution: its second entry must wait, b's must not.
+	if e, ok := p.Take(true, 0, claimPlain); !ok || e.Client != b {
+		t.Fatalf("take while a is claimed = (%v, idx=%d), want b's entry", ok, e.Idx)
+	}
+	if e, ok := p.Take(false, 0, claimPlain); ok {
+		t.Fatalf("took idx=%d of a client whose first entry is still claimed", e.Idx)
+	}
+	a.claimed = false
+	if e, ok := p.Take(true, 0, claimPlain); !ok || e.Idx != 1 || !a.claimed {
+		t.Fatalf("after release = (%v, idx=%d, claimed=%v), want a's second entry", ok, e.Idx, a.claimed)
+	}
+}
+
+// TestStealPoolParkRequeueOrder pins where a parked entry re-enters the
+// pool — behind other clients when it is its client's only entry, ahead
+// of the client's later entries otherwise — and the scan rules for
+// entries whose park budget is spent or whose hint conflicts.
+func TestStealPoolParkRequeueOrder(t *testing.T) {
+	type entry = StealEntry[*plainClient, int]
+	a, b := &plainClient{}, &plainClient{}
+	var p StealPool[*plainClient, int]
+	order := func() (got []int) {
+		for {
+			e, ok := p.Take(false, 0, func(*plainClient) bool { return true })
+			if !ok {
+				return got
+			}
+			got = append(got, e.Idx)
+		}
+	}
+
+	// Sole entry of its client: parked behind b's.
+	p.Push(entry{Client: b, Idx: 1})
+	p.Requeue(entry{Client: a, Idx: 0, Parks: 1})
+	if got := order(); len(got) != 2 || got[0] != 1 || got[1] != 0 {
+		t.Fatalf("sole parked entry: order %v, want [1 0]", got)
+	}
+
+	// A later entry of the client is pooled: parked at the front, both
+	// with the head advanced (slot reuse) and at the slice start.
+	for _, popFirst := range []bool{true, false} {
+		if popFirst {
+			p.Push(entry{Client: b, Idx: 9})
+		}
+		p.Push(entry{Client: b, Idx: 1})
+		if popFirst {
+			p.Take(false, 0, func(*plainClient) bool { return true })
+		}
+		p.Push(entry{Client: a, Idx: 2})
+		p.Requeue(entry{Client: a, Idx: 0, Parks: 1})
+		if got := order(); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+			t.Fatalf("parked entry with a successor (popFirst=%v): order %v, want [0 1 2]", popFirst, got)
+		}
+	}
+
+	// Blocking-mode entries run last for the owner and never for a thief,
+	// and block their client's later entries meanwhile.
+	p.Push(entry{Client: a, Idx: 0, Parks: MaxStealParks})
+	p.Push(entry{Client: a, Idx: 1})
+	p.Push(entry{Client: b, Idx: 2})
+	if e, ok := p.Take(true, 0, claimPlain); !ok || e.Idx != 2 {
+		t.Fatalf("thief take = (%v, idx=%d), want b's entry past the blocking-mode client", ok, e.Idx)
+	}
+	if e, ok := p.Take(true, 0, claimPlain); ok {
+		t.Fatalf("thief took blocking-mode client's idx=%d", e.Idx)
+	}
+	if e, ok := p.Take(false, 0, claimPlain); !ok || e.Idx != 0 {
+		t.Fatalf("owner fallback = (%v, idx=%d), want the blocking-mode entry", ok, e.Idx)
+	}
+	a.claimed, b.claimed = false, false
+
+	// A hint that intersects the avoid mask defers the entry (and the
+	// client) for owner and thief alike; a disjoint mask does not.
+	p.Push(entry{Client: b, Idx: 3, Hint: 0b0110})
+	if e, ok := p.Take(false, 0b0100, claimPlain); !ok || e.Idx != 1 {
+		t.Fatalf("take under conflict = (%v, idx=%d), want a's unhinted entry", ok, e.Idx)
+	}
+	if e, ok := p.Take(false, 0b0100, claimPlain); ok {
+		t.Fatalf("took idx=%d although its hint intersects the avoid mask", e.Idx)
+	}
+	if e, ok := p.Take(true, 0b1000, claimPlain); !ok || e.Idx != 3 {
+		t.Fatalf("take with disjoint mask = (%v, idx=%d), want idx=3", ok, e.Idx)
+	}
+	if n := p.Drain(); n != 0 {
+		t.Fatalf("pool holds %d entries after every take", n)
+	}
+}
+
+// TestStealPoolScanBound pins the blocked-client memo's bound on both
+// instantiations: a scan that has skipped scanBlockMax distinct clients
+// stops there, leaving deeper entries to a later scan.
+func TestStealPoolScanBound(t *testing.T) {
+	var p StealPool[*plainClient, int]
+	busy := make([]*plainClient, scanBlockMax+1)
+	for i := range busy {
+		busy[i] = &plainClient{claimed: true}
+		p.Push(StealEntry[*plainClient, int]{Client: busy[i], Idx: i})
+	}
+	free := &plainClient{}
+	p.Push(StealEntry[*plainClient, int]{Client: free, Idx: len(busy)})
+	if e, ok := p.Take(false, 0, claimPlain); ok {
+		t.Fatalf("scan walked past %d blocked clients and took idx=%d", scanBlockMax, e.Idx)
+	}
+	// One fewer blocked client ahead and the same entry is reachable.
+	busy[0].claimed = false
+	if e, ok := p.Take(false, 0, claimPlain); !ok || e.Idx != 0 {
+		t.Fatalf("take = (%v, idx=%d), want the released head entry", ok, e.Idx)
+	}
+	if e, ok := p.Take(false, 0, claimPlain); !ok || e.Client != free {
+		t.Fatalf("take = (%v, idx=%d), want the free client behind %d blocked ones", ok, e.Idx, scanBlockMax)
 	}
 }
 
@@ -387,7 +525,7 @@ func TestParkPoolEntryDropsForZombieOwner(t *testing.T) {
 	owner.outstanding.Store(1)
 	owner.zombie.Store(true)
 
-	s.parkPoolEntry(thief, poolEntry{c: c, owner: owner.id, idx: 0})
+	s.parkPoolEntry(thief, poolEntry{Client: c, Owner: owner.id, Idx: 0})
 
 	if got := owner.outstanding.Load(); got != 0 {
 		t.Errorf("outstanding = %d after zombie-owner park, want 0", got)
@@ -403,7 +541,7 @@ func TestParkPoolEntryDropsForZombieOwner(t *testing.T) {
 	owner.zombie.Store(false)
 	owner.outstanding.Store(1)
 	c.claim.Store(int32(thief.id) + 1)
-	s.parkPoolEntry(thief, poolEntry{c: c, owner: owner.id, idx: 0})
+	s.parkPoolEntry(thief, poolEntry{Client: c, Owner: owner.id, Idx: 0})
 	if got := owner.outstanding.Load(); got != 1 {
 		t.Errorf("outstanding = %d after healthy park, want 1 (entry still pending)", got)
 	}
@@ -412,8 +550,8 @@ func TestParkPoolEntryDropsForZombieOwner(t *testing.T) {
 	}
 	if e, ok := owner.pool.take(owner, false, 0); !ok {
 		t.Error("healthy park did not requeue the entry")
-	} else if e.parks != 1 {
-		t.Errorf("requeued entry parks = %d, want 1", e.parks)
+	} else if e.Parks != 1 {
+		t.Errorf("requeued entry parks = %d, want 1", e.Parks)
 	}
 	if got := thief.bd.StealConflicts; got != 1 {
 		t.Errorf("StealConflicts = %d, want 1 (healthy park only)", got)

@@ -7,7 +7,6 @@ import (
 
 	"qserve/internal/entity"
 	"qserve/internal/game"
-	"qserve/internal/locking"
 	"qserve/internal/metrics"
 	"qserve/internal/protocol"
 )
@@ -39,28 +38,16 @@ import (
 // threads for region locks); per-client order is the only order the wire
 // protocol — and hence the conformance suite — can observe.
 
-// poolEntry is one pooled move command, stamped with its deterministic
-// commit order (owner worker, arrival index).
-type poolEntry struct {
-	c     *client
-	m     protocol.Move // by value: the receive buffer is reused per datagram
-	owner int           // owning worker id (commit-order major key)
-	idx   int           // arrival index within the owner's frame (minor key)
-	hint  uint64        // leaf-ordinal mask of the client's last move, 0 = unknown
-	parks uint8         // times this entry parked on a contended first acquire
-}
+// poolEntry is the live instantiation of the shared pool entry: the
+// client and its move command, by value.
+type poolEntry = StealEntry[*client, protocol.Move]
 
-// stealPool is one worker's per-frame request deque. The owner pushes at
-// the tail during its receive drain; the owner and thieves remove entries
-// head-first under the mutex. Entries parked on lock conflict re-enter
-// the pool (front, or tail when deferral cannot reorder the client).
+// stealPool is one worker's pool: the shared scheduler (stealpool.go)
+// behind a mutex, since the owner and thieves reach it concurrently, with
+// the per-client claim taken by compare-and-swap.
 type stealPool struct {
 	mu sync.Mutex
-	q  []poolEntry
-	// head indexes the first live entry; popping advances it instead of
-	// shifting the slice, and push compacts when the pool empties, so the
-	// steady-state frame loop does not allocate.
-	head int
+	q  StealPool[*client, protocol.Move]
 
 	// scanClaimHook, when non-nil, runs after a scan observes a claim
 	// CAS failure. Test-only seam: the FIFO regression test uses it to
@@ -73,167 +60,45 @@ type stealPool struct {
 	scanClaimHook func(c *client)
 }
 
-// push appends an entry at the tail (owner only, during receive drain).
-//
 //qvet:noalloc
 func (p *stealPool) push(e poolEntry) {
 	p.mu.Lock()
-	if p.head == len(p.q) {
-		p.q = p.q[:0]
-		p.head = 0
-	}
-	p.q = append(p.q, e)
+	p.q.Push(e)
 	p.mu.Unlock()
 }
 
-// maxStealParks is how many contended first acquisitions an entry may
-// dodge (park, recompute, retry) before it falls back to a blocking
-// acquire. One try is not enough under a lock wall — at 8T/160 players
-// most requests hit a busy region on the first probe and a single park
-// would immediately re-queue them into the same blocking wait the static
-// design pays; a few retries let the contended moment pass. Bounded so a
-// permanently contended region cannot livelock an entry: past the cap the
-// owner executes it with a plain Acquire, which always completes.
-const maxStealParks = 12
-
-// scanBlockMax bounds the per-scan "blocked client" memo. A scan that
-// skips an entry without claiming it (a blocking-mode deferral, a
-// conflict-hint skip, or a failed claim CAS) must also skip every later
-// entry of that client to preserve per-client FIFO order; the memo
-// records those clients without allocating. Scans deeper than this
-// simply stop — correctness is unaffected, the entries just wait for
-// the owner.
-const scanBlockMax = 16
-
-// take removes and returns the first claimable entry, scanning head to
-// tail. Per-client order is preserved two ways: an entry skipped
-// without being claimed — by a scan rule or a failed claim CAS — blocks
-// the client for the rest of the scan, and removal shifts the remaining
-// entries so relative order never changes. The CAS failure MUST block
-// the client rather than just skip the entry: claims are released
-// without the pool mutex (runPoolEntry, after commit or park), so a
-// claim observed held at one entry can be free by the time the same
-// scan reaches the client's next entry, and claiming that one would
-// commit it ahead of its predecessor.
-//
-// Every scan skips entries whose hint intersects avoid — regions other
-// workers are executing right now. Probing such an entry's region would
-// either queue on a busy lock or burn a park; deferring it until the
-// conflicting execution ends costs the same wall time and touches no
-// lock. This is the conflict-awareness the scheduler exists for, and it
-// applies to the owner exactly as to a thief: the phase loop re-scans
-// after a yield, and the conflict clears as soon as the executing worker
-// publishes a zero mask (an executor always finishes, so deferral cannot
-// deadlock).
-//
-// Both scans also defer blocking-mode entries (parked maxStealParks
-// times): executing one means queueing on the very lock that parked it,
-// so it should run as late as possible, when the contenders that refused
-// it have drained. The owner falls back to them once nothing else in its
-// pool is claimable (the second, deferBlocked=false scan); a thief never
-// takes them — stalling a thief defeats the point of stealing.
+// take claims and removes the first entry the scan rules let self run.
+// Claims are released without the pool mutex (runPoolEntry, after commit
+// or park), which is why a refused claim blocks the client for the rest
+// of the scan.
 //
 //qvet:noalloc
 func (p *stealPool) take(self *worker, asThief bool, avoid uint64) (poolEntry, bool) {
+	me := int32(self.id) + 1
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if e, ok := p.takeScan(self, true, avoid); ok {
-		return e, true
-	}
-	if asThief {
-		return poolEntry{}, false
-	}
-	return p.takeScan(self, false, avoid)
+	return p.q.Take(asThief, avoid, func(c *client) bool {
+		if c.claim.CompareAndSwap(0, me) {
+			return true
+		}
+		if p.scanClaimHook != nil {
+			p.scanClaimHook(c)
+		}
+		return false
+	})
 }
 
-// takeScan is one pass of take, run under the pool mutex.
-//
-//qvet:noalloc
-func (p *stealPool) takeScan(self *worker, deferBlocked bool, avoid uint64) (poolEntry, bool) {
-	var blocked [scanBlockMax]*client
-	nblocked := 0
-scan:
-	for i := p.head; i < len(p.q); i++ {
-		e := &p.q[i]
-		for j := 0; j < nblocked; j++ {
-			if blocked[j] == e.c {
-				continue scan
-			}
-		}
-		if (deferBlocked && e.parks >= maxStealParks) ||
-			(e.hint != 0 && e.hint&avoid != 0) {
-			if nblocked == scanBlockMax {
-				break
-			}
-			blocked[nblocked] = e.c
-			nblocked++
-			continue
-		}
-		if !e.c.claim.CompareAndSwap(0, int32(self.id)+1) {
-			if p.scanClaimHook != nil {
-				p.scanClaimHook(e.c)
-			}
-			// The claim is in flight elsewhere. Block the client for the
-			// rest of the scan: the holder may release mid-scan (claim
-			// stores don't take the pool mutex), and claiming a later
-			// entry of this client after that would violate its FIFO.
-			if nblocked == scanBlockMax {
-				break
-			}
-			blocked[nblocked] = e.c
-			nblocked++
-			continue
-		}
-		out := *e
-		copy(p.q[i:], p.q[i+1:])
-		p.q = p.q[:len(p.q)-1]
-		return out, true
-	}
-	return poolEntry{}, false
-}
-
-// requeue returns a parked entry to the pool. The caller still holds the
-// client's claim, so no scan can take a later entry of the same client
-// while we decide where to put it: at the tail when this is the client's
-// only pooled entry (deferring it cannot reorder the client), else at the
-// front (it must stay ahead of the client's later entries).
-//
 //qvet:noalloc
 func (p *stealPool) requeue(e poolEntry) {
 	p.mu.Lock()
-	sole := true
-	for i := p.head; i < len(p.q); i++ {
-		if p.q[i].c == e.c {
-			sole = false
-			break
-		}
-	}
-	if sole {
-		if p.head == len(p.q) {
-			p.q = p.q[:0]
-			p.head = 0
-		}
-		p.q = append(p.q, e)
-	} else if p.head > 0 {
-		p.head--
-		p.q[p.head] = e
-	} else {
-		p.q = append(p.q, poolEntry{})
-		copy(p.q[1:], p.q)
-		p.q[0] = e
-	}
+	p.q.Requeue(e)
 	p.mu.Unlock()
 }
 
-// drain empties the pool and returns how many entries it removed — the
-// zombie-recovery path discarding work a dead frame will never commit.
 func (p *stealPool) drain() int {
 	p.mu.Lock()
-	n := len(p.q) - p.head
-	p.q = p.q[:0]
-	p.head = 0
-	p.mu.Unlock()
-	return n
+	defer p.mu.Unlock()
+	return p.q.Drain()
 }
 
 // runStealPhase executes pooled requests until every entry this worker
@@ -383,8 +248,8 @@ func (s *Parallel) runPoolEntry(w *worker, e poolEntry) {
 		s.parkPoolEntry(w, e)
 		return
 	}
-	e.c.claim.Store(0)
-	s.workers[e.owner].outstanding.Add(-1)
+	e.Client.claim.Store(0)
+	s.workers[e.Owner].outstanding.Add(-1)
 }
 
 // parkPoolEntry returns a parked entry to its owner's pool — unless the
@@ -402,16 +267,16 @@ func (s *Parallel) runPoolEntry(w *worker, e poolEntry) {
 //
 //qvet:phase=exec
 func (s *Parallel) parkPoolEntry(w *worker, e poolEntry) {
-	owner := s.workers[e.owner]
+	owner := s.workers[e.Owner]
 	if owner.zombie.Load() {
-		e.c.claim.Store(0)
+		e.Client.claim.Store(0)
 		owner.outstanding.Add(-1)
 		return
 	}
 	w.bd.StealConflicts++
-	e.parks++
+	e.Parks++
 	owner.pool.requeue(e)
-	e.c.claim.Store(0)
+	e.Client.claim.Store(0)
 }
 
 // safeExecPoolEntry contains a panic in a move execution to the client
@@ -440,13 +305,13 @@ func (s *Parallel) safeExecPoolEntry(w *worker, e poolEntry) (parked bool) {
 //
 //qvet:phase=exec
 func (s *Parallel) execPoolEntry(w *worker, e poolEntry) (parked bool) {
-	c := e.c
+	c := e.Client
 	// The watchdog deadline measures a single request, not the whole
 	// phase: a worker that executes many requests in one frame is busy,
 	// not wedged, and the wedge record must name the request that
 	// actually stalled.
 	w.phaseStart.Store(time.Now().UnixNano())
-	ent := s.admitMove(&w.lane, c, &e.m)
+	ent := s.admitMove(&w.lane, c, &e.Move)
 	if ent == nil {
 		return false
 	}
@@ -458,16 +323,14 @@ func (s *Parallel) execPoolEntry(w *worker, e poolEntry) (parked bool) {
 		w.serving.Store(0)
 		return false
 	}
-	var stats locking.AcquireStats
 	var mask uint64
-	w.lockCtx.Stats = &stats
 	w.lockCtx.LeafMask = &mask
-	w.lockCtx.TryFirst = e.parks < maxStealParks
-	w.activeHint.Store(e.hint)
+	w.lockCtx.TryFirst = e.Parks < MaxStealParks
+	w.activeHint.Store(e.Hint)
 
 	lockBefore := w.bd.Ns[metrics.CompLock]
 	t0 := time.Now()
-	res := s.executePoolMoveGuarded(w, c, &e.m, ent)
+	res := s.executePoolMoveGuarded(w, c, &e.Move, ent)
 	span := time.Since(t0).Nanoseconds()
 	w.lockCtx.TryFirst = false
 	w.activeHint.Store(0)
@@ -478,23 +341,17 @@ func (s *Parallel) execPoolEntry(w *worker, e poolEntry) (parked bool) {
 	}
 	if exec := span - lockDelta; exec > 0 {
 		w.bd.Charge(metrics.CompExec, exec)
-		w.frameExecNs += exec
 		// Per-client load for the balancer, decayed at each rebalance so it
 		// tracks recent cost. It names the serving client: the cost charges
 		// the client whose request this was, never the thief that happened
 		// to execute it.
 		c.loadNs.Add(exec)
-		if e.owner != w.id {
+		if e.Owner != w.id {
 			w.bd.Steals++
 			w.bd.StealsNs += exec
 		}
 	}
 	s.appendEvents(res.Events)
-	// Frame instrumentation stays with the executing worker — it records
-	// what each thread did, and the thief did this work.
-	w.frameReqs++
-	w.frameLeafMask |= mask
-	w.frameLockOps += stats.LeafLockOps
 	if mask != 0 {
 		c.leafHint.Store(mask)
 	}

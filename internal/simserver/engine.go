@@ -2,7 +2,6 @@ package simserver
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 
 	"qserve/internal/balance"
@@ -12,7 +11,6 @@ import (
 	"qserve/internal/entity"
 	"qserve/internal/game"
 	"qserve/internal/geom"
-	"qserve/internal/locking"
 	"qserve/internal/metrics"
 	"qserve/internal/protocol"
 	"qserve/internal/server"
@@ -95,11 +93,12 @@ type engine struct {
 
 	fc simFrameCtl
 
-	// Work-stealing pools (Config.Stealing): per-thread entry queues,
+	// Request scheduling state (stealing.go): per-thread entry pools,
 	// per-thread counts of pooled-but-uncommitted entries, and the leaf
 	// mask each thread is currently executing in (the steal scans'
-	// conflict-avoidance signal). Nil when stealing is off.
-	stealQ      []desQueue
+	// conflict-avoidance signal). The pools stay empty unless
+	// Config.Stealing is on.
+	stealQ      []server.StealPool[*simClient, desMove]
 	outstanding []int
 	activeMask  []uint64
 
@@ -232,6 +231,10 @@ func Run(cfg Config) (*Result, error) {
 		replies:  make([]server.ReplyScratch, cfg.Threads),
 		frameLog: metrics.NewFrameLog(world.Tree.NumLeaves()),
 		endNs:    int64(cfg.DurationS * 1e9),
+
+		stealQ:      make([]server.StealPool[*simClient, desMove], cfg.Threads),
+		outstanding: make([]int, cfg.Threads),
+		activeMask:  make([]uint64, cfg.Threads),
 	}
 	e.nodeLocks = make([]sim.Lock, world.Tree.NumNodes())
 	e.fc.e = e
@@ -240,11 +243,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.LossProb > 0 {
 		e.lossRng = rand.New(rand.NewSource(cfg.Seed*7919 + 11))
-	}
-	if e.stealing() {
-		e.stealQ = make([]desQueue, cfg.Threads)
-		e.outstanding = make([]int, cfg.Threads)
-		e.activeMask = make([]uint64, cfg.Threads)
 	}
 	if cfg.Playback != nil {
 		e.pbs = &playbackState{
@@ -449,37 +447,17 @@ func (e *engine) workerBody(p *sim.Proc) {
 		w.frameReqs, w.frameMask, w.frameLockOps, w.frameExecNs = 0, 0, 0, 0
 		w.poolIdx = 0
 		t0 = p.Now()
-		if e.stealing() {
-			// Pooled scheduler: receive everything queued, execute with
-			// stealing, then re-poll — arrivals that landed while the
-			// pool drained join this frame, exactly as the inline path's
-			// drain loop admits them. (handleArrival pools moves and runs
-			// playback control items inline.)
-			e.handleArrival(p, arr)
-			for {
-				for {
-					a, ok := p.Poll(e.ports[p.ID])
-					if !ok {
-						break
-					}
-					e.handleArrival(p, a)
-				}
-				e.runStealPhase(p)
-				a, ok := p.Poll(e.ports[p.ID])
-				if !ok {
-					break
-				}
-				e.handleArrival(p, a)
+		// Receive everything queued, run the steal phase, then re-poll:
+		// arrivals that landed while the pools drained join this frame.
+		// Without stealing, receive executed every move inline, the steal
+		// phase finds nothing pooled, no virtual time passes, and the
+		// re-poll comes back empty.
+		port := e.ports[p.ID]
+		for ok := true; ok; arr, ok = p.Poll(port) {
+			for ; ok; arr, ok = p.Poll(port) {
+				e.handleArrival(p, arr)
 			}
-		} else {
-			e.handleArrival(p, arr)
-			for {
-				a, ok := p.Poll(e.ports[p.ID])
-				if !ok {
-					break
-				}
-				e.handleArrival(p, a)
-			}
+			e.runStealPhase(p)
 		}
 		e.span(p, "requests", t0)
 
@@ -535,89 +513,6 @@ func (e *engine) runWorld(p *sim.Proc) {
 	if r := e.cfg.Record; r != nil {
 		r.RecordTick(elapsed)
 	}
-}
-
-// processRequest executes one move command.
-func (e *engine) processRequest(p *sim.Proc, req *simRequest, arrivedAt int64) {
-	if e.lossRng != nil && e.pbs == nil && e.lossRng.Float64() < e.cfg.LossProb {
-		// Lost upstream of the server: no receive cost, no execution; the
-		// client misses one reply. (Procs run one at a time in the
-		// discrete-event machine, so one engine-level stream stays
-		// deterministic and leaves the bots' decision rngs untouched.)
-		e.lost++
-		return
-	}
-	e.requests++
-	e.advance(p, e.model.RecvPacket, metrics.CompRecv)
-
-	c := req.client
-	cmd := c.decide(e, req.seq)
-
-	bd := &e.bds[p.ID]
-	execBefore := bd.Ns[metrics.CompExec]
-
-	var stats locking.AcquireStats
-	var mask uint64
-	var res game.MoveResult
-	if e.cfg.Sequential {
-		t0 := p.Now()
-		res = e.world.ExecuteMove(c.ent, &cmd, &game.LockContext{})
-		p.Advance(e.model.MoveCost(res.Work))
-		e.bds[p.ID].Charge(metrics.CompExec, p.Now()-t0)
-	} else {
-		held := int64(0)
-		lc := game.LockContext{
-			Locker: &locking.RegionLocker{
-				Tree:     e.world.Tree,
-				Provider: &simProvider{e: e, p: p},
-			},
-			Strategy: e.cfg.Strategy,
-			Stats:    &stats,
-			LeafMask: &mask,
-			OnWork: func(wk game.Work) {
-				ns := e.model.WorkCost(wk)
-				held += ns
-				e.advance(p, ns, metrics.CompExec)
-			},
-		}
-		res = e.world.ExecuteMove(c.ent, &cmd, &lc)
-		total := e.model.MoveCost(res.Work) + e.model.RegionOverhead(res.Work)
-		if rest := total - held; rest > 0 {
-			e.advance(p, rest, metrics.CompExec)
-		}
-	}
-
-	// Per-client execute cost (this move's CompExec charge, which excludes
-	// lock wait) feeds the balancer; measured before the global-buffer
-	// append so broadcast pressure is not attributed to the mover.
-	execDelta := bd.Ns[metrics.CompExec] - execBefore
-	c.loadNs += execDelta
-	bd.ExecCmds++
-
-	if n := len(res.Events); n > 0 {
-		// Global state buffer: a single lock serializes all accesses.
-		e.globalBufferAppend(p, n)
-	}
-
-	c.pending = true
-	c.lastArrival = arrivedAt
-	if r := e.cfg.Record; r != nil {
-		r.RecordMove(uint16(c.idx), e.moveSeq(req.seq), &cmd)
-	}
-	if e.pbs != nil {
-		e.pbs.commit()
-	}
-
-	w := &e.workers[p.ID]
-	w.frameExecNs += execDelta
-	w.frameReqs++
-	w.frameMask |= mask
-	w.frameLockOps += stats.LeafLockOps
-
-	e.locks.Moves++
-	e.locks.LeafLockOps += int64(stats.LeafLockOps)
-	e.locks.ParentLockOps += int64(stats.ParentLockOps)
-	e.locks.DistinctLeaves += int64(bits.OnesCount64(mask))
 }
 
 func (e *engine) globalBufferAppend(p *sim.Proc, n int) {
@@ -733,8 +628,8 @@ func (e *engine) masterCleanup(p *sim.Proc) {
 func (e *engine) captureCheckpoint(p *sim.Proc, wr *checkpoint.Writer) {
 	bd := &e.bds[p.ID]
 	items := 0
-	if ri, ok := e.cfg.Record.(interface{ Items() int }); ok {
-		items = ri.Items()
+	if r := e.cfg.Record; r != nil {
+		items = r.Items()
 	}
 	meta := checkpoint.Meta{
 		Frame:        e.fc.frame,

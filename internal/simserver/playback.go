@@ -230,16 +230,11 @@ func removeClient(cs []*simClient, c *simClient) []*simClient {
 }
 
 // handleArrival dispatches one port arrival: playback control items run
-// inline, move requests go through the configured scheduler.
+// inline, move requests go through the receive path.
 func (e *engine) handleArrival(p *sim.Proc, arr sim.Arrival) {
 	if pc, ok := arr.Payload.(*playControl); ok {
 		e.playControl(p, pc)
 		return
 	}
-	req := arr.Payload.(*simRequest)
-	if e.stealing() {
-		e.poolRequest(p, req, arr.At)
-	} else {
-		e.processRequest(p, req, arr.At)
-	}
+	e.receive(p, arr.Payload.(*simRequest), arr.At)
 }

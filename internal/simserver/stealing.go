@@ -7,40 +7,39 @@ import (
 	"qserve/internal/locking"
 	"qserve/internal/metrics"
 	"qserve/internal/protocol"
+	"qserve/internal/server"
 	"qserve/internal/sim"
 )
 
-// Work-stealing request execution on the simulated machine — the DES
-// cost-model arm of the lock-wall study (Config.Stealing; the live
-// counterpart is internal/server/stealing.go). The mechanics mirror the
-// live scheduler exactly, but because the discrete-event machine runs one
-// context at a time everything is plain data: no claim CAS, no pool
-// mutex, no memory-model argument.
+// Request execution on the simulated machine: one receive path and one
+// move executor for every scheduler arm. The steal scheduler itself — the
+// pool, its scan rules, the park placement and the park cap — is the live
+// engine's (server.StealPool, DESIGN.md §10), instantiated here with a
+// plain claimed bool: the discrete-event machine runs one context at a
+// time, so there is no claim CAS, no pool mutex and no memory-model
+// argument. What this file adds is what the DES models: virtual-time
+// charges, virtual locks, and idle hops.
 //
-// Per frame, each thread pools its clients' arrivals as desEntry records
+// Per frame, each thread turns its clients' arrivals into desEntry records
 // (the move command is decided at receive time, so a parked retry replays
-// the same command), then drains its own pool oldest-first, stealing from
-// other threads' pools when its own runs dry. Fresh entries execute with
-// LockContext.TryFirst: a contended first acquisition parks the entry
-// back on its owner's pool instead of queueing on the lock; past
-// maxStealParks parks the retry blocks. A thread leaves its request phase only when its own
-// outstanding count reaches zero, so every pooled entry — including
-// parked retries requeued by thieves — completes before the barrier, and
-// reply phases always see a finished frame.
+// the same command). Under Config.Stealing the entries are pooled, and the
+// thread drains its own pool oldest-first, stealing from other threads'
+// pools when its own runs dry: fresh entries execute with
+// LockContext.TryFirst, a contended first acquisition parks the entry back
+// on its owner's pool instead of queueing on the lock, and past
+// server.MaxStealParks parks the retry blocks. A thread leaves its request
+// phase only when no pooled entry remains uncommitted frame-wide, so reply
+// phases always see a finished frame. Without stealing — the paper's
+// static schedule, and the sequential server — the owner runs each entry
+// inline through the same executor with the park budget already spent.
 //
 // Determinism: procs interleave in virtual-time order, scans are
 // oldest-first with victims visited in a fixed rotation, and idle waits
 // advance the clock by a fixed quantum, so the same configuration yields
 // the same schedule, the same steal counts, and the same world. Per-client
-// order is FIFO by construction (one entry per client per frame at most
-// under the periodic sources, and scans take a client's oldest entry
-// first regardless), so script-driven runs stay move-for-move identical
-// to the static scheduler's.
-
-// maxStealParks mirrors the live scheduler's park cap: a contended first
-// acquisition may park and retry this many times before the entry falls
-// back to a blocking acquire (see internal/server/stealing.go).
-const maxStealParks = 12
+// order is FIFO by construction (scans take a client's oldest entry first),
+// so script-driven runs stay move-for-move identical to the static
+// scheduler's.
 
 // stealSpinNs is the virtual-time quantum an idle thread waits before
 // re-checking for claimable or stealable work while entries it owns are
@@ -48,101 +47,24 @@ const maxStealParks = 12
 // thread is blocked on the frame's remaining request work.
 const stealSpinNs = 1_000
 
-// desEntry is one pooled move command awaiting execution.
-type desEntry struct {
-	c         *simClient
+// desMove is one received move command: what the client decided, its
+// source sequence number, and when it arrived.
+type desMove struct {
 	cmd       protocol.MoveCmd
 	seq       int64
 	arrivedAt int64
-	owner     int    // pooling thread: completion decrements its outstanding count
-	idx       int    // arrival index on the owner, stamping commit order
-	hint      uint64 // owner-recorded leaf mask of the client's last move (0 = none)
-	parks     uint8  // times this entry parked on a contended first acquire
 }
 
-// desQueue is one thread's pool: a FIFO with a head index so pops are
-// O(1) and the backing array is reused across frames.
-type desQueue struct {
-	q    []desEntry
-	head int
-}
+type desEntry = server.StealEntry[*simClient, desMove]
 
-func (q *desQueue) push(e desEntry) {
-	if q.head == len(q.q) {
-		q.q = q.q[:0]
-		q.head = 0
+// claimClient is the pool scans' claim attempt: a client with an entry
+// mid-execution on another thread is refused.
+func claimClient(c *simClient) bool {
+	if c.claimed {
+		return false
 	}
-	q.q = append(q.q, e)
-}
-
-func (q *desQueue) empty() bool { return q.head == len(q.q) }
-
-// take removes and returns the oldest eligible entry, mirroring the live
-// pool's scan rules: entries whose leaf hint intersects avoid (regions
-// other threads are executing right now) are skipped by owner and thief
-// alike — deferring them until the conflicting execution ends touches no
-// lock — and blocking-mode entries (parked maxStealParks times) are
-// deferred too, with the owner falling back to them in a second pass once
-// nothing else is claimable; a thief never takes them. Every skip blocks
-// the entry's client for the rest of the scan so a later entry of the
-// same client cannot overtake (per-client FIFO). Claimed clients — an
-// entry mid-execution on another thread — are skipped unconditionally,
-// which blocks every remaining entry of that client by definition.
-func (q *desQueue) take(asThief bool, avoid uint64) (desEntry, bool) {
-	if e, ok := q.takeScan(true, avoid); ok {
-		return e, true
-	}
-	if asThief {
-		return desEntry{}, false
-	}
-	return q.takeScan(false, avoid)
-}
-
-// takeScan is one pass of take.
-func (q *desQueue) takeScan(deferBlocked bool, avoid uint64) (desEntry, bool) {
-	var blocked []*simClient
-scan:
-	for i := q.head; i < len(q.q); i++ {
-		e := q.q[i]
-		if e.c.claimed {
-			continue
-		}
-		for _, b := range blocked {
-			if b == e.c {
-				continue scan
-			}
-		}
-		if (deferBlocked && e.parks >= maxStealParks) || e.hint&avoid != 0 {
-			blocked = append(blocked, e.c)
-			continue
-		}
-		e.c.claimed = true
-		copy(q.q[q.head+1:i+1], q.q[q.head:i])
-		q.q[q.head] = desEntry{}
-		q.head++
-		return e, true
-	}
-	return desEntry{}, false
-}
-
-// requeue returns a parked entry to the pool. If it is the client's only
-// entry it goes to the tail (other clients' work runs first); otherwise
-// it must go to the front to stay ahead of the client's younger entries.
-func (q *desQueue) requeue(e desEntry) {
-	for i := q.head; i < len(q.q); i++ {
-		if q.q[i].c == e.c {
-			if q.head > 0 {
-				q.head--
-				q.q[q.head] = e
-			} else {
-				q.q = append(q.q, desEntry{})
-				copy(q.q[1:], q.q)
-				q.q[0] = e
-			}
-			return
-		}
-	}
-	q.push(e)
+	c.claimed = true
+	return true
 }
 
 // stealing reports whether the pooled scheduler is active for this run.
@@ -150,12 +72,16 @@ func (e *engine) stealing() bool {
 	return e.cfg.Stealing && !e.cfg.Sequential && e.cfg.Threads > 1
 }
 
-// poolRequest is the receive half of processRequest under stealing: it
-// pays the receive cost, decides the command, and pools the entry for the
-// execute loop. Loss and the request count are settled here, once — a
-// parked retry is the same request, not a new one.
-func (e *engine) poolRequest(p *sim.Proc, req *simRequest, arrivedAt int64) {
+// receive is the one receive path: it pays the receive cost, decides the
+// command, and hands the entry to the scheduler — pooled for the steal
+// phase, or executed inline by its owner. Loss and the request count are
+// settled here, once — a parked retry is the same request, not a new one.
+func (e *engine) receive(p *sim.Proc, req *simRequest, arrivedAt int64) {
 	if e.lossRng != nil && e.pbs == nil && e.lossRng.Float64() < e.cfg.LossProb {
+		// Lost upstream of the server: no receive cost, no execution; the
+		// client misses one reply. (Procs run one at a time in the
+		// discrete-event machine, so one engine-level stream stays
+		// deterministic and leaves the bots' decision rngs untouched.)
 		e.lost++
 		return
 	}
@@ -164,17 +90,22 @@ func (e *engine) poolRequest(p *sim.Proc, req *simRequest, arrivedAt int64) {
 
 	c := req.client
 	w := &e.workers[p.ID]
-	e.stealQ[p.ID].push(desEntry{
-		c:         c,
-		cmd:       c.decide(e, req.seq),
-		seq:       req.seq,
-		arrivedAt: arrivedAt,
-		owner:     p.ID,
-		idx:       w.poolIdx,
-		hint:      c.lastMask,
-	})
+	en := desEntry{
+		Client: c,
+		Move:   desMove{cmd: c.decide(e, req.seq), seq: req.seq, arrivedAt: arrivedAt},
+		Owner:  p.ID,
+		Idx:    w.poolIdx,
+		Hint:   c.lastMask,
+	}
 	w.poolIdx++
-	e.outstanding[p.ID]++
+	if e.stealing() {
+		e.stealQ[p.ID].Push(en)
+		e.outstanding[p.ID]++
+		return
+	}
+	// Static assignment: a blocking first acquire, so it never parks.
+	en.Parks = server.MaxStealParks
+	e.execPooled(p, &en)
 }
 
 // runStealPhase drains the thread's pooled work: own entries first, then
@@ -184,15 +115,16 @@ func (e *engine) poolRequest(p *sim.Proc, req *simRequest, arrivedAt int64) {
 // request barrier, converting the static design's barrier idle into
 // execution. Waiting (for in-flight entries, or for victims that have
 // not pooled their arrivals yet) advances the clock in stealSpinNs hops,
-// charged as intra-frame wait.
+// charged as intra-frame wait. With nothing pooled — every non-stealing
+// arm — it returns at once.
 func (e *engine) runStealPhase(p *sim.Proc) {
 	for {
-		if en, ok := e.stealQ[p.ID].take(false, e.avoidMask(p)); ok {
-			e.execPooled(p, en)
+		if en, ok := e.stealQ[p.ID].Take(false, e.avoidMask(p), claimClient); ok {
+			e.runPooled(p, en)
 			continue
 		}
 		if en, ok := e.stealFrom(p); ok {
-			e.execPooled(p, en)
+			e.runPooled(p, en)
 			continue
 		}
 		total := 0
@@ -227,18 +159,34 @@ func (e *engine) stealFrom(p *sim.Proc) (desEntry, bool) {
 	avoid := e.avoidMask(p)
 	n := len(e.stealQ)
 	for i := 1; i < n; i++ {
-		if en, ok := e.stealQ[(p.ID+i)%n].take(true, avoid); ok {
+		if en, ok := e.stealQ[(p.ID+i)%n].Take(true, avoid, claimClient); ok {
 			return en, true
 		}
 	}
 	return desEntry{}, false
 }
 
-// execPooled is the execute half of processRequest under stealing: it
-// runs one pooled entry with a non-blocking first acquisition (unless the
-// entry already parked once), parking it back on its owner on contention.
-func (e *engine) execPooled(p *sim.Proc, en desEntry) {
-	c := en.c
+// runPooled executes one claimed pool entry and settles it: parked back on
+// its owner's pool on contention, else counted off the owner's outstanding
+// work. The claim is released last, once the entry is back in a pool or
+// fully committed.
+func (e *engine) runPooled(p *sim.Proc, en desEntry) {
+	if e.execPooled(p, &en) {
+		e.bds[p.ID].StealConflicts++
+		en.Parks++
+		e.stealQ[en.Owner].Requeue(en)
+	} else {
+		e.outstanding[en.Owner]--
+	}
+	en.Client.claimed = false
+}
+
+// execPooled is the DES's one move executor. While the entry has park
+// budget left its first acquisition is non-blocking, and a refusal
+// reports parked=true with no side effects applied. The sequential server
+// is the same call with no region locker and no region bookkeeping cost.
+func (e *engine) execPooled(p *sim.Proc, en *desEntry) (parked bool) {
+	c := en.Client
 	bd := &e.bds[p.ID]
 	execBefore := bd.Ns[metrics.CompExec]
 
@@ -246,60 +194,65 @@ func (e *engine) execPooled(p *sim.Proc, en desEntry) {
 	var mask uint64
 	held := int64(0)
 	lc := game.LockContext{
-		Locker: &locking.RegionLocker{
-			Tree:     e.world.Tree,
-			Provider: &simProvider{e: e, p: p},
-		},
 		Strategy: e.cfg.Strategy,
 		Stats:    &stats,
 		LeafMask: &mask,
-		TryFirst: en.parks < maxStealParks,
+		TryFirst: en.Parks < server.MaxStealParks,
 		OnWork: func(wk game.Work) {
 			ns := e.model.WorkCost(wk)
 			held += ns
 			e.advance(p, ns, metrics.CompExec)
 		},
 	}
-	e.activeMask[p.ID] = en.hint
-	res := e.world.ExecuteMove(c.ent, &en.cmd, &lc)
+	if !e.cfg.Sequential {
+		lc.Locker = &locking.RegionLocker{
+			Tree:     e.world.Tree,
+			Provider: &simProvider{e: e, p: p},
+		}
+	}
+	e.activeMask[p.ID] = en.Hint
+	res := e.world.ExecuteMove(c.ent, &en.Move.cmd, &lc)
 	e.activeMask[p.ID] = 0
 	if res.Parked {
 		// The region determination ran before the refused probe; the
 		// probe itself was charged by TryLockNode. The retry recomputes
 		// the region, so this charge does not double-count.
 		e.advance(p, e.model.RegionOverhead(res.Work), metrics.CompExec)
-		bd.StealConflicts++
-		en.parks++
-		e.stealQ[en.owner].requeue(en)
-		c.claimed = false
-		return
+		return true
 	}
-	total := e.model.MoveCost(res.Work) + e.model.RegionOverhead(res.Work)
+	total := e.model.MoveCost(res.Work)
+	if lc.Locker != nil {
+		total += e.model.RegionOverhead(res.Work)
+	}
 	if rest := total - held; rest > 0 {
 		e.advance(p, rest, metrics.CompExec)
 	}
 
+	// Per-client execute cost (this move's CompExec charge, which excludes
+	// lock wait) feeds the balancer; measured before the global-buffer
+	// append so broadcast pressure is not attributed to the mover.
 	execDelta := bd.Ns[metrics.CompExec] - execBefore
 	c.loadNs += execDelta
 	bd.ExecCmds++
-	if en.owner != p.ID {
+	if en.Owner != p.ID {
 		bd.Steals++
 		bd.StealsNs += execDelta
 	}
 
 	if n := len(res.Events); n > 0 {
+		// Global state buffer: a single lock serializes all accesses.
 		e.globalBufferAppend(p, n)
 	}
 
 	c.pending = true
-	c.lastArrival = en.arrivedAt
+	c.lastArrival = en.Move.arrivedAt
 	if mask != 0 {
 		c.lastMask = mask
 	}
 	// Commit point: the tap and the playback cursor advance belong here,
 	// never on the park path above — a parked entry re-executes.
 	if r := e.cfg.Record; r != nil {
-		r.RecordMove(uint16(c.idx), e.moveSeq(en.seq), &en.cmd)
+		r.RecordMove(uint16(c.idx), e.moveSeq(en.Move.seq), &en.Move.cmd)
 	}
 	if e.pbs != nil {
 		e.pbs.commit()
@@ -315,9 +268,7 @@ func (e *engine) execPooled(p *sim.Proc, en desEntry) {
 	e.locks.LeafLockOps += int64(stats.LeafLockOps)
 	e.locks.ParentLockOps += int64(stats.ParentLockOps)
 	e.locks.DistinctLeaves += int64(bits.OnesCount64(mask))
-
-	c.claimed = false
-	e.outstanding[en.owner]--
+	return false
 }
 
 // TryLockNode implements locking.TryProvider on the virtual locks: the
