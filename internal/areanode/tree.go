@@ -375,27 +375,6 @@ func (t *Tree) TotalLinked() int {
 	return total
 }
 
-// CountAt returns how many items are linked at each node, indexed by node
-// index — the distribution Fig. 2 illustrates.
-func (t *Tree) CountAt() []int {
-	out := make([]int, len(t.nodes))
-	for i := range t.nodes {
-		out[i] = t.nodes[i].count
-	}
-	return out
-}
-
-// DepthForNodeBudget returns the largest leaf depth whose total node
-// count does not exceed totalNodes — the inverse of the Fig. 7(b) x-axis
-// ("we vary the total number of areanodes in the tree from 3 to 63").
-func DepthForNodeBudget(totalNodes int) int {
-	d := 0
-	for (1<<(d+2))-1 <= totalNodes {
-		d++
-	}
-	return d
-}
-
 // checkFinite guards against NaN boxes poisoning the tree; exposed via
 // Link in debug builds only. Kept for tests.
 func checkFinite(b geom.AABB) bool {

@@ -360,18 +360,6 @@ func TestRootCrossersStayAtRoot(t *testing.T) {
 	}
 }
 
-func TestDepthForNodeBudget(t *testing.T) {
-	cases := map[int]int{
-		3: 1, 7: 2, 15: 3, 31: 4, 63: 5,
-		4: 1, 30: 3, 62: 4, 127: 6, 1: 0, 2: 0,
-	}
-	for budget, want := range cases {
-		if got := DepthForNodeBudget(budget); got != want {
-			t.Errorf("DepthForNodeBudget(%d) = %d, want %d", budget, got, want)
-		}
-	}
-}
-
 func TestRelinkMovesItem(t *testing.T) {
 	tr := NewTree(worldBounds(), 4)
 	it := &Item{ID: 7}

@@ -1,77 +1,58 @@
 package checkpoint
 
-import "math"
+import (
+	"qserve/internal/entity"
+	"qserve/internal/game"
+	"qserve/internal/qfile"
+)
 
-// The digest here is the same fold as replay.TableDigest, over entity
-// records instead of live entities. It is duplicated rather than
-// imported because the dependency arrow points the other way — replay
-// builds servers (and thus imports this package for recovery), so
-// checkpoint cannot import replay. TestDigestMatchesReplay in the replay
-// package pins the two folds together bit for bit.
-
-type fnv64 uint64
-
-const fnv64Offset fnv64 = 14695981039346656037
-const fnv64Prime fnv64 = 1099511628211
-
-func (h fnv64) byte(b byte) fnv64 {
-	h ^= fnv64(b)
-	return h * fnv64Prime
-}
-
-func (h fnv64) u64(v uint64) fnv64 {
-	for i := 0; i < 8; i++ {
-		h = h.byte(byte(v >> (8 * i)))
-	}
-	return h
-}
-
-func (h fnv64) u32(v uint32) fnv64 {
-	for i := 0; i < 4; i++ {
-		h = h.byte(byte(v >> (8 * i)))
-	}
-	return h
-}
-
-func (h fnv64) i64(v int64) fnv64   { return h.u64(uint64(v)) }
-func (h fnv64) f64(v float64) fnv64 { return h.u64(math.Float64bits(v)) }
-func (h fnv64) bool(v bool) fnv64 {
-	if v {
-		return h.byte(1)
-	}
-	return h.byte(0)
-}
-
-// foldEntity folds one record exactly as replay.TableDigest folds the
-// corresponding live entity: same fields, same order, same widths.
-func (h fnv64) foldEntity(e *EntityRec) fnv64 {
-	h = h.u32(e.ID)
-	h = h.byte(e.Class)
-	h = h.f64(e.Origin.X).f64(e.Origin.Y).f64(e.Origin.Z)
-	h = h.f64(e.Velocity.X).f64(e.Velocity.Y).f64(e.Velocity.Z)
-	h = h.f64(e.Angles.X).f64(e.Angles.Y).f64(e.Angles.Z)
-	h = h.bool(e.Flags&FlagOnGround != 0)
-	h = h.i64(e.Health).i64(e.Armor)
-	h = h.i64(e.Frags).i64(e.Deaths)
-	h = h.byte(e.Weapon).u32(uint32(e.Weapons)).i64(e.Ammo)
-	h = h.bool(e.Flags&FlagHasPowerup != 0).f64(e.PowerupUntil)
-	h = h.byte(e.ItemClass).i64(e.ItemSpawn).f64(e.RespawnAt)
-	h = h.u32(uint32(e.Owner)).i64(e.Damage).f64(e.DieAt)
-	h = h.f64(e.RespawnTime).f64(e.RefireAt).f64(e.NextThink)
+// foldEntity is the one list of entity fields that enter the world
+// digest — which fields, in what order, at what width. Live worlds reach
+// it through recFromEntity (DigestWorld, the capture path), decoded files
+// through their entity section (DigestEntities), so the digest a capture
+// stamps, the one recovery verifies and replay.TableDigest are the same
+// function. Changing the list changes every recorded digest: the format
+// pins in internal/replay fail until they are re-captured.
+func foldEntity(h qfile.Fold64, e *EntityRec) qfile.Fold64 {
+	h = h.U32(e.ID).Byte(e.Class)
+	h = h.F64(e.Origin.X).F64(e.Origin.Y).F64(e.Origin.Z)
+	h = h.F64(e.Velocity.X).F64(e.Velocity.Y).F64(e.Velocity.Z)
+	h = h.F64(e.Angles.X).F64(e.Angles.Y).F64(e.Angles.Z)
+	h = h.Bool(e.Flags&FlagOnGround != 0)
+	h = h.I64(e.Health).I64(e.Armor)
+	h = h.I64(e.Frags).I64(e.Deaths)
+	h = h.Byte(e.Weapon).U32(uint32(e.Weapons)).I64(e.Ammo)
+	h = h.Bool(e.Flags&FlagHasPowerup != 0).F64(e.PowerupUntil)
+	h = h.Byte(e.ItemClass).I64(e.ItemSpawn).F64(e.RespawnAt)
+	h = h.U32(uint32(e.Owner)).I64(e.Damage).F64(e.DieAt)
+	h = h.F64(e.RespawnTime).F64(e.RefireAt).F64(e.NextThink)
 	return h
 }
 
 // DigestEntities folds a world clock and a full entity-record set (in
 // ascending ID order, as the Entities section is stored) into the world
-// digest — equal to replay.TableDigest of the world those records
-// restore.
+// digest — equal to DigestWorld of the world those records restore.
 //
 //qvet:det
 func DigestEntities(worldTime float64, ents []EntityRec) uint64 {
-	h := fnv64Offset
-	h = h.f64(worldTime)
+	h := qfile.Fold64Init.F64(worldTime)
 	for i := range ents {
-		h = h.foldEntity(&ents[i])
+		h = foldEntity(h, &ents[i])
 	}
+	return uint64(h)
+}
+
+// DigestWorld folds a live world — the clock, then every active entity in
+// ID order. Two worlds with equal digests went through the same evolution
+// bit for bit.
+//
+//qvet:det
+func DigestWorld(w *game.World) uint64 {
+	h := qfile.Fold64Init.F64(w.Time)
+	w.Ents.ForEach(func(e *entity.Entity) {
+		var rec EntityRec
+		recFromEntity(e, &rec)
+		h = foldEntity(h, &rec)
+	})
 	return uint64(h)
 }

@@ -23,25 +23,17 @@ import (
 
 	"qserve/internal/geom"
 	"qserve/internal/protocol"
+	"qserve/internal/qfile"
 	"qserve/internal/worldmap"
 )
 
-// Checkpoint file layout (all integers little-endian), mirroring the
-// `.qrl` conventions of internal/replay:
-//
-//	magic   "QCKP"
-//	version u16 (currently 1)
-//	header record: [len u32][payload][sum u16]
-//	    payload: worldSeed i64, protoVer u8, mapJSON bytes
-//	records: [kind u8][len u16][payload][sum u16] ...
-//
-// Each sum is the wire v3 FNV-1a 16-bit fold (protocol.Fold16) over
-// everything preceding it in the record, framing included. The map is
-// embedded so recovery needs nothing but the checkpoint file. The record
-// stream is strictly ordered: one CkMeta, the entity records in
-// ascending ID order, the gone-ID records (delta only), the free-list
-// records, the client records in ascending client-id order, and one
-// CkEnd carrying the section counts and the post-state world digest.
+// A `.qck` file is an internal/qfile container (magic "QCKP"; the
+// framing, checksums and embedded map are described there — the same
+// container the `.qrl` log uses) whose record stream is strictly ordered:
+// one CkMeta, the entity records in ascending ID order, the gone-ID
+// records (delta only), the free-list records, the client records in
+// ascending client-id order, and one CkEnd carrying the section counts
+// and the post-state world digest.
 
 // Record kinds.
 const (
@@ -58,21 +50,21 @@ const (
 //qvet:wire=qckp version
 const FormatVersion = 1
 
-//qvet:allow=globalstate written-once format magic, never mutated
-var ckMagic = [4]byte{'Q', 'C', 'K', 'P'}
+const ckMagic = "QCKP"
 
-// Decode errors. All are wrapped with position context; none of the
+// Decode errors. The framing ones are the container's under this
+// package's names; all are wrapped with position context, none of the
 // decode paths panic, whatever the input, and on error the returned
 // Checkpoint is nil — a corrupt file never half-applies.
 var (
-	ErrBadMagic   = errors.New("checkpoint: not a checkpoint (bad magic)")
-	ErrBadVersion = errors.New("checkpoint: unsupported format version")
-	ErrTruncated  = errors.New("checkpoint: truncated file")
-	ErrChecksum   = errors.New("checkpoint: record checksum mismatch")
-	ErrBadRecord  = errors.New("checkpoint: malformed record")
+	ErrBadMagic   = qfile.ErrBadMagic
+	ErrBadVersion = qfile.ErrBadVersion
+	ErrTruncated  = qfile.ErrTruncated
+	ErrChecksum   = qfile.ErrChecksum
+	ErrBadRecord  = qfile.ErrBadRecord
+	ErrTooLarge   = qfile.ErrTooLarge
 	ErrOutOfOrder = errors.New("checkpoint: record out of order")
 	ErrDigest     = errors.New("checkpoint: world digest mismatch")
-	ErrTooLarge   = errors.New("checkpoint: exceeds size limits")
 )
 
 // EntityRec is one entity's checkpointed state at full precision — the
@@ -193,20 +185,11 @@ type Checkpoint struct {
 // Size bounds: structural limits a corrupted length field cannot push
 // past, far above anything the engine emits.
 const (
-	maxRecordPayload = 1<<16 - 1
-	maxMapJSON       = 64 << 20
-	maxEntities      = 1 << 20
-	maxFreeIDs       = 1 << 20
-	maxClients       = 1 << 16
-	maxBaseline      = 4096 // mirrors the wire's snapshot entity bound
+	maxEntities = 1 << 20
+	maxFreeIDs  = 1 << 20
+	maxClients  = 1 << 16
+	maxBaseline = 4096 // mirrors the wire's snapshot entity bound
 )
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
 
 func wF64(w *protocol.Writer, v float64) { w.U64(math.Float64bits(v)) }
 func rF64(r *protocol.Reader) float64    { return math.Float64frombits(r.U64()) }
@@ -221,34 +204,53 @@ func rVec(r *protocol.Reader) geom.Vec3 {
 	return geom.Vec3{X: rF64(r), Y: rF64(r), Z: rF64(r)}
 }
 
-// appendHeader appends the magic, version, and checksummed header record
-// (worldSeed, protoVer, map JSON) to dst.
-func appendHeader(dst []byte, worldSeed int64, protoVer uint8, mapJSON []byte) []byte {
-	w := protocol.Writer{Buf: dst}
-	w.Buf = append(w.Buf, ckMagic[:]...)
-	w.U16(FormatVersion)
-	hdrStart := len(w.Buf)
-	w.U32(0) // length placeholder
-	w.I64(worldSeed)
-	w.U8(protoVer)
-	w.Buf = append(w.Buf, mapJSON...)
-	putU32(w.Buf[hdrStart:], uint32(len(w.Buf)-hdrStart-4))
-	w.U16(protocol.Fold16(w.Buf[hdrStart:]))
-	return w.Buf
+// emitter frames records onto buf through one reused payload scratch:
+// the back end Checkpoint.Encode and the Writer's capture path share, so
+// the two cannot emit different bytes for the same section. Callers
+// encode a payload into p and seal it with record.
+type emitter struct {
+	buf []byte
+	p   protocol.Writer
+	err error // first over-size payload
 }
 
-// frameRecord frames one record: kind, u16 length, payload, Fold16 sum.
-func frameRecord(dst []byte, kind uint8, payload []byte) ([]byte, error) {
-	if len(payload) > maxRecordPayload {
-		return dst, fmt.Errorf("%w: record payload %d bytes", ErrTooLarge, len(payload))
+// record frames p's payload as one record of the given kind and resets p.
+//
+//qvet:noalloc
+func (em *emitter) record(kind uint8) {
+	var err error
+	if em.buf, err = qfile.AppendRecord(em.buf, kind, em.p.Buf); err != nil && em.err == nil {
+		em.err = err
 	}
-	start := len(dst)
-	dst = append(dst, kind)
-	dst = append(dst, byte(len(payload)), byte(len(payload)>>8))
-	dst = append(dst, payload...)
-	sum := protocol.Fold16(dst[start:])
-	dst = append(dst, byte(sum), byte(sum>>8))
-	return dst, nil
+	em.p.Reset()
+}
+
+// idChunk bounds how many IDs one CkFree/CkGone record carries, so the
+// payload stays within the u16 length field.
+const idChunk = 8192
+
+// appendIDChunks emits ids as records of the given kind, idChunk at a
+// time.
+func appendIDChunks[ID ~int32 | ~uint32](em *emitter, kind uint8, ids []ID) {
+	for len(ids) > 0 {
+		chunk := ids[:min(idChunk, len(ids))]
+		ids = ids[len(chunk):]
+		em.p.U16(uint16(len(chunk)))
+		for _, id := range chunk {
+			em.p.U32(uint32(id))
+		}
+		em.record(kind)
+	}
+}
+
+// encodeEnd writes the end record's payload: the four section counts and
+// the post-state world digest.
+func encodeEnd(p *protocol.Writer, ents, gone, free, clients int, digest uint64) {
+	p.U32(uint32(ents))
+	p.U32(uint32(gone))
+	p.U32(uint32(free))
+	p.U32(uint32(clients))
+	p.U64(digest)
 }
 
 func encodeMeta(p *protocol.Writer, ck *Checkpoint) {
@@ -416,10 +418,6 @@ func decodeClient(r *protocol.Reader, c *ClientRec) error {
 	return nil
 }
 
-// freeChunk bounds how many IDs one CkFree/CkGone record carries, so the
-// payload stays within the u16 length field.
-const freeChunk = 8192
-
 // Encode serializes the checkpoint. The inverse of Decode; the map blob
 // is carried verbatim, so Encode∘Decode is the identity on the byte
 // level.
@@ -439,60 +437,40 @@ func (ck *Checkpoint) Encode() ([]byte, error) {
 		mapJSON = mb.Bytes()
 	}
 
-	buf := make([]byte, 0, 256+len(mapJSON)+len(ck.Entities)*280+len(ck.Clients)*64)
-	buf = appendHeader(buf, ck.WorldSeed, ck.ProtoVer, mapJSON)
-
-	var p protocol.Writer
-	p.Buf = make([]byte, 0, 512)
-	var err error
-
-	encodeMeta(&p, ck)
-	if buf, err = frameRecord(buf, CkMeta, p.Buf); err != nil {
-		return nil, err
-	}
+	var em emitter
+	em.buf = make([]byte, 0, 256+len(mapJSON)+len(ck.Entities)*280+len(ck.Clients)*64)
+	em.buf = qfile.AppendHeader(em.buf, ckMagic, FormatVersion, ck.WorldSeed, ck.ProtoVer, mapJSON)
+	encodeMeta(&em.p, ck)
+	em.record(CkMeta)
 	for i := range ck.Entities {
-		p.Reset()
-		encodeEntity(&p, &ck.Entities[i])
-		if buf, err = frameRecord(buf, CkEntity, p.Buf); err != nil {
-			return nil, err
-		}
+		encodeEntity(&em.p, &ck.Entities[i])
+		em.record(CkEntity)
 	}
 	// Section order matters: the decoder rejects a Gone record after the
 	// Free section has opened.
-	for _, sec := range [2]struct {
-		kind uint8
-		ids  []uint32
-	}{{CkGone, ck.Gone}, {CkFree, ck.Free}} {
-		for start := 0; start < len(sec.ids); start += freeChunk {
-			chunk := sec.ids[start:min(start+freeChunk, len(sec.ids))]
-			p.Reset()
-			p.U16(uint16(len(chunk)))
-			for _, id := range chunk {
-				p.U32(id)
-			}
-			if buf, err = frameRecord(buf, sec.kind, p.Buf); err != nil {
-				return nil, err
-			}
-		}
-	}
+	appendIDChunks(&em, CkGone, ck.Gone)
+	appendIDChunks(&em, CkFree, ck.Free)
 	for i := range ck.Clients {
-		p.Reset()
-		encodeClient(&p, &ck.Clients[i])
-		if buf, err = frameRecord(buf, CkClient, p.Buf); err != nil {
-			return nil, err
-		}
+		encodeClient(&em.p, &ck.Clients[i])
+		em.record(CkClient)
 	}
-	p.Reset()
-	p.U32(uint32(len(ck.Entities)))
-	p.U32(uint32(len(ck.Gone)))
-	p.U32(uint32(len(ck.Free)))
-	p.U32(uint32(len(ck.Clients)))
-	p.U64(ck.Digest)
-	if buf, err = frameRecord(buf, CkEnd, p.Buf); err != nil {
-		return nil, err
+	encodeEnd(&em.p, len(ck.Entities), len(ck.Gone), len(ck.Free), len(ck.Clients), ck.Digest)
+	em.record(CkEnd)
+	if em.err != nil {
+		return nil, fmt.Errorf("%w: a record payload is over %d bytes", em.err, qfile.MaxPayload)
 	}
-	return buf, nil
+	return em.buf, nil
 }
+
+// Body sections, in file order; a decode's cursor only moves forward.
+const (
+	secMeta = iota
+	secEntities
+	secGone
+	secFree
+	secClients
+	secEnd
+)
 
 // Decode parses a complete checkpoint. It is total: any input —
 // truncated, bit-flipped, reordered, or adversarial — yields an error,
@@ -500,192 +478,141 @@ func (ck *Checkpoint) Encode() ([]byte, error) {
 //
 //qvet:wire=qckp decode
 func Decode(data []byte) (*Checkpoint, error) {
-	if len(data) < len(ckMagic)+2 {
-		return nil, ErrTruncated
+	rd, err := qfile.Open(data, ckMagic, FormatVersion)
+	if err != nil {
+		return nil, err
 	}
-	if !bytes.Equal(data[:4], ckMagic[:]) {
-		return nil, ErrBadMagic
-	}
-	version := uint16(data[4]) | uint16(data[5])<<8
-	if version != FormatVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, version)
-	}
-	pos := 6
-
-	// Header record: [len u32][payload][sum u16].
-	if len(data)-pos < 4 {
-		return nil, fmt.Errorf("%w: header length", ErrTruncated)
-	}
-	hlen := int(uint32(data[pos]) | uint32(data[pos+1])<<8 | uint32(data[pos+2])<<16 | uint32(data[pos+3])<<24)
-	if hlen < 9 || hlen > maxMapJSON {
-		return nil, fmt.Errorf("%w: header payload %d bytes", ErrBadRecord, hlen)
-	}
-	if len(data)-pos < 4+hlen+2 {
-		return nil, fmt.Errorf("%w: header body", ErrTruncated)
-	}
-	framed := data[pos : pos+4+hlen]
-	sum := uint16(data[pos+4+hlen]) | uint16(data[pos+4+hlen+1])<<8
-	if protocol.Fold16(framed) != sum {
-		return nil, fmt.Errorf("%w: header", ErrChecksum)
-	}
-	hr := protocol.NewReader(framed[4:])
-	ck := &Checkpoint{}
-	ck.WorldSeed = hr.I64()
-	ck.ProtoVer = hr.U8()
-	mapJSON := framed[4+9:]
-	m, err := worldmap.Load(bytes.NewReader(mapJSON))
+	m, err := worldmap.Load(bytes.NewReader(rd.MapJSON))
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: embedded map: %w", err)
 	}
-	ck.Map = m
-	ck.mapJSON = append([]byte(nil), mapJSON...)
-	pos += 4 + hlen + 2
-
-	// Body records, in strict section order.
-	const (
-		secMeta = iota
-		secEntities
-		secGone
-		secFree
-		secClients
-		secEnd
-	)
+	ck := &Checkpoint{WorldSeed: rd.WorldSeed, ProtoVer: rd.ProtoVer, Map: m, mapJSON: bytes.Clone(rd.MapJSON)}
 	sec := secMeta
-	sawEnd := false
-	var endEnts, endGone, endFree, endClients uint32
-	for pos < len(data) {
-		if sawEnd {
-			return nil, fmt.Errorf("%w: records after end marker", ErrOutOfOrder)
+	var endCounts [4]uint32
+	for rd.More() {
+		at := rd.Offset()
+		// Bytes after the end record are out of order whatever they hold,
+		// so that is checked before their framing is.
+		if sec == secEnd {
+			return nil, fmt.Errorf("%w: records after end marker (at %d)", ErrOutOfOrder, at)
 		}
-		if len(data)-pos < 3 {
-			return nil, fmt.Errorf("%w: record header at %d", ErrTruncated, pos)
+		kind, payload, err := rd.Next()
+		if err == nil {
+			err = ck.decodeRecord(&sec, &endCounts, kind, payload)
 		}
-		kind := data[pos]
-		plen := int(uint16(data[pos+1]) | uint16(data[pos+2])<<8)
-		if len(data)-pos < 3+plen+2 {
-			return nil, fmt.Errorf("%w: record body at %d", ErrTruncated, pos)
+		if err != nil {
+			return nil, fmt.Errorf("%w (record at %d)", err, at)
 		}
-		framed := data[pos : pos+3+plen]
-		rsum := uint16(data[pos+3+plen]) | uint16(data[pos+3+plen+1])<<8
-		if protocol.Fold16(framed) != rsum {
-			return nil, fmt.Errorf("%w: record at %d", ErrChecksum, pos)
-		}
-		r := protocol.NewReader(framed[3:])
-
-		// Section transitions only move forward.
-		want := func(s int) error {
-			if sec > s {
-				return fmt.Errorf("%w: kind %d at %d after its section closed", ErrOutOfOrder, kind, pos)
-			}
-			sec = s
-			return nil
-		}
-		switch kind {
-		case CkMeta:
-			if sec != secMeta {
-				return nil, fmt.Errorf("%w: duplicate meta at %d", ErrOutOfOrder, pos)
-			}
-			if err := decodeMeta(r, ck); err != nil {
-				return nil, fmt.Errorf("%w (at %d)", err, pos)
-			}
-			sec = secEntities
-		case CkEntity:
-			if sec == secMeta {
-				return nil, fmt.Errorf("%w: entity before meta", ErrOutOfOrder)
-			}
-			if err := want(secEntities); err != nil {
-				return nil, err
-			}
-			if len(ck.Entities) >= maxEntities {
-				return nil, fmt.Errorf("%w: over %d entities", ErrTooLarge, maxEntities)
-			}
-			var e EntityRec
-			decodeEntity(r, &e)
-			if n := len(ck.Entities); n > 0 && ck.Entities[n-1].ID >= e.ID {
-				return nil, fmt.Errorf("%w: entity %d not above %d", ErrOutOfOrder, e.ID, ck.Entities[n-1].ID)
-			}
-			if int(e.ID) >= ck.Capacity {
-				return nil, fmt.Errorf("%w: entity %d past capacity %d", ErrBadRecord, e.ID, ck.Capacity)
-			}
-			ck.Entities = append(ck.Entities, e)
-		case CkGone, CkFree:
-			if sec == secMeta {
-				return nil, fmt.Errorf("%w: ids before meta", ErrOutOfOrder)
-			}
-			s, dst, lim := secGone, &ck.Gone, maxEntities
-			if kind == CkFree {
-				s, dst, lim = secFree, &ck.Free, maxFreeIDs
-			}
-			if err := want(s); err != nil {
-				return nil, err
-			}
-			n := int(r.U16())
-			for i := 0; i < n; i++ {
-				id := r.U32()
-				if r.Err() != nil {
-					break
-				}
-				if len(*dst) >= lim {
-					return nil, fmt.Errorf("%w: over %d ids", ErrTooLarge, lim)
-				}
-				if int(id) >= ck.Capacity {
-					return nil, fmt.Errorf("%w: id %d past capacity %d", ErrBadRecord, id, ck.Capacity)
-				}
-				*dst = append(*dst, id)
-			}
-		case CkClient:
-			if sec == secMeta {
-				return nil, fmt.Errorf("%w: client before meta", ErrOutOfOrder)
-			}
-			if err := want(secClients); err != nil {
-				return nil, err
-			}
-			if len(ck.Clients) >= maxClients {
-				return nil, fmt.Errorf("%w: over %d clients", ErrTooLarge, maxClients)
-			}
-			var c ClientRec
-			if err := decodeClient(r, &c); err != nil {
-				return nil, fmt.Errorf("%w (at %d)", err, pos)
-			}
-			if n := len(ck.Clients); n > 0 && ck.Clients[n-1].ID >= c.ID {
-				return nil, fmt.Errorf("%w: client %d not above %d", ErrOutOfOrder, c.ID, ck.Clients[n-1].ID)
-			}
-			ck.Clients = append(ck.Clients, c)
-		case CkEnd:
-			if sec == secMeta {
-				return nil, fmt.Errorf("%w: end before meta", ErrOutOfOrder)
-			}
-			sec = secEnd
-			endEnts = r.U32()
-			endGone = r.U32()
-			endFree = r.U32()
-			endClients = r.U32()
-			ck.Digest = r.U64()
-			sawEnd = true
-		default:
-			return nil, fmt.Errorf("%w: unknown kind %d at %d", ErrBadRecord, kind, pos)
-		}
-		if r.Err() != nil {
-			return nil, fmt.Errorf("%w: kind %d payload at %d: %v", ErrBadRecord, kind, pos, r.Err())
-		}
-		if r.Remaining() != 0 {
-			return nil, fmt.Errorf("%w: kind %d has %d trailing payload bytes at %d", ErrBadRecord, kind, r.Remaining(), pos)
-		}
-		pos += 3 + plen + 2
 	}
-	if !sawEnd {
+	if sec != secEnd {
 		return nil, fmt.Errorf("%w: no end record", ErrTruncated)
 	}
-	if int(endEnts) != len(ck.Entities) || int(endGone) != len(ck.Gone) ||
-		int(endFree) != len(ck.Free) || int(endClients) != len(ck.Clients) {
-		return nil, fmt.Errorf("%w: end counts %d/%d/%d/%d vs sections %d/%d/%d/%d",
-			ErrBadRecord, endEnts, endGone, endFree, endClients,
-			len(ck.Entities), len(ck.Gone), len(ck.Free), len(ck.Clients))
+	if got := [4]uint32{uint32(len(ck.Entities)), uint32(len(ck.Gone)), uint32(len(ck.Free)), uint32(len(ck.Clients))}; got != endCounts {
+		return nil, fmt.Errorf("%w: end counts %v vs sections %v", ErrBadRecord, endCounts, got)
 	}
 	if err := ck.validate(); err != nil {
 		return nil, err
 	}
 	return ck, nil
+}
+
+// decodeRecord parses one body record into ck, advancing the section
+// cursor; the end record's counts land in endCounts for Decode to check
+// against the sections.
+func (ck *Checkpoint) decodeRecord(sec *int, endCounts *[4]uint32, kind uint8, payload []byte) error {
+	r := protocol.NewReader(payload)
+	// enter moves the cursor forward to section s: nothing precedes the
+	// meta record and a closed section does not reopen.
+	enter := func(s int) error {
+		if *sec == secMeta {
+			return fmt.Errorf("%w: kind %d before meta", ErrOutOfOrder, kind)
+		}
+		if *sec > s {
+			return fmt.Errorf("%w: kind %d after its section closed", ErrOutOfOrder, kind)
+		}
+		*sec = s
+		return nil
+	}
+	switch kind {
+	case CkMeta:
+		if *sec != secMeta {
+			return fmt.Errorf("%w: duplicate meta", ErrOutOfOrder)
+		}
+		if err := decodeMeta(r, ck); err != nil {
+			return err
+		}
+		*sec = secEntities
+	case CkEntity:
+		if err := enter(secEntities); err != nil {
+			return err
+		}
+		if len(ck.Entities) >= maxEntities {
+			return fmt.Errorf("%w: over %d entities", ErrTooLarge, maxEntities)
+		}
+		var e EntityRec
+		decodeEntity(r, &e)
+		if n := len(ck.Entities); n > 0 && ck.Entities[n-1].ID >= e.ID {
+			return fmt.Errorf("%w: entity %d not above %d", ErrOutOfOrder, e.ID, ck.Entities[n-1].ID)
+		}
+		if int(e.ID) >= ck.Capacity {
+			return fmt.Errorf("%w: entity %d past capacity %d", ErrBadRecord, e.ID, ck.Capacity)
+		}
+		ck.Entities = append(ck.Entities, e)
+	case CkGone, CkFree:
+		s, dst, lim := secGone, &ck.Gone, maxEntities
+		if kind == CkFree {
+			s, dst, lim = secFree, &ck.Free, maxFreeIDs
+		}
+		if err := enter(s); err != nil {
+			return err
+		}
+		n := int(r.U16())
+		for i := 0; i < n; i++ {
+			id := r.U32()
+			if r.Err() != nil {
+				break
+			}
+			if len(*dst) >= lim {
+				return fmt.Errorf("%w: over %d ids", ErrTooLarge, lim)
+			}
+			if int(id) >= ck.Capacity {
+				return fmt.Errorf("%w: id %d past capacity %d", ErrBadRecord, id, ck.Capacity)
+			}
+			*dst = append(*dst, id)
+		}
+	case CkClient:
+		if err := enter(secClients); err != nil {
+			return err
+		}
+		if len(ck.Clients) >= maxClients {
+			return fmt.Errorf("%w: over %d clients", ErrTooLarge, maxClients)
+		}
+		var c ClientRec
+		if err := decodeClient(r, &c); err != nil {
+			return err
+		}
+		if n := len(ck.Clients); n > 0 && ck.Clients[n-1].ID >= c.ID {
+			return fmt.Errorf("%w: client %d not above %d", ErrOutOfOrder, c.ID, ck.Clients[n-1].ID)
+		}
+		ck.Clients = append(ck.Clients, c)
+	case CkEnd:
+		if err := enter(secEnd); err != nil {
+			return err
+		}
+		for i := range endCounts {
+			endCounts[i] = r.U32()
+		}
+		ck.Digest = r.U64()
+	default:
+		return fmt.Errorf("%w: unknown kind %d", ErrBadRecord, kind)
+	}
+	if r.Err() != nil {
+		return fmt.Errorf("%w: kind %d payload: %v", ErrBadRecord, kind, r.Err())
+	}
+	if r.Remaining() != 0 {
+		return fmt.Errorf("%w: kind %d has %d trailing payload bytes", ErrBadRecord, kind, r.Remaining())
+	}
+	return nil
 }
 
 // validate performs the semantic checks beyond framing: section contents

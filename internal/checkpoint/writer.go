@@ -10,6 +10,7 @@ import (
 	"qserve/internal/entity"
 	"qserve/internal/game"
 	"qserve/internal/protocol"
+	"qserve/internal/qfile"
 	"qserve/internal/worldmap"
 )
 
@@ -87,15 +88,13 @@ type Writer struct {
 	// image builds into before the two swap.
 	base      []EntityRec
 	cur       []EntityRec
-	baseTime  float64
 	baseFrame uint64
 	haveBase  bool
 	gone      []uint32
 
 	// In-flight capture state between Begin and Commit.
-	buf       []byte
-	enc       protocol.Writer
-	digest    fnv64
+	em        emitter
+	digest    qfile.Fold64
 	meta      Meta
 	full      bool
 	capturing bool
@@ -130,7 +129,7 @@ func NewWriter(cfg Config) (*Writer, error) {
 	}
 	w := &Writer{
 		cfg:    cfg,
-		header: appendHeader(nil, cfg.WorldSeed, protocol.Version, mb.Bytes()),
+		header: qfile.AppendHeader(nil, ckMagic, FormatVersion, cfg.WorldSeed, protocol.Version, mb.Bytes()),
 		free:   make(chan []byte, 2),
 		reqs:   make(chan flushReq, 2),
 		done:   make(chan struct{}),
@@ -179,125 +178,77 @@ func (w *Writer) Begin(world *game.World, meta Meta) bool {
 
 	w.meta = meta
 	w.full = !w.haveBase || w.cfg.DeltaEvery <= 0 || w.captures%uint64(w.cfg.DeltaEvery+1) == 0
-	w.buf = append(buf[:0], w.header...)
-	w.digest = fnv64Offset.f64(world.Time)
-	w.nEnts, w.nFree, w.nClients = 0, 0, 0
+	em := &w.em
+	em.buf = append(buf[:0], w.header...)
+	w.digest = qfile.Fold64Init.F64(world.Time)
+	w.nEnts, w.nClients = 0, 0
 	w.gone = w.gone[:0]
 	w.cur = w.cur[:0]
 
-	// Meta record.
-	p := &w.enc
-	p.Reset()
-	p.U64(meta.Frame)
-	wF64(p, world.Time)
-	p.U32(uint32(world.SpawnCursor()))
-	p.U32(uint32(world.Ents.HighWater()))
-	p.U32(uint32(world.Ents.Capacity()))
-	p.U8(uint8(world.Tree.Depth()))
-	p.U16(meta.NextClientID)
-	p.U32(uint32(meta.JoinIdx))
-	p.U64(meta.RecItems)
-	if w.full {
-		p.U8(1)
-		p.U64(0)
-	} else {
-		p.U8(0)
-		p.U64(w.baseFrame)
+	head := Checkpoint{
+		Frame:        meta.Frame,
+		WorldTime:    world.Time,
+		SpawnCursor:  world.SpawnCursor(),
+		HighWater:    world.Ents.HighWater(),
+		Capacity:     world.Ents.Capacity(),
+		TreeDepth:    world.Tree.Depth(),
+		NextClientID: meta.NextClientID,
+		JoinIdx:      meta.JoinIdx,
+		RecItems:     meta.RecItems,
+		Full:         w.full,
 	}
-	w.appendRecord(CkMeta)
+	if !w.full {
+		head.BaseFrame = w.baseFrame
+	}
+	encodeMeta(&em.p, &head)
+	em.record(CkMeta)
 
 	// Entity section: walk the live table in ID order, folding the
 	// digest over every entity; full captures emit and retain every
 	// record, deltas emit only records differing from the base image and
 	// collect base IDs no longer live. The ForEach closure does not
 	// escape, so it stays off the heap.
-	if w.full {
-		world.Ents.ForEach(func(e *entity.Entity) {
-			var rec EntityRec
-			recFromEntity(e, &rec)
-			w.digest = w.digest.foldEntity(&rec)
+	bi := 0
+	world.Ents.ForEach(func(e *entity.Entity) {
+		var rec EntityRec
+		recFromEntity(e, &rec)
+		w.digest = foldEntity(w.digest, &rec)
+		changed := true
+		if w.full {
 			w.cur = append(w.cur, rec)
-			p.Reset()
-			encodeEntity(p, &rec)
-			w.appendRecord(CkEntity)
-			w.nEnts++
-		})
-		w.base, w.cur = w.cur, w.base
-		w.baseTime = world.Time
-		w.baseFrame = meta.Frame
-		w.haveBase = true
-	} else {
-		bi := 0
-		world.Ents.ForEach(func(e *entity.Entity) {
-			var rec EntityRec
-			recFromEntity(e, &rec)
-			w.digest = w.digest.foldEntity(&rec)
-			for bi < len(w.base) && w.base[bi].ID < rec.ID {
+		} else {
+			for ; bi < len(w.base) && w.base[bi].ID < rec.ID; bi++ {
 				w.gone = append(w.gone, w.base[bi].ID)
-				bi++
 			}
-			changed := true
 			if bi < len(w.base) && w.base[bi].ID == rec.ID {
 				changed = rec != w.base[bi]
 				bi++
 			}
-			if changed {
-				p.Reset()
-				encodeEntity(p, &rec)
-				w.appendRecord(CkEntity)
-				w.nEnts++
-			}
-		})
+		}
+		if changed {
+			encodeEntity(&em.p, &rec)
+			em.record(CkEntity)
+			w.nEnts++
+		}
+	})
+	if w.full {
+		w.base, w.cur = w.cur, w.base
+		w.baseFrame = meta.Frame
+		w.haveBase = true
+	} else {
 		for ; bi < len(w.base); bi++ {
 			w.gone = append(w.gone, w.base[bi].ID)
 		}
 	}
 
 	// Gone and free-list sections, chunked under the record size cap.
-	w.appendIDChunks(CkGone, w.gone)
+	appendIDChunks(em, CkGone, w.gone)
 	free := world.Ents.FreeList()
 	w.nFree = len(free)
-	for start := 0; start < len(free); start += freeChunk {
-		chunk := free[start:min(start+freeChunk, len(free))]
-		p.Reset()
-		p.U16(uint16(len(chunk)))
-		for _, id := range chunk {
-			p.U32(uint32(id))
-		}
-		w.appendRecord(CkFree)
-	}
+	appendIDChunks(em, CkFree, free)
 
 	w.capturing = true
 	return true
-}
-
-func (w *Writer) appendIDChunks(kind uint8, ids []uint32) {
-	for start := 0; start < len(ids); start += freeChunk {
-		chunk := ids[start:min(start+freeChunk, len(ids))]
-		w.enc.Reset()
-		w.enc.U16(uint16(len(chunk)))
-		for _, id := range chunk {
-			w.enc.U32(id)
-		}
-		w.appendRecord(kind)
-	}
-}
-
-// appendRecord frames w.enc.Buf as one record of the given kind onto the
-// capture buffer. Payloads are bounded by construction (freeChunk,
-// maxBaseline), so the u16 length cannot overflow.
-func (w *Writer) appendRecord(kind uint8) {
-	payload := w.enc.Buf
-	if len(payload) > maxRecordPayload {
-		//qvet:allow=noalloc unreachable-by-construction panic formatting
-		panic(fmt.Sprintf("checkpoint: record kind %d payload %d bytes", kind, len(payload)))
-	}
-	start := len(w.buf)
-	w.buf = append(w.buf, kind)
-	w.buf = append(w.buf, byte(len(payload)), byte(len(payload)>>8))
-	w.buf = append(w.buf, payload...)
-	sum := protocol.Fold16(w.buf[start:])
-	w.buf = append(w.buf, byte(sum), byte(sum>>8))
 }
 
 // AddClient appends one client record to the in-flight capture. Callers
@@ -312,10 +263,8 @@ func (w *Writer) AddClient(rec ClientRec) {
 	if len(rec.Baseline) > maxBaseline {
 		rec.Baseline = rec.Baseline[:maxBaseline]
 	}
-	p := &w.enc
-	p.Reset()
-	encodeClient(p, &rec)
-	w.appendRecord(CkClient)
+	encodeClient(&w.em.p, &rec)
+	w.em.record(CkClient)
 	w.nClients++
 }
 
@@ -330,21 +279,21 @@ func (w *Writer) Commit() Stats {
 		return Stats{}
 	}
 	w.capturing = false
-	p := &w.enc
-	p.Reset()
-	p.U32(uint32(w.nEnts))
-	p.U32(uint32(len(w.gone)))
-	p.U32(uint32(w.nFree))
-	p.U32(uint32(w.nClients))
-	p.U64(uint64(w.digest))
-	w.appendRecord(CkEnd)
+	em := &w.em
+	encodeEnd(&em.p, w.nEnts, len(w.gone), w.nFree, w.nClients, uint64(w.digest))
+	em.record(CkEnd)
+	if em.err != nil {
+		// Payloads are bounded by construction (idChunk, maxBaseline), so
+		// the u16 length cannot overflow.
+		panic(em.err)
+	}
 
-	st := Stats{Bytes: len(w.buf), Full: w.full, Entities: w.nEnts, Gone: len(w.gone)}
+	st := Stats{Bytes: len(em.buf), Full: w.full, Entities: w.nEnts, Gone: len(w.gone)}
 	w.captures++
 	// Never blocks: reqs has the same capacity as free, and this buffer
 	// was taken from free.
-	w.reqs <- flushReq{buf: w.buf, frame: w.meta.Frame, full: w.full}
-	w.buf = nil
+	w.reqs <- flushReq{buf: em.buf, frame: w.meta.Frame, full: w.full}
+	em.buf = nil
 	return st
 }
 
@@ -357,19 +306,54 @@ func FileName(frame uint64, full bool) string {
 	return fmt.Sprintf("ckpt-%016d-%s.qck", frame, kind)
 }
 
+// keepGenerations is how many full images, each with the deltas on it,
+// stay on disk: the current one, and one older so LoadLatest's
+// corrupt-skip fallback still has an image to fall back to.
+const keepGenerations = 2
+
+// flusher renames each capture into place and, once a full image has
+// opened a new generation, removes the generations past keepGenerations
+// so the directory stays bounded however long the server runs. The
+// buffer goes back to the capture path as soon as the rename is done:
+// pruning must not make a due capture skip.
 func (w *Writer) flusher() {
 	defer close(w.done)
 	for req := range w.reqs {
-		path := filepath.Join(w.cfg.Dir, FileName(req.frame, req.full))
-		if err := atomicWrite(path, req.buf); err != nil {
+		err := atomicWrite(filepath.Join(w.cfg.Dir, FileName(req.frame, req.full)), req.buf)
+		w.free <- req.buf
+		if err == nil && req.full {
+			err = pruneDir(w.cfg.Dir)
+		}
+		if err != nil {
 			w.mu.Lock()
 			if w.flushErr == nil {
 				w.flushErr = err
 			}
 			w.mu.Unlock()
 		}
-		w.free <- req.buf
 	}
+}
+
+// pruneDir removes every checkpoint file older than the
+// keepGenerations-th newest full image in dir.
+func pruneDir(dir string) error {
+	files, err := ListDir(dir)
+	fulls := 0
+	for i := len(files) - 1; i >= 0; i-- {
+		if !files[i].Full {
+			continue
+		}
+		if fulls++; fulls < keepGenerations {
+			continue
+		}
+		for _, fi := range files[:i] {
+			if rerr := os.Remove(fi.Path); rerr != nil && err == nil {
+				err = rerr
+			}
+		}
+		break
+	}
+	return err
 }
 
 // Close drains the flusher and returns the first flush error. Safe to

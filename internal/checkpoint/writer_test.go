@@ -7,8 +7,10 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"qserve/internal/protocol"
+	"qserve/internal/qfile"
 	"qserve/internal/worldmap"
 )
 
@@ -241,6 +243,87 @@ func TestLoadLatestFallsBack(t *testing.T) {
 	}
 }
 
+// TestWriterPrunesOldGenerations drives five full/delta rotations and
+// requires the directory to stay bounded at two generations — the
+// previous full image with its deltas, and the current one — with
+// recovery intact: LoadLatest returns the newest frame, and when the
+// newest file (a full image, alone in its generation) is torn, the
+// generation kept for exactly that case still recovers.
+func TestWriterPrunesOldGenerations(t *testing.T) {
+	world, m, ids := liveWorld(t)
+	dir := t.TempDir()
+	const deltaEvery = 2
+	wr, err := NewWriter(Config{Dir: dir, WorldSeed: 7, Map: m, DeltaEvery: deltaEvery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wr.Close()
+
+	frame := uint64(30)
+	var digests []uint64 // by capture index
+	// Capture 4*(deltaEvery+1) is the fifth full image.
+	for i := 0; i <= 4*(deltaEvery+1); i++ {
+		capture(t, wr, world, Meta{Frame: frame}, sampleClients(ids))
+		digests = append(digests, worldDigest(world))
+		// The flusher prunes after it has handed the buffer back, so wait
+		// for the directory itself: capture i renamed in, and no more than
+		// two generations left.
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			files, err := ListDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fulls := 0
+			for _, fi := range files {
+				if fi.Full {
+					fulls++
+				}
+			}
+			if n := len(files); n > 0 && files[n-1].Frame == frame && fulls <= 2 && n <= 2*(deltaEvery+1) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("after capture %d the directory holds %d files, %d full images: %v", i, len(files), fulls, files)
+			}
+		}
+		ck, err := LoadLatest(dir)
+		if err != nil {
+			t.Fatalf("capture %d: %v", i, err)
+		}
+		if ck.Frame != frame || ck.Digest != digests[i] {
+			t.Fatalf("capture %d: LoadLatest found frame %d, want %d", i, ck.Frame, frame)
+		}
+		stepWorld(world, ids, int(frame), int(frame)+10)
+		frame += 10
+	}
+	if err := wr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	files, err := ListDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != deltaEvery+2 || !files[0].Full || !files[len(files)-1].Full {
+		t.Fatalf("expected one whole generation plus the newest full image, found %v", files)
+	}
+	newest := files[len(files)-1].Path
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(newest, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadLatest(dir)
+	if err != nil {
+		t.Fatalf("no fallback after the newest image was torn: %v", err)
+	}
+	if last := len(digests) - 2; ck.Frame != frame-20 || ck.Digest != digests[last] {
+		t.Fatalf("fallback found frame %d, want the previous generation's last delta at %d", ck.Frame, frame-20)
+	}
+}
+
 // TestWriterCaptureAllocs is the CI gate on the barrier-side capture
 // path: steady-state Begin/AddClient/Commit must not allocate. The
 // writer's flusher is replaced by an allocation-free drainer that skips
@@ -278,7 +361,7 @@ func newDrainedWriter(t testing.TB, m *worldmap.Map) *Writer {
 	}
 	w := &Writer{
 		cfg:    Config{Dir: t.TempDir(), WorldSeed: 7},
-		header: appendHeader(nil, 7, protocol.Version, mb.Bytes()),
+		header: qfile.AppendHeader(nil, ckMagic, FormatVersion, 7, protocol.Version, mb.Bytes()),
 		free:   make(chan []byte, 2),
 		reqs:   make(chan flushReq, 2),
 		done:   make(chan struct{}),

@@ -565,18 +565,54 @@ func WaitAnalysis(o Options) (string, error) {
 	return t.Render(), nil
 }
 
-// All runs every experiment in paper order and concatenates the reports.
+// Experiment is one named study of the registry.
+type Experiment struct {
+	// Name is what `qbench -exp` selects it by.
+	Name string
+	Run  func(Options) (string, error)
+	// InAll marks the studies the full reproduction (All) concatenates;
+	// the rest run only when named.
+	InAll bool
+}
+
+// Registry lists every experiment, in the order All runs them. It is the
+// one enumeration: qbench's -exp switch, its help text and All read it.
+func Registry() []Experiment {
+	table1 := func(Options) (string, error) { return Table1(), nil }
+	return []Experiment{
+		{"table1", table1, true},
+		{"fig1", Fig1, true},
+		{"fig2", Fig2, true},
+		{"fig3", Fig3, true},
+		{"fig4", Fig4, true},
+		{"fig5", Fig5, true},
+		{"fig6", Fig6, true},
+		{"fig7a", Fig7a, true},
+		{"fig7b", Fig7b, true},
+		{"fig7c", Fig7c, true},
+		{"imbalance", Imbalance, true},
+		{"coverage", Coverage, true},
+		{"wait", WaitAnalysis, true},
+		{"mapstudy", MapStudy, true},
+		{"saturation", Saturation, true},
+		{"ablations", Ablations, true},
+		{"balance", Balance, true},
+		{"durability", Durability, true},
+		{"visibility", Visibility, false},
+		{"lockwall", Lockwall, false},
+	}
+}
+
+// All runs the registry's InAll experiments in order and concatenates
+// the reports.
 func All(o Options) (string, error) {
 	o.fill()
 	var b strings.Builder
-	b.WriteString(Table1())
-	b.WriteString("\n")
-	steps := []func(Options) (string, error){
-		Fig1, Fig2, Fig3, Fig4, Fig5, Fig6, Fig7a, Fig7b, Fig7c,
-		Imbalance, Coverage, WaitAnalysis, MapStudy, Saturation, Ablations, Balance, Durability,
-	}
-	for _, step := range steps {
-		out, err := step(o)
+	for _, e := range Registry() {
+		if !e.InAll {
+			continue
+		}
+		out, err := e.Run(o)
 		if err != nil {
 			return b.String(), err
 		}

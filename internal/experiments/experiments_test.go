@@ -23,17 +23,31 @@ func TestTable1(t *testing.T) {
 	}
 }
 
+// TestStructuralFigures runs the cheap structural studies through the
+// registry qbench selects from, and checks the registry names each
+// experiment once.
 func TestStructuralFigures(t *testing.T) {
-	for name, fn := range map[string]func(Options) (string, error){
-		"fig1": Fig1, "fig2": Fig2, "fig3": Fig3,
-	} {
-		out, err := fn(quickOpts())
+	cheap := map[string]bool{"table1": true, "fig1": true, "fig2": true, "fig3": true}
+	seen := make(map[string]bool)
+	for _, e := range Registry() {
+		if e.Name == "" || e.Run == nil || seen[e.Name] {
+			t.Fatalf("registry entry %q is empty or listed twice", e.Name)
+		}
+		seen[e.Name] = true
+		if !cheap[e.Name] {
+			continue
+		}
+		delete(cheap, e.Name)
+		out, err := e.Run(quickOpts())
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", e.Name, err)
 		}
 		if len(out) < 50 {
-			t.Errorf("%s output suspiciously short:\n%s", name, out)
+			t.Errorf("%s output suspiciously short:\n%s", e.Name, out)
 		}
+	}
+	if len(cheap) != 0 {
+		t.Fatalf("registry is missing %v", cheap)
 	}
 }
 

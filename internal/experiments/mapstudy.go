@@ -1,12 +1,41 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"qserve/internal/metrics"
 	"qserve/internal/simserver"
 	"qserve/internal/worldmap"
 )
+
+// mapVariant is one map of the visibility spectrum MapStudy and
+// Visibility sweep.
+type mapVariant struct {
+	label string
+	m     *worldmap.Map
+}
+
+// mapVariants generates the spectrum for seed: a large low-visibility
+// maze, the standard experiment maze, and an open arena where everyone
+// sees everyone.
+func mapVariants(seed int64) ([]mapVariant, error) {
+	maze := worldmap.DefaultConfig()
+	maze.Seed = seed + 1
+	arena := worldmap.DefaultArenaConfig()
+	arena.Seed = seed + 1
+	low, errLow := worldmap.Generate(maze)
+	paper, errPaper := worldmap.Generate(PaperMapConfig(seed))
+	full, errFull := worldmap.GenerateArena(arena)
+	if err := errors.Join(errLow, errPaper, errFull); err != nil {
+		return nil, err
+	}
+	return []mapVariant{
+		{"maze 6x6 (low visibility)", low},
+		{"maze 4x4 (paper map)", paper},
+		{"arena (full visibility)", full},
+	}, nil
+}
 
 // MapStudy reproduces the paper's map-choice discussion (§4, §4.1): "we
 // notice that the request processing time does not vary considerably,
@@ -15,31 +44,13 @@ import (
 // is due to different levels of visibility in different maps, with maps
 // exhibiting higher visibility incurring higher reply processing times."
 //
-// It runs the sequential server at a fixed saturating load on three maps
-// spanning the visibility spectrum: a large low-visibility maze, the
-// standard experiment maze, and an open arena where everyone sees
-// everyone.
+// It runs the sequential server at a fixed saturating load on the three
+// maps of mapVariants.
 func MapStudy(o Options) (string, error) {
 	o.fill()
-	type variant struct {
-		label string
-		build func() (*worldmap.Map, error)
-	}
-	variants := []variant{
-		{"maze 6x6 (low visibility)", func() (*worldmap.Map, error) {
-			cfg := worldmap.DefaultConfig()
-			cfg.Seed = o.Seed + 1
-			return worldmap.Generate(cfg)
-		}},
-		{"maze 4x4 (paper map)", func() (*worldmap.Map, error) {
-			cfg := PaperMapConfig(o.Seed)
-			return worldmap.Generate(cfg)
-		}},
-		{"arena (full visibility)", func() (*worldmap.Map, error) {
-			cfg := worldmap.DefaultArenaConfig()
-			cfg.Seed = o.Seed + 1
-			return worldmap.GenerateArena(cfg)
-		}},
+	variants, err := mapVariants(o.Seed)
+	if err != nil {
+		return "", err
 	}
 
 	t := metrics.Table{
@@ -50,13 +61,9 @@ func MapStudy(o Options) (string, error) {
 	}
 	for _, v := range variants {
 		o.Progress("mapstudy: %s", v.label)
-		m, err := v.build()
-		if err != nil {
-			return "", err
-		}
-		stats := m.ComputeStats()
+		stats := v.m.ComputeStats()
 		res, err := run(simserver.Config{
-			Map:        m,
+			Map:        v.m,
 			Players:    128,
 			Threads:    1,
 			Sequential: true,

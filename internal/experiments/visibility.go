@@ -5,7 +5,6 @@ import (
 
 	"qserve/internal/metrics"
 	"qserve/internal/simserver"
-	"qserve/internal/worldmap"
 )
 
 // Visibility is the A/B study for frame-coherent interest management:
@@ -21,25 +20,9 @@ import (
 // shared cache pays off most.
 func Visibility(o Options) (string, error) {
 	o.fill()
-	type variant struct {
-		label string
-		build func() (*worldmap.Map, error)
-	}
-	variants := []variant{
-		{"maze 6x6 (low visibility)", func() (*worldmap.Map, error) {
-			cfg := worldmap.DefaultConfig()
-			cfg.Seed = o.Seed + 1
-			return worldmap.Generate(cfg)
-		}},
-		{"maze 4x4 (paper map)", func() (*worldmap.Map, error) {
-			cfg := PaperMapConfig(o.Seed)
-			return worldmap.Generate(cfg)
-		}},
-		{"arena (full visibility)", func() (*worldmap.Map, error) {
-			cfg := worldmap.DefaultArenaConfig()
-			cfg.Seed = o.Seed + 1
-			return worldmap.GenerateArena(cfg)
-		}},
+	variants, err := mapVariants(o.Seed)
+	if err != nil {
+		return "", err
 	}
 
 	t := metrics.Table{
@@ -49,10 +32,6 @@ func Visibility(o Options) (string, error) {
 		},
 	}
 	for _, v := range variants {
-		m, err := v.build()
-		if err != nil {
-			return "", err
-		}
 		for _, players := range []int{64, 96, 144} {
 			for _, naive := range []bool{true, false} {
 				mode := "indexed"
@@ -61,7 +40,7 @@ func Visibility(o Options) (string, error) {
 				}
 				o.Progress("visibility: %s players=%d %s", v.label, players, mode)
 				res, err := run(simserver.Config{
-					Map:              m,
+					Map:              v.m,
 					Players:          players,
 					Threads:          1,
 					Sequential:       true,

@@ -89,11 +89,6 @@ func (b AABB) Union(o AABB) AABB {
 	return AABB{b.Min.Min(o.Min), b.Max.Max(o.Max)}
 }
 
-// UnionPoint returns the smallest box containing b and point p.
-func (b AABB) UnionPoint(p Vec3) AABB {
-	return AABB{b.Min.Min(p), b.Max.Max(p)}
-}
-
 // Intersection returns the overlap of b and o. The result is not valid
 // (Min > Max somewhere) when the boxes are disjoint; callers should check
 // IsValid when disjointness is possible.

@@ -113,22 +113,6 @@ func (m *Manager) AggregateStats() Aggregate {
 	return ag
 }
 
-// ActiveStepHist merges the step-duration histograms of the matches
-// that were active on their last frame (clients connected or traffic
-// seen) — the tail the instancing headline compares between fleet
-// shapes, undiluted by near-free idle ticks.
-func (m *Manager) ActiveStepHist() metrics.LatencyHist {
-	var h metrics.LatencyHist
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, mt := range m.all {
-		if mt.active {
-			h.Merge(&mt.stepHist)
-		}
-	}
-	return h
-}
-
 // StepHist returns a copy of one match's step-duration histogram
 // (scheduler-side state, safe while running).
 func (mt *Match) StepHist(m *Manager) metrics.LatencyHist {

@@ -167,15 +167,6 @@ func (l *FrameLog) ExecLoadRatio() float64 {
 	return float64(max) / mean
 }
 
-// TotalMigrations sums balancer migrations over the run.
-func (l *FrameLog) TotalMigrations() int {
-	n := 0
-	for _, f := range l.Frames {
-		n += f.Migrations
-	}
-	return n
-}
-
 func popcount(x uint64) int {
 	n := 0
 	for x != 0 {

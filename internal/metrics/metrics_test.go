@@ -159,7 +159,7 @@ func TestResponseStats(t *testing.T) {
 func TestTableRender(t *testing.T) {
 	tb := Table{Title: "Demo", Header: []string{"players", "rate", "note"}}
 	tb.AddRow("64", "812.5", "ok")
-	tb.AddRowf(128, 423.75, "saturated")
+	tb.AddRow("128", "423.8", "saturated")
 	out := tb.Render()
 	if !strings.Contains(out, "## Demo") || !strings.Contains(out, "players") {
 		t.Errorf("render missing parts:\n%s", out)

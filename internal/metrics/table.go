@@ -16,27 +16,6 @@ type Table struct {
 // AddRow appends a row of cells.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// AddRowf appends a row formatted from values: strings pass through,
-// float64 renders with one decimal, ints plainly.
-func (t *Table) AddRowf(values ...any) {
-	row := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case string:
-			row[i] = x
-		case float64:
-			row[i] = fmt.Sprintf("%.1f", x)
-		case int:
-			row[i] = fmt.Sprintf("%d", x)
-		case int64:
-			row[i] = fmt.Sprintf("%d", x)
-		default:
-			row[i] = fmt.Sprint(x)
-		}
-	}
-	t.Rows = append(t.Rows, row)
-}
-
 // Render produces the aligned table text.
 func (t *Table) Render() string {
 	var b strings.Builder
@@ -87,6 +66,3 @@ func F1(v float64) string { return fmt.Sprintf("%.1f", v) }
 
 // F2 formats a float with two decimal places.
 func F2(v float64) string { return fmt.Sprintf("%.2f", v) }
-
-// F3 formats a float with three decimals (sub-millisecond latencies).
-func F3(v float64) string { return fmt.Sprintf("%.3f", v) }

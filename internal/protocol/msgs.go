@@ -227,9 +227,9 @@ func wireSum(data []byte) uint16 {
 	return uint16(h ^ h>>16)
 }
 
-// Fold16 exposes the wire checksum fold for other length-prefixed
-// formats: the replay log (internal/replay) reuses it for its header
-// and per-record checksums so both framings share one corruption model.
+// Fold16 exposes the wire checksum fold to the durable file container
+// (internal/qfile), whose header and per-record sums reuse it so the
+// wire and the files share one corruption model.
 func Fold16(data []byte) uint16 { return wireSum(data) }
 
 // Encode serializes any message type into w, including the datagram
@@ -251,7 +251,7 @@ func Encode(w *Writer, msg any) error {
 		w.U8(uint8(TMove))
 		w.U32(m.Seq)
 		w.U32(m.Ack)
-		encodeMoveCmd(w, &m.Cmd)
+		EncodeMoveCmd(w, &m.Cmd)
 	case *Disconnect:
 		w.U8(uint8(TDisconnect))
 	case *Ping:
@@ -324,7 +324,7 @@ func Decode(data []byte) (any, error) {
 		m := &Move{}
 		m.Seq = r.U32()
 		m.Ack = r.U32()
-		decodeMoveCmd(r, &m.Cmd)
+		DecodeMoveCmd(r, &m.Cmd)
 		msg = m
 	case TDisconnect:
 		msg = &Disconnect{}
@@ -372,7 +372,10 @@ func Decode(data []byte) (any, error) {
 	return msg, nil
 }
 
-func encodeMoveCmd(w *Writer, c *MoveCmd) {
+// EncodeMoveCmd appends the 13-byte MoveCmd image: the body of a Move
+// datagram and of a replay-log move record (internal/replay), which
+// stores commands through this codec so the two cannot drift.
+func EncodeMoveCmd(w *Writer, c *MoveCmd) {
 	w.I16(c.Pitch)
 	w.I16(c.Yaw)
 	w.I16(c.Forward)
@@ -383,7 +386,8 @@ func encodeMoveCmd(w *Writer, c *MoveCmd) {
 	w.U8(c.Msec)
 }
 
-func decodeMoveCmd(r *Reader, c *MoveCmd) {
+// DecodeMoveCmd is the inverse of EncodeMoveCmd.
+func DecodeMoveCmd(r *Reader, c *MoveCmd) {
 	c.Pitch = r.I16()
 	c.Yaw = r.I16()
 	c.Forward = r.I16()

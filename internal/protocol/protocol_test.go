@@ -48,19 +48,6 @@ func TestReaderTruncation(t *testing.T) {
 	}
 }
 
-func TestReaderExpect(t *testing.T) {
-	r := NewReader([]byte{7})
-	r.Expect(7)
-	if r.Err() != nil {
-		t.Errorf("Expect match errored: %v", r.Err())
-	}
-	r2 := NewReader([]byte{7})
-	r2.Expect(8)
-	if r2.Err() == nil {
-		t.Error("Expect mismatch did not error")
-	}
-}
-
 func TestWriterStringTruncation(t *testing.T) {
 	var w Writer
 	long := make([]byte, 300)

@@ -10,7 +10,6 @@ package protocol
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -177,11 +176,4 @@ func (r *Reader) String() string {
 		return ""
 	}
 	return string(b)
-}
-
-// Expect consumes one byte and errors unless it equals v.
-func (r *Reader) Expect(v uint8) {
-	if got := r.U8(); r.err == nil && got != v {
-		r.err = fmt.Errorf("protocol: expected byte %#x, got %#x", v, got)
-	}
 }

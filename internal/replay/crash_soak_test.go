@@ -31,7 +31,8 @@ import (
 //     digest as a from-genesis replay of the durable log on every
 //     engine — sequential, parallel (balance+stealing), and the DES.
 //  2. The cut point doesn't matter: recovering from the OLDEST full
-//     checkpoint (a much longer tail) converges on the same digest.
+//     checkpoint still on disk (the generation pruning keeps behind the
+//     current one: a much longer tail) converges on the same digest.
 //  3. The restarted server serves the survivors: every client of the
 //     crashed session reconnects by name, is resumed onto its exact
 //     pre-crash entity, and moves again — while a newcomer joins

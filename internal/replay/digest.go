@@ -1,82 +1,21 @@
 package replay
 
 import (
-	"math"
-
-	"qserve/internal/entity"
+	"qserve/internal/checkpoint"
 	"qserve/internal/game"
+	"qserve/internal/qfile"
 )
-
-// fnv64 is the 64-bit FNV-1a fold all replay digests use — the same
-// hash family as the wire checksum, widened so a whole session's state
-// folds without birthday trouble.
-type fnv64 uint64
-
-const fnv64Offset fnv64 = 14695981039346656037
-const fnv64Prime fnv64 = 1099511628211
-
-func (h fnv64) byte(b byte) fnv64 {
-	h ^= fnv64(b)
-	return h * fnv64Prime
-}
-
-func (h fnv64) u64(v uint64) fnv64 {
-	for i := 0; i < 8; i++ {
-		h = h.byte(byte(v >> (8 * i)))
-	}
-	return h
-}
-
-func (h fnv64) u32(v uint32) fnv64 {
-	for i := 0; i < 4; i++ {
-		h = h.byte(byte(v >> (8 * i)))
-	}
-	return h
-}
-
-func (h fnv64) i64(v int64) fnv64   { return h.u64(uint64(v)) }
-func (h fnv64) f64(v float64) fnv64 { return h.u64(math.Float64bits(v)) }
-func (h fnv64) bool(v bool) fnv64 {
-	if v {
-		return h.byte(1)
-	}
-	return h.byte(0)
-}
-
-func (h fnv64) bytes(b []byte) fnv64 {
-	for _, c := range b {
-		h = h.byte(c)
-	}
-	return h
-}
 
 // TableDigest folds the complete mutable world state — every active
 // entity's fields in ID order, plus the world clock — into one 64-bit
 // value. Two worlds with equal digests went through the same evolution
 // bit for bit: positions and velocities are folded as raw float64 bits,
-// so even a ULP of drift between engines is caught.
+// so even a ULP of drift between engines is caught. It is the digest
+// checkpoints record (checkpoint.DigestWorld owns the field list), under
+// the name the replay and conformance suites know it by.
 //
 //qvet:det
-func TableDigest(w *game.World) uint64 {
-	h := fnv64Offset
-	h = h.f64(w.Time)
-	w.Ents.ForEach(func(e *entity.Entity) {
-		h = h.u32(uint32(e.ID))
-		h = h.byte(byte(e.Class))
-		h = h.f64(e.Origin.X).f64(e.Origin.Y).f64(e.Origin.Z)
-		h = h.f64(e.Velocity.X).f64(e.Velocity.Y).f64(e.Velocity.Z)
-		h = h.f64(e.Angles.X).f64(e.Angles.Y).f64(e.Angles.Z)
-		h = h.bool(e.OnGround)
-		h = h.i64(int64(e.Health)).i64(int64(e.Armor))
-		h = h.i64(int64(e.Frags)).i64(int64(e.Deaths))
-		h = h.byte(e.Weapon).u32(uint32(e.Weapons)).i64(int64(e.Ammo))
-		h = h.bool(e.HasPowerup).f64(e.PowerupUntil)
-		h = h.byte(byte(e.ItemClass)).i64(int64(e.ItemSpawn)).f64(e.RespawnAt)
-		h = h.u32(uint32(e.Owner)).i64(int64(e.Damage)).f64(e.DieAt)
-		h = h.f64(e.RespawnTime).f64(e.RefireAt).f64(e.NextThink)
-	})
-	return uint64(h)
-}
+func TableDigest(w *game.World) uint64 { return checkpoint.DigestWorld(w) }
 
 // streamDigest accumulates a client's normalized reply stream. Snapshot
 // datagrams are folded raw — every byte the server sent — except the
@@ -93,13 +32,13 @@ func TableDigest(w *game.World) uint64 {
 // set, events, even field order — must match exactly or the digests
 // diverge.
 type streamDigest struct {
-	h        fnv64
+	h        qfile.Fold64
 	replies  uint32
 	frameOrd map[uint32]uint32 // recorded Frame+1 → reply ordinal
 }
 
 func newStreamDigest() *streamDigest {
-	return &streamDigest{h: fnv64Offset, frameOrd: make(map[uint32]uint32)}
+	return &streamDigest{h: qfile.Fold64Init, frameOrd: make(map[uint32]uint32)}
 }
 
 // Snapshot wire offsets (after the 3-byte magic/version/type prefix):
@@ -129,7 +68,7 @@ func (sd *streamDigest) addSnapshot(data []byte, frame, baseFrame uint32) {
 		case i >= snapBaseOff && i < snapBaseOff+4:
 			b = byte(baseOrd >> (8 * (i - snapBaseOff)))
 		}
-		sd.h = sd.h.byte(b)
+		sd.h = sd.h.Byte(b)
 	}
 }
 
@@ -138,10 +77,9 @@ func (sd *streamDigest) sum() uint64 { return uint64(sd.h) }
 // combineStreams folds per-client stream digests, in recorded-client-id
 // order, into the session stream digest.
 func combineStreams(ids []uint16, digests map[uint16]uint64) uint64 {
-	h := fnv64Offset
+	h := qfile.Fold64Init
 	for _, id := range ids {
-		h = h.u32(uint32(id))
-		h = h.u64(digests[id])
+		h = h.U32(uint32(id)).U64(digests[id])
 	}
 	return uint64(h)
 }

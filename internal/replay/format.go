@@ -12,27 +12,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"qserve/internal/protocol"
+	"qserve/internal/qfile"
 	"qserve/internal/worldmap"
 )
 
-// Log file layout (all integers little-endian):
-//
-//	magic   "QRPL"
-//	version u16 (currently 1)
-//	header record: [len u32][payload][sum u16]
-//	    payload: worldSeed i64, protoVer u8, mapJSON bytes
-//	records: [kind u8][len u16][payload][sum u16] ...
-//
-// Each sum is the wire v3 FNV-1a 16-bit fold (protocol.Fold16) over
-// everything that precedes it in the record, framing bytes included, so
-// a flipped kind or length byte is caught exactly like flipped payload.
-// The map is embedded as the qmap JSON serialization: replay must not
-// depend on regenerating the map from a config (arena maps and
-// hand-edited maps have no generator config).
+// A `.qrl` file is an internal/qfile container (magic "QRPL"; the
+// framing, checksums and embedded map are described there) whose records
+// are the kinds below in tap order, optionally closed by one KindEnd.
 
 // Record kinds.
 const (
@@ -51,20 +40,19 @@ const (
 //qvet:wire=qrpl version
 const FormatVersion = 1
 
-//qvet:allow=globalstate written-once format magic, never mutated
-var logMagic = [4]byte{'Q', 'R', 'P', 'L'}
+const logMagic = "QRPL"
 
-// Decode errors. All are wrapped with position context; none of the
-// decode paths panic, whatever the input.
+// Decode errors. The framing ones are the container's under this
+// package's names; all are wrapped with position context, and none of
+// the decode paths panic, whatever the input.
 var (
-	ErrBadMagic    = errors.New("replay: not a replay log (bad magic)")
-	ErrBadVersion  = errors.New("replay: unsupported log version")
-	ErrTruncated   = errors.New("replay: truncated log")
-	ErrChecksum    = errors.New("replay: record checksum mismatch")
-	ErrBadRecord   = errors.New("replay: malformed record")
+	ErrBadMagic    = qfile.ErrBadMagic
+	ErrBadVersion  = qfile.ErrBadVersion
+	ErrTruncated   = qfile.ErrTruncated
+	ErrChecksum    = qfile.ErrChecksum
+	ErrBadRecord   = qfile.ErrBadRecord
+	ErrLogTooLarge = qfile.ErrTooLarge
 	ErrOutOfOrder  = errors.New("replay: record out of order")
-	ErrNoHeader    = errors.New("replay: missing header")
-	ErrLogTooLarge = errors.New("replay: log exceeds size limits")
 )
 
 // Item is one decoded log record. Kind selects which fields are
@@ -145,15 +133,6 @@ func (lg *Log) Clients() []uint16 {
 	return out
 }
 
-// maxRecordPayload bounds one record's payload; the u16 length field
-// enforces it structurally.
-const maxRecordPayload = 1<<16 - 1
-
-// maxMapJSON bounds the embedded map blob (default maps are ~100KB of
-// JSON; 64MB is far past any map qmap can emit but small enough that a
-// corrupted length field cannot drive a giant allocation).
-const maxMapJSON = 64 << 20
-
 // Encode serializes the log. The inverse of Decode; Encode∘Decode is
 // the identity on the byte level (the map blob is carried verbatim).
 //
@@ -172,50 +151,35 @@ func (lg *Log) Encode() ([]byte, error) {
 		mapJSON = mb.Bytes()
 	}
 
-	var w protocol.Writer
-	w.Buf = make([]byte, 0, 64+len(mapJSON)+len(lg.Items)*16)
-	w.Buf = append(w.Buf, logMagic[:]...)
-	w.U16(FormatVersion)
-
-	// Header record.
-	hdrStart := len(w.Buf)
-	w.U32(0) // length placeholder
-	w.I64(lg.WorldSeed)
-	w.U8(lg.ProtoVer)
-	w.Buf = append(w.Buf, mapJSON...)
-	putU32(w.Buf[hdrStart:], uint32(len(w.Buf)-hdrStart-4))
-	w.U16(protocol.Fold16(w.Buf[hdrStart:]))
-
-	scratch := make([]byte, 0, 32)
+	buf := make([]byte, 0, 64+len(mapJSON)+len(lg.Items)*16)
+	buf = qfile.AppendHeader(buf, logMagic, FormatVersion, lg.WorldSeed, lg.ProtoVer, mapJSON)
+	var p protocol.Writer
+	var err error
 	for i := range lg.Items {
-		var err error
-		w.Buf, scratch, err = appendRecord(w.Buf, scratch, &lg.Items[i])
-		if err != nil {
+		if buf, err = appendItem(buf, &p, &lg.Items[i]); err != nil {
 			return nil, err
 		}
 	}
 	if lg.HasEnd {
 		end := Item{Kind: KindEnd, Frame: lg.EndFrames, DtNs: int64(lg.EndDigest)}
-		var err error
-		w.Buf, scratch, err = appendRecord(w.Buf, scratch, &end)
-		if err != nil {
+		if buf, err = appendItem(buf, &p, &end); err != nil {
 			return nil, err
 		}
 	}
-	return w.Buf, nil
+	return buf, nil
 }
 
-// appendRecord appends one framed record to dst, using scratch for the
-// payload encoding; returns the grown dst and scratch.
-func appendRecord(dst, scratch []byte, it *Item) ([]byte, []byte, error) {
-	p := protocol.Writer{Buf: scratch[:0]}
+// appendItem encodes one item's payload into the reused scratch p and
+// frames it onto dst.
+func appendItem(dst []byte, p *protocol.Writer, it *Item) ([]byte, error) {
+	p.Reset()
 	switch it.Kind {
 	case KindTick:
 		p.I64(it.DtNs)
 	case KindMove:
 		p.U16(it.Client)
 		p.U32(it.Seq)
-		encodeCmd(&p, &it.Cmd)
+		protocol.EncodeMoveCmd(p, &it.Cmd)
 	case KindConnect:
 		p.U16(it.Client)
 		p.I32(it.Ent)
@@ -235,40 +199,9 @@ func appendRecord(dst, scratch []byte, it *Item) ([]byte, []byte, error) {
 		p.U64(it.Frame)        // total frames
 		p.U64(uint64(it.DtNs)) // world digest (EndDigest aliased into DtNs)
 	default:
-		return dst, p.Buf, fmt.Errorf("%w: unknown kind %d", ErrBadRecord, it.Kind)
+		return dst, fmt.Errorf("%w: unknown kind %d", ErrBadRecord, it.Kind)
 	}
-	if len(p.Buf) > maxRecordPayload {
-		return dst, p.Buf, fmt.Errorf("%w: record payload %d bytes", ErrLogTooLarge, len(p.Buf))
-	}
-	start := len(dst)
-	dst = append(dst, it.Kind)
-	dst = append(dst, byte(len(p.Buf)), byte(len(p.Buf)>>8))
-	dst = append(dst, p.Buf...)
-	sum := protocol.Fold16(dst[start:])
-	dst = append(dst, byte(sum), byte(sum>>8))
-	return dst, p.Buf, nil
-}
-
-func encodeCmd(w *protocol.Writer, c *protocol.MoveCmd) {
-	w.I16(c.Pitch)
-	w.I16(c.Yaw)
-	w.I16(c.Forward)
-	w.I16(c.Side)
-	w.I16(c.Up)
-	w.U8(c.Buttons)
-	w.U8(c.Impulse)
-	w.U8(c.Msec)
-}
-
-func decodeCmd(r *protocol.Reader, c *protocol.MoveCmd) {
-	c.Pitch = r.I16()
-	c.Yaw = r.I16()
-	c.Forward = r.I16()
-	c.Side = r.I16()
-	c.Up = r.I16()
-	c.Buttons = r.U8()
-	c.Impulse = r.U8()
-	c.Msec = r.U8()
+	return qfile.AppendRecord(dst, it.Kind, p.Buf)
 }
 
 // Decode parses a complete log. It is total: any input — truncated,
@@ -278,98 +211,82 @@ func decodeCmd(r *protocol.Reader, c *protocol.MoveCmd) {
 //
 //qvet:wire=qrpl decode
 func Decode(data []byte) (*Log, error) {
-	if len(data) < len(logMagic)+2 {
-		return nil, ErrTruncated
-	}
-	if !bytes.Equal(data[:4], logMagic[:]) {
-		return nil, ErrBadMagic
-	}
-	version := uint16(data[4]) | uint16(data[5])<<8
-	if version != FormatVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, version)
-	}
-	pos := 6
-
-	// Header record: [len u32][payload][sum u16].
-	if len(data)-pos < 4 {
-		return nil, fmt.Errorf("%w: header length", ErrTruncated)
-	}
-	hlen := int(uint32(data[pos]) | uint32(data[pos+1])<<8 | uint32(data[pos+2])<<16 | uint32(data[pos+3])<<24)
-	if hlen < 9 || hlen > maxMapJSON {
-		return nil, fmt.Errorf("%w: header payload %d bytes", ErrBadRecord, hlen)
-	}
-	if len(data)-pos < 4+hlen+2 {
-		return nil, fmt.Errorf("%w: header body", ErrTruncated)
-	}
-	framed := data[pos : pos+4+hlen]
-	sum := uint16(data[pos+4+hlen]) | uint16(data[pos+4+hlen+1])<<8
-	if protocol.Fold16(framed) != sum {
-		return nil, fmt.Errorf("%w: header", ErrChecksum)
-	}
-	hr := protocol.NewReader(framed[4:])
-	lg := &Log{}
-	lg.WorldSeed = hr.I64()
-	lg.ProtoVer = hr.U8()
-	mapJSON := framed[4+9:]
-	m, err := worldmap.Load(bytes.NewReader(mapJSON))
-	if err != nil {
-		return nil, fmt.Errorf("replay: embedded map: %w", err)
-	}
-	lg.Map = m
-	lg.mapJSON = append([]byte(nil), mapJSON...)
-	pos += 4 + hlen + 2
-
-	// Body records.
-	sawEnd := false
-	for pos < len(data) {
-		if sawEnd {
-			return nil, fmt.Errorf("%w: records after end marker", ErrOutOfOrder)
-		}
-		if len(data)-pos < 3 {
-			return nil, fmt.Errorf("%w: record header at %d", ErrTruncated, pos)
-		}
-		kind := data[pos]
-		plen := int(uint16(data[pos+1]) | uint16(data[pos+2])<<8)
-		if len(data)-pos < 3+plen+2 {
-			return nil, fmt.Errorf("%w: record body at %d", ErrTruncated, pos)
-		}
-		framed := data[pos : pos+3+plen]
-		sum := uint16(data[pos+3+plen]) | uint16(data[pos+3+plen+1])<<8
-		if protocol.Fold16(framed) != sum {
-			return nil, fmt.Errorf("%w: record at %d", ErrChecksum, pos)
-		}
-		it, end, err := decodeRecord(kind, framed[3:])
-		if err != nil {
-			return nil, fmt.Errorf("%w (at %d)", err, pos)
-		}
-		if end {
-			lg.HasEnd = true
-			lg.EndFrames = it.Frame
-			lg.EndDigest = uint64(it.DtNs)
-			sawEnd = true
-		} else {
-			lg.Items = append(lg.Items, it)
-		}
-		pos += 3 + plen + 2
-	}
-	return lg, nil
+	lg, _, err := decode(data, false)
+	return lg, err
 }
 
-// decodeRecord parses one record payload. end reports a KindEnd record,
-// which is folded into the Log summary rather than the item stream.
-func decodeRecord(kind uint8, payload []byte) (it Item, end bool, err error) {
+// DecodePrefix parses as much of a possibly torn log as is intact: the
+// header must decode (a log whose header is damaged carries no usable
+// information), but the record stream may stop mid-record — a kill -9
+// can land between the frame flush and the next — and everything up to
+// the first truncated or corrupt record is returned. The boundary is
+// trustworthy because every record carries its own fold16: a torn tail
+// cannot masquerade as a valid record. The second result is the number
+// of trailing bytes that were dropped.
+func DecodePrefix(data []byte) (*Log, int, error) {
+	return decode(data, true)
+}
+
+// decode is the one pass behind Decode and DecodePrefix. In prefix mode
+// the first record that does not read back — truncated, corrupt,
+// malformed, or following an end marker — ends the log instead of
+// failing it.
+func decode(data []byte, prefix bool) (*Log, int, error) {
+	rd, err := qfile.Open(data, logMagic, FormatVersion)
+	if err != nil {
+		return nil, 0, err
+	}
+	m, err := worldmap.Load(bytes.NewReader(rd.MapJSON))
+	if err != nil {
+		return nil, 0, fmt.Errorf("replay: embedded map: %w", err)
+	}
+	lg := &Log{WorldSeed: rd.WorldSeed, ProtoVer: rd.ProtoVer, Map: m, mapJSON: bytes.Clone(rd.MapJSON)}
+	for rd.More() {
+		at := rd.Offset()
+		it, err := nextItem(rd, lg.HasEnd)
+		switch {
+		case err != nil && prefix:
+			return lg, len(data) - at, nil
+		case err != nil:
+			return nil, 0, fmt.Errorf("%w (record at %d)", err, at)
+		case it.Kind == KindEnd:
+			// Folded into the Log summary rather than the item stream.
+			lg.HasEnd, lg.EndFrames, lg.EndDigest = true, it.Frame, uint64(it.DtNs)
+		default:
+			lg.Items = append(lg.Items, it)
+		}
+	}
+	return lg, 0, nil
+}
+
+// nextItem reads and parses the record at rd's offset. Bytes after an
+// end marker are out of order whatever they hold, so that is checked
+// before their framing is.
+func nextItem(rd *qfile.Reader, sawEnd bool) (Item, error) {
+	if sawEnd {
+		return Item{}, fmt.Errorf("%w: records after end marker", ErrOutOfOrder)
+	}
+	kind, payload, err := rd.Next()
+	if err != nil {
+		return Item{}, err
+	}
+	return decodeRecord(kind, payload)
+}
+
+// decodeRecord parses one record payload.
+func decodeRecord(kind uint8, payload []byte) (it Item, err error) {
 	r := protocol.NewReader(payload)
 	it.Kind = kind
 	switch kind {
 	case KindTick:
 		it.DtNs = r.I64()
 		if it.DtNs <= 0 {
-			return it, false, fmt.Errorf("%w: non-positive tick dt", ErrBadRecord)
+			return it, fmt.Errorf("%w: non-positive tick dt", ErrBadRecord)
 		}
 	case KindMove:
 		it.Client = r.U16()
 		it.Seq = r.U32()
-		decodeCmd(r, &it.Cmd)
+		protocol.DecodeMoveCmd(r, &it.Cmd)
 	case KindConnect:
 		it.Client = r.U16()
 		it.Ent = r.I32()
@@ -388,17 +305,16 @@ func decodeRecord(kind uint8, payload []byte) (it Item, end bool, err error) {
 	case KindEnd:
 		it.Frame = r.U64()
 		it.DtNs = int64(r.U64())
-		end = true
 	default:
-		return it, false, fmt.Errorf("%w: unknown kind %d", ErrBadRecord, kind)
+		return it, fmt.Errorf("%w: unknown kind %d", ErrBadRecord, kind)
 	}
 	if r.Err() != nil {
-		return it, false, fmt.Errorf("%w: kind %d payload: %v", ErrBadRecord, kind, r.Err())
+		return it, fmt.Errorf("%w: kind %d payload: %v", ErrBadRecord, kind, r.Err())
 	}
 	if r.Remaining() != 0 {
-		return it, false, fmt.Errorf("%w: kind %d has %d trailing payload bytes", ErrBadRecord, kind, r.Remaining())
+		return it, fmt.Errorf("%w: kind %d has %d trailing payload bytes", ErrBadRecord, kind, r.Remaining())
 	}
-	return it, end, nil
+	return it, nil
 }
 
 // Validate checks the log's internal consistency beyond framing: every
@@ -461,19 +377,11 @@ func ReadFile(path string) (*Log, error) {
 	return Decode(data)
 }
 
-// WriteTo implements io.WriterTo over the encoded form.
-func (lg *Log) WriteTo(w io.Writer) (int64, error) {
-	data, err := lg.Encode()
+// ReadPrefixFile reads path and decodes its intact prefix.
+func ReadPrefixFile(path string) (*Log, int, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	n, err := w.Write(data)
-	return int64(n), err
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
+	return DecodePrefix(data)
 }

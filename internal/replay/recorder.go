@@ -9,6 +9,7 @@ import (
 
 	"qserve/internal/game"
 	"qserve/internal/protocol"
+	"qserve/internal/qfile"
 	"qserve/internal/server"
 	"qserve/internal/worldmap"
 )
@@ -57,7 +58,7 @@ type Recorder struct {
 	// and the first encode or write error.
 	f       *os.File
 	wbuf    []byte
-	scratch []byte
+	scratch protocol.Writer
 	err     error
 }
 
@@ -88,22 +89,17 @@ func NewStreamRecorder(path string, m *worldmap.Map, worldSeed int64) (*Recorder
 	if err != nil {
 		return nil, err
 	}
-	lg := &Log{WorldSeed: worldSeed, ProtoVer: protocol.Version, Map: m, mapJSON: r.mapJSON}
-	header, err := lg.Encode() // no items: magic + version + header record
-	if err != nil {
-		return nil, err
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
+	header := qfile.AppendHeader(nil, logMagic, FormatVersion, worldSeed, protocol.Version, r.mapJSON)
 	if _, err := f.Write(header); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("replay: writing log header: %w", err)
 	}
 	r.f = f
 	r.wbuf = make([]byte, 0, 1<<16)
-	r.scratch = make([]byte, 0, 32)
 	return r, nil
 }
 
@@ -184,7 +180,7 @@ func (r *Recorder) flushLocked() {
 	}
 	for i := range r.items {
 		var err error
-		r.wbuf, r.scratch, err = appendRecord(r.wbuf, r.scratch, &r.items[i])
+		r.wbuf, err = appendItem(r.wbuf, &r.scratch, &r.items[i])
 		if err != nil && r.err == nil {
 			r.err = err
 		}

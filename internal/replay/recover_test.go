@@ -6,75 +6,10 @@ import (
 	"testing"
 
 	"qserve/internal/checkpoint"
-	"qserve/internal/game"
 	"qserve/internal/protocol"
 	"qserve/internal/simserver"
 	"qserve/internal/worldmap"
 )
-
-// TestDigestMatchesReplay pins checkpoint.DigestEntities to TableDigest
-// bit for bit: the two folds are duplicated across the packages (the
-// import arrow points replay→checkpoint, so checkpoint cannot call
-// TableDigest) and this test is the contract that keeps them identical.
-func TestDigestMatchesReplay(t *testing.T) {
-	m, err := worldmap.GenerateArena(worldmap.DefaultArenaConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := game.NewWorld(game.Config{Map: m, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lc := &game.LockContext{}
-	for i := 0; i < 3; i++ {
-		e, err := w.SpawnPlayer()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for f := 0; f < 20; f++ {
-			cmd := protocol.MoveCmd{Forward: 300, Yaw: protocol.AngleToWire(float64(i*120 + f)), Buttons: 1, Msec: 16}
-			w.ExecuteMove(e, &cmd, lc)
-			w.RunWorldFrame(0.033)
-		}
-	}
-
-	dir := t.TempDir()
-	wr, err := checkpoint.NewWriter(checkpoint.Config{Dir: dir, WorldSeed: 11, Map: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wr.Begin(w, checkpoint.Meta{Frame: 60}) {
-		t.Fatal("capture skipped")
-	}
-	st := wr.Commit()
-	if err := wr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st.Entities == 0 {
-		t.Fatal("empty capture")
-	}
-
-	ck, err := checkpoint.ReadFile(filepath.Join(dir, checkpoint.FileName(60, true)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := TableDigest(w)
-	if ck.Digest != live {
-		t.Fatalf("writer digest %016x != TableDigest %016x", ck.Digest, live)
-	}
-	if got := checkpoint.DigestEntities(ck.WorldTime, ck.Entities); got != live {
-		t.Fatalf("DigestEntities %016x != TableDigest %016x — the two folds drifted apart", got, live)
-	}
-
-	// And the restored world folds identically under TableDigest too.
-	rw, err := ck.RestoreWorld()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if TableDigest(rw) != live {
-		t.Fatalf("restored world folds %016x, live world %016x", TableDigest(rw), live)
-	}
-}
 
 // recoverScript is the deterministic drive used by the recovery matrix.
 func recoverScript() SessionScript {

@@ -376,16 +376,8 @@ func (t *clientTable) forEachBuf(buf []*client, fn func(*client)) []*client {
 	return buf
 }
 
-// forThread visits the clients owned by one server thread.
-func (t *clientTable) forThread(thread int, fn func(*client)) {
-	t.forEach(func(c *client) {
-		if c.thread == thread {
-			fn(c)
-		}
-	})
-}
-
-// forThreadBuf is forThread with a caller-owned snapshot buffer.
+// forThreadBuf visits the clients owned by one server thread, through a
+// caller-owned snapshot buffer.
 func (t *clientTable) forThreadBuf(buf []*client, thread int, fn func(*client)) []*client {
 	buf = t.snapshotInto(buf[:0])
 	for _, c := range buf {

@@ -274,41 +274,6 @@ func TestRecvForeverOnExhaustedSourceErrors(t *testing.T) {
 	}
 }
 
-func TestMergedSourceOrdering(t *testing.T) {
-	s := New(Config{Procs: 1})
-	a := &PeriodicSource{Start: 0, Period: 100, End: 300, Make: func(int64) any { return "a" }}
-	b := &PeriodicSource{Start: 50, Period: 100, End: 300, Make: func(int64) any { return "b" }}
-	m := NewMergedSource(a, b)
-	var times []int64
-	var tags []string
-	err := s.Run(func(p *Proc) {
-		for {
-			arr, ok := p.Recv(m, -1)
-			if !ok {
-				return
-			}
-			times = append(times, arr.At)
-			tags = append(tags, arr.Payload.(string))
-			if m.Peek() == Infinity {
-				return
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantT := []int64{0, 50, 100, 150, 200, 250}
-	wantTag := []string{"a", "b", "a", "b", "a", "b"}
-	if len(times) != len(wantT) {
-		t.Fatalf("times = %v", times)
-	}
-	for i := range wantT {
-		if times[i] != wantT[i] || tags[i] != wantTag[i] {
-			t.Fatalf("merged stream = %v %v", times, tags)
-		}
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() []int64 {
 		s := New(Config{Procs: 4, Cores: 2, SMTPenalty: 1.5})

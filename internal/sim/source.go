@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // Arrival is one queued datagram at a simulated port: the virtual time it
 // becomes receivable and an opaque payload.
 type Arrival struct {
@@ -99,67 +97,4 @@ func (s *PeriodicSource) Pop() Arrival {
 	}
 	s.seq++
 	return Arrival{At: t, Payload: payload}
-}
-
-// MergedSource k-way-merges several sources into one port stream — all
-// the clients assigned to one server thread.
-type MergedSource struct {
-	srcs srcHeap
-}
-
-// NewMergedSource builds a merged stream over the given sources.
-func NewMergedSource(srcs ...Source) *MergedSource {
-	m := &MergedSource{}
-	for i, s := range srcs {
-		if s.Peek() != Infinity {
-			m.srcs = append(m.srcs, srcEntry{s, i})
-		}
-	}
-	heap.Init(&m.srcs)
-	return m
-}
-
-// Peek implements Source.
-func (m *MergedSource) Peek() int64 {
-	if m.srcs.Len() == 0 {
-		return Infinity
-	}
-	return m.srcs[0].src.Peek()
-}
-
-// Pop implements Source.
-func (m *MergedSource) Pop() Arrival {
-	e := m.srcs[0]
-	a := e.src.Pop()
-	if e.src.Peek() == Infinity {
-		heap.Pop(&m.srcs)
-	} else {
-		heap.Fix(&m.srcs, 0)
-	}
-	return a
-}
-
-type srcEntry struct {
-	src Source
-	id  int // tie-break for determinism
-}
-
-type srcHeap []srcEntry
-
-func (h srcHeap) Len() int { return len(h) }
-func (h srcHeap) Less(i, j int) bool {
-	ti, tj := h[i].src.Peek(), h[j].src.Peek()
-	if ti != tj {
-		return ti < tj
-	}
-	return h[i].id < h[j].id
-}
-func (h srcHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *srcHeap) Push(x any)   { *h = append(*h, x.(srcEntry)) }
-func (h *srcHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }

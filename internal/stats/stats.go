@@ -1,12 +1,8 @@
 // Package stats provides the small statistical helpers the benchmark
-// harness and metrics layer use: accumulators, percentiles, and series
-// formatting.
+// harness and metrics layer use: accumulators and series formatting.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -32,29 +28,6 @@ func StdDev(xs []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation. xs need not be sorted.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
 }
 
 // Welford is an online mean/variance accumulator, suitable for long runs

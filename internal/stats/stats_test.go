@@ -20,28 +20,6 @@ func TestMeanStdDev(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := map[float64]float64{0: 1, 50: 3, 100: 5, 25: 2, 75: 4}
-	for p, want := range cases {
-		if got := Percentile(xs, p); math.Abs(got-want) > 1e-12 {
-			t.Errorf("P%v = %v, want %v", p, got, want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile")
-	}
-	if Percentile([]float64{7}, 99) != 7 {
-		t.Error("singleton percentile")
-	}
-	// Input must not be mutated (sorted copy).
-	unsorted := []float64{3, 1, 2}
-	Percentile(unsorted, 50)
-	if unsorted[0] != 3 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
 func TestWelfordMatchesBatch(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

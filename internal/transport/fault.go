@@ -98,9 +98,6 @@ func (f *FaultConn) Stats() FaultStats {
 	}
 }
 
-// Inner returns the wrapped Conn.
-func (f *FaultConn) Inner() Conn { return f.inner }
-
 // Send implements Conn, injecting send-side faults.
 //
 //qvet:noalloc
