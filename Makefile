@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet allocgate vis conformance chaos cover lint lockwall durable-race replay durability instancing ci
+.PHONY: all build test race vet allocgate collide vis conformance chaos cover lint lockwall durable-race replay durability instancing ci
 
 all: build
 
@@ -41,6 +41,17 @@ allocgate:
 			END { if (!seen || bad) { print "ALLOCATION REGRESSION: " b ": " seen+0 " benchmark lines, " bad+0 " allocating"; exit 1 } }' \
 		|| exit 1; \
 	done
+
+# collide is the trace-traversal acceptance set (DESIGN.md §3.2): the
+# front-to-back walk bit-identical to the exhaustive Reference walk and to
+# a scan of every brush over 600 000 seeded sweeps, the deterministic
+# work budget of the per-move aim ray (which also holds both walks to 0
+# allocations), a fuzz smoke of the same comparison, and the three
+# benchmark arms with their tests/op.
+collide:
+	$(GO) test -v -run 'TestTraceMatchesBruteForce|TestTraceWorkBudget' ./internal/collide/
+	$(GO) test -fuzz=FuzzTraceBox -fuzztime=10s -run=NONE ./internal/collide/
+	$(GO) test -run=NONE -bench=BenchmarkTraceBox -benchmem -benchtime=20000x ./internal/collide/
 
 # vis runs the frame-coherent interest-management acceptance set: the
 # randomized byte-identity property suite (indexed vs naive snapshots,
@@ -129,4 +140,4 @@ instancing:
 	$(GO) test -v -run 'TestSchedulerDispatchZeroAllocs|TestMatchManagerTailGate' ./internal/match/
 	$(GO) test -run=NONE -bench=BenchmarkMatchManager -benchmem -benchtime=10000x ./internal/match/
 
-ci: vet build lint race allocgate conformance chaos lockwall replay durability instancing
+ci: vet build lint race allocgate collide conformance chaos lockwall replay durability instancing

@@ -204,20 +204,22 @@ func (t *Tree) LinkGuarded(it *Item, box geom.AABB, guard NodeGuard) {
 	}
 done:
 	n := &t.nodes[ni]
-	insert := func() {
-		s := &n.sentinel
-		it.at = ni + 1
-		it.next = s.next
-		it.prev = s
-		s.next.prev = it
-		s.next = it
-		n.count++
-	}
-	if guard != nil {
-		guard(ni, n.IsLeaf(), insert)
+	if guard == nil {
+		n.insert(it, ni)
 	} else {
-		insert()
+		guard(ni, n.IsLeaf(), func() { n.insert(it, ni) })
 	}
+}
+
+// insert splices it onto the head of n's list; ni is n's index.
+func (n *Node) insert(it *Item, ni int32) {
+	s := &n.sentinel
+	it.at = ni + 1
+	it.next = s.next
+	it.prev = s
+	s.next.prev = it
+	s.next = it
+	n.count++
 }
 
 // Unlink removes the item from the tree. Unlinking an unlinked item is a
@@ -236,18 +238,20 @@ func (t *Tree) UnlinkGuarded(it *Item, guard NodeGuard) {
 	}
 	ni := it.NodeIndex()
 	n := &t.nodes[ni]
-	splice := func() {
-		n.count--
-		it.prev.next = it.next
-		it.next.prev = it.prev
-		it.prev, it.next = nil, nil
-		it.at = 0
-	}
-	if guard != nil {
-		guard(ni, n.IsLeaf(), splice)
+	if guard == nil {
+		n.remove(it)
 	} else {
-		splice()
+		guard(ni, n.IsLeaf(), func() { n.remove(it) })
 	}
+}
+
+// remove splices it out of n's list.
+func (n *Node) remove(it *Item) {
+	n.count--
+	it.prev.next = it.next
+	it.next.prev = it.prev
+	it.prev, it.next = nil, nil
+	it.at = 0
 }
 
 // TraversalStats counts the work of a CollectBox call, feeding both the
@@ -285,28 +289,16 @@ func (t *Tree) collect(ni int32, box geom.AABB, guard NodeGuard, visit func(*Ite
 	if st != nil {
 		st.NodesVisited++
 	}
-	cont := true
-	scan := func() {
-		s := &n.sentinel
-		for it := s.next; it != s; it = it.next {
-			if st != nil {
-				st.ItemsChecked++
-			}
-			if it.Box.Intersects(box) {
-				if st != nil {
-					st.ItemsMatched++
-				}
-				if !visit(it) {
-					cont = false
-					return
-				}
-			}
-		}
-	}
-	if guard != nil {
-		guard(ni, n.IsLeaf(), scan)
+	var cont bool
+	if guard == nil {
+		cont = n.scan(box, visit, st)
 	} else {
-		scan()
+		// A guard is free to keep what it is handed, so this closure
+		// and the result it writes live on the heap; declaring the
+		// result in here keeps that cost off the unguarded path.
+		var guarded bool
+		guard(ni, n.IsLeaf(), func() { guarded = n.scan(box, visit, st) })
+		cont = guarded
 	}
 	if !cont || n.IsLeaf() {
 		return cont
@@ -320,6 +312,26 @@ func (t *Tree) collect(ni int32, box geom.AABB, guard NodeGuard, visit func(*Ite
 	if side&geom.SideBack != 0 {
 		if !t.collect(n.Children[1], box, guard, visit, st) {
 			return false
+		}
+	}
+	return true
+}
+
+// scan offers visit every item linked at n whose box intersects box and
+// reports whether the visitor wants more.
+func (n *Node) scan(box geom.AABB, visit func(*Item) bool, st *TraversalStats) bool {
+	s := &n.sentinel
+	for it := s.next; it != s; it = it.next {
+		if st != nil {
+			st.ItemsChecked++
+		}
+		if it.Box.Intersects(box) {
+			if st != nil {
+				st.ItemsMatched++
+			}
+			if !visit(it) {
+				return false
+			}
 		}
 	}
 	return true

@@ -34,51 +34,174 @@ func (t *Tree) TraceSegment(a, b geom.Vec3, w *Work) Trace {
 // is centered on these points) and returns the first hit. The sweep is
 // performed as a segment trace against brushes expanded by the half
 // extents (the Minkowski-sum reduction).
+//
+// The tree is descended front to back along the segment (walkSegment);
+// a Reference view instead tests every brush of every leaf the sweep's
+// bounding box overlaps. Both walks feed the same per-brush slab test
+// and the same nearest rule, so they return the same Trace bit for bit
+// and differ only in the Work they report.
+//
+//qvet:noalloc
 func (t *Tree) TraceBox(a, b geom.Vec3, halfExt geom.Vec3, w *Work) Trace {
-	tr := Trace{Fraction: 1, End: b, Brush: -1}
-	sweep := geom.Box(a, b).ExpandVec(halfExt).Expand(surfaceEpsilon)
-
-	bestT := math.Inf(1)
-	t.walkBox(0, sweep, w, func(bi int32) bool {
-		eb := t.brushes[bi].ExpandVec(halfExt)
-		hit, tt, n, startSolid := traceExpandedBrush(eb, a, b)
-		if startSolid {
-			tr.StartSolid = true
-			tr.Hit = true
-			tr.Fraction = 0
-			tr.End = a
-			tr.Normal = geom.Vec3{}
-			tr.Brush = int(bi)
-			bestT = 0
-			return true // keep scanning: other brushes may also be solid, but result stands
-		}
-		if hit && tt < bestT {
-			bestT = tt
-			tr.Hit = true
-			tr.Normal = n
-			tr.Brush = int(bi)
-		}
-		return true
-	})
-
-	if tr.StartSolid {
-		return tr
+	best := noHit()
+	if t.exhaustive {
+		sweep := geom.Box(a, b).ExpandVec(halfExt).Expand(surfaceEpsilon)
+		t.walkBox(0, sweep, w, func(bi int32) bool {
+			best.test(t.brushes[bi], bi, a, b, halfExt)
+			return true
+		})
+	} else {
+		t.walkSegment(a, b, halfExt, w, &best)
 	}
-	if tr.Hit {
-		dir := b.Sub(a)
-		length := dir.Len()
-		frac := bestT
-		if length > 0 {
-			// Pull the endpoint back by surfaceEpsilon along the motion.
-			frac = bestT - surfaceEpsilon/length
-			if frac < 0 {
-				frac = 0
+	return best.trace(a, b)
+}
+
+// nearest is the running answer of a trace walk. A walk may meet brushes
+// in any order and any number of times (a brush straddling split planes
+// sits in several leaves), so the answer is defined without reference to
+// visit order: the smallest entry parameter wins and an exact tie — a
+// sweep into the corner where two brushes meet — goes to the lowest
+// brush index; a sweep that starts inside solid reports the lowest-index
+// brush containing the start.
+type nearest struct {
+	t      float64 // entry parameter of the best hit: +Inf before any, 0 once start-solid
+	brush  int32   // brush giving t, -1 if none
+	normal geom.Vec3
+	solid  int32 // lowest-index brush strictly containing the start, -1 if none
+}
+
+// noHit is the answer before any brush has been tested.
+func noHit() nearest { return nearest{t: math.Inf(1), brush: -1, solid: -1} }
+
+// trace reports n as the result of the sweep a→b.
+func (n *nearest) trace(a, b geom.Vec3) Trace {
+	if n.solid >= 0 {
+		return Trace{End: a, Brush: int(n.solid), Hit: true, StartSolid: true}
+	}
+	if n.brush < 0 {
+		return Trace{Fraction: 1, End: b, Brush: -1}
+	}
+	frac := pullBack(n.t, a, b)
+	return Trace{Fraction: frac, End: a.Lerp(b, frac), Normal: n.normal, Brush: int(n.brush), Hit: true}
+}
+
+// test sweeps a→b against one brush and folds the outcome into n.
+func (n *nearest) test(brush geom.AABB, bi int32, a, b, halfExt geom.Vec3) {
+	hit, tt, normal, startSolid := traceExpandedBrush(brush.ExpandVec(halfExt), a, b)
+	switch {
+	case startSolid:
+		if n.solid < 0 || bi < n.solid {
+			n.solid = bi
+		}
+		n.t = 0 // nothing beyond the start matters any more
+	case hit && (tt < n.t || tt == n.t && bi < n.brush):
+		n.t, n.brush, n.normal = tt, bi, normal
+	}
+}
+
+// span is a subtree still to visit and the part [t0,t1] of the segment
+// that can meet its brushes.
+type span struct {
+	ni     int32
+	t0, t1 float64
+}
+
+// walkSegment tests the brushes the segment a→b can reach, nearest
+// first. Each node receives the parametric interval [t0,t1] of the
+// segment that lies within halfExt+surfaceEpsilon of its region — the
+// same padding the exhaustive walk gives the sweep's bounding box, so
+// every node visited here is one it visits too. At a split plane the
+// interval either lies on one side, or is clipped into a near and a far
+// part: the near child is walked first and the far one waits on a stack,
+// to be dropped unvisited if by then a hit lies strictly before its
+// part begins. The two parts overlap by the padding on both sides of
+// the plane; the surfaceEpsilon share of it is slack, orders of
+// magnitude above the rounding of the clip parameters, so a brush whose
+// entry point rounds onto the wrong side of a plane is still met.
+func (t *Tree) walkSegment(a, b, halfExt geom.Vec3, w *Work, best *nearest) {
+	d := b.Sub(a)
+	// One far child per level can wait, and interior nodes stop above
+	// maxDepth.
+	var stack [maxDepth]span
+	sp := 0
+	nodes, tests := 0, 0
+	cur := span{ni: 0, t0: 0, t1: 1}
+	for {
+		n := &t.nodes[cur.ni]
+		nodes++
+		if n.children[0] < 0 {
+			for _, bi := range n.brushes {
+				tests++
+				best.test(t.brushes[bi], bi, a, b, halfExt)
 			}
+			// Next: the nearest waiting part a closer hit has not
+			// already decided, cut short at that hit.
+			for sp > 0 && best.t < stack[sp-1].t0 {
+				sp--
+			}
+			if sp == 0 {
+				break
+			}
+			sp--
+			cur = stack[sp]
+			cur.t1 = min(cur.t1, best.t)
+			continue
 		}
-		tr.Fraction = frac
-		tr.End = a.Lerp(b, frac)
+
+		axis, dist := n.plane.Axis, n.plane.Dist
+		he := halfExt.Axis(axis)
+		av, dv := a.Axis(axis), d.Axis(axis)
+		lo, hi := av+cur.t0*dv, av+cur.t1*dv
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		// Same arithmetic and same touching rule as SideBox on the
+		// padded sweep box.
+		if lo-he-surfaceEpsilon >= dist {
+			cur.ni = n.children[0]
+			continue
+		}
+		if hi+he+surfaceEpsilon <= dist {
+			cur.ni = n.children[1]
+			continue
+		}
+		if dv == 0 {
+			// Moving along the plane within the padding: both sides,
+			// whole interval, either order.
+			stack[sp] = span{n.children[1], cur.t0, cur.t1}
+			sp++
+			cur.ni = n.children[0]
+			continue
+		}
+		// The padded box is within reach of the front side while its
+		// centre is above dist-pad, of the back side while below
+		// dist+pad.
+		pad := he + surfaceEpsilon
+		tFront, tBack := (dist-pad-av)/dv, (dist+pad-av)/dv
+		near, nearEnd, far, farStart := n.children[1], tBack, n.children[0], tFront
+		if dv < 0 {
+			near, nearEnd, far, farStart = n.children[0], tFront, n.children[1], tBack
+		}
+		stack[sp] = span{far, max(cur.t0, farStart), cur.t1}
+		sp++
+		cur.ni, cur.t1 = near, min(cur.t1, nearEnd)
 	}
-	return tr
+	if w != nil {
+		w.Nodes += nodes
+		w.BrushTests += tests
+	}
+}
+
+// pullBack turns a raw entry parameter into the reported Fraction: the
+// endpoint is pulled back by surfaceEpsilon along the motion.
+func pullBack(t float64, a, b geom.Vec3) float64 {
+	if length := b.Sub(a).Len(); length > 0 {
+		t -= surfaceEpsilon / length
+		if t < 0 {
+			t = 0
+		}
+	}
+	return t
 }
 
 // TraceBoxAgainst sweeps a box with half extents he from a to b against a
@@ -86,24 +209,14 @@ func (t *Tree) TraceBox(a, b geom.Vec3, halfExt geom.Vec3, w *Work) Trace {
 // The game layer uses it to clip player motion against other entities
 // collected from the areanode tree.
 func TraceBoxAgainst(obstacle geom.AABB, a, b, he geom.Vec3) Trace {
-	tr := Trace{Fraction: 1, End: b, Brush: -1}
-	eb := obstacle.ExpandVec(he)
-	hit, tt, n, startSolid := traceExpandedBrush(eb, a, b)
+	hit, tt, n, startSolid := traceExpandedBrush(obstacle.ExpandVec(he), a, b)
 	if startSolid {
 		return Trace{Fraction: 0, End: a, Brush: -1, Hit: true, StartSolid: true}
 	}
 	if !hit {
-		return tr
+		return Trace{Fraction: 1, End: b, Brush: -1}
 	}
-	dir := b.Sub(a)
-	length := dir.Len()
-	frac := tt
-	if length > 0 {
-		frac = tt - surfaceEpsilon/length
-		if frac < 0 {
-			frac = 0
-		}
-	}
+	frac := pullBack(tt, a, b)
 	return Trace{Fraction: frac, End: a.Lerp(b, frac), Normal: n, Brush: -1, Hit: true}
 }
 

@@ -9,14 +9,18 @@ import (
 	"qserve/internal/worldmap"
 )
 
-func testTree(t testing.TB) (*Tree, *worldmap.Map) {
-	t.Helper()
-	m := worldmap.MustGenerate(worldmap.DefaultConfig())
+func treeOf(m *worldmap.Map) *Tree {
 	boxes := make([]geom.AABB, len(m.Brushes))
 	for i, b := range m.Brushes {
 		boxes[i] = b.Box
 	}
-	return NewTree(boxes, m.Bounds), m
+	return NewTree(boxes, m.Bounds)
+}
+
+func testTree(t testing.TB) (*Tree, *worldmap.Map) {
+	t.Helper()
+	m := worldmap.MustGenerate(worldmap.DefaultConfig())
+	return treeOf(m), m
 }
 
 func TestTreeBuild(t *testing.T) {
@@ -184,71 +188,248 @@ func TestTraceZeroLength(t *testing.T) {
 	}
 }
 
-// TestTraceMatchesBruteForce cross-validates the tree traversal against a
-// linear scan over all brushes with the same per-brush test.
-func TestTraceMatchesBruteForce(t *testing.T) {
-	tr, m := testTree(t)
-	boxes := make([]geom.AABB, len(m.Brushes))
-	for i, b := range m.Brushes {
-		boxes[i] = b.Box
-	}
+// sweepFamilies is the number of case families sweepCase draws from.
+const sweepFamilies = 12
 
-	brute := func(a, b geom.Vec3, he geom.Vec3) (bool, float64, bool) {
-		hit := false
-		best := math.Inf(1)
-		for _, bb := range boxes {
-			eb := bb.ExpandVec(he)
-			h, tt, _, ss := traceExpandedBrush(eb, a, b)
-			if ss {
-				return true, 0, true
-			}
-			if h && tt < best {
-				best = tt
-				hit = true
-			}
-		}
-		return hit, best, false
-	}
+// playerHull is the half extents of the player's movement hull.
+var playerHull = geom.V(16, 16, 28)
 
-	r := rand.New(rand.NewSource(11))
+// sweepCase draws one sweep of family fam (mod sweepFamilies) for a tree:
+// the shapes the game layer produces (hull steps, aim and rail rays,
+// gravity probes) plus the boundary cases a traversal can get wrong.
+func sweepCase(r *rand.Rand, tr *Tree, fam int) (a, b, he geom.Vec3) {
+	bounds := tr.Bounds()
+	size := bounds.Size()
 	randPt := func() geom.Vec3 {
-		return geom.V(
-			m.Bounds.Min.X+r.Float64()*(m.Bounds.Max.X-m.Bounds.Min.X),
-			m.Bounds.Min.Y+r.Float64()*(m.Bounds.Max.Y-m.Bounds.Min.Y),
-			m.Bounds.Min.Z+r.Float64()*(m.Bounds.Max.Z-m.Bounds.Min.Z),
-		)
+		return bounds.Min.Add(geom.V(r.Float64()*size.X, r.Float64()*size.Y, r.Float64()*size.Z))
 	}
-	hes := []geom.Vec3{{}, {X: 16, Y: 16, Z: 24}, {X: 2, Y: 2, Z: 2}}
-	for i := 0; i < 3000; i++ {
-		a, b := randPt(), randPt()
-		he := hes[i%len(hes)]
-		want, wantT, wantSS := brute(a, b, he)
-		got := tr.TraceBox(a, b, he, nil)
-		if wantSS {
-			if !got.StartSolid {
-				t.Fatalf("case %d: brute start-solid, tree %+v (a=%v b=%v he=%v)", i, got, a, b, he)
-			}
-			continue
+	randDir := func() geom.Vec3 {
+		return geom.Forward(geom.V(r.Float64()*180-90, r.Float64()*360, 0))
+	}
+	grid := func(p geom.Vec3) geom.Vec3 {
+		return geom.V(math.Round(p.X/16)*16, math.Round(p.Y/16)*16, math.Round(p.Z/16)*16)
+	}
+	eitherHull := func() geom.Vec3 {
+		if r.Intn(2) == 0 {
+			return playerHull
 		}
-		if got.StartSolid {
-			t.Fatalf("case %d: tree start-solid, brute not (a=%v b=%v he=%v)", i, a, b, he)
+		return geom.Vec3{}
+	}
+	// Start in open space where there is some to be found: a sweep that
+	// starts solid is decided at t=0 and exercises little (case 10 asks
+	// for it; hull sweeps and grid snapping still produce their share).
+	a = randPt()
+	for try := 0; try < 8 && tr.PointSolid(a, nil); try++ {
+		a = randPt()
+	}
+	switch fam % sweepFamilies {
+	case 0: // point sweep across the map
+		b = randPt()
+	case 1: // hull sweep across the map
+		b, he = randPt(), playerHull
+	case 2: // weaponFrame's aim ray
+		b = a.MA(2048, randDir())
+	case 3: // fireRail's ray
+		b = a.MA(1e5, randDir())
+	case 4: // sub-unit hull step
+		b, he = a.Add(geom.V(r.Float64()-0.5, r.Float64()-0.5, r.Float64()-0.5)), playerHull
+	case 5: // one physics step of a running player
+		b, he = a.MA(r.Float64()*40, randDir()), playerHull
+	case 6: // grid-aligned endpoints: exact face, edge and corner contacts
+		a, b, he = grid(a), grid(randPt()), eitherHull()
+	case 7: // axis-parallel motion from a grid point
+		a = grid(a)
+		b, he = a.SetAxis(r.Intn(3), grid(randPt()).X), eitherHull()
+	case 8: // purely vertical: gravity and step probes
+		b, he = a.Add(geom.V(0, 0, r.Float64()*128-64)), eitherHull()
+	case 9: // zero length
+		if r.Intn(2) == 0 {
+			a = grid(a)
 		}
-		if got.Hit != want {
-			t.Fatalf("case %d: tree hit=%v brute hit=%v (a=%v b=%v he=%v)", i, got.Hit, want, a, b, he)
+		b, he = a, eitherHull()
+	case 10: // start inside a brush
+		box := tr.brushes[r.Intn(len(tr.brushes))]
+		s := box.Size()
+		a = box.Min.Add(geom.V(r.Float64()*s.X, r.Float64()*s.Y, r.Float64()*s.Z))
+		b, he = randPt(), eitherHull()
+	case 11: // leaving, entering or missing Bounds
+		b, he = a.MA(3*size.Len(), randDir()), eitherHull()
+		if r.Intn(2) == 0 {
+			a, b = b, a
 		}
-		if want {
-			// Compare raw hit parameter: reconstruct from fraction+epsilon,
-			// tolerating the clamp to zero for hits closer than the pullback.
-			dir := b.Sub(a)
-			length := dir.Len()
-			rawT := got.Fraction
-			if length > 0 {
-				rawT = got.Fraction + surfaceEpsilon/length
+		if r.Intn(4) == 0 {
+			a = b.Add(geom.V(r.Float64()*64, r.Float64()*64, r.Float64()*64))
+		}
+	}
+	return a, b, he
+}
+
+// bruteTrace is the trace defined without any tree: every brush, in
+// index order, through the shared slab test and nearest rule.
+func bruteTrace(tr *Tree, a, b, he geom.Vec3) Trace {
+	best := noHit()
+	for bi, box := range tr.brushes {
+		best.test(box, int32(bi), a, b, he)
+	}
+	return best.trace(a, b)
+}
+
+// sameTrace compares two traces bit for bit (so -0 differs from +0).
+func sameTrace(x, y Trace) bool {
+	bits := func(t Trace) [7]uint64 {
+		return [7]uint64{
+			math.Float64bits(t.Fraction),
+			math.Float64bits(t.End.X), math.Float64bits(t.End.Y), math.Float64bits(t.End.Z),
+			math.Float64bits(t.Normal.X), math.Float64bits(t.Normal.Y), math.Float64bits(t.Normal.Z),
+		}
+	}
+	return bits(x) == bits(y) && x.Brush == y.Brush && x.Hit == y.Hit && x.StartSolid == y.StartSolid
+}
+
+// checkSweep runs one sweep through the front-to-back walk, the
+// exhaustive Reference walk and the tree-less scan, and fails unless all
+// three agree bit for bit and the fast walk did no more work than the
+// exhaustive one.
+func checkSweep(t testing.TB, tr, ref *Tree, a, b, he geom.Vec3) (got Trace, fast, exhaustive Work) {
+	t.Helper()
+	got = tr.TraceBox(a, b, he, &fast)
+	want := ref.TraceBox(a, b, he, &exhaustive)
+	if !sameTrace(got, want) {
+		t.Fatalf("a=%v b=%v he=%v:\n front-to-back %+v\n reference     %+v", a, b, he, got, want)
+	}
+	if brute := bruteTrace(tr, a, b, he); !sameTrace(want, brute) {
+		t.Fatalf("a=%v b=%v he=%v:\n reference %+v\n scan      %+v", a, b, he, want, brute)
+	}
+	if fast.Nodes > exhaustive.Nodes || fast.BrushTests > exhaustive.BrushTests {
+		t.Fatalf("a=%v b=%v he=%v: front-to-back work %+v exceeds the reference's %+v", a, b, he, fast, exhaustive)
+	}
+	return got, fast, exhaustive
+}
+
+// equivalenceTrees are the maps the equivalence test and the fuzz target
+// run on: the default 6x6 maze, a second seed of it, and the open arena.
+func equivalenceTrees(t testing.TB) map[string]*Tree {
+	t.Helper()
+	reseeded := worldmap.DefaultConfig()
+	reseeded.Seed = 7
+	arena, err := worldmap.GenerateArena(worldmap.DefaultArenaConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Tree{
+		"default": treeOf(worldmap.MustGenerate(worldmap.DefaultConfig())),
+		"seed7":   treeOf(worldmap.MustGenerate(reseeded)),
+		"arena":   treeOf(arena),
+	}
+}
+
+// TestTraceMatchesBruteForce is the equivalence proof for the
+// front-to-back walk: on every seeded sweep it must return exactly what
+// the exhaustive Reference walk returns — Fraction, End, Hit, StartSolid,
+// Normal and Brush — which in turn must be what a scan of every brush
+// returns, and it must never do more work.
+func TestTraceMatchesBruteForce(t *testing.T) {
+	sweeps := 200_000
+	if testing.Short() {
+		sweeps = 20_000
+	}
+	for name, tr := range equivalenceTrees(t) {
+		tr := tr
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			ref := tr.Reference()
+			r := rand.New(rand.NewSource(11))
+			var fast, exhaustive Work
+			hits, solid := 0, 0
+			for i := 0; i < sweeps; i++ {
+				a, b, he := sweepCase(r, tr, i)
+				res, f, e := checkSweep(t, tr, ref, a, b, he)
+				fast.Add(f)
+				exhaustive.Add(e)
+				if res.StartSolid {
+					solid++
+				} else if res.Hit {
+					hits++
+				}
 			}
-			clampedZero := got.Fraction == 0 && length > 0 && wantT <= surfaceEpsilon/length
-			if !clampedZero && math.Abs(rawT-wantT) > 1e-6 && math.Abs(got.Fraction-wantT) > 1e-6 {
-				t.Fatalf("case %d: tree t=%v brute t=%v", i, rawT, wantT)
+			if hits < sweeps/4 || solid < sweeps/50 || hits+solid > sweeps*9/10 {
+				t.Errorf("unbalanced corpus: %d hits, %d start-solid of %d sweeps", hits, solid, sweeps)
 			}
+			n := float64(sweeps)
+			t.Logf("%d sweeps (%d hits, %d start-solid): %.1f tests %.1f nodes per sweep front to back, %.1f / %.1f exhaustive",
+				sweeps, hits, solid, float64(fast.BrushTests)/n, float64(fast.Nodes)/n,
+				float64(exhaustive.BrushTests)/n, float64(exhaustive.Nodes)/n)
+		})
+	}
+}
+
+// FuzzTraceBox lets the fuzzer look for a sweep on which the two walks
+// and the scan disagree, starting from one of each seeded family.
+func FuzzTraceBox(f *testing.F) {
+	tr, _ := testTree(f)
+	ref := tr.Reference()
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 4*sweepFamilies; i++ {
+		a, b, he := sweepCase(r, tr, i)
+		f.Add(a.X, a.Y, a.Z, b.X, b.Y, b.Z, he.X, he.Y, he.Z)
+	}
+	f.Fuzz(func(t *testing.T, ax, ay, az, bx, by, bz, hx, hy, hz float64) {
+		a, b, he := geom.V(ax, ay, az), geom.V(bx, by, bz), geom.V(hx, hy, hz).Abs()
+		// Only coordinates a game can produce: finite, and small enough
+		// that rounding in b-a stays far below surfaceEpsilon.
+		for _, v := range []geom.Vec3{a, b, he} {
+			if !v.IsFinite() || v.Abs().Dot(geom.V(1, 1, 1)) > 1e7 {
+				t.Skip()
+			}
+		}
+		checkSweep(t, tr, ref, a, b, he)
+	})
+}
+
+// aimRays returns n seeded rays of weaponFrame's shape: from eye height
+// somewhere in a room, 2048 units along a player's view direction.
+func aimRays(m *worldmap.Map, n int) [][2]geom.Vec3 {
+	r := rand.New(rand.NewSource(3))
+	rays := make([][2]geom.Vec3, n)
+	for i := range rays {
+		room := m.Rooms[r.Intn(len(m.Rooms))].Bounds.Expand(-16)
+		s := room.Size()
+		eye := geom.V(room.Min.X+r.Float64()*s.X, room.Min.Y+r.Float64()*s.Y, room.Min.Z+16+24+20)
+		dir := geom.Forward(geom.V(r.Float64()*60-30, r.Float64()*360, 0))
+		rays[i] = [2]geom.Vec3{eye, eye.MA(2048, dir)}
+	}
+	return rays
+}
+
+// TestTraceWorkBudget pins what the front-to-back walk is for. Work
+// counts are a pure function of the map and the sweep, so they repeat
+// exactly and can gate in plain `go test`: the aim ray every move
+// command traces must cost a few dozen slab tests, where the exhaustive
+// walk spends hundreds.
+func TestTraceWorkBudget(t *testing.T) {
+	tr, m := testTree(t)
+	ref := tr.Reference()
+	const n = 1024
+	var fast, exhaustive Work
+	for _, ray := range aimRays(m, n) {
+		_, f, e := checkSweep(t, tr, ref, ray[0], ray[1], geom.Vec3{})
+		fast.Add(f)
+		exhaustive.Add(e)
+	}
+	tests, nodes := float64(fast.BrushTests)/n, float64(fast.Nodes)/n
+	t.Logf("2048-unit aim ray: %.1f tests %.1f nodes front to back, %.1f / %.1f exhaustive",
+		tests, nodes, float64(exhaustive.BrushTests)/n, float64(exhaustive.Nodes)/n)
+	if tests > 32 || nodes > 48 {
+		t.Errorf("aim ray costs %.1f brush tests and %.1f nodes, budget 32 and 48", tests, nodes)
+	}
+	if exhaustive.BrushTests < 10*fast.BrushTests {
+		t.Errorf("exhaustive walk does %d tests to the front-to-back walk's %d: the rays no longer exercise the difference",
+			exhaustive.BrushTests, fast.BrushTests)
+	}
+	ray := aimRays(m, 1)[0]
+	for name, tree := range map[string]*Tree{"front-to-back": tr, "reference": ref} {
+		if allocs := testing.AllocsPerRun(100, func() { tree.TraceBox(ray[0], ray[1], playerHull, nil) }); allocs != 0 {
+			t.Errorf("%s TraceBox allocates %.0f objects per call", name, allocs)
 		}
 	}
 }
@@ -297,14 +478,38 @@ func TestEmptyTree(t *testing.T) {
 	}
 }
 
+// BenchmarkTraceBox times the two sweeps move execution is made of — a
+// player-hull step and weaponFrame's 2048-unit aim ray — and the aim ray
+// again on the exhaustive Reference walk the simulated machine prices.
 func BenchmarkTraceBox(b *testing.B) {
 	tr, m := testTree(b)
-	c := m.Rooms[0].Bounds.Center()
-	he := geom.V(16, 16, 24)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.TraceBox(c, c.Add(geom.V(300, 120, 0)), he, nil)
+	rays := aimRays(m, 256)
+	steps := make([][2]geom.Vec3, len(rays))
+	for i, ray := range rays {
+		from := ray[0].Sub(geom.V(0, 0, 20))
+		steps[i] = [2]geom.Vec3{from, from.MA(10.0/2048, ray[1].Sub(ray[0]))}
+	}
+	arms := []struct {
+		name   string
+		tree   *Tree
+		sweeps [][2]geom.Vec3
+		he     geom.Vec3
+	}{
+		{"hull", tr, steps, playerHull},
+		{"ray2048", tr, rays, geom.Vec3{}},
+		{"ray2048/reference", tr.Reference(), rays, geom.Vec3{}},
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			var w Work
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := arm.sweeps[i%len(arm.sweeps)]
+				arm.tree.TraceBox(s[0], s[1], arm.he, &w)
+			}
+			b.ReportMetric(float64(w.BrushTests)/float64(b.N), "tests/op")
+		})
 	}
 }
 

@@ -8,7 +8,9 @@
 // maps use, built over our box-shaped brushes). Brushes straddling a
 // split plane are referenced by both children. Queries report work
 // counters (nodes visited, brush tests) that the cost model uses to
-// charge virtual time in the simulated-machine engine.
+// charge virtual time in the simulated-machine engine; that engine
+// traces through a Reference view, whose exhaustive walk is the one the
+// model's constants were fitted to.
 package collide
 
 import (
@@ -23,6 +25,8 @@ type Tree struct {
 	brushes []geom.AABB
 	nodes   []node
 	bounds  geom.AABB
+
+	exhaustive bool // a Reference view: TraceBox walks the sweep's bounding box
 }
 
 type node struct {
@@ -62,6 +66,20 @@ func NewTree(brushes []geom.AABB, bounds geom.AABB) *Tree {
 	}
 	t.build(all, bounds, 0)
 	return t
+}
+
+// Reference returns a view of t — the same immutable brushes and nodes —
+// whose TraceBox tests every brush of every leaf the sweep's bounding
+// box overlaps, instead of descending front to back along the segment.
+// The Trace it returns is identical; the Work it reports is that of the
+// exhaustive walk, which is what the cost model's CollideOp/BrushTest
+// constants were fitted to. The simulated-machine engine installs it so
+// virtual time keeps its calibration, and the tests use it as the
+// oracle for the fast walk.
+func (t *Tree) Reference() *Tree {
+	r := *t
+	r.exhaustive = true
+	return &r
 }
 
 // build constructs the subtree for the given brush subset and returns its

@@ -123,7 +123,9 @@ func (w *World) weaponFrame(e *entity.Entity, req locking.Request, lc *LockConte
 	guard := lc.acquire(w, req, kind)
 	before := res.Work
 	// Aim maintenance: trace the view ray so the weapon logic knows what
-	// the player is pointing at.
+	// the player is pointing at. Nothing reads the result — the trace is
+	// the work the modelled long-range lock is held over (DESIGN.md
+	// §3.1(2)), so it stays.
 	dir := geom.Forward(e.Angles)
 	eye := e.Origin.Add(geom.V(0, 0, 20))
 	w.Collide.TraceSegment(eye, eye.MA(2048, dir), &res.Work.Collide)

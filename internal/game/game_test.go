@@ -544,3 +544,31 @@ func BenchmarkWorldFrame(b *testing.B) {
 		w.RunWorldFrame(0.03)
 	}
 }
+
+// TestExecuteMoveAllocs bounds what one move allocates on the sequential
+// engine's path: the zero LockContext, so no NodeGuard and no region
+// locker. The ceiling is the measured value. What remains is the move's
+// candidate lists and counters, which the areanode visitor closures
+// capture; the scan, insert and splice closures areanode used to build
+// per node whether or not a guard would run them (21 per move) are gone
+// from this path.
+func TestExecuteMoveAllocs(t *testing.T) {
+	w := newTestWorld(t)
+	players := make([]*entity.Entity, 32)
+	for i := range players {
+		players[i], _ = w.SpawnPlayer()
+	}
+	i := 0
+	round := func() {
+		for _, p := range players {
+			cmd := moveCmd(float64(i*31%360), 320, 0, 30)
+			w.ExecuteMove(p, &cmd, &LockContext{})
+			i++
+		}
+	}
+	round()
+	const ceiling = 8
+	if perMove := testing.AllocsPerRun(50, round) / float64(len(players)); perMove > ceiling {
+		t.Errorf("ExecuteMove with the zero LockContext allocates %.2f objects per move, ceiling %d", perMove, ceiling)
+	}
+}

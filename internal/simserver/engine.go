@@ -210,6 +210,9 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
+	// Virtual time is work counters times constants fitted to the
+	// exhaustive trace walk (DESIGN.md §3.2): same game, published prices.
+	world.Collide = world.Collide.Reference()
 
 	smt := 1.0
 	cores := cfg.Threads

@@ -78,7 +78,7 @@ var pktPool = sync.Pool{
 
 type memPacket struct {
 	buf  *pktBuf // pooled; returned after the payload is copied out or dropped
-	from MemAddr
+	from Addr    // as the receiving endpoint reported it: a Mux hands UDP sources on unconverted
 }
 
 // release returns the packet's buffer to the pool. Every delivery path —

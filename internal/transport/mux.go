@@ -126,7 +126,8 @@ func (m *Mux) Unroute(addr Addr) {
 }
 
 // Forward re-injects an already-received datagram into another port's
-// queue, preserving the original source address. Workers use it when a
+// queue, preserving the original source address (the Addr value itself,
+// so a reply to it needs no re-resolving). Workers use it when a
 // datagram for a migrated client arrives before the client's routing
 // update takes effect. The data is copied; the caller may reuse it.
 func (m *Mux) Forward(port int, data []byte, from Addr) {
@@ -141,7 +142,7 @@ func (m *Mux) Forward(port int, data []byte, from Addr) {
 	}
 	pb := pktPool.Get().(*pktBuf)
 	pb.b = append(pb.b[:0], data...)
-	dst.enqueue(memPacket{buf: pb, from: MemAddr(from.String())})
+	dst.enqueue(memPacket{buf: pb, from: from})
 }
 
 // Close stops the pump goroutines and wakes any blocked port Recv. The
@@ -174,8 +175,9 @@ func (m *Mux) pump(i int) {
 		if err != nil {
 			return // conn closed out from under us
 		}
+		key := from.String()
 		m.mu.Lock()
-		port, ok := m.route[from.String()]
+		port, ok := m.route[key]
 		if !ok {
 			port = i // unknown sender: static behavior, arrival endpoint's thread
 		}
@@ -189,7 +191,7 @@ func (m *Mux) pump(i int) {
 		}
 		pb := pktPool.Get().(*pktBuf)
 		pb.b = append(pb.b[:0], buf[:n]...)
-		dst.enqueue(memPacket{buf: pb, from: MemAddr(from.String())})
+		dst.enqueue(memPacket{buf: pb, from: from})
 	}
 }
 
@@ -212,7 +214,7 @@ func (p *MuxPort) enqueue(pkt memPacket) {
 		// Receive-queue overflow: the datagram is lost, as with a full
 		// socket buffer — but never silently. The counter feeds the
 		// engine's metrics and the sampled log names the flooding source.
-		from := string(pkt.from)
+		from := pkt.from.String()
 		pkt.release()
 		p.mux.drops.Add(1)
 		p.mux.mu.Lock()

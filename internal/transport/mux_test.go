@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"net"
 	"testing"
 	"time"
 )
@@ -143,5 +144,51 @@ func TestResolveLikeThroughMuxPort(t *testing.T) {
 	}
 	if _, ok := addr.(MemAddr); !ok {
 		t.Fatalf("resolved %T, want MemAddr", addr)
+	}
+}
+
+// TestMuxOverUDPRepliesWithoutResolving: the source a MuxPort reports —
+// pumped or forwarded — is the *net.UDPAddr the socket produced, so the
+// reply to it goes straight to WriteToUDP. A source rebuilt from its
+// string form made UDPConn.Send pay net.ResolveUDPAddr (5 allocations)
+// on every reply of a parallel or match-hosting server.
+func TestMuxOverUDPRepliesWithoutResolving(t *testing.T) {
+	srv, err := ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	mux := NewMux([]Conn{srv})
+	defer mux.Close()
+	port := mux.Port(0)
+
+	if err := cl.Send(srv.LocalAddr(), []byte("move")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, MaxDatagram)
+	_, from, err := port.Recv(buf, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux.Forward(0, []byte("move"), from)
+	_, forwarded, err := port.Recv(buf, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []Addr{from, forwarded} {
+		if _, ok := a.(*net.UDPAddr); !ok || a.String() != cl.LocalAddr().String() {
+			t.Fatalf("source = %T %v, want the client's *net.UDPAddr %v", a, a, cl.LocalAddr())
+		}
+	}
+
+	direct := testing.AllocsPerRun(100, func() { _ = srv.Send(cl.LocalAddr(), buf[:8]) })
+	viaPort := testing.AllocsPerRun(100, func() { _ = port.Send(from, buf[:8]) })
+	if viaPort > direct {
+		t.Errorf("MuxPort.Send to a received source allocates %.0f objects, the bare socket %.0f", viaPort, direct)
 	}
 }
