@@ -130,13 +130,16 @@ lint:
 	@! grep -E '^(require|replace)' go.mod || \
 		{ echo 'lint: root go.mod must stay dependency-free (tool deps live in tools/go.mod)'; exit 1; }
 
-# instancing runs the match-manager acceptance set: cross-instance
-# digest isolation and panic eviction under -race, the fleet tail gate
-# (1000 idle + 8 active matches, active p99 bounded, shared scratch
-# pool bounded), the dispatch 0 allocs/op gate, and the scheduler
-# benchmark.
+# instancing runs the match-manager acceptance set: internal/match whole
+# under -race (cross-instance digest isolation over one shared static
+# world, the Reference-view locality check, the per-match footprint
+# gate, panic eviction, lobby routing, scratch sharing), then without
+# the detector the fleet tail gate (1000 idle + 8 active matches, active
+# p99 bounded, shared scratch pool bounded; -short skips it in the race
+# run because its latency bound is a wall-clock one) and the dispatch
+# 0 allocs/op gate, and the scheduler benchmark.
 instancing:
-	$(GO) test -race -run 'TestCrossInstanceDigestIsolation|TestEvictionIsolation|TestLobbyRoutesAndAssigns|TestIdleMatchesShareScratch|TestPokeSchedulesPromptly' ./internal/match/
+	$(GO) test -race -short ./internal/match/
 	$(GO) test -v -run 'TestSchedulerDispatchZeroAllocs|TestMatchManagerTailGate' ./internal/match/
 	$(GO) test -run=NONE -bench=BenchmarkMatchManager -benchmem -benchtime=10000x ./internal/match/
 

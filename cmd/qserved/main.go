@@ -262,10 +262,13 @@ func runMatches(m *worldmap.Map, seed int64, addr string, n, workers, maxClients
 		IdleInterval:   idle,
 	})
 	lobby := match.NewLobby(mgr, conn)
+	// Every match reads the one immutable half of the world (collision
+	// tree, visibility tables); only entities and the clock are per match.
+	st := game.NewStatic(m)
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("m%d", i)
 		if _, err := lobby.CreateMatch(name, func(c transport.Conn) (*server.Sequential, error) {
-			w, err := game.NewWorld(game.Config{Map: m, Seed: seed})
+			w, err := game.NewWorld(game.Config{Static: st, Seed: seed})
 			if err != nil {
 				return nil, err
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"qserve/internal/entity"
 	"qserve/internal/protocol"
 	"qserve/internal/qfile"
 	"qserve/internal/worldmap"
@@ -133,6 +134,61 @@ func TestRestoredWorldEvolves(t *testing.T) {
 	if worldDigest(restored) != worldDigest(world) {
 		t.Fatalf("restored world diverged after 50 frames: %016x vs %016x",
 			worldDigest(restored), worldDigest(world))
+	}
+}
+
+// TestRestoreAcrossChunkBoundary round-trips a world whose high-water
+// mark has crossed the entity table's 64-slot chunk boundary, with
+// free-list holes on both sides of it: the restored table must hold the
+// same entities, recycle IDs in the same order, and evolve identically.
+func TestRestoreAcrossChunkBoundary(t *testing.T) {
+	world, m, ids := liveWorld(t)
+	var extra []entity.ID
+	for world.Ents.HighWater() < 80 {
+		e, err := world.SpawnPlayer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		extra = append(extra, e.ID)
+	}
+	// Holes below and above slot 64; the survivors keep moving.
+	for _, id := range extra {
+		if id == 62 || id == 65 || id == 77 {
+			world.RemovePlayer(id)
+		} else {
+			ids = append(ids, id)
+		}
+	}
+	var below, above bool
+	for _, id := range world.Ents.FreeList() {
+		below = below || id < 64
+		above = above || id >= 64
+	}
+	if !below || !above {
+		t.Fatalf("free list %v does not straddle slot 64", world.Ents.FreeList())
+	}
+	stepWorld(world, ids, 30, 40)
+	dir := t.TempDir()
+	captureToFile(t, world, m, ids, dir, 40)
+	ck, err := LoadLatest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := ck.RestoreWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored.Ents.FreeList(), world.Ents.FreeList()) {
+		t.Fatalf("free list: restored %v, original %v", restored.Ents.FreeList(), world.Ents.FreeList())
+	}
+	if restored.Ents.HighWater() != world.Ents.HighWater() || restored.Ents.Capacity() != world.Ents.Capacity() {
+		t.Fatalf("restored high water/capacity %d/%d, original %d/%d",
+			restored.Ents.HighWater(), restored.Ents.Capacity(), world.Ents.HighWater(), world.Ents.Capacity())
+	}
+	stepWorld(world, ids, 40, 70)
+	stepWorld(restored, ids, 40, 70)
+	if worldDigest(restored) != worldDigest(world) {
+		t.Fatalf("restored world diverged: %016x vs %016x", worldDigest(restored), worldDigest(world))
 	}
 }
 

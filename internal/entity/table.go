@@ -5,9 +5,22 @@ import (
 	"sort"
 )
 
+// chunkBits sizes the table's allocation unit: slots are grouped in
+// chunks of 1<<chunkBits entities, and a chunk is allocated the first
+// time one of its IDs is used.
+const (
+	chunkBits = 6
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
+)
+
 // Table is a fixed-capacity entity arena with free-list reuse, mirroring
-// the engine's edict array. Pointers returned by Get and Alloc remain
-// valid for the table's lifetime (the backing array never reallocates).
+// the engine's edict array. Storage is a fixed directory of 64-slot
+// chunks, each allocated on first use, so a table pays only for the
+// slots below its high-water mark: an idle match's 2048-slot table holds
+// its map's items and doors, not 2048 entities. Chunks never move, so
+// pointers returned by Get and Alloc remain valid for the table's
+// lifetime.
 //
 // The table itself is not synchronized: allocation and freeing happen in
 // phases where the executing thread has exclusive access (world physics
@@ -17,8 +30,12 @@ import (
 // under the same discipline, so readers ordered after an Alloc/Free by
 // the frame barriers always see a consistent list.
 type Table struct {
-	ents []Entity
-	free []ID
+	// chunks is the fixed directory, ceil(capacity/64) entries long.
+	// Invariant: every chunk holding an ID below highWater is allocated,
+	// so only IDs at or past the high-water mark can land in a nil chunk.
+	chunks   []*[chunkSize]Entity
+	capacity int
+	free     []ID
 	// actIDs is the live entity IDs in ascending order — the iteration
 	// index ForEach/Range/ActiveIDs walk, so sparse tables never pay for
 	// free-list holes up to the high-water mark. Preallocated to capacity
@@ -29,19 +46,34 @@ type Table struct {
 	highWater int
 }
 
-// NewTable creates a table with the given capacity.
+// NewTable creates a table with the given capacity. No entity storage
+// is allocated until the first Alloc or Materialize.
 func NewTable(capacity int) *Table {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("entity: capacity %d must be positive", capacity))
 	}
 	return &Table{
-		ents:   make([]Entity, capacity),
-		actIDs: make([]ID, 0, capacity),
+		chunks:   make([]*[chunkSize]Entity, (capacity+chunkMask)>>chunkBits),
+		capacity: capacity,
+		actIDs:   make([]ID, 0, capacity),
+	}
+}
+
+// at returns the slot for an ID known to be below the high-water mark.
+func (t *Table) at(id ID) *Entity { return &t.chunks[id>>chunkBits][id&chunkMask] }
+
+// grow allocates every missing chunk holding an ID below n, restoring
+// the chunk invariant before the high-water mark is raised to n.
+func (t *Table) grow(n int) {
+	for c := t.highWater >> chunkBits; c<<chunkBits < n; c++ {
+		if t.chunks[c] == nil {
+			t.chunks[c] = new([chunkSize]Entity)
+		}
 	}
 }
 
 // Capacity returns the table's fixed capacity.
-func (t *Table) Capacity() int { return len(t.ents) }
+func (t *Table) Capacity() int { return t.capacity }
 
 // Active returns the number of live entities.
 func (t *Table) Active() int { return t.active }
@@ -57,13 +89,14 @@ func (t *Table) Alloc(class Class) *Entity {
 		id = t.free[n-1]
 		t.free = t.free[:n-1]
 	} else {
-		if t.highWater >= len(t.ents) {
+		if t.highWater >= t.capacity {
 			return nil
 		}
 		id = ID(t.highWater)
+		t.grow(t.highWater + 1)
 		t.highWater++
 	}
-	e := &t.ents[id]
+	e := t.at(id)
 	*e = Entity{
 		ID:        id,
 		Class:     class,
@@ -135,15 +168,17 @@ func (t *Table) removeActive(id ID) {
 func (t *Table) FreeList() []ID { return t.free }
 
 // Reset clears every slot, the free list, and the high-water mark,
-// returning the table to its just-constructed state. Restore-only: the
+// returning the table to its just-constructed state; allocated chunks
+// are kept (zeroed), so earlier pointers stay valid. Restore-only: the
 // caller must have unlinked every entity first (a linked entity here is
 // the same unrecoverable corruption Free panics on).
 func (t *Table) Reset() {
 	for i := 0; i < t.highWater; i++ {
-		if t.ents[i].Link.Linked() {
-			panic(fmt.Sprintf("entity: resetting table with linked entity %d (%v)", i, t.ents[i].Class))
+		e := t.at(ID(i))
+		if e.Link.Linked() {
+			panic(fmt.Sprintf("entity: resetting table with linked entity %d (%v)", i, e.Class))
 		}
-		t.ents[i] = Entity{ID: ID(i)}
+		*e = Entity{ID: ID(i)}
 	}
 	t.free = t.free[:0]
 	t.actIDs = t.actIDs[:0]
@@ -157,17 +192,18 @@ func (t *Table) Reset() {
 // grows to cover id. It returns nil when id is out of range or the slot
 // is already active.
 func (t *Table) Materialize(id ID) *Entity {
-	if id < 0 || int(id) >= len(t.ents) {
+	if id < 0 || int(id) >= t.capacity {
 		return nil
 	}
-	e := &t.ents[id]
+	if int(id) >= t.highWater {
+		t.grow(int(id) + 1)
+		t.highWater = int(id) + 1
+	}
+	e := t.at(id)
 	if e.Active {
 		return nil
 	}
 	*e = Entity{ID: id, Active: true}
-	if int(id) >= t.highWater {
-		t.highWater = int(id) + 1
-	}
 	t.insertActive(id)
 	t.active++
 	return e
@@ -184,8 +220,8 @@ func (t *Table) SetFreeState(free []ID, highWater int) error {
 	if highWater < t.highWater {
 		return fmt.Errorf("entity: free-state high water %d below materialized high water %d", highWater, t.highWater)
 	}
-	if highWater > len(t.ents) {
-		return fmt.Errorf("entity: free-state high water %d exceeds capacity %d", highWater, len(t.ents))
+	if highWater > t.capacity {
+		return fmt.Errorf("entity: free-state high water %d exceeds capacity %d", highWater, t.capacity)
 	}
 	if t.active+len(free) != highWater {
 		return fmt.Errorf("entity: %d active + %d free does not tile %d slots", t.active, len(free), highWater)
@@ -195,7 +231,7 @@ func (t *Table) SetFreeState(free []ID, highWater int) error {
 		if id < 0 || int(id) >= highWater {
 			return fmt.Errorf("entity: free slot %d outside high water %d", id, highWater)
 		}
-		if t.ents[id].Active {
+		if e := t.Get(id); e != nil && e.Active {
 			return fmt.Errorf("entity: free slot %d is active", id)
 		}
 		if seen[id] {
@@ -204,17 +240,24 @@ func (t *Table) SetFreeState(free []ID, highWater int) error {
 		seen[id] = true
 	}
 	t.free = append(t.free[:0], free...)
+	t.grow(highWater)
 	t.highWater = highWater
 	return nil
 }
 
-// Get returns the entity with the given ID, or nil for out-of-range IDs.
-// The result may be inactive; callers check Active when it matters.
+// Get returns the entity with the given ID, or nil for out-of-range IDs
+// and for IDs whose chunk was never allocated (only possible at or past
+// the high-water mark). The result may be inactive; callers check Active
+// when it matters.
 func (t *Table) Get(id ID) *Entity {
-	if id < 0 || int(id) >= len(t.ents) {
+	if id < 0 || int(id) >= t.capacity {
 		return nil
 	}
-	return &t.ents[id]
+	c := t.chunks[id>>chunkBits]
+	if c == nil {
+		return nil
+	}
+	return &c[id&chunkMask]
 }
 
 // ActiveIDs returns the live entity IDs in ascending order. The slice is
@@ -228,7 +271,7 @@ func (t *Table) ActiveIDs() []ID { return t.actIDs }
 // for mutating walks.
 func (t *Table) Range(fn func(*Entity) bool) {
 	for _, id := range t.actIDs {
-		if !fn(&t.ents[id]) {
+		if !fn(t.at(id)) {
 			return
 		}
 	}
@@ -238,7 +281,7 @@ func (t *Table) Range(fn func(*Entity) bool) {
 // allocate or free entities.
 func (t *Table) ForEach(fn func(*Entity)) {
 	for _, id := range t.actIDs {
-		fn(&t.ents[id])
+		fn(t.at(id))
 	}
 }
 
@@ -246,7 +289,7 @@ func (t *Table) ForEach(fn func(*Entity)) {
 // order. fn must not allocate or free entities.
 func (t *Table) ForEachClass(class Class, fn func(*Entity)) {
 	for _, id := range t.actIDs {
-		if e := &t.ents[id]; e.Class == class {
+		if e := t.at(id); e.Class == class {
 			fn(e)
 		}
 	}
@@ -256,7 +299,7 @@ func (t *Table) ForEachClass(class Class, fn func(*Entity)) {
 func (t *Table) CountClass(class Class) int {
 	n := 0
 	for _, id := range t.actIDs {
-		if t.ents[id].Class == class {
+		if t.at(id).Class == class {
 			n++
 		}
 	}

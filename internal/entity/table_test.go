@@ -203,3 +203,183 @@ func TestNewTablePanicsOnBadCapacity(t *testing.T) {
 	}()
 	NewTable(0)
 }
+
+func TestChunkedPointersStable(t *testing.T) {
+	tb := NewTable(2048)
+	first := tb.Alloc(ClassPlayer)
+	first.Health = 42
+	var ptrs []*Entity
+	for e := first; e != nil; e = tb.Alloc(ClassItem) {
+		ptrs = append(ptrs, e)
+	}
+	if len(ptrs) != 2048 || tb.HighWater() != 2048 {
+		t.Fatalf("filled %d slots, high water %d; want 2048", len(ptrs), tb.HighWater())
+	}
+	for i, p := range ptrs {
+		if got := tb.Get(ID(i)); got != p {
+			t.Fatalf("Get(%d) = %p, Alloc returned %p", i, got, p)
+		}
+	}
+	if first.Health != 42 || tb.Get(0).Health != 42 {
+		t.Error("slot 0 lost its state while the table grew")
+	}
+}
+
+func TestChunkedGetUnusedSlots(t *testing.T) {
+	tb := NewTable(200)
+	for i := 0; i < 3; i++ {
+		tb.Alloc(ClassItem)
+	}
+	for _, id := range []ID{3, 63, 64, 130, 199} {
+		if e := tb.Get(id); e != nil && e.Active {
+			t.Errorf("Get(%d) on a never-used slot returned an active entity", id)
+		}
+	}
+	for _, id := range []ID{-1, None, 200, 256, 4096} {
+		if tb.Get(id) != nil {
+			t.Errorf("Get(%d) out of range returned non-nil", id)
+		}
+	}
+}
+
+func TestChunkedOddCapacityFillsExactly(t *testing.T) {
+	tb := NewTable(100)
+	for i := 0; i < 100; i++ {
+		e := tb.Alloc(ClassItem)
+		if e == nil || e.ID != ID(i) {
+			t.Fatalf("alloc %d = %+v", i, e)
+		}
+	}
+	if tb.Alloc(ClassItem) != nil {
+		t.Error("alloc past capacity 100 succeeded")
+	}
+	if tb.Get(100) != nil || tb.Get(127) != nil {
+		t.Error("Get past capacity 100 returned a slot of the last chunk's padding")
+	}
+	if tb.Capacity() != 100 {
+		t.Errorf("Capacity = %d", tb.Capacity())
+	}
+}
+
+// TestChunkedRestoreAcrossBoundary rebuilds a table whose live and free
+// slots straddle chunk boundaries the way checkpoint restore does:
+// Reset, Materialize out of order, SetFreeState — then checks the free
+// list hands IDs out in the checkpointed order.
+func TestChunkedRestoreAcrossBoundary(t *testing.T) {
+	tb := NewTable(256)
+	for i := 0; i < 10; i++ {
+		tb.Alloc(ClassItem)
+	}
+	tb.Reset()
+	if tb.HighWater() != 0 || tb.Active() != 0 || len(tb.ActiveIDs()) != 0 {
+		t.Fatalf("reset: high=%d active=%d", tb.HighWater(), tb.Active())
+	}
+	for _, id := range []ID{130, 5, 64, 63} {
+		if tb.Materialize(id) == nil {
+			t.Fatalf("Materialize(%d) failed", id)
+		}
+	}
+	if tb.Materialize(64) != nil {
+		t.Error("Materialize of an active slot succeeded")
+	}
+	if tb.Materialize(256) != nil {
+		t.Error("Materialize past capacity succeeded")
+	}
+	if tb.HighWater() != 131 {
+		t.Fatalf("high water = %d, want 131", tb.HighWater())
+	}
+	// 131 slots below high water: 4 active, the rest free in stack order
+	// (the last element pops first).
+	var free []ID
+	for id := ID(0); id < 131; id++ {
+		switch id {
+		case 5, 63, 64, 130:
+		default:
+			free = append(free, id)
+		}
+	}
+	if err := tb.SetFreeState(append([]ID{135}, free[1:]...), 131); err == nil {
+		t.Fatal("SetFreeState accepted a free slot past high water")
+	}
+	if err := tb.SetFreeState(append([]ID{64}, free[1:]...), 131); err == nil {
+		t.Fatal("SetFreeState accepted an active slot in the free list")
+	}
+	if err := tb.SetFreeState(free, 140); err == nil {
+		t.Fatal("SetFreeState accepted a free list that does not tile high water")
+	}
+	if err := tb.SetFreeState(free, 131); err != nil {
+		t.Fatal(err)
+	}
+	for i := len(free) - 1; i >= len(free)-3; i-- {
+		if e := tb.Alloc(ClassProjectile); e == nil || e.ID != free[i] {
+			t.Fatalf("alloc after restore = %+v, want ID %d", e, free[i])
+		}
+	}
+	for id := ID(0); id < 131; id++ {
+		if tb.Get(id) == nil {
+			t.Fatalf("slot %d below high water has no chunk", id)
+		}
+	}
+	want := []ID{5, 63, 64, 127, 128, 129, 130}
+	if got := tb.ActiveIDs(); len(got) != len(want) {
+		t.Fatalf("active IDs = %v, want %v", got, want)
+	} else {
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("active IDs = %v, want %v", got, want)
+			}
+		}
+	}
+}
+
+func TestChunkedResetKeepsPointers(t *testing.T) {
+	tb := NewTable(128)
+	var last *Entity
+	for i := 0; i < 70; i++ {
+		last = tb.Alloc(ClassItem)
+	}
+	tb.Reset()
+	if last.Active || last.ID != 69 {
+		t.Errorf("reset slot = %+v, want zeroed ID 69", last)
+	}
+	if e := tb.Materialize(69); e != last {
+		t.Error("Materialize after Reset moved the slot")
+	}
+}
+
+func TestFreeListReuseOrder(t *testing.T) {
+	tb := NewTable(200)
+	for i := 0; i < 150; i++ {
+		tb.Alloc(ClassItem)
+	}
+	for _, id := range []ID{3, 140, 64, 63} {
+		tb.Free(id)
+	}
+	for _, want := range []ID{63, 64, 140, 3, 150, 151} {
+		if e := tb.Alloc(ClassCorpse); e == nil || e.ID != want {
+			t.Fatalf("alloc = %+v, want ID %d", e, want)
+		}
+	}
+}
+
+// TestSetFreeStateGrowsChunks covers a checkpoint whose free slots run
+// past the last active entity's chunk: the recycled IDs must still have
+// storage.
+func TestSetFreeStateGrowsChunks(t *testing.T) {
+	tb := NewTable(256)
+	if tb.Materialize(2) == nil {
+		t.Fatal("Materialize(2) failed")
+	}
+	var free []ID
+	for id := ID(0); id < 100; id++ {
+		if id != 2 {
+			free = append(free, id)
+		}
+	}
+	if err := tb.SetFreeState(free, 100); err != nil {
+		t.Fatal(err)
+	}
+	if e := tb.Alloc(ClassProjectile); e == nil || e.ID != 99 || tb.Get(99) != e {
+		t.Fatalf("alloc = %+v, want ID 99", e)
+	}
+}

@@ -94,7 +94,7 @@ func (vi *VisIndex) Begin(w *World) {
 		room := int32(e.RoomID)
 		b := int32(nRooms) // overflow: room unknown, always range-checked
 		if e.RoomID >= 0 {
-			if e.RoomID < nRooms && w.visRoomBounds != nil && w.visRoomBounds[e.RoomID].Contains(e.Origin) {
+			if e.RoomID < nRooms && w.static.visRoomBounds != nil && w.static.visRoomBounds[e.RoomID].Contains(e.Origin) {
 				b = room
 			} else {
 				// The cached room no longer contains the origin: the entry
@@ -188,8 +188,8 @@ func (vi *VisIndex) AppendVisible(viewer *entity.Entity, dst []protocol.EntitySt
 	// are sound for this viewer. Doorway-band viewers (unknown room) and
 	// stale-room viewers fall back to a straight scan of the cache with
 	// the naive per-entity predicate — still no re-encoding.
-	if vRoom < 0 || vRoom >= nRooms || len(w.visClass) == 0 ||
-		!w.visRoomBounds[vRoom].Contains(vo) {
+	if vRoom < 0 || vRoom >= nRooms || len(w.static.visClass) == 0 ||
+		!w.static.visRoomBounds[vRoom].Contains(vo) {
 		for i := range vi.ids {
 			if vi.ids[i] == viewerID {
 				continue
@@ -208,7 +208,7 @@ func (vi *VisIndex) AppendVisible(viewer *entity.Entity, dst []protocol.EntitySt
 	// a slot per room plus the overflow and stale tail slots, so each
 	// entry resolves with a single byte load. Skipped entries cost two
 	// array reads and never touch the entity or its cached state.
-	cls := w.visClass[vRoom]
+	cls := w.static.visClass[vRoom]
 	for i, b := range vi.buckets {
 		c := cls[b]
 		if c == visSkip {

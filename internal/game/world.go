@@ -26,9 +26,14 @@ import (
 
 // Config parameterizes a game world.
 type Config struct {
-	Map           *worldmap.Map
+	Map *worldmap.Map
+	// Static, when set, is the immutable half the world is built over —
+	// typically shared by every match on the same map. Map may then be
+	// left nil; if both are set they must agree. When nil, NewWorld
+	// builds a private Static from Map.
+	Static        *Static
 	AreanodeDepth int // leaf depth; areanode.DefaultDepth when zero
-	MaxEntities   int // entity table capacity; derived when zero
+	MaxEntities   int // entity table capacity; 2048 when zero
 	Physics       physics.Params
 	// Seed is accepted for configuration compatibility but currently
 	// unused: gameplay is deterministic by design (see World.Time's
@@ -36,11 +41,52 @@ type Config struct {
 	Seed int64
 }
 
-// World owns all mutable game state: the entity table, the areanode tree,
-// and the clock. The static map and collision tree are shared and
-// immutable.
-type World struct {
+// Static is the immutable half of a world: the map, its collision tree,
+// and the visibility index's room tables. It is built once per map and
+// read concurrently by any number of Worlds, as the paper's server loads
+// its BSP map once and every thread reads it; only the entity table, the
+// areanode tree and the clock are per-world.
+type Static struct {
 	Map     *worldmap.Map
+	Collide *collide.Tree
+
+	// Per-map tables for the frame-coherent visibility index
+	// (visindex.go), derived once from the room layout. visRoomBounds[r]
+	// is room r's bounds widened exactly as Map.RoomAt accepts points
+	// (wall-band expansion, Z extended to the world top), so RoomID==r
+	// with Origin inside visRoomBounds[r] is the "fresh room" invariant.
+	// visClass[v][r] classifies room r for a viewer in room v: take
+	// (room-visible, no range check), check (outside the visibility
+	// matrix but close enough that the audible-range fallback could
+	// still include an entity there), or skip (provably out of range).
+	// Each row carries two extra tail slots so the index's overflow
+	// (room unknown: always range-checked) and stale (cached room
+	// disagrees with origin: full naive predicate) buckets resolve
+	// through the same one-load lookup as real rooms.
+	visRoomBounds []geom.AABB
+	visClass      [][]uint8
+}
+
+// NewStatic derives the immutable half of a world from a (non-nil) map:
+// the collision tree over its brushes and the visibility room tables.
+func NewStatic(m *worldmap.Map) *Static {
+	boxes := make([]geom.AABB, len(m.Brushes))
+	for i, b := range m.Brushes {
+		boxes[i] = b.Box
+	}
+	st := &Static{Map: m, Collide: collide.NewTree(boxes, m.Bounds)}
+	st.buildVisTables()
+	return st
+}
+
+// World owns all mutable game state: the entity table, the areanode tree,
+// and the clock. The map, collision tree and visibility tables come from
+// a Static, which may be shared with other worlds and is never mutated.
+type World struct {
+	Map *worldmap.Map
+	// Collide starts as the Static's tree. It is the world's own pointer,
+	// so an engine may swap in a view of it (simserver installs
+	// Collide.Reference()) without reaching sibling worlds on the Static.
 	Collide *collide.Tree
 	Tree    *areanode.Tree
 	Ents    *entity.Table
@@ -57,6 +103,10 @@ type World struct {
 	// time.Now in frame logic).
 	Time float64
 
+	// static is the immutable half the world was built over; the
+	// visibility index reads its room tables.
+	static *Static
+
 	// spawnCursor rotates through spawn points.
 	spawnCursor int
 
@@ -66,22 +116,6 @@ type World struct {
 	// physics) and under the phase barriers.
 	entMu sync.Mutex
 
-	// Static per-map tables for the frame-coherent visibility index
-	// (visindex.go), derived once from the room layout. visRoomBounds[r]
-	// is room r's bounds widened exactly as Map.RoomAt accepts points
-	// (wall-band expansion, Z extended to the world top), so RoomID==r
-	// with Origin inside visRoomBounds[r] is the "fresh room" invariant.
-	// visClass[v][r] classifies room r for a viewer in room v: take
-	// (room-visible, no range check), check (outside the visibility
-	// matrix but close enough that the audible-range fallback could
-	// still include an entity there), or skip (provably out of range).
-	// Each row carries two extra tail slots so the index's overflow
-	// (room unknown: always range-checked) and stale (cached room
-	// disagrees with origin: full naive predicate) buckets resolve
-	// through the same one-load lookup as real rooms.
-	visRoomBounds []geom.AABB
-	visClass      [][]uint8
-
 	// frameIDs is RunWorldFrame's scratch copy of the active-ID index:
 	// thinks free and allocate entities mid-walk, so the phase iterates a
 	// snapshot of the index taken at frame start.
@@ -89,7 +123,7 @@ type World struct {
 }
 
 // Viewer-room classification of a room's entity span during snapshot
-// merging (see visClass above).
+// merging (see Static.visClass).
 const (
 	visSkip uint8 = iota
 	visCheck
@@ -97,12 +131,20 @@ const (
 	visStale
 )
 
-// NewWorld builds a world over the map: collision tree, areanode tree,
-// and the initial entity population (items and teleporter triggers).
+// NewWorld builds a world over a Static (cfg.Static, or a private one
+// derived from cfg.Map): a fresh areanode tree and the initial entity
+// population (items, doors and teleporter triggers).
 func NewWorld(cfg Config) (*World, error) {
-	if cfg.Map == nil {
+	st := cfg.Static
+	switch {
+	case st == nil && cfg.Map == nil:
 		return nil, fmt.Errorf("game: config has no map")
+	case st == nil:
+		st = NewStatic(cfg.Map)
+	case cfg.Map != nil && cfg.Map != st.Map:
+		return nil, fmt.Errorf("game: config map %q is not the static world's map %q", cfg.Map.Name, st.Map.Name)
 	}
+	m := st.Map
 	depth := cfg.AreanodeDepth
 	if depth == 0 {
 		depth = areanode.DefaultDepth
@@ -115,19 +157,16 @@ func NewWorld(cfg Config) (*World, error) {
 		cfg.Physics = physics.DefaultParams()
 	}
 
-	boxes := make([]geom.AABB, len(cfg.Map.Brushes))
-	for i, b := range cfg.Map.Brushes {
-		boxes[i] = b.Box
-	}
 	w := &World{
-		Map:     cfg.Map,
-		Collide: collide.NewTree(boxes, cfg.Map.Bounds),
-		Tree:    areanode.NewTree(cfg.Map.Bounds, depth),
+		Map:     m,
+		Collide: st.Collide,
+		Tree:    areanode.NewTree(m.Bounds, depth),
 		Ents:    entity.NewTable(maxEnts),
 		Phys:    cfg.Physics,
+		static:  st,
 	}
 
-	for i, it := range cfg.Map.Items {
+	for i, it := range m.Items {
 		e := w.Ents.Alloc(entity.ClassItem)
 		if e == nil {
 			return nil, fmt.Errorf("game: entity table too small for map items")
@@ -139,12 +178,12 @@ func NewWorld(cfg Config) (*World, error) {
 		e.RoomID = it.RoomID
 		w.link(e)
 	}
-	for i := range cfg.Map.Doors {
+	for i := range m.Doors {
 		if err := w.spawnDoor(i); err != nil {
 			return nil, err
 		}
 	}
-	for _, tp := range cfg.Map.Teleporters {
+	for _, tp := range m.Teleporters {
 		e := w.Ents.Alloc(entity.ClassTeleporter)
 		if e == nil {
 			return nil, fmt.Errorf("game: entity table too small for teleporters")
@@ -153,13 +192,12 @@ func NewWorld(cfg Config) (*World, error) {
 		e.Origin = c
 		e.Mins = tp.Trigger.Min.Sub(c)
 		e.Maxs = tp.Trigger.Max.Sub(c)
-		e.RoomID = cfg.Map.RoomAt(c)
+		e.RoomID = m.RoomAt(c)
 		// Destination is recovered through the map by trigger identity;
 		// store the teleporter index in ItemSpawn for O(1) lookup.
-		e.ItemSpawn = teleIndex(cfg.Map, tp)
+		e.ItemSpawn = teleIndex(m, tp)
 		w.link(e)
 	}
-	w.buildVisTables()
 	return w, nil
 }
 
@@ -169,19 +207,19 @@ func NewWorld(cfg Config) (*World, error) {
 // entity position accepted into room r — the box-distance lower bound
 // guarantees a skipped room can never hide an entity the naive range
 // check would have included.
-func (w *World) buildVisTables() {
-	m := w.Map
+func (st *Static) buildVisTables() {
+	m := st.Map
 	n := len(m.Rooms)
 	if n == 0 {
 		return
 	}
-	w.visRoomBounds = make([]geom.AABB, n)
+	st.visRoomBounds = make([]geom.AABB, n)
 	for r := range m.Rooms {
 		b := m.Rooms[r].Bounds
 		b.Max.Z = m.Bounds.Max.Z
-		w.visRoomBounds[r] = b.Expand(m.WallSize)
+		st.visRoomBounds[r] = b.Expand(m.WallSize)
 	}
-	w.visClass = make([][]uint8, n)
+	st.visClass = make([][]uint8, n)
 	stride := n + 2
 	flat := make([]uint8, n*stride)
 	for v := 0; v < n; v++ {
@@ -190,13 +228,13 @@ func (w *World) buildVisTables() {
 			switch {
 			case m.Visible(v, r):
 				row[r] = visTake
-			case boxMinDistSq(w.visRoomBounds[v], w.visRoomBounds[r]) <= visCutoff*visCutoff:
+			case boxMinDistSq(st.visRoomBounds[v], st.visRoomBounds[r]) <= visCutoff*visCutoff:
 				row[r] = visCheck
 			}
 		}
 		row[n] = visCheck   // overflow bucket: room unknown, range check
 		row[n+1] = visStale // stale bucket: full naive predicate
-		w.visClass[v] = row
+		st.visClass[v] = row
 	}
 }
 

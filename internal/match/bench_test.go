@@ -15,14 +15,14 @@ import (
 // just tick. Returns the active matches' endpoints' network.
 func buildFleet(tb testing.TB, mgr *Manager, idle, active int) *transport.Network {
 	tb.Helper()
-	m := smallMap(tb)
+	st := smallStatic(tb)
 	net := transport.NewNetwork(transport.NetworkConfig{QueueLen: 4096})
 	for i := 0; i < idle; i++ {
 		conn, err := net.Listen(fmt.Sprintf("idle:%d", i))
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if _, err := mgr.Add(fmt.Sprintf("idle-%d", i), newEngine(tb, m, conn, mgr.Shared())); err != nil {
+		if _, err := mgr.Add(fmt.Sprintf("idle-%d", i), newEngine(tb, st, conn, mgr.Shared())); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -31,7 +31,7 @@ func buildFleet(tb testing.TB, mgr *Manager, idle, active int) *transport.Networ
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if _, err := mgr.Add(fmt.Sprintf("act-%d", i), newEngine(tb, m, conn, mgr.Shared())); err != nil {
+		if _, err := mgr.Add(fmt.Sprintf("act-%d", i), newEngine(tb, st, conn, mgr.Shared())); err != nil {
 			tb.Fatal(err)
 		}
 	}

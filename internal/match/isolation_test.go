@@ -1,24 +1,28 @@
 package match
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"qserve/internal/botclient"
+	"qserve/internal/collide"
 	"qserve/internal/game"
 	"qserve/internal/protocol"
 	"qserve/internal/replay"
 	"qserve/internal/server"
 	"qserve/internal/transport"
-	"qserve/internal/worldmap"
 )
 
 // Cross-instance isolation: two matches sharing one SharedBufs pool and
-// interleaving frames must compute exactly the game each would compute
-// alone. The pooled scratch (reply buffers, visibility index, sweep
-// buffers) is the only state that crosses instances; if any of it leaks
-// game-visible information the entity-table digests diverge.
+// one game.Static, interleaving frames, must compute exactly the game
+// each would compute alone. The pooled scratch (reply buffers,
+// visibility index, sweep buffers) and the static world (map, collision
+// tree, visibility tables) are the only state that crosses instances;
+// if any of it leaks game-visible information the entity-table digests
+// diverge.
 
 // vclock is the deterministic frame-logic clock.
 type vclock struct{ t time.Time }
@@ -40,7 +44,7 @@ type scriptedMatch struct {
 	script func(step int) protocol.MoveCmd
 }
 
-func newScriptedMatch(t *testing.T, m *worldmap.Map, shared *server.SharedBufs, label string, script func(int) protocol.MoveCmd) *scriptedMatch {
+func newScriptedMatch(t *testing.T, st *game.Static, shared *server.SharedBufs, label string, script func(int) protocol.MoveCmd) *scriptedMatch {
 	t.Helper()
 	net := transport.NewNetwork(transport.NetworkConfig{QueueLen: 8192})
 	srvConn, err := net.Listen("srv:" + label)
@@ -51,7 +55,7 @@ func newScriptedMatch(t *testing.T, m *worldmap.Map, shared *server.SharedBufs, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := game.NewWorld(game.Config{Map: m})
+	w, err := game.NewWorld(game.Config{Static: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,15 +126,16 @@ func scriptB(i int) protocol.MoveCmd {
 }
 
 // TestCrossInstanceDigestIsolation runs A and B interleaved on one
-// shared pool, then each solo on its own pool, and requires bit-
-// identical entity-table digests. Any cross-instance state leak through
-// the shared scratch layer breaks the equality.
+// shared pool and one shared Static, then each solo on its own pool and
+// a private Static, and requires bit-identical entity-table digests. Any
+// cross-instance state leak through the shared scratch layer or the
+// static world breaks the equality.
 func TestCrossInstanceDigestIsolation(t *testing.T) {
 	m := smallMap(t)
 	const steps = 150
 
 	runSolo := func(script func(int) protocol.MoveCmd, label string) uint64 {
-		sm := newScriptedMatch(t, m, server.NewSharedBufs(), label, script)
+		sm := newScriptedMatch(t, game.NewStatic(m), server.NewSharedBufs(), label, script)
 		for i := 0; i < steps; i++ {
 			sm.step(t, i)
 		}
@@ -140,11 +145,15 @@ func TestCrossInstanceDigestIsolation(t *testing.T) {
 	wantA := runSolo(scriptA, "soloA")
 	wantB := runSolo(scriptB, "soloB")
 
-	// Interleaved: one pool, alternating frames — the scratch set A just
-	// released is the one B picks up, every frame.
+	// Interleaved: one pool and one static world, alternating frames —
+	// the scratch set A just released is the one B picks up, every frame.
 	shared := server.NewSharedBufs()
-	a := newScriptedMatch(t, m, shared, "intA", scriptA)
-	b := newScriptedMatch(t, m, shared, "intB", scriptB)
+	st := game.NewStatic(m)
+	a := newScriptedMatch(t, st, shared, "intA", scriptA)
+	b := newScriptedMatch(t, st, shared, "intB", scriptB)
+	if a.world.Collide != b.world.Collide {
+		t.Fatal("interleaved matches do not share one static world")
+	}
 	for i := 0; i < steps; i++ {
 		a.step(t, i)
 		b.step(t, i)
@@ -163,11 +172,91 @@ func TestCrossInstanceDigestIsolation(t *testing.T) {
 	}
 }
 
+// TestReferenceViewStaysLocal installs the exhaustive Reference trace
+// view on one world, as the DES engine does, and requires a sibling
+// world on the same Static to keep reporting the front-to-back walk's
+// work: World.Collide is each world's own pointer, so the swap cannot
+// reach through the shared tree.
+func TestReferenceViewStaysLocal(t *testing.T) {
+	st := game.NewStatic(smallMap(t))
+	drive := func(w *game.World) collide.Work {
+		e, err := w.SpawnPlayer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total collide.Work
+		lc := &game.LockContext{}
+		for i := 0; i < 60; i++ {
+			cmd := scriptA(i)
+			res := w.ExecuteMove(e, &cmd, lc)
+			total.Add(res.Work.Collide)
+		}
+		return total
+	}
+	newWorld := func() *game.World {
+		w, err := game.NewWorld(game.Config{Static: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	want := drive(newWorld())
+
+	ref, sibling := newWorld(), newWorld()
+	ref.Collide = ref.Collide.Reference()
+	if got := drive(sibling); got != want {
+		t.Errorf("sibling trace work %+v after Reference() on its neighbour, want %+v", got, want)
+	}
+	if got := drive(ref); got == want {
+		t.Fatal("Reference view reported the front-to-back walk's work; the test lost its power")
+	}
+	if st.Collide != sibling.Collide {
+		t.Error("Reference() replaced the shared Static's tree")
+	}
+}
+
+// TestMatchFootprint gates what one more idle match costs once the
+// static world is shared: bytes allocated per CreateMatch over a fleet
+// built on one Static, engine and lobby port included. A private Static
+// and a flat 2048-slot entity table per match cost 1.02 MB on this map;
+// with both gone it is 74 KB, split about evenly between the lobby
+// port's queue, the one entity chunk the map's items use, and the rest
+// (areanode tree, active-ID index, engine).
+func TestMatchFootprint(t *testing.T) {
+	const matches = 64
+	const ceiling = 80 << 10
+	st := smallStatic(t)
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	conn, err := net.Listen("srv:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := NewManager(Config{})
+	lobby := NewLobby(mgr, conn)
+	defer lobby.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < matches; i++ {
+		if _, err := lobby.CreateMatch(fmt.Sprintf("m%d", i), func(c transport.Conn) (*server.Sequential, error) {
+			return newEngine(t, st, c, mgr.Shared()), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / matches
+	t.Logf("%d bytes allocated per match", per)
+	if per > ceiling {
+		t.Errorf("CreateMatch allocates %d bytes per match, want <= %d", per, ceiling)
+	}
+}
+
 // TestEvictionIsolation crashes one match mid-frame (past the engine's
 // own per-client containment) and requires the manager to evict exactly
 // that match while its neighbor keeps serving frames and replies.
 func TestEvictionIsolation(t *testing.T) {
-	m := smallMap(t)
+	st := smallStatic(t)
+	m := st.Map
 	var once sync.Once
 	mgr := NewManager(Config{
 		Workers:        2,
@@ -192,7 +281,7 @@ func TestEvictionIsolation(t *testing.T) {
 	defer lobby.Close()
 	for _, name := range []string{"good", "bad"} {
 		if _, err := lobby.CreateMatch(name, func(conn transport.Conn) (*server.Sequential, error) {
-			return newEngine(t, m, conn, mgr.Shared()), nil
+			return newEngine(t, st, conn, mgr.Shared()), nil
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -13,30 +13,31 @@ import (
 	"qserve/internal/worldmap"
 )
 
-// testMap builds one small shared map: the map and its collision
-// geometry are immutable, so every match's world can reference the same
-// one (matching production, where a manager hosts many matches of few
-// map variants).
-var testMapOnce sync.Once
-var testMap *worldmap.Map
+// testStatic is one small map and its static world (collision tree,
+// visibility tables): both are immutable, so every match's world in
+// these tests is built over the same one, as qserved's are.
+var testStaticOnce sync.Once
+var testStatic *game.Static
 
-func smallMap(t testing.TB) *worldmap.Map {
+func smallStatic(t testing.TB) *game.Static {
 	t.Helper()
-	testMapOnce.Do(func() {
+	testStaticOnce.Do(func() {
 		mc := worldmap.DefaultConfig()
 		mc.Name = "gen-dm4"
 		mc.Rows, mc.Cols = 2, 2
 		mc.ItemsPerRoom = 1
 		mc.TeleporterPairs = 0
 		mc.Seed = 7
-		testMap = worldmap.MustGenerate(mc)
+		testStatic = game.NewStatic(worldmap.MustGenerate(mc))
 	})
-	return testMap
+	return testStatic
 }
 
-func newEngine(t testing.TB, m *worldmap.Map, conn transport.Conn, shared *server.SharedBufs) *server.Sequential {
+func smallMap(t testing.TB) *worldmap.Map { return smallStatic(t).Map }
+
+func newEngine(t testing.TB, st *game.Static, conn transport.Conn, shared *server.SharedBufs) *server.Sequential {
 	t.Helper()
-	w, err := game.NewWorld(game.Config{Map: m})
+	w, err := game.NewWorld(game.Config{Static: st})
 	if err != nil {
 		t.Fatalf("world: %v", err)
 	}
@@ -57,7 +58,8 @@ func newEngine(t testing.TB, m *worldmap.Map, conn transport.Conn, shared *serve
 // over matches, an unknown name is rejected, and gameplay traffic flows
 // to the right engine after admission.
 func TestLobbyRoutesAndAssigns(t *testing.T) {
-	m := smallMap(t)
+	st := smallStatic(t)
+	m := st.Map
 	net := transport.NewNetwork(transport.NetworkConfig{QueueLen: 4096})
 	srvConn, err := net.Listen("srv:0")
 	if err != nil {
@@ -69,7 +71,7 @@ func TestLobbyRoutesAndAssigns(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("m%d", i)
 		if _, err := lobby.CreateMatch(name, func(conn transport.Conn) (*server.Sequential, error) {
-			return newEngine(t, m, conn, mgr.Shared()), nil
+			return newEngine(t, st, conn, mgr.Shared()), nil
 		}); err != nil {
 			t.Fatalf("create %s: %v", name, err)
 		}
@@ -155,7 +157,7 @@ func TestLobbyRoutesAndAssigns(t *testing.T) {
 // exists for: many idle matches ticking concurrently borrow far fewer
 // frame-scratch sets than there are matches.
 func TestIdleMatchesShareScratch(t *testing.T) {
-	m := smallMap(t)
+	st := smallStatic(t)
 	const matches = 64
 	mgr := NewManager(Config{Workers: 4, IdleInterval: 3 * time.Millisecond})
 	net := transport.NewNetwork(transport.NetworkConfig{})
@@ -164,7 +166,7 @@ func TestIdleMatchesShareScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := mgr.Add(fmt.Sprintf("idle-%d", i), newEngine(t, m, conn, mgr.Shared())); err != nil {
+		if _, err := mgr.Add(fmt.Sprintf("idle-%d", i), newEngine(t, st, conn, mgr.Shared())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,14 +194,14 @@ func TestIdleMatchesShareScratch(t *testing.T) {
 // TestPokeSchedulesPromptly proves the lobby's admission latency bound:
 // a poked idle match steps well before its idle tick would have fired.
 func TestPokeSchedulesPromptly(t *testing.T) {
-	m := smallMap(t)
+	st := smallStatic(t)
 	mgr := NewManager(Config{Workers: 1, IdleInterval: time.Hour})
 	net := transport.NewNetwork(transport.NetworkConfig{})
 	conn, err := net.Listen("m:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt, err := mgr.Add("m0", newEngine(t, m, conn, mgr.Shared()))
+	mt, err := mgr.Add("m0", newEngine(t, st, conn, mgr.Shared()))
 	if err != nil {
 		t.Fatal(err)
 	}
