@@ -116,12 +116,13 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 # lint builds the repo's own static analyzers (tools/qvet — a separate
-# module, so the engine itself stays stdlib-only) and runs them over the
-# tree: lock-guard discipline, frame-phase call compatibility, atomic
-# field hygiene, //qvet:noalloc escape gates, and annotation rot. The
-# final guard proves the tools module's dependencies never leak into the
-# engine's go.mod.
+# module, so the engine itself stays stdlib-only), runs their fixture
+# tests, and runs them over the tree: lock-guard discipline, frame-phase
+# call compatibility, atomic field hygiene, //qvet:noalloc escape gates,
+# and annotation rot. The final guard proves the tools module's
+# dependencies never leak into the engine's go.mod.
 lint:
+	$(GO) test -C tools ./...
 	$(GO) build -C tools -o bin/qvet ./qvet
 	@n=$$(./tools/bin/qvet -list | wc -l); \
 		[ "$$n" -eq 9 ] || \

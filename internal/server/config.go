@@ -74,17 +74,11 @@ type Config struct {
 	QuarantineWedged bool
 
 	// FrameBudget is the overload ladder's target frame duration: frames
-	// over budget for OverloadTripFrames consecutive frames raise the shed
-	// level, frames under budget for OverloadClearFrames lower it. Zero
+	// over budget for shedTripFrames consecutive frames raise the shed
+	// level, frames under budget for shedClearFrames lower it. Zero
 	// disables overload shedding. Adjustable at runtime via
 	// SetFrameBudget.
 	FrameBudget time.Duration
-	// OverloadTripFrames is how many consecutive over-budget frames raise
-	// the shed level one step. Default 8.
-	OverloadTripFrames int
-	// OverloadClearFrames is how many consecutive under-budget frames
-	// lower the shed level one step (hysteresis). Default 16.
-	OverloadClearFrames int
 	// OverloadEntityCap is the per-snapshot visible-entity cap applied at
 	// shed level 2+. Default 16.
 	OverloadEntityCap int
@@ -186,12 +180,6 @@ func (c *Config) fill(needThreads bool) error {
 	}
 	if c.Assign == nil {
 		c.Assign = BlockAssign
-	}
-	if c.OverloadTripFrames <= 0 {
-		c.OverloadTripFrames = 8
-	}
-	if c.OverloadClearFrames <= 0 {
-		c.OverloadClearFrames = 16
 	}
 	if c.OverloadEntityCap <= 0 {
 		c.OverloadEntityCap = 16

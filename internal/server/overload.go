@@ -26,6 +26,13 @@ const (
 	shedMaxLevel = shedRejectNew
 )
 
+// Ladder hysteresis: consecutive over-budget frames that raise the shed
+// level one step, and consecutive under-budget frames that lower it.
+const (
+	shedTripFrames  = 8
+	shedClearFrames = 16
+)
+
 // shedController implements graceful overload degradation: when the
 // frame time stays over budget for a run of consecutive frames the
 // server sheds load one ladder step at a time instead of letting latency
@@ -36,17 +43,12 @@ type shedController struct {
 	budgetNs atomic.Int64
 	level    atomic.Int32
 
-	trip  int // consecutive over-budget frames to raise the level
-	clear int // consecutive under-budget frames to lower it
-
 	// Master-only run counters.
 	over, under int
 }
 
 func (sc *shedController) init(cfg *Config) {
 	sc.budgetNs.Store(int64(cfg.FrameBudget))
-	sc.trip = cfg.OverloadTripFrames
-	sc.clear = cfg.OverloadClearFrames
 }
 
 // setBudget adjusts the frame budget at runtime (0 disables shedding and
@@ -70,7 +72,7 @@ func (sc *shedController) observe(frameNs int64) int32 {
 	if frameNs > budget {
 		sc.over++
 		sc.under = 0
-		if sc.over >= sc.trip && lvl < shedMaxLevel {
+		if sc.over >= shedTripFrames && lvl < shedMaxLevel {
 			lvl++
 			sc.level.Store(lvl)
 			sc.over = 0
@@ -78,7 +80,7 @@ func (sc *shedController) observe(frameNs int64) int32 {
 	} else {
 		sc.under++
 		sc.over = 0
-		if sc.under >= sc.clear && lvl > shedNone {
+		if sc.under >= shedClearFrames && lvl > shedNone {
 			lvl--
 			sc.level.Store(lvl)
 			sc.under = 0

@@ -81,11 +81,11 @@ func collect(prog *core.Program, pkg *core.Package, fields map[string]atomicUse,
 				if name == "" || len(n.Args) == 0 {
 					return true
 				}
-				un, ok := unparen(n.Args[0]).(*ast.UnaryExpr)
+				un, ok := ast.Unparen(n.Args[0]).(*ast.UnaryExpr)
 				if !ok || un.Op != token.AND {
 					return true
 				}
-				sel, ok := unparen(un.X).(*ast.SelectorExpr)
+				sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr)
 				if !ok {
 					return true
 				}
@@ -105,7 +105,7 @@ func collect(prog *core.Program, pkg *core.Package, fields map[string]atomicUse,
 				// Typed atomic.* values must not be copied or replaced
 				// wholesale.
 				for _, lhs := range n.Lhs {
-					if sel, ok := unparen(lhs).(*ast.SelectorExpr); ok {
+					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
 						if f := fieldOf(pkg.Info, sel); f != nil && isTypedAtomic(f.Type()) {
 							report(n.Pos(), "typed %s field %s assigned directly; use its Store method", types.TypeString(f.Type(), nil), f.Name())
 						}
@@ -157,7 +157,7 @@ func checkAlignment(prog *core.Program, pkg *core.Package, sel *ast.SelectorExpr
 }
 
 func atomicFuncName(info *types.Info, call *ast.CallExpr) string {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return ""
 	}
@@ -207,14 +207,4 @@ func isTypedAtomic(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

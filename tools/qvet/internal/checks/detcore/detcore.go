@@ -96,41 +96,19 @@ func runProgram(prog *core.Program, report core.Reporter) error {
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].Key < roots[j].Key })
 
-	visited := make(map[string]bool)
-	for _, root := range roots {
-		if visited[root.Key] {
-			continue
+	// Each function is checked once, attributed to the first root that
+	// reaches it; an annotated callee is its own root.
+	stop := func(_, callee *core.FuncInfo) bool { return callee.Annot != nil && callee.Annot.Det }
+	g.Walk(roots, true, stop, func(chain []*core.FuncInfo) {
+		root, fi := chain[0], chain[len(chain)-1]
+		checkBody(prog, root, fi, chain[1:], report)
+		for _, call := range fi.Calls {
+			if banned(call.CalleeKey) {
+				report(call.Pos, "determinism root %s reaches %s%s; //qvet:det code must be a pure function of (state, inputs, seed)", root.Name, bannedName(call.CalleeKey), core.Via(chain[1:]))
+			}
 		}
-		visited[root.Key] = true
-		walk(prog, g, root, root, nil, visited, report)
-	}
+	})
 	return nil
-}
-
-// walk checks fi's body and descends into unannotated callees. Each
-// function is checked once, attributed to the first root that reached
-// it; path is the helper chain from root to fi.
-func walk(prog *core.Program, g *core.Graph, root, fi *core.FuncInfo, path []*core.FuncInfo, visited map[string]bool, report core.Reporter) {
-	checkBody(prog, root, fi, path, report)
-	for i := range fi.Calls {
-		call := &fi.Calls[i]
-		if key := call.CalleeKey; banned(key) {
-			report(call.Pos, "determinism root %s reaches %s%s; //qvet:det code must be a pure function of (state, inputs, seed)", root.Name, bannedName(key), chainString(fi, root, path))
-			continue
-		}
-		callee := g.Funcs[call.CalleeKey]
-		if callee == nil {
-			continue // stdlib, interface method, or bodyless: no edge
-		}
-		if callee.Annot != nil && callee.Annot.Det {
-			continue // annotated callee is its own root
-		}
-		if visited[callee.Key] {
-			continue
-		}
-		visited[callee.Key] = true
-		walk(prog, g, root, callee, append(path, callee), visited, report)
-	}
 }
 
 // banned reports whether a callee key is a wall-clock read or a
@@ -161,22 +139,8 @@ func bannedName(key string) string {
 	return key + " (process-global math/rand)"
 }
 
-func chainString(fi *core.FuncInfo, root *core.FuncInfo, path []*core.FuncInfo) string {
-	if fi == root {
-		return ""
-	}
-	s := " via "
-	for i, e := range path {
-		if i > 0 {
-			s += " -> "
-		}
-		s += e.Name
-	}
-	return s
-}
-
 // checkBody flags order-sensitive ranges over maps in fi's body.
-func checkBody(prog *core.Program, root, fi *core.FuncInfo, path []*core.FuncInfo, report core.Reporter) {
+func checkBody(prog *core.Program, root, fi *core.FuncInfo, helpers []*core.FuncInfo, report core.Reporter) {
 	info := fi.Pkg.Info
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
@@ -196,7 +160,7 @@ func checkBody(prog *core.Program, root, fi *core.FuncInfo, path []*core.FuncInf
 		if orderInsensitive(info, fi.Decl.Body, rng) {
 			return true
 		}
-		report(rng.Pos(), "range over map %s in %s is order-sensitive (reached from //qvet:det root %s%s); iterate sorted keys, make the body commutative, or annotate //qvet:allow=maporder with a reason", typeString(tv.Type), fi.Name, root.Name, chainString(fi, root, path))
+		report(rng.Pos(), "range over map %s in %s is order-sensitive (reached from //qvet:det root %s%s); iterate sorted keys, make the body commutative, or annotate //qvet:allow=maporder with a reason", typeString(tv.Type), fi.Name, root.Name, core.Via(helpers))
 		return true
 	})
 }

@@ -27,7 +27,7 @@ func (c *checker) checkGuardedLinks(fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}

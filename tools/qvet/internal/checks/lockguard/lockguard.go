@@ -9,13 +9,14 @@
 // never the bare ones (unless the function is explicitly annotated
 // //qvet:phase=physics, the master-only lock-free phase).
 //
-// The analysis is an intraprocedural abstract interpretation over the
-// AST: branches fork the tracked-guard state, reachable exits union it,
-// and loop bodies are interpreted twice so a guard carried across the
-// back edge trips the second-acquire rule. Passing or returning a guard
-// value transfers ownership to the receiver and ends tracking (Release
-// inside deferred closures is recognized). Paths that end in panic are
-// exempt: the engine's recovery handler calls ReleaseAll.
+// The guard rules run on core.Flow, the shared path-sensitive
+// interpreter: branches fork the tracked-guard state, reachable exits
+// union it, and loop bodies are interpreted twice so a guard carried
+// across the back edge trips the second-acquire rule. Passing or
+// returning a guard value transfers ownership to the receiver and ends
+// tracking (Release inside deferred closures is recognized). Paths that
+// end in panic are exempt: the engine's recovery handler calls
+// ReleaseAll.
 package lockguard
 
 import (
@@ -35,21 +36,20 @@ var Analyzer = &core.Analyzer{
 
 func run(pass *core.Pass) error {
 	c := &checker{pass: pass}
+	c.flow = core.Flow[*state]{Expr: c.expr, Assign: c.assign, Defer: c.deferCall, Exit: c.exit}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				c.flow.Run(fd.Body, newState())
+				c.checkGuardedLinks(fd)
 			}
-			c.checkFunc(fd.Body)
-			c.checkGuardedLinks(fd)
 		}
 		// Function literals are separate ownership scopes: a guard
 		// acquired inside a closure must be released inside it (or
 		// escape); the enclosing function's interpretation skips them.
 		ast.Inspect(file, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
-				c.checkFunc(lit.Body)
+				c.flow.Run(lit.Body, newState())
 			}
 			return true
 		})
@@ -71,18 +71,13 @@ func newState() *state {
 	return &state{held: map[*types.Var]token.Pos{}, defr: map[*types.Var]token.Pos{}}
 }
 
-func (s *state) clone() *state {
+func (s *state) Clone() *state {
 	n := newState()
-	for v, p := range s.held {
-		n.held[v] = p
-	}
-	for v, p := range s.defr {
-		n.defr[v] = p
-	}
+	n.Join(s)
 	return n
 }
 
-func (s *state) union(o *state) {
+func (s *state) Join(o *state) {
 	for v, p := range o.held {
 		s.held[v] = p
 	}
@@ -104,24 +99,18 @@ func (s *state) drop(v *types.Var) {
 	delete(s.defr, v)
 }
 
-// checker interprets one function body at a time.
 type checker struct {
 	pass *core.Pass
-	// breakables/continuables are the targets of unlabeled break and
-	// continue; break-and-continue states merge into the innermost one.
-	breakables   []*[]*state
-	continuables []*[]*state
+	flow core.Flow[*state]
 }
 
-func (c *checker) checkFunc(body *ast.BlockStmt) {
-	st := newState()
-	if !c.stmts(body.List, st) {
-		c.leakCheck(st, body.Rbrace, "the end of the function")
+// exit fires the leak rule on a path leaving the function.
+func (c *checker) exit(st *state, at token.Pos, isReturn bool) {
+	where := "the end of the function"
+	if isReturn {
+		where = "the return"
 	}
-}
-
-func (c *checker) leakCheck(st *state, exit token.Pos, where string) {
-	line := c.pass.Prog.Fset.Position(exit).Line
+	line := c.pass.Prog.Fset.Position(at).Line
 	for v, p := range st.held {
 		c.pass.Reportf(p, "guard %q acquired here is not released on the path reaching %s (line %d); release it on all paths or use defer", v.Name(), where, line)
 	}
@@ -139,300 +128,42 @@ func (c *checker) heldCheck(pos token.Pos, st *state) {
 	}
 }
 
-// stmts interprets a statement list, returning true when every path
-// through it terminates (return, panic, branch out).
-func (c *checker) stmts(list []ast.Stmt, st *state) bool {
-	for _, s := range list {
-		if c.stmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *checker) stmt(s ast.Stmt, st *state) bool {
-	switch s := s.(type) {
-	case nil:
-		return false
-	case *ast.AssignStmt:
-		c.assign(s.Lhs, s.Rhs, st)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Values) > 0 {
-					lhs := make([]ast.Expr, len(vs.Names))
-					for i, n := range vs.Names {
-						lhs[i] = n
-					}
-					c.assign(lhs, vs.Values, st)
-				}
-			}
-		}
-	case *ast.ExprStmt:
-		if call, ok := unparen(s.X).(*ast.CallExpr); ok {
-			if isPanic(call) {
-				c.expr(s.X, st)
-				return true
-			}
-			if c.isAcquire(call) {
-				c.heldCheck(call.Pos(), st)
-				c.pass.Reportf(call.Pos(), "Acquire result discarded; the guard must be stored and released")
-				c.exprArgs(call, st)
-				return false
-			}
-		}
-		c.expr(s.X, st)
-	case *ast.DeferStmt:
-		c.deferStmt(s, st)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			c.expr(r, st) // returning a guard transfers ownership (expr drops it)
-		}
-		c.leakCheck(st, s.Pos(), "the return")
-		return true
-	case *ast.BlockStmt:
-		return c.stmts(s.List, st)
-	case *ast.IfStmt:
-		return c.ifStmt(s, st)
-	case *ast.ForStmt:
-		c.stmt(s.Init, st)
-		c.expr(s.Cond, st)
-		return c.loop(s.Body, s.Post, s.Cond != nil, st)
-	case *ast.RangeStmt:
-		c.expr(s.X, st)
-		return c.loop(s.Body, nil, true, st)
-	case *ast.SwitchStmt:
-		c.stmt(s.Init, st)
-		c.expr(s.Tag, st)
-		return c.switchStmt(caseClauses(s.Body), nil, st, true)
-	case *ast.TypeSwitchStmt:
-		c.stmt(s.Init, st)
-		c.stmt(s.Assign, st)
-		return c.switchStmt(caseClauses(s.Body), nil, st, true)
-	case *ast.SelectStmt:
-		return c.switchStmt(nil, commClauses(s.Body), st, false)
-	case *ast.BranchStmt:
-		return c.branch(s, st)
-	case *ast.LabeledStmt:
-		return c.stmt(s.Stmt, st)
-	case *ast.GoStmt:
-		c.expr(s.Call, st)
-	case *ast.SendStmt:
-		c.expr(s.Chan, st)
-		c.expr(s.Value, st)
-	case *ast.IncDecStmt:
-		c.expr(s.X, st)
-	}
-	return false
-}
-
-// assign processes lhs... = rhs..., tracking guards produced by acquire
-// calls assigned to plain variables.
-func (c *checker) assign(lhs, rhs []ast.Expr, st *state) {
-	for _, r := range rhs {
-		c.expr(r, st)
-	}
+// assign tracks guards produced by acquire calls assigned to plain
+// variables; a guard stored into a field or element is owned elsewhere.
+func (c *checker) assign(st *state, lhs, rhs []ast.Expr) {
 	if len(lhs) != len(rhs) {
 		return
 	}
 	for i, r := range rhs {
-		call, ok := unparen(r).(*ast.CallExpr)
-		if !ok || !c.isAcquire(call) {
+		call, ok := ast.Unparen(r).(*ast.CallExpr)
+		id, isIdent := lhs[i].(*ast.Ident)
+		switch {
+		case !ok || !c.isAcquire(call):
 			// Overwriting a tracked var ends tracking of the old value.
-			if id, ok := lhs[i].(*ast.Ident); ok {
-				if v := c.varOf(id); v != nil {
-					st.drop(v)
-				}
+			if v := c.varOf(id); v != nil {
+				st.drop(v)
 			}
-			continue
-		}
-		switch l := lhs[i].(type) {
-		case *ast.Ident:
-			if l.Name == "_" {
-				c.pass.Reportf(call.Pos(), "Acquire result discarded into _; the guard must be stored and released")
-				continue
-			}
-			if v := c.varOf(l); v != nil {
+		case isIdent && id.Name == "_":
+			c.pass.Reportf(call.Pos(), "Acquire result discarded into _; the guard must be stored and released")
+		case isIdent:
+			if v := c.varOf(id); v != nil {
 				st.held[v] = call.Pos()
 			}
-		default:
-			// Stored into a field/element: ownership lives elsewhere;
-			// stop tracking (nothing to track — never started).
 		}
 	}
 }
 
-func (c *checker) deferStmt(s *ast.DeferStmt, st *state) {
-	if v := c.releaseTarget(s.Call); v != nil && st.tracked(v) {
+// deferCall turns the Release of a held guard into a deferred release;
+// any other deferred call is evaluated like an ordinary one.
+func (c *checker) deferCall(st *state, call *ast.CallExpr) {
+	if v := c.releaseTarget(call); v != nil {
 		if p, ok := st.held[v]; ok {
 			delete(st.held, v)
 			st.defr[v] = p
 		}
 		return
 	}
-	if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-		// defer func() { ...; g.Release(); ... }() — scan the closure
-		// body for releases of guards tracked in this scope.
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if v := c.releaseTarget(call); v != nil && st.tracked(v) {
-				if p, ok := st.held[v]; ok {
-					delete(st.held, v)
-					st.defr[v] = p
-				}
-			}
-			return true
-		})
-		return
-	}
-	c.expr(s.Call, st)
-}
-
-func (c *checker) ifStmt(s *ast.IfStmt, st *state) bool {
-	c.stmt(s.Init, st)
-	c.expr(s.Cond, st)
-	thenSt := st.clone()
-	thenTerm := c.stmts(s.Body.List, thenSt)
-	elseSt := st.clone()
-	elseTerm := false
-	if s.Else != nil {
-		elseTerm = c.stmt(s.Else, elseSt)
-	}
-	switch {
-	case thenTerm && elseTerm:
-		return true
-	case thenTerm:
-		*st = *elseSt
-	case elseTerm:
-		*st = *thenSt
-	default:
-		*st = *thenSt
-		st.union(elseSt)
-	}
-	return false
-}
-
-func (c *checker) loop(body *ast.BlockStmt, post ast.Stmt, maySkip bool, st *state) bool {
-	var breaks, continues []*state
-	c.breakables = append(c.breakables, &breaks)
-	c.continuables = append(c.continuables, &continues)
-	runBody := func(in *state) (*state, bool) {
-		b := in.clone()
-		term := c.stmts(body.List, b)
-		if !term {
-			c.stmt(post, b)
-		}
-		return b, term
-	}
-	b1, t1 := runBody(st)
-	merged := st.clone()
-	if !t1 {
-		merged.union(b1)
-	}
-	for _, cs := range continues {
-		merged.union(cs)
-	}
-	continues = continues[:0]
-	// Second interpretation from the merged state: a guard still held
-	// from iteration one meets iteration two's Acquire here.
-	b2, t2 := runBody(merged)
-	c.breakables = c.breakables[:len(c.breakables)-1]
-	c.continuables = c.continuables[:len(c.continuables)-1]
-
-	out := newState()
-	reachable := false
-	if maySkip {
-		out.union(st)
-		reachable = true
-	}
-	if !t2 {
-		out.union(b2)
-		reachable = true
-	}
-	for _, bs := range breaks {
-		out.union(bs)
-		reachable = true
-	}
-	*st = *out
-	return !reachable
-}
-
-// switchStmt handles switch, type switch (cases != nil) and select
-// (comms != nil). fallthroughDefault: when no default clause exists a
-// switch can fall through with the entry state; a select without a
-// default blocks until some clause runs.
-func (c *checker) switchStmt(cases []*ast.CaseClause, comms []*ast.CommClause, st *state, isSwitch bool) bool {
-	var breaks []*state
-	c.breakables = append(c.breakables, &breaks)
-	var outs []*state
-	hasDefault := false
-	n := 0
-	handle := func(listEmpty bool, comm ast.Stmt, body []ast.Stmt) {
-		n++
-		if listEmpty {
-			hasDefault = true
-		}
-		cs := st.clone()
-		c.stmt(comm, cs)
-		if !c.stmts(body, cs) {
-			outs = append(outs, cs)
-		}
-	}
-	for _, cc := range cases {
-		for _, e := range cc.List {
-			c.expr(e, st)
-		}
-		handle(cc.List == nil, nil, cc.Body)
-	}
-	for _, cc := range comms {
-		handle(cc.Comm == nil, cc.Comm, cc.Body)
-	}
-	c.breakables = c.breakables[:len(c.breakables)-1]
-
-	out := newState()
-	reachable := false
-	if isSwitch && !hasDefault {
-		out.union(st) // no case matched: entry state flows through
-		reachable = true
-	}
-	if !isSwitch && n == 0 {
-		// empty select blocks forever
-		*st = *newState()
-		return true
-	}
-	for _, o := range outs {
-		out.union(o)
-		reachable = true
-	}
-	for _, bs := range breaks {
-		out.union(bs)
-		reachable = true
-	}
-	*st = *out
-	return !reachable
-}
-
-func (c *checker) branch(s *ast.BranchStmt, st *state) bool {
-	switch s.Tok {
-	case token.BREAK:
-		if n := len(c.breakables); n > 0 {
-			*c.breakables[n-1] = append(*c.breakables[n-1], st.clone())
-		}
-		return true
-	case token.CONTINUE:
-		if n := len(c.continuables); n > 0 {
-			*c.continuables[n-1] = append(*c.continuables[n-1], st.clone())
-		}
-		return true
-	case token.GOTO:
-		// Rare; treated as terminating without a leak check (documented
-		// approximation).
-		return true
-	}
-	return false // fallthrough: state unions into the switch exit
+	c.expr(st, call, false)
 }
 
 // expr scans an expression for guard events: Release calls, Acquire
@@ -441,9 +172,9 @@ func (c *checker) branch(s *ast.BranchStmt, st *state) bool {
 // ownership out of this function (call arguments, composite literals,
 // address-taking). Selector access on a guard (g.Release, g.Covers) is
 // not a transfer. Function literals are separate scopes and are skipped.
-func (c *checker) expr(e ast.Expr, st *state) {
-	if e == nil {
-		return
+func (c *checker) expr(st *state, e ast.Expr, discarded bool) {
+	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok && discarded && c.isAcquire(call) {
+		c.pass.Reportf(call.Pos(), "Acquire result discarded; the guard must be stored and released")
 	}
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -472,16 +203,10 @@ func (c *checker) expr(e ast.Expr, st *state) {
 	})
 }
 
-func (c *checker) exprArgs(call *ast.CallExpr, st *state) {
-	for _, a := range call.Args {
-		c.expr(a, st)
-	}
-}
-
 // releaseTarget returns the guard variable when call is g.Release() on a
 // tracked-typed variable.
 func (c *checker) releaseTarget(call *ast.CallExpr) *types.Var {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Release" {
 		return nil
 	}
@@ -490,7 +215,7 @@ func (c *checker) releaseTarget(call *ast.CallExpr) *types.Var {
 		return nil
 	}
 	v := c.varOf(id)
-	if v == nil || !isGuardType(v.Type()) {
+	if v == nil || !core.IsGuardType(v.Type()) {
 		return nil
 	}
 	return v
@@ -501,68 +226,17 @@ func (c *checker) releaseTarget(call *ast.CallExpr) *types.Var {
 // RegionLocker.Acquire and wrappers like LockContext.acquire.
 func (c *checker) isAcquire(call *ast.CallExpr) bool {
 	tv, ok := c.pass.Info.Types[call]
-	if !ok {
-		return false
-	}
-	return isGuardType(tv.Type)
+	return ok && core.IsGuardType(tv.Type)
 }
 
+// varOf resolves an identifier to the variable it uses or defines; a
+// nil identifier (assign's non-identifier left-hand side) resolves to
+// nil.
 func (c *checker) varOf(id *ast.Ident) *types.Var {
 	if obj := c.pass.Info.Uses[id]; obj != nil {
-		if v, ok := obj.(*types.Var); ok {
-			return v
-		}
-		return nil
-	}
-	if v, ok := c.pass.Info.Defs[id].(*types.Var); ok {
+		v, _ := obj.(*types.Var)
 		return v
 	}
-	return nil
-}
-
-// isGuardType matches the named type Guard from a package named
-// "locking". Matching by package name (not full import path) lets the
-// analysistest fixtures stub their own mini locking package.
-func isGuardType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Guard" && obj.Pkg() != nil && obj.Pkg().Name() == "locking"
-}
-
-func isPanic(call *ast.CallExpr) bool {
-	id, ok := unparen(call.Fun).(*ast.Ident)
-	return ok && id.Name == "panic"
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-func caseClauses(body *ast.BlockStmt) []*ast.CaseClause {
-	var out []*ast.CaseClause
-	for _, s := range body.List {
-		if cc, ok := s.(*ast.CaseClause); ok {
-			out = append(out, cc)
-		}
-	}
-	return out
-}
-
-func commClauses(body *ast.BlockStmt) []*ast.CommClause {
-	var out []*ast.CommClause
-	for _, s := range body.List {
-		if cc, ok := s.(*ast.CommClause); ok {
-			out = append(out, cc)
-		}
-	}
-	return out
+	v, _ := c.pass.Info.Defs[id].(*types.Var)
+	return v
 }

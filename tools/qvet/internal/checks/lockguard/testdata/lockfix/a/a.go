@@ -174,3 +174,36 @@ func PhysicsPlainLinks(w *World, it *areanode.Item, lc *LockContext) {
 	w.Tree.Link(it)
 	w.link(it)
 }
+
+// --- labeled branches --------------------------------------------------
+
+// LeakThroughLabeledBreak leaves both loops from the inner one: the
+// guard acquired in the outer body never reaches its Release.
+func LeakThroughLabeledBreak(rl *locking.RegionLocker, n int) {
+outer:
+	for i := 0; i < n; i++ {
+		g := rl.Acquire(i) // want "not released"
+		for j := 0; j < n; j++ {
+			if j == i {
+				break outer
+			}
+		}
+		g.Release()
+	}
+}
+
+// LeakThroughLabeledContinue skips the Release by continuing the outer
+// loop: the guard reaches the next iteration's Acquire still held, and
+// the loop exit still holding it.
+func LeakThroughLabeledContinue(rl *locking.RegionLocker, n int) {
+outer:
+	for i := 0; i < n; i++ {
+		g := rl.Acquire(i) // want "still held" "not released"
+		for j := 0; j < n; j++ {
+			if j == i {
+				continue outer
+			}
+		}
+		g.Release()
+	}
+}

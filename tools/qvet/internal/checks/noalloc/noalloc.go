@@ -52,43 +52,27 @@ func runProgram(prog *core.Program, report core.Reporter) error {
 	g := prog.EnsureGraph()
 	direct := make(map[string][]site)
 
+	var roots []*core.FuncInfo
 	for _, fi := range g.Funcs {
-		if fi.Annot == nil || !fi.Annot.NoAlloc {
-			continue
+		if fi.Annot != nil && fi.Annot.NoAlloc {
+			roots = append(roots, fi)
 		}
-		checkRoot(prog, g, fi, direct, report)
 	}
+	// Own-body escapes are reported against the root; the transitive
+	// closure runs through unannotated callees, trusting annotated ones
+	// (each has its own check).
+	stop := func(_, callee *core.FuncInfo) bool { return callee.Annot != nil && callee.Annot.NoAlloc }
+	g.Walk(roots, false, stop, func(chain []*core.FuncInfo) {
+		root, fi := chain[0], chain[len(chain)-1]
+		for _, s := range directSites(prog, g, fi.Key, direct) {
+			if fi == root {
+				report(posOnLine(prog, s), "heap escape in //qvet:noalloc function %s: %s", root.Name, s.msg)
+			} else {
+				report(posOnLine(prog, s), "heap escape reached from //qvet:noalloc function %s%s in %s: %s", root.Name, core.Via(chain[1:len(chain)-1]), fi.Name, s.msg)
+			}
+		}
+	})
 	return nil
-}
-
-func checkRoot(prog *core.Program, g *core.Graph, root *core.FuncInfo, direct map[string][]site, report core.Reporter) {
-	// Own-body escapes, reported at the escaping line.
-	for _, s := range directSites(prog, g, root.Key, direct) {
-		report(posOnLine(prog, s), "heap escape in //qvet:noalloc function %s: %s", root.Name, s.msg)
-	}
-	// Transitive closure through unannotated callees.
-	visited := map[string]bool{root.Key: true}
-	var walk func(fi *core.FuncInfo, chain []string)
-	walk = func(fi *core.FuncInfo, chain []string) {
-		for _, call := range fi.Calls {
-			callee := g.Funcs[call.CalleeKey]
-			if callee == nil {
-				continue // stdlib or dynamic: no body to inspect
-			}
-			if callee.Annot != nil && callee.Annot.NoAlloc {
-				continue // trusted: has its own check
-			}
-			if visited[callee.Key] {
-				continue
-			}
-			visited[callee.Key] = true
-			for _, s := range directSites(prog, g, callee.Key, direct) {
-				report(posOnLine(prog, s), "heap escape reached from //qvet:noalloc function %s%s in %s: %s", root.Name, chainSuffix(chain), callee.Name, s.msg)
-			}
-			walk(callee, append(chain, callee.Name))
-		}
-	}
-	walk(root, nil)
 }
 
 // directSites returns the unsuppressed escape verdicts inside one
@@ -123,18 +107,4 @@ func posOnLine(prog *core.Program, s site) token.Pos {
 		return s.fi.Decl.Pos()
 	}
 	return tf.LineStart(s.line)
-}
-
-func chainSuffix(chain []string) string {
-	if len(chain) == 0 {
-		return ""
-	}
-	out := " via "
-	for i, c := range chain {
-		if i > 0 {
-			out += " -> "
-		}
-		out += c
-	}
-	return out
 }

@@ -34,71 +34,38 @@ var Analyzer = &core.Analyzer{
 func runProgram(prog *core.Program, report core.Reporter) error {
 	g := prog.EnsureGraph()
 	mutators := tableMutators(prog, g)
-
+	var roots []*core.FuncInfo
 	for _, fi := range g.Funcs {
-		if fi.Annot == nil || fi.Annot.Phase == "" {
-			continue
+		if fi.Annot != nil && fi.Annot.Phase != "" {
+			roots = append(roots, fi)
 		}
-		checkRoot(g, fi, mutators, report)
 	}
-	return nil
-}
-
-// checkRoot walks the call closure from one phase-annotated root through
-// unannotated functions, stopping at annotated ones (each annotated
-// function is its own root, so its subtree is covered by its own check).
-type pathEntry struct {
-	fi  *core.FuncInfo
-	via *core.Call
-}
-
-func checkRoot(g *core.Graph, root *core.FuncInfo, mutators map[string]bool, report core.Reporter) {
-	visited := map[string]bool{root.Key: true}
-	var walk func(fi *core.FuncInfo, path []pathEntry)
-	walk = func(fi *core.FuncInfo, path []pathEntry) {
-		for i := range fi.Calls {
-			call := &fi.Calls[i]
+	// Each root's closure runs through unannotated helpers, stopping at
+	// annotated functions (each is its own root, so its subtree is
+	// covered by its own check) and, for reply roots, at mutators (one
+	// report per mutator chain; don't re-report its internals).
+	stop := func(root, callee *core.FuncInfo) bool {
+		return callee.Annot != nil && callee.Annot.Phase != "" || mutators[callee.Key] && root.Annot.Phase == core.PhaseReply
+	}
+	g.Walk(roots, false, stop, func(chain []*core.FuncInfo) {
+		root, fi := chain[0], chain[len(chain)-1]
+		for _, call := range fi.Calls {
 			callee := g.Funcs[call.CalleeKey]
-			if callee == nil {
-				continue // stdlib, interface method, or bodyless: no edge
+			switch {
+			case callee == nil: // stdlib, interface method, or bodyless
+			case mutators[callee.Key] && root.Annot.Phase == core.PhaseReply:
+				report(call.Pos, "reply-phase function %s reaches entity.Table mutator %s%s; the reply phase must be read-only over the entity table", root.Name, callee.Name, core.Via(chain[1:]))
+			case callee.Annot != nil && callee.Annot.Phase != "" && callee.Annot.Phase != root.Annot.Phase:
+				report(call.Pos, "//qvet:phase=%s function %s reaches //qvet:phase=%s function %s%s; cross-phase calls violate the barrier discipline", root.Annot.Phase, root.Name, callee.Annot.Phase, callee.Name, core.Via(chain[1:]))
 			}
-			if mutators[callee.Key] && root.Annot.Phase == core.PhaseReply {
-				report(call.Pos, "reply-phase function %s reaches entity.Table mutator %s%s; the reply phase must be read-only over the entity table", root.Name, callee.Name, chainString(path))
-				continue // one report per mutator chain; don't re-report its internals
-			}
-			if callee.Annot != nil && callee.Annot.Phase != "" {
-				if callee.Annot.Phase != root.Annot.Phase {
-					report(call.Pos, "//qvet:phase=%s function %s reaches //qvet:phase=%s function %s%s; cross-phase calls violate the barrier discipline", root.Annot.Phase, root.Name, callee.Annot.Phase, callee.Name, chainString(path))
-				}
-				continue // annotated callee is its own root
-			}
-			if visited[callee.Key] {
-				continue
-			}
-			visited[callee.Key] = true
-			walk(callee, append(path, pathEntry{fi: callee, via: call}))
 		}
-	}
-	walk(root, nil)
-}
-
-func chainString(path []pathEntry) string {
-	if len(path) == 0 {
-		return ""
-	}
-	s := " via "
-	for i, e := range path {
-		if i > 0 {
-			s += " -> "
-		}
-		s += e.fi.Name
-	}
-	return s
+	})
+	return nil
 }
 
 // tableMutators finds the entity package's Table type and classifies its
 // methods: a method is a mutator when it assigns through the receiver or
-// calls another mutator method on the receiver, computed to fixpoint.
+// calls another mutator method, computed by the graph's may-fixpoint.
 func tableMutators(prog *core.Program, g *core.Graph) map[string]bool {
 	var entPkg *core.Package
 	for _, pkg := range prog.Packages {
@@ -111,13 +78,9 @@ func tableMutators(prog *core.Program, g *core.Graph) map[string]bool {
 		return nil
 	}
 
-	// Gather Table methods declared in the entity package.
-	type method struct {
-		fi   *core.FuncInfo
-		recv *types.Var // receiver object, for write detection
-	}
-	var methods []method
-	byKey := make(map[string]*method)
+	// Table methods declared in the entity package, with their receiver
+	// object (nil when unnamed) for write detection.
+	recvOf := make(map[string]*types.Var)
 	for _, fi := range g.Funcs {
 		if fi.Pkg != entPkg || fi.Decl.Recv == nil || len(fi.Decl.Recv.List) == 0 {
 			continue
@@ -139,33 +102,15 @@ func tableMutators(prog *core.Program, g *core.Graph) map[string]bool {
 		if len(recvField.Names) > 0 {
 			recvObj, _ = fi.Pkg.Info.Defs[recvField.Names[0]].(*types.Var)
 		}
-		methods = append(methods, method{fi: fi, recv: recvObj})
-		byKey[fi.Key] = &methods[len(methods)-1]
+		recvOf[fi.Key] = recvObj
 	}
-
-	mutators := make(map[string]bool)
-	for _, m := range methods {
-		if m.recv != nil && writesThrough(m.fi, m.recv) {
-			mutators[m.fi.Key] = true
-		}
-	}
-	// Transitive: a Table method calling a mutator Table method mutates.
-	for changed := true; changed; {
-		changed = false
-		for _, m := range methods {
-			if mutators[m.fi.Key] {
-				continue
-			}
-			for _, call := range m.fi.Calls {
-				if mutators[call.CalleeKey] {
-					mutators[m.fi.Key] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return mutators
+	return g.MayReach(func(fi *core.FuncInfo) bool {
+		recv := recvOf[fi.Key]
+		return recv != nil && writesThrough(fi, recv)
+	}, func(fi *core.FuncInfo) bool {
+		_, ok := recvOf[fi.Key]
+		return ok
+	})
 }
 
 // writesThrough reports whether the method body assigns to storage

@@ -16,12 +16,12 @@
 //     before the call (the safeExecPoolEntry / execPoolEntry split in
 //     the live tree), so an unwinding request cannot strand the mask.
 //
-// The analysis is the same shape as lockguard's all-paths-release: an
-// abstract interpretation of each publishing function in the exec-phase
-// closure (functions annotated //qvet:phase=exec plus everything they
-// statically reach), tracking published/unpublished through branches
-// and loops. "May acquire" means a call whose result is a locking.Guard
-// or a call to a function whose own closure acquires one.
+// Each publishing function in the exec-phase closure (functions
+// annotated //qvet:phase=exec plus everything they statically reach) is
+// interpreted by core.Flow, the path-sensitive interpreter lockguard
+// also runs on, tracking published/unpublished through branches, loops
+// and labeled breaks. "May acquire" means a call whose result is a
+// locking.Guard or a call to a function whose own closure acquires one.
 //
 // client.leafHint is deliberately out of scope: it is a monotonic cache
 // of the last committed move's mask, read as a scan seed — staleness is
@@ -37,8 +37,6 @@ package stealcheck
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
-	"sort"
 
 	"qserve/tools/qvet/internal/core"
 )
@@ -52,124 +50,53 @@ var Analyzer = &core.Analyzer{
 
 func runProgram(prog *core.Program, report core.Reporter) error {
 	g := prog.EnsureGraph()
-	scope := execClosure(g)
-	acquirers := acquirerClosure(g)
-
-	var keys []string
-	for k := range scope {
-		keys = append(keys, k)
+	var roots []*core.FuncInfo
+	for _, fi := range g.Funcs {
+		if fi.Annot != nil && fi.Annot.Phase == core.PhaseExec {
+			roots = append(roots, fi)
+		}
 	}
-	sort.Strings(keys)
-
-	for _, k := range keys {
-		fi := scope[k]
-		c := &checker{prog: prog, g: g, fi: fi, scope: scope, acquirers: acquirers, report: report}
+	// scope is every function statically reachable from an exec root.
+	scope := make(map[string]*core.FuncInfo)
+	g.Walk(roots, true, nil, func(chain []*core.FuncInfo) {
+		fi := chain[len(chain)-1]
+		scope[fi.Key] = fi
+	})
+	// acquirers are the functions whose body, closures included, makes
+	// (transitively) a call producing a locking.Guard.
+	acquirers := g.MayReach(func(fi *core.FuncInfo) bool {
+		found := false
+		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			found = found || ok && core.ProducesGuard(fi.Pkg.Info, call)
+			return !found
+		})
+		return found
+	}, nil)
+	for _, fi := range scope {
+		c := &checker{fi: fi, scope: scope, acquirers: acquirers, report: report}
 		c.check()
 	}
 	return nil
 }
 
-// execClosure is every function statically reachable from a
-// //qvet:phase=exec annotation.
-func execClosure(g *core.Graph) map[string]*core.FuncInfo {
-	scope := make(map[string]*core.FuncInfo)
-	var queue []*core.FuncInfo
-	for _, fi := range g.Funcs {
-		if fi.Annot != nil && fi.Annot.Phase == core.PhaseExec {
-			scope[fi.Key] = fi
-			queue = append(queue, fi)
-		}
-	}
-	for len(queue) > 0 {
-		fi := queue[0]
-		queue = queue[1:]
-		for _, call := range fi.Calls {
-			callee := g.Funcs[call.CalleeKey]
-			if callee == nil || scope[callee.Key] != nil {
-				continue
-			}
-			scope[callee.Key] = callee
-			queue = append(queue, callee)
-		}
-	}
-	return scope
-}
-
-// acquirerClosure marks every function whose body (transitively) makes
-// a call producing a locking.Guard.
-func acquirerClosure(g *core.Graph) map[string]bool {
-	acq := make(map[string]bool)
-	for _, fi := range g.Funcs {
-		info := fi.Pkg.Info
-		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if ok && producesGuard(info, call) {
-				acq[fi.Key] = true
-				return false
-			}
-			return true
-		})
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range g.Funcs {
-			if acq[fi.Key] {
-				continue
-			}
-			for _, call := range fi.Calls {
-				if acq[call.CalleeKey] {
-					acq[fi.Key] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return acq
-}
-
-// producesGuard reports whether the call's result (or any element of a
-// tuple result, covering TryAcquire's (Guard, bool)) is a locking.Guard.
-func producesGuard(info *types.Info, call *ast.CallExpr) bool {
-	tv, ok := info.Types[call]
-	if !ok {
-		return false
-	}
-	if tuple, ok := tv.Type.(*types.Tuple); ok {
-		for i := 0; i < tuple.Len(); i++ {
-			if isGuardType(tuple.At(i).Type()) {
-				return true
-			}
-		}
-		return false
-	}
-	return isGuardType(tv.Type)
-}
-
-// isGuardType matches the named type Guard from a package named
-// "locking" — by package name, not import path, so the analysistest
-// fixtures can stub their own mini locking package (same trick as
-// lockguard).
-func isGuardType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Guard" && obj.Pkg() != nil && obj.Pkg().Name() == "locking"
-}
-
-// state is the abstract hint state at a program point. Both bits can be
-// set after a branch merge.
+// state is the abstract hint state at a program point. Both may-bits
+// can be set after a branch merge.
 type state struct {
 	mayPub     bool // some path reaches here with the hint published
 	mayUnpub   bool // some path reaches here with the hint clear
 	deferClear bool // a deferred clear is armed on every path to here
 }
 
+func (s *state) Clone() *state { n := *s; return &n }
+
+func (s *state) Join(o *state) {
+	s.mayPub = s.mayPub || o.mayPub
+	s.mayUnpub = s.mayUnpub || o.mayUnpub
+	s.deferClear = s.deferClear && o.deferClear
+}
+
 type checker struct {
-	prog      *core.Program
-	g         *core.Graph
 	fi        *core.FuncInfo
 	scope     map[string]*core.FuncInfo
 	acquirers map[string]bool
@@ -183,9 +110,16 @@ func (c *checker) check() {
 	if !c.isPublisher() {
 		return
 	}
-	st := &state{mayUnpub: true}
-	c.stmts(c.fi.Decl.Body.List, st)
-	c.exit(st, c.fi.Decl.Body.End())
+	flow := core.Flow[*state]{
+		Call: c.call,
+		Defer: func(st *state, call *ast.CallExpr) {
+			if clears(call) {
+				st.deferClear, c.ownDefer = true, true
+			}
+		},
+		Exit: c.exit,
+	}
+	flow.Run(c.fi.Decl.Body, &state{mayUnpub: true})
 	c.panicCover()
 }
 
@@ -225,136 +159,12 @@ func zeroArg(call *ast.CallExpr) bool {
 	return ok && lit.Kind == token.INT && lit.Value == "0"
 }
 
-func (c *checker) stmts(list []ast.Stmt, st *state) {
-	for _, s := range list {
-		c.stmt(s, st)
-	}
-}
-
-func (c *checker) stmt(s ast.Stmt, st *state) {
-	switch s := s.(type) {
-	case *ast.DeferStmt:
-		if c.deferClears(s) {
-			st.deferClear = true
-		}
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			c.expr(r, st)
-		}
-		c.exit(st, s.Pos())
-	case *ast.IfStmt:
-		if s.Init != nil {
-			c.stmt(s.Init, st)
-		}
-		c.expr(s.Cond, st)
-		then := *st
-		c.stmts(s.Body.List, &then)
-		alt := *st
-		if s.Else != nil {
-			c.stmt(s.Else, &alt)
-		}
-		merge(st, &then, &alt)
-	case *ast.BlockStmt:
-		c.stmts(s.List, st)
-	case *ast.ForStmt:
-		c.loop(s.Init, s.Cond, s.Post, s.Body, st)
-	case *ast.RangeStmt:
-		c.expr(s.X, st)
-		c.loop(nil, nil, nil, s.Body, st)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			c.stmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			c.expr(s.Tag, st)
-		}
-		c.cases(s.Body, st)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			c.stmt(s.Init, st)
-		}
-		c.cases(s.Body, st)
-	case *ast.SelectStmt:
-		c.cases(s.Body, st)
-	case *ast.LabeledStmt:
-		c.stmt(s.Stmt, st)
-	default:
-		// Assignments, expression statements, sends, go, inc/dec:
-		// process the calls they contain in lexical order.
-		ast.Inspect(s, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.CallExpr:
-				c.call(n, st)
-			}
-			return true
-		})
-	}
-}
-
-func (c *checker) expr(e ast.Expr, st *state) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			c.call(n, st)
-		}
-		return true
-	})
-}
-
-// loop interprets a loop body twice over the same state (so a publish in
-// iteration one meets iteration two's statements) and then restores the
-// zero-iteration possibility by union with the pre-loop state.
-func (c *checker) loop(init ast.Stmt, cond ast.Expr, post ast.Stmt, body *ast.BlockStmt, st *state) {
-	if init != nil {
-		c.stmt(init, st)
-	}
-	pre := *st
-	for i := 0; i < 2; i++ {
-		c.expr(cond, st)
-		c.stmts(body.List, st)
-		if post != nil {
-			c.stmt(post, st)
-		}
-	}
-	merge(st, st, &pre)
-}
-
-func (c *checker) cases(body *ast.BlockStmt, st *state) {
-	pre := *st
-	out := *st // zero matching cases is impossible, but default may be absent
-	for _, cl := range body.List {
-		var stmts []ast.Stmt
-		switch cl := cl.(type) {
-		case *ast.CaseClause:
-			stmts = cl.Body
-		case *ast.CommClause:
-			stmts = cl.Body
-		}
-		branch := pre
-		c.stmts(stmts, &branch)
-		merge(&out, &out, &branch)
-	}
-	*st = out
-}
-
-func merge(dst, a, b *state) {
-	*dst = state{
-		mayPub:     a.mayPub || b.mayPub,
-		mayUnpub:   a.mayUnpub || b.mayUnpub,
-		deferClear: a.deferClear && b.deferClear,
-	}
-}
+// clears matches x.activeHint.Store(0).
+func clears(call *ast.CallExpr) bool { return hintStore(call) && zeroArg(call) }
 
 // call applies one call's effect to the state: clear, publish, or a
 // possible region acquisition while unpublished (rule 1).
-func (c *checker) call(call *ast.CallExpr, st *state) {
+func (c *checker) call(st *state, call *ast.CallExpr) {
 	if hintStore(call) {
 		if zeroArg(call) {
 			st.mayPub = false
@@ -372,42 +182,19 @@ func (c *checker) call(call *ast.CallExpr, st *state) {
 }
 
 func (c *checker) mayAcquire(call *ast.CallExpr) bool {
-	if producesGuard(c.fi.Pkg.Info, call) {
+	if core.ProducesGuard(c.fi.Pkg.Info, call) {
 		return true
 	}
 	callee := core.CalleeOf(c.fi.Pkg.Info, call)
 	return callee != nil && c.acquirers[core.FuncKey(callee)]
 }
 
-// exit fires rule 2 at a return point reached with the hint possibly
+// exit fires rule 2 on an exit path reached with the hint possibly
 // still published and no deferred clear armed.
-func (c *checker) exit(st *state, pos token.Pos) {
+func (c *checker) exit(st *state, at token.Pos, _ bool) {
 	if st.mayPub && !st.deferClear {
-		c.report(pos, "exit path leaves activeHint published in %s; clear it (activeHint.Store(0)) on every return or a stale mask makes other workers defer forever", c.fi.Name)
+		c.report(at, "exit path leaves activeHint published in %s; clear it (activeHint.Store(0)) on every return or a stale mask makes other workers defer forever", c.fi.Name)
 	}
-}
-
-// deferClears matches `defer x.activeHint.Store(0)` and
-// `defer func() { ...; x.activeHint.Store(0); ... }()`.
-func (c *checker) deferClears(d *ast.DeferStmt) bool {
-	if hintStore(d.Call) && zeroArg(d.Call) {
-		c.ownDefer = true
-		return true
-	}
-	if fl, ok := d.Call.Fun.(*ast.FuncLit); ok {
-		found := false
-		ast.Inspect(fl.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && hintStore(call) && zeroArg(call) {
-				found = true
-			}
-			return true
-		})
-		if found {
-			c.ownDefer = true
-		}
-		return found
-	}
-	return false
 }
 
 // panicCover fires rule 3: a publisher with no deferred clear of its own
@@ -438,30 +225,15 @@ func (c *checker) panicCover() {
 }
 
 // callerDeferBefore reports whether caller arms a deferred hint clear
+// (`defer x.activeHint.Store(0)`, or a deferred closure that runs one)
 // lexically before pos.
 func callerDeferBefore(caller *core.FuncInfo, pos token.Pos) bool {
 	found := false
 	ast.Inspect(caller.Decl.Body, func(n ast.Node) bool {
-		if found {
-			return false
+		if d, ok := n.(*ast.DeferStmt); ok && d.Pos() < pos {
+			core.DeferredCalls(d, func(call *ast.CallExpr) { found = found || clears(call) })
 		}
-		d, ok := n.(*ast.DeferStmt)
-		if !ok || d.Pos() >= pos {
-			return true
-		}
-		if hintStore(d.Call) && zeroArg(d.Call) {
-			found = true
-			return false
-		}
-		if fl, ok := d.Call.Fun.(*ast.FuncLit); ok {
-			ast.Inspect(fl.Body, func(m ast.Node) bool {
-				if call, ok := m.(*ast.CallExpr); ok && hintStore(call) && zeroArg(call) {
-					found = true
-				}
-				return true
-			})
-		}
-		return true
+		return !found
 	})
 	return found
 }

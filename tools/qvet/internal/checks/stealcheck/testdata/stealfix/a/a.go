@@ -19,7 +19,7 @@ type worker struct {
 //
 //qvet:phase=exec
 func AcquireFirst(w *worker, r *locking.Region) {
-	g := r.Acquire() // want "may acquire a region before publishing activeHint"
+	g := r.Acquire()      // want "may acquire a region before publishing activeHint"
 	w.activeHint.Store(3) // want "not panic-covered"
 	g.Release()
 	w.activeHint.Store(0)
@@ -121,4 +121,42 @@ func maskOf(r *locking.Region) uint64 {
 		return 0
 	}
 	return 1
+}
+
+// --- path termination --------------------------------------------------
+
+// ClearedEarlyReturn clears and returns on the skip path, so the Acquire
+// after it only runs with the hint published: silent.
+//
+//qvet:phase=exec
+func ClearedEarlyReturn(w *worker, r *locking.Region, skip bool) {
+	defer w.activeHint.Store(0)
+	w.activeHint.Store(7)
+	if skip {
+		w.activeHint.Store(0)
+		return
+	}
+	g := r.Acquire()
+	g.Release()
+}
+
+// SafeBreak arms the panic cover for breakLeavesPublished.
+//
+//qvet:phase=exec
+func SafeBreak(w *worker, n int) {
+	defer w.activeHint.Store(0)
+	breakLeavesPublished(w, n)
+}
+
+// breakLeavesPublished clears at the end of each iteration, but the
+// break skips the clear and leaves the loop with the hint published.
+func breakLeavesPublished(w *worker, n int) {
+	for i := 0; i < n; i++ {
+		w.activeHint.Store(uint64(i) + 1)
+		if i == 3 {
+			break
+		}
+		w.activeHint.Store(0)
+	}
+	return // want "exit path leaves activeHint published"
 }

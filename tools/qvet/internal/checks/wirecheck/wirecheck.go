@@ -223,27 +223,7 @@ type accessFn func(fi *core.FuncInfo, f *format, acc map[string]map[string]bool)
 // and returns typeKey -> fieldName -> true.
 func fieldAccesses(g *core.Graph, f *format, roots []*core.FuncInfo, fn accessFn) map[string]map[string]bool {
 	acc := make(map[string]map[string]bool)
-	visited := make(map[string]bool)
-	var queue []*core.FuncInfo
-	for _, r := range roots {
-		if !visited[r.Key] {
-			visited[r.Key] = true
-			queue = append(queue, r)
-		}
-	}
-	for len(queue) > 0 {
-		fi := queue[0]
-		queue = queue[1:]
-		fn(fi, f, acc)
-		for _, call := range fi.Calls {
-			callee := g.Funcs[call.CalleeKey]
-			if callee == nil || visited[callee.Key] {
-				continue
-			}
-			visited[callee.Key] = true
-			queue = append(queue, callee)
-		}
-	}
+	g.Walk(roots, true, nil, func(chain []*core.FuncInfo) { fn(chain[len(chain)-1], f, acc) })
 	return acc
 }
 

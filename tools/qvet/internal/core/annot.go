@@ -40,9 +40,9 @@ var ValidPhases = map[Phase]bool{PhaseReply: true, PhasePhysics: true, PhaseExec
 
 // FuncAnnot is the directives attached to one function declaration.
 type FuncAnnot struct {
-	Phase    Phase // "" when not phase-annotated
-	PhasePos token.Pos
-	NoAlloc  bool
+	Phase      Phase // "" when not phase-annotated
+	PhasePos   token.Pos
+	NoAlloc    bool
 	NoAllocPos token.Pos
 	// Det marks a determinism root: the function's transitive static
 	// call closure is checked by detcore.

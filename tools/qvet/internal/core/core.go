@@ -120,8 +120,8 @@ func RunAnalyzers(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		return a.Message < b.Message
 	})
-	// Dedup identical findings (loop bodies are interpreted twice by
-	// lockguard, which can replay a report).
+	// Dedup identical findings (Flow interprets loop bodies twice, which
+	// can replay a report).
 	out := diags[:0]
 	var last Diagnostic
 	for i, d := range diags {
