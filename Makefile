@@ -24,11 +24,13 @@ race:
 # benchmark line the triple prints must end in "0 allocs/op" — the pooled
 # and indexed reply paths, the once-per-frame visibility-index build, the
 # idle fault injector (production conns are wrapped unconditionally when
-# -fault* flags exist), the recorder tap, and the checkpoint capture.
+# -fault* flags exist), the UDP receive from a known sender, the recorder
+# tap, and the checkpoint capture.
 define ALLOC_GATES
 . BenchmarkReplyPhaseAllocs/(pooled|indexed) 100x
 . BenchmarkVisIndexBuild 100x
 ./internal/transport/ BenchmarkFaultConnPassthrough 1000x
+./internal/transport/ BenchmarkUDPRecv 1000x
 ./internal/replay/ BenchmarkRecorderOverhead 10000x
 ./internal/checkpoint/ BenchmarkWriterCapture 100x
 endef
@@ -120,7 +122,9 @@ cover:
 # tests, and runs them over the tree: lock-guard discipline, frame-phase
 # call compatibility, atomic field hygiene, //qvet:noalloc escape gates,
 # and annotation rot. The final guard proves the tools module's
-# dependencies never leak into the engine's go.mod.
+# dependencies never leak into the engine's go.mod, and the cross-builds
+# keep the build-tagged files (the UDP receive path) compiling for
+# Windows and macOS.
 lint:
 	$(GO) test -C tools ./...
 	$(GO) build -C tools -o bin/qvet ./qvet
@@ -130,6 +134,8 @@ lint:
 	./tools/bin/qvet ./...
 	@! grep -E '^(require|replace)' go.mod || \
 		{ echo 'lint: root go.mod must stay dependency-free (tool deps live in tools/go.mod)'; exit 1; }
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin $(GO) build ./...
 
 # instancing runs the match-manager acceptance set: internal/match whole
 # under -race (cross-instance digest isolation over one shared static

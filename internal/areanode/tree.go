@@ -204,11 +204,12 @@ func (t *Tree) LinkGuarded(it *Item, box geom.AABB, guard NodeGuard) {
 	}
 done:
 	n := &t.nodes[ni]
-	if guard == nil {
-		n.insert(it, ni)
-	} else {
-		guard(ni, n.IsLeaf(), func() { n.insert(it, ni) })
+	if guard != nil {
+		leaf := n.IsLeaf()
+		guard.Enter(ni, leaf)
+		defer guard.Exit(ni, leaf)
 	}
+	n.insert(it, ni)
 }
 
 // insert splices it onto the head of n's list; ni is n's index.
@@ -238,11 +239,12 @@ func (t *Tree) UnlinkGuarded(it *Item, guard NodeGuard) {
 	}
 	ni := it.NodeIndex()
 	n := &t.nodes[ni]
-	if guard == nil {
-		n.remove(it)
-	} else {
-		guard(ni, n.IsLeaf(), func() { n.remove(it) })
+	if guard != nil {
+		leaf := n.IsLeaf()
+		guard.Enter(ni, leaf)
+		defer guard.Exit(ni, leaf)
 	}
+	n.remove(it)
 }
 
 // remove splices it out of n's list.
@@ -269,11 +271,18 @@ func (s *TraversalStats) Add(o TraversalStats) {
 	s.ItemsMatched += o.ItemsMatched
 }
 
-// NodeGuard wraps the scan of one node's object list. The parallel server
-// passes a guard that takes the node's lock around scan() for interior
-// (parent) nodes — the paper's transient parent locking — and relies on
-// the already-held region locks for leaves. A nil guard scans directly.
-type NodeGuard func(node int32, isLeaf bool, scan func())
+// NodeGuard brackets the scan or splice of one node's object list: Enter
+// before it, Exit after it, Exit even if the visitor panics. The parallel
+// server passes a guard that locks interior (parent) nodes for the
+// bracket — the paper's transient parent locking — and relies on the
+// already-held region locks for leaves. A nil guard scans directly.
+//
+// The tree never hands the visitor to the guard, so a caller's visitor
+// closure and everything it captures can stay on the caller's stack.
+type NodeGuard interface {
+	Enter(node int32, isLeaf bool)
+	Exit(node int32, isLeaf bool)
+}
 
 // CollectBox visits every linked item whose box intersects the query box,
 // walking only subtrees the box touches — the paper's move-execution
@@ -293,12 +302,7 @@ func (t *Tree) collect(ni int32, box geom.AABB, guard NodeGuard, visit func(*Ite
 	if guard == nil {
 		cont = n.scan(box, visit, st)
 	} else {
-		// A guard is free to keep what it is handed, so this closure
-		// and the result it writes live on the heap; declaring the
-		// result in here keeps that cost off the unguarded path.
-		var guarded bool
-		guard(ni, n.IsLeaf(), func() { guarded = n.scan(box, visit, st) })
-		cont = guarded
+		cont = n.scanGuarded(ni, guard, box, visit, st)
 	}
 	if !cont || n.IsLeaf() {
 		return cont
@@ -315,6 +319,15 @@ func (t *Tree) collect(ni int32, box geom.AABB, guard NodeGuard, visit func(*Ite
 		}
 	}
 	return true
+}
+
+// scanGuarded is scan inside guard's bracket for node ni. The bracket
+// closes before collect descends, so at most one parent node is held.
+func (n *Node) scanGuarded(ni int32, guard NodeGuard, box geom.AABB, visit func(*Item) bool, st *TraversalStats) bool {
+	leaf := n.IsLeaf()
+	guard.Enter(ni, leaf)
+	defer guard.Exit(ni, leaf)
+	return n.scan(box, visit, st)
 }
 
 // scan offers visit every item linked at n whose box intersects box and

@@ -257,27 +257,57 @@ func TestCollectBoxGuard(t *testing.T) {
 		it := &Item{ID: int32(i)}
 		tr.Link(it, randomItemBox(r, worldBounds()))
 	}
-	guardedNodes := map[int32]int{}
-	leafFlags := map[int32]bool{}
-	guard := func(node int32, isLeaf bool, scan func()) {
-		guardedNodes[node]++
-		leafFlags[node] = isLeaf
-		scan()
-	}
+	guard := &recordingGuard{entered: map[int32]int{}, leaf: map[int32]bool{}, open: -1}
 	count := 0
-	tr.CollectBox(worldBounds(), guard, func(*Item) bool { count++; return true }, nil)
+	tr.CollectBox(worldBounds(), guard, func(*Item) bool {
+		if guard.open < 0 {
+			t.Fatal("visitor ran outside the guard's bracket")
+		}
+		count++
+		return true
+	}, nil)
 	if count != 100 {
 		t.Errorf("guarded collect returned %d of 100", count)
 	}
-	// A world-sized query visits every node exactly once.
-	if len(guardedNodes) != tr.NumNodes() {
-		t.Errorf("guard called on %d nodes, want %d", len(guardedNodes), tr.NumNodes())
+	// A world-sized query visits every node exactly once, and closes each
+	// bracket before opening the next.
+	if len(guard.entered) != tr.NumNodes() {
+		t.Errorf("guard entered on %d nodes, want %d", len(guard.entered), tr.NumNodes())
 	}
-	for ni, isLeaf := range leafFlags {
+	if guard.open != -1 || guard.nested {
+		t.Errorf("brackets left open (%d) or nested (%v)", guard.open, guard.nested)
+	}
+	for ni, isLeaf := range guard.leaf {
 		if tr.Node(ni).IsLeaf() != isLeaf {
 			t.Errorf("node %d leaf flag mismatch", ni)
 		}
 	}
+}
+
+// recordingGuard counts the nodes a NodeGuard is entered on and checks
+// that brackets pair up without nesting. open is the node inside the
+// current bracket, -1 between brackets.
+type recordingGuard struct {
+	entered map[int32]int
+	leaf    map[int32]bool
+	open    int32
+	nested  bool
+}
+
+func (g *recordingGuard) Enter(node int32, isLeaf bool) {
+	if g.open != -1 {
+		g.nested = true
+	}
+	g.entered[node]++
+	g.leaf[node] = isLeaf
+	g.open = node
+}
+
+func (g *recordingGuard) Exit(node int32, _ bool) {
+	if g.open != node {
+		g.nested = true
+	}
+	g.open = -1
 }
 
 func TestLeavesTouching(t *testing.T) {
@@ -441,6 +471,21 @@ func BenchmarkLeavesTouching(b *testing.B) {
 	}
 }
 
+// interiorMutex is a NodeGuard with one lock for every interior node.
+type interiorMutex struct{ mu sync.Mutex }
+
+func (g *interiorMutex) Enter(_ int32, isLeaf bool) {
+	if !isLeaf {
+		g.mu.Lock()
+	}
+}
+
+func (g *interiorMutex) Exit(_ int32, isLeaf bool) {
+	if !isLeaf {
+		g.mu.Unlock()
+	}
+}
+
 // TestLinkedIsOwnerReadUnderConcurrentSplices is the -race regression for
 // Linked(): two movers whose items share only an ancestor node's list.
 // One relinks its item through the interior-node guard, and every splice
@@ -454,14 +499,7 @@ func TestLinkedIsOwnerReadUnderConcurrentSplices(t *testing.T) {
 	// at the root and are list neighbours there.
 	c := worldBounds().Center()
 	crossing := geom.Box(c.Sub(geom.V(8, 8, 8)), c.Add(geom.V(8, 8, 8)))
-	var mu sync.Mutex
-	guard := func(_ int32, isLeaf bool, splice func()) {
-		if !isLeaf {
-			mu.Lock()
-			defer mu.Unlock()
-		}
-		splice()
-	}
+	guard := &interiorMutex{}
 	still, mover := &Item{ID: 1}, &Item{ID: 2}
 	tr.LinkGuarded(still, crossing, guard)
 	if still.NodeIndex() != 0 {

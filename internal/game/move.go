@@ -244,7 +244,7 @@ func (w *World) ExecuteMove(e *entity.Entity, cmd *protocol.MoveCmd, lc *LockCon
 	res.Work.Candidates += nSolid + nTouch
 
 	// Step 3: simulate the motion.
-	trace := w.hullTrace(e, solids[:nSolid], &res.Work)
+	ht := hullTracer{w: w, solids: solids[:nSolid], he: e.HalfExtents(), off: e.CenterOffset(), work: &res.Work}
 	state := physics.State{Origin: e.Origin, Velocity: e.Velocity, OnGround: e.OnGround}
 	pcmd := physics.Cmd{
 		WishDir:   wishDir(e.Angles, cmd),
@@ -252,7 +252,7 @@ func (w *World) ExecuteMove(e *entity.Entity, cmd *protocol.MoveCmd, lc *LockCon
 		Jump:      cmd.Buttons&protocol.BtnJump != 0,
 	}
 	fallSpeed := -e.Velocity.Z
-	pres := physics.PlayerMove(w.Phys, trace, &state, pcmd, dt)
+	pres := physics.PlayerMove(w.Phys, ht.trace, &state, pcmd, dt)
 	res.Work.PhysTraces += pres.Traces
 	res.Work.Clips += pres.ClipPlanes
 	landed := !e.OnGround && state.OnGround
@@ -316,30 +316,36 @@ func (w *World) ExecuteMove(e *entity.Entity, cmd *protocol.MoveCmd, lc *LockCon
 	return res
 }
 
-// hullTrace builds the combined world+entities trace function for e's
-// hull, accumulating work counters.
-func (w *World) hullTrace(e *entity.Entity, solids []*entity.Entity, work *Work) physics.TraceFunc {
-	he := e.HalfExtents()
-	off := e.CenterOffset()
-	return func(a, b geom.Vec3) collide.Trace {
-		var cw collide.Work
-		best := w.Collide.TraceBox(a.Add(off), b.Add(off), he, &cw)
-		work.Collide.Add(cw)
-		best.End = best.End.Sub(off)
-		for _, other := range solids {
-			if !other.Active {
-				continue
-			}
-			tr := collide.TraceBoxAgainst(other.AbsBox(), a.Add(off), b.Add(off), he)
-			if tr.Hit && (tr.StartSolid || tr.Fraction < best.Fraction || !best.Hit) {
-				if !best.Hit || tr.Fraction < best.Fraction || tr.StartSolid {
-					tr.End = tr.End.Sub(off)
-					best = tr
-				}
+// hullTracer is the combined world+entities trace for one player's hull,
+// accumulating work counters. ExecuteMove hands PlayerMove its trace
+// method; physics keeps no TraceFunc past the call, so the tracer and the
+// candidate array its solids slice points into stay on the mover's stack.
+type hullTracer struct {
+	w      *World
+	solids []*entity.Entity
+	he     geom.Vec3 // hull half extents
+	off    geom.Vec3 // origin → hull centre
+	work   *Work
+}
+
+func (h *hullTracer) trace(a, b geom.Vec3) collide.Trace {
+	var cw collide.Work
+	best := h.w.Collide.TraceBox(a.Add(h.off), b.Add(h.off), h.he, &cw)
+	h.work.Collide.Add(cw)
+	best.End = best.End.Sub(h.off)
+	for _, other := range h.solids {
+		if !other.Active {
+			continue
+		}
+		tr := collide.TraceBoxAgainst(other.AbsBox(), a.Add(h.off), b.Add(h.off), h.he)
+		if tr.Hit && (tr.StartSolid || tr.Fraction < best.Fraction || !best.Hit) {
+			if !best.Hit || tr.Fraction < best.Fraction || tr.StartSolid {
+				tr.End = tr.End.Sub(h.off)
+				best = tr
 			}
 		}
-		return best
 	}
+	return best
 }
 
 // wishDir derives the world-space wish direction from view angles and the

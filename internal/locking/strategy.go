@@ -224,12 +224,9 @@ type RegionLocker struct {
 	// deadlocking the next thread that touches the region.
 	held []int32
 
-	// guardFn caches the NodeGuard closure handed out by ParentGuard so
-	// the per-frame scan path does not allocate a fresh closure per call.
-	// guardStats is the stats sink the cached closure reads through; the
+	// guardStats is the stats sink the parent guard counts into; the
 	// locker is single-threaded, so swapping it per ParentGuard call is
 	// safe.
-	guardFn    areanode.NodeGuard
 	guardStats *AcquireStats
 }
 
@@ -360,30 +357,36 @@ func (g *Guard) Release() {
 // "there are no deadlock issues when locking parent areanodes".
 func (rl *RegionLocker) ParentGuard(stats *AcquireStats) areanode.NodeGuard {
 	rl.guardStats = stats
-	if rl.guardFn == nil {
-		// Built once per locker: the closure captures only rl and reads
-		// the stats sink through rl.guardStats, so handing out a guard
-		// every frame stays allocation-free.
-		rl.guardFn = func(node int32, isLeaf bool, scan func()) {
-			if isLeaf {
-				scan()
-				return
-			}
-			rl.Provider.LockNode(node)
-			rl.held = append(rl.held, node)
-			if s := rl.guardStats; s != nil {
-				s.ParentLockOps++
-			}
-			// Deferred so a panic inside the scan still releases the interior
-			// node (and removes it from the held log before any ReleaseAll).
-			defer func() {
-				rl.Provider.UnlockNode(node)
-				rl.popHeld(node)
-			}()
-			scan()
-		}
+	return (*parentGuard)(rl)
+}
+
+// parentGuard is a RegionLocker seen as an areanode.NodeGuard. Handing
+// one out is a pointer conversion, so it allocates nothing. The tree
+// calls Exit even when the scan panics, which releases the interior node
+// (and removes it from the held log) before any ReleaseAll.
+type parentGuard RegionLocker
+
+// Enter locks an interior node; a leaf is already held via Acquire.
+func (g *parentGuard) Enter(node int32, isLeaf bool) {
+	if isLeaf {
+		return
 	}
-	return rl.guardFn
+	rl := (*RegionLocker)(g)
+	rl.Provider.LockNode(node)
+	rl.held = append(rl.held, node)
+	if s := rl.guardStats; s != nil {
+		s.ParentLockOps++
+	}
+}
+
+// Exit unlocks what Enter locked.
+func (g *parentGuard) Exit(node int32, isLeaf bool) {
+	if isLeaf {
+		return
+	}
+	rl := (*RegionLocker)(g)
+	rl.Provider.UnlockNode(node)
+	rl.popHeld(node)
 }
 
 // MutexProvider is the live-engine Provider: one mutex per areanode.

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"time"
 )
 
@@ -58,9 +59,14 @@ type Conn interface {
 	Send(to Addr, data []byte) error
 	// Recv blocks up to timeout for a datagram, copying it into buf and
 	// returning its length and source. A negative timeout blocks
-	// indefinitely; zero polls. Returns ErrTimeout on expiry. Only
-	// buf[:n] is written; bytes beyond n keep their previous content, so
-	// callers reusing one receive buffer must bound reads by n.
+	// indefinitely. Zero polls: Recv returns a queued datagram or
+	// ErrTimeout without waiting for one to arrive. On a unix UDPConn a
+	// poll is one non-blocking recvfrom and arms no timer, so an engine
+	// draining its requests stops the moment the socket is empty.
+	// Returns ErrTimeout on expiry. Only buf[:n] is written; bytes beyond
+	// n keep their previous content, so callers reusing one receive
+	// buffer must bound reads by n. The source may be the same value for
+	// every datagram from one sender and must be treated as read-only.
 	Recv(buf []byte, timeout time.Duration) (int, Addr, error)
 	// LocalAddr returns this endpoint's address.
 	LocalAddr() Addr
@@ -91,9 +97,11 @@ func ResolveLike(c Conn, s string) (Addr, error) {
 	}
 }
 
-// UDPConn adapts a real UDP socket to Conn.
+// UDPConn adapts a real UDP socket to Conn. Recv lives in udp_unix.go,
+// with a deadline-read fallback for other platforms in udp_other.go.
 type UDPConn struct {
-	pc *net.UDPConn
+	pc   *net.UDPConn
+	recv udpRecv // receive state, owned by the conn's one reader
 }
 
 // ListenUDP opens a UDP endpoint on the given address ("127.0.0.1:0"
@@ -107,7 +115,12 @@ func ListenUDP(addr string) (*UDPConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	return &UDPConn{pc: pc}, nil
+	c := &UDPConn{pc: pc}
+	if err := c.recv.init(c); err != nil {
+		pc.Close()
+		return nil, fmt.Errorf("transport: %w", err)
+	}
+	return c, nil
 }
 
 // Send implements Conn.
@@ -124,35 +137,19 @@ func (c *UDPConn) Send(to Addr, data []byte) error {
 	return err
 }
 
-// Recv implements Conn.
-func (c *UDPConn) Recv(buf []byte, timeout time.Duration) (int, Addr, error) {
-	var deadline time.Time
-	if timeout == 0 {
-		// A zero (poll) timeout must still read already-queued datagrams.
-		// Go's poller fails reads immediately once the deadline has
-		// passed, without attempting the syscall, so an exact-now
-		// deadline would never deliver; a hair of slack keeps poll
-		// semantics while letting ready data through.
-		timeout = 100 * time.Microsecond
+// recvResult finishes a UDP receive for Conn: the net package's deadline
+// and closed errors become ErrTimeout and ErrClosed, and an error comes
+// with a nil source.
+func recvResult(n int, from net.Addr, err error) (int, Addr, error) {
+	switch {
+	case err == nil:
+		return n, from, nil
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return 0, nil, ErrTimeout
+	case errors.Is(err, net.ErrClosed):
+		return 0, nil, ErrClosed
 	}
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	if err := c.pc.SetReadDeadline(deadline); err != nil {
-		return 0, nil, err
-	}
-	n, from, err := c.pc.ReadFromUDP(buf)
-	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			return 0, nil, ErrTimeout
-		}
-		if errors.Is(err, net.ErrClosed) {
-			return 0, nil, ErrClosed
-		}
-		return 0, nil, err
-	}
-	return n, from, nil
+	return 0, nil, err
 }
 
 // LocalAddr implements Conn.
