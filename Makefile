@@ -95,9 +95,9 @@ durable-race:
 # replay is the deterministic record/replay acceptance set (DESIGN.md
 # §11): internal/replay whole — bit-identity of a session recorded on
 # parallel 8T (balance+stealing) replayed across sequential, parallel
-# {2,4,8}T and DES, the shrinker, the determinism audit, the checked-in
-# minimal repro, the format pins, the recorder's allocation and overhead
-# gates — plus the conformance suite's record/replay leg.
+# {2,4,8}T and DES, the shrinker, the every-field codec round trip, the
+# checked-in minimal repro, the format pins, the recorder's allocation
+# and overhead gates — plus the conformance suite's record/replay leg.
 replay: durable-race
 	$(GO) test -race -v -run 'TestRecordReplayConformance' ./internal/conformance/
 
@@ -121,17 +121,18 @@ cover:
 # lint builds the repo's own static analyzers (tools/qvet — a separate
 # module, so the engine itself stays stdlib-only), runs their fixture
 # tests, and runs them over the tree: lock-guard discipline, frame-phase
-# call compatibility, atomic field hygiene, //qvet:noalloc escape gates,
-# and annotation rot. The final guard proves the tools module's
-# dependencies never leak into the engine's go.mod, and the cross-builds
-# keep the build-tagged files (the UDP receive path) compiling for
-# Windows and macOS.
+# call compatibility, //qvet:noalloc escape gates, determinism closures,
+# the steal-hint protocol, and annotation rot — the six checks whose bugs
+# no runtime gate catches (DESIGN.md §9). The final guard proves the
+# tools module's dependencies never leak into the engine's go.mod, and
+# the cross-builds keep the build-tagged files (the UDP receive path)
+# compiling for Windows and macOS.
 lint:
 	$(GO) test -C tools ./...
 	$(GO) build -C tools -o bin/qvet ./qvet
 	@n=$$(./tools/bin/qvet -list | wc -l); \
-		[ "$$n" -eq 9 ] || \
-		{ echo "lint: qvet suite has $$n analyzers, expected 9 (did a registry edit drop one?)"; exit 1; }
+		[ "$$n" -eq 6 ] || \
+		{ echo "lint: qvet suite has $$n analyzers, expected 6 (did a registry edit drop one?)"; exit 1; }
 	./tools/bin/qvet ./...
 	@! grep -E '^(require|replace)' go.mod || \
 		{ echo 'lint: root go.mod must stay dependency-free (tool deps live in tools/go.mod)'; exit 1; }

@@ -151,37 +151,43 @@ func (b *Bot) Connect() error {
 }
 
 // Run drives the bot until the stop channel closes, then disconnects.
+// Between moves it blocks in Recv until the next frame's deadline, so
+// each reply is stamped when it arrives, not at the next frame.
 func (b *Bot) Run(stop <-chan struct{}) {
 	frame := time.Duration(b.cfg.FrameMs) * time.Millisecond
-	ticker := time.NewTicker(frame)
-	defer ticker.Stop()
 	start := time.Now()
 	defer func() {
 		b.Resp.DurationS = time.Since(start).Seconds()
 		b.send(b.server, &protocol.Disconnect{})
 	}()
+	next := start
 	for {
 		select {
 		case <-stop:
 			return
-		case <-ticker.C:
+		default:
 		}
-		b.drainReplies()
 		b.sendMove()
+		next = next.Add(frame)
+		if now := time.Now(); next.Before(now) {
+			next = now.Add(frame) // fell behind: skip the missed frames
+		}
+		b.receive(next)
+		time.Sleep(time.Until(next)) // a receive error returns early
 	}
 }
 
 // Step performs one client frame synchronously (for tests and
 // deterministic drivers): drain replies, then send a move.
 func (b *Bot) Step() {
-	b.drainReplies()
+	b.receive(time.Time{})
 	b.sendMove()
 }
 
 // Drain consumes queued replies without sending a move — the final
 // settle step of tests that must observe a quiescent server.
 func (b *Bot) Drain() {
-	b.drainReplies()
+	b.receive(time.Time{})
 }
 
 func (b *Bot) sendMove() {
@@ -232,11 +238,16 @@ func (b *Bot) decideMove() protocol.MoveCmd {
 	return cmd
 }
 
-// drainReplies consumes every queued server message, updating position,
-// visible enemies, and response-time statistics.
-func (b *Bot) drainReplies() {
+// receive consumes server messages until deadline, updating position,
+// visible enemies, and response-time statistics. A zero deadline (or
+// one already past) consumes only what is queued.
+func (b *Bot) receive(deadline time.Time) {
 	for {
-		n, _, err := b.conn.Recv(b.recvBuf, 0)
+		var wait time.Duration
+		if !deadline.IsZero() {
+			wait = max(time.Until(deadline), 0) // negative would block forever
+		}
+		n, _, err := b.conn.Recv(b.recvBuf, wait)
 		if err != nil {
 			return
 		}

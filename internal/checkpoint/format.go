@@ -46,8 +46,6 @@ const (
 )
 
 // FormatVersion is the current checkpoint format version.
-//
-//qvet:wire=qckp version
 const FormatVersion = 1
 
 const ckMagic = "QCKP"
@@ -72,8 +70,6 @@ var (
 // contract is bit-identity of the restored table (replay.TableDigest).
 // The struct is flat and comparable: the delta capture diffs records
 // with ==, and the writer's retained base image packs into one slice.
-//
-//qvet:wire=qckp
 type EntityRec struct {
 	ID    uint32
 	Class uint8
@@ -115,8 +111,6 @@ const (
 // reconnect matching keys, the owning thread (the balance assignment),
 // sequence/reply counters, the balancer's load estimate, and the delta
 // baseline in the wire's quantized form.
-//
-//qvet:wire=qckp
 type ClientRec struct {
 	ID           uint16
 	EntID        int32
@@ -131,8 +125,6 @@ type ClientRec struct {
 }
 
 // Checkpoint is a fully decoded checkpoint.
-//
-//qvet:wire=qckp
 type Checkpoint struct {
 	WorldSeed int64
 	ProtoVer  uint8
@@ -423,7 +415,6 @@ func decodeClient(r *protocol.Reader, c *ClientRec) error {
 // level.
 //
 //qvet:det
-//qvet:wire=qckp encode
 func (ck *Checkpoint) Encode() ([]byte, error) {
 	mapJSON := ck.mapJSON
 	if mapJSON == nil {
@@ -475,8 +466,6 @@ const (
 // Decode parses a complete checkpoint. It is total: any input —
 // truncated, bit-flipped, reordered, or adversarial — yields an error,
 // never a panic, and on error the returned Checkpoint is nil.
-//
-//qvet:wire=qckp decode
 func Decode(data []byte) (*Checkpoint, error) {
 	rd, err := qfile.Open(data, ckMagic, FormatVersion)
 	if err != nil {

@@ -58,16 +58,17 @@ func (c Class) String() string {
 
 // Standard hull sizes, in world units, relative to the entity origin.
 // Player dimensions are the engine's: 32 wide, 56 tall, origin 24 above
-// the feet.
+// the feet. They are never written: every match in the process shares
+// them.
 var (
-	PlayerMins = geom.V(-16, -16, -24) //qvet:allow=globalstate hull constant, immutable by convention
-	PlayerMaxs = geom.V(16, 16, 32)    //qvet:allow=globalstate hull constant, immutable by convention
+	PlayerMins = geom.V(-16, -16, -24)
+	PlayerMaxs = geom.V(16, 16, 32)
 
-	ItemMins = geom.V(-12, -12, -16) //qvet:allow=globalstate hull constant, immutable by convention
-	ItemMaxs = geom.V(12, 12, 16)    //qvet:allow=globalstate hull constant, immutable by convention
+	ItemMins = geom.V(-12, -12, -16)
+	ItemMaxs = geom.V(12, 12, 16)
 
-	ProjectileMins = geom.V(-4, -4, -4) //qvet:allow=globalstate hull constant, immutable by convention
-	ProjectileMaxs = geom.V(4, 4, 4)    //qvet:allow=globalstate hull constant, immutable by convention
+	ProjectileMins = geom.V(-4, -4, -4)
+	ProjectileMaxs = geom.V(4, 4, 4)
 )
 
 // Entity is one dynamic game object. All fields are owned by whichever

@@ -22,6 +22,7 @@ package locking
 
 import (
 	"math"
+	"sync"
 
 	"qserve/internal/areanode"
 	"qserve/internal/geom"
@@ -394,42 +395,16 @@ type MutexProvider struct {
 	locks []nodeMutex
 }
 
-// nodeMutex pads to a cache line to avoid false sharing between adjacent
-// node locks under contention.
+// nodeMutex pads the inline mutex to a 64-byte cache line to avoid false
+// sharing between adjacent node locks under contention.
 type nodeMutex struct {
-	mu chanMutex
-	_  [40]byte
-}
-
-// chanMutex is a simple channel-based mutex; unlike sync.Mutex it lets
-// the live engine instrument wait time without extra allocation, and its
-// FIFO-ish queueing matches the simulator's lock model more closely.
-type chanMutex struct {
-	ch chan struct{}
-}
-
-func (m *chanMutex) init() { m.ch = make(chan struct{}, 1) }
-
-func (m *chanMutex) Lock()   { m.ch <- struct{}{} }
-func (m *chanMutex) Unlock() { <-m.ch }
-
-// TryLock acquires the mutex if free and reports success.
-func (m *chanMutex) TryLock() bool {
-	select {
-	case m.ch <- struct{}{}:
-		return true
-	default:
-		return false
-	}
+	mu sync.Mutex
+	_  [56]byte // sync.Mutex is 8 bytes
 }
 
 // NewMutexProvider creates a provider with one lock per tree node.
 func NewMutexProvider(numNodes int) *MutexProvider {
-	p := &MutexProvider{locks: make([]nodeMutex, numNodes)}
-	for i := range p.locks {
-		p.locks[i].mu.init()
-	}
-	return p
+	return &MutexProvider{locks: make([]nodeMutex, numNodes)}
 }
 
 // LockNode implements Provider.

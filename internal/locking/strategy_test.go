@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"qserve/internal/areanode"
 	"qserve/internal/geom"
@@ -408,18 +409,8 @@ func TestTryAcquireDegradesWithoutTryProvider(t *testing.T) {
 	g.Release()
 }
 
-func TestChanMutexTryLock(t *testing.T) {
-	var m chanMutex
-	m.init()
-	if !m.TryLock() {
-		t.Fatal("TryLock failed on a free mutex")
+func TestNodeMutexFillsCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(nodeMutex{}); n != 64 {
+		t.Fatalf("nodeMutex is %d bytes, want one 64-byte cache line", n)
 	}
-	if m.TryLock() {
-		t.Fatal("TryLock succeeded on a held mutex")
-	}
-	m.Unlock()
-	if !m.TryLock() {
-		t.Fatal("TryLock failed after unlock")
-	}
-	m.Unlock()
 }

@@ -10,13 +10,9 @@ import (
 // EntityState is the wire-visible state of one entity, quantized. States
 // are compared field-wise for delta compression, so the struct must stay
 // directly comparable.
-//
-//qvet:wire=wire3
-//qvet:wire=qckp
 type EntityState struct {
 	// The id is not its own wire field: snapshots carry it once, in
 	// EntityDelta.ID, and decodeDeltas copies it back in.
-	//qvet:allow=wirecheck carried by EntityDelta.ID, reconstructed on decode
 	ID      uint16
 	Class   uint8
 	X, Y, Z int16 // fixed-point origin (CoordScale)
@@ -51,8 +47,6 @@ const (
 )
 
 // EntityDelta is one entry of a snapshot's entity list.
-//
-//qvet:wire=wire3
 type EntityDelta struct {
 	ID    uint16
 	Bits  uint8

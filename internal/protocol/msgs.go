@@ -34,9 +34,6 @@ const (
 // MoveCmd is the wire form of the paper's move request (§2.3): view
 // angles, motion indicators, action flags, and the duration "the command
 // is to be applied in milliseconds" (~30ms for 30fps clients).
-//
-//qvet:wire=wire3
-//qvet:wire=qrpl
 type MoveCmd struct {
 	Pitch   int16 // view pitch, 16-bit angle units (65536 per turn)
 	Yaw     int16 // view yaw
@@ -98,8 +95,6 @@ func DequantizeVec(x, y, z int16) geom.Vec3 {
 }
 
 // Connect is the session-join request.
-//
-//qvet:wire=wire3
 type Connect struct {
 	Name        string
 	FrameMs     uint8 // client frame duration (30-40ms per the paper)
@@ -111,8 +106,6 @@ type Connect struct {
 }
 
 // Move wraps a MoveCmd with sequencing.
-//
-//qvet:wire=wire3
 type Move struct {
 	Seq uint32 // client's request sequence number
 	Ack uint32 // latest server frame the client has seen
@@ -123,13 +116,9 @@ type Move struct {
 type Disconnect struct{}
 
 // Ping is a latency probe.
-//
-//qvet:wire=wire3
 type Ping struct{ Nonce uint64 }
 
 // Accept confirms a connection.
-//
-//qvet:wire=wire3
 type Accept struct {
 	ClientID uint16
 	EntityID int32
@@ -142,13 +131,9 @@ type Accept struct {
 }
 
 // Reject refuses a connection.
-//
-//qvet:wire=wire3
 type Reject struct{ Reason string }
 
 // PlayerState is the client's own authoritative state in a snapshot.
-//
-//qvet:wire=wire3
 type PlayerState struct {
 	Origin   geom.Vec3
 	Velocity geom.Vec3
@@ -169,8 +154,6 @@ const (
 
 // GameEvent is a broadcast game occurrence (kill, pickup, teleport)
 // delivered to every client from the server's global state buffer.
-//
-//qvet:wire=wire3
 type GameEvent struct {
 	Kind    uint8
 	Actor   uint16
@@ -187,8 +170,6 @@ const maxSnapshotEvents = 64
 // Snapshot is the server's reply to a move request: the client's own
 // state, delta-encoded visible entities, and the frame's broadcast
 // events.
-//
-//qvet:wire=wire3
 type Snapshot struct {
 	Frame  uint32 // server frame number
 	AckSeq uint32 // client request sequence this replies to
@@ -206,13 +187,9 @@ type Snapshot struct {
 }
 
 // Disconnected closes a session from the server side.
-//
-//qvet:wire=wire3
 type Disconnected struct{ Reason string }
 
 // Pong answers a Ping.
-//
-//qvet:wire=wire3
 type Pong struct{ Nonce uint64 }
 
 // wireSum is the 16-bit datagram checksum: FNV-1a folded to 16 bits.
@@ -234,8 +211,6 @@ func Fold16(data []byte) uint16 { return wireSum(data) }
 
 // Encode serializes any message type into w, including the datagram
 // header and the trailing checksum.
-//
-//qvet:wire=wire3 encode
 func Encode(w *Writer, msg any) error {
 	start := len(w.Buf)
 	w.U8(Magic)
@@ -293,8 +268,6 @@ func Encode(w *Writer, msg any) error {
 // corrupted in flight, and parsing it could yield a structurally valid
 // message carrying garbage (a wild Move sequence, a forged Disconnect,
 // a Snapshot whose delta chain looks intact) — rejected wholesale.
-//
-//qvet:wire=wire3 decode
 func Decode(data []byte) (any, error) {
 	if len(data) < 5 { // magic + version + type + checksum
 		return nil, ErrTruncated

@@ -22,8 +22,7 @@ import (
 // sequence number or a corrupted-but-consistent Snapshot would
 // otherwise poison per-client state silently).
 const (
-	Magic uint8 = 0xA5
-	//qvet:wire=wire3 version
+	Magic   uint8 = 0xA5
 	Version uint8 = 3
 )
 

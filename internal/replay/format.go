@@ -36,8 +36,6 @@ const (
 )
 
 // FormatVersion is the current log format version.
-//
-//qvet:wire=qrpl version
 const FormatVersion = 1
 
 const logMagic = "QRPL"
@@ -58,8 +56,6 @@ var (
 // Item is one decoded log record. Kind selects which fields are
 // meaningful; the struct is flat (no interface, no pointer) so a log's
 // items pack into one slice and the recorder appends without allocating.
-//
-//qvet:wire=qrpl
 type Item struct {
 	Kind   uint8
 	Client uint16
@@ -76,8 +72,6 @@ type Item struct {
 }
 
 // Log is a fully decoded replay log.
-//
-//qvet:wire=qrpl
 type Log struct {
 	WorldSeed int64
 	ProtoVer  uint8
@@ -137,7 +131,6 @@ func (lg *Log) Clients() []uint16 {
 // the identity on the byte level (the map blob is carried verbatim).
 //
 //qvet:det
-//qvet:wire=qrpl encode
 func (lg *Log) Encode() ([]byte, error) {
 	mapJSON := lg.mapJSON
 	if mapJSON == nil {
@@ -208,8 +201,6 @@ func appendItem(dst []byte, p *protocol.Writer, it *Item) ([]byte, error) {
 // bit-flipped, reordered, or adversarial — yields an error, never a
 // panic, and never a partially-poisoned Log (on error the returned Log
 // is nil).
-//
-//qvet:wire=qrpl decode
 func Decode(data []byte) (*Log, error) {
 	lg, _, err := decode(data, false)
 	return lg, err

@@ -271,6 +271,32 @@ func TestDisconnectRemovesPlayer(t *testing.T) {
 	}
 }
 
+// TestBotResponseTimeIsNotQuantised runs a bot in real time against a
+// sequential server, which answers within a few milliseconds. The bot
+// must stamp each reply on arrival: reading replies only at its next
+// 33 ms frame would make every response time about one frame.
+func TestBotResponseTimeIsNotQuantised(t *testing.T) {
+	rig := newRig(t, 0, 1, nil)
+	bot := rig.bots[0]
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		bot.Run(stop)
+		close(done)
+	}()
+	time.Sleep(500 * time.Millisecond)
+	close(stop)
+	<-done
+
+	frameMs := 33.0
+	if bot.Resp.Latency.N() < 5 {
+		t.Fatalf("only %d response-time samples", bot.Resp.Latency.N())
+	}
+	if mean := bot.Resp.MeanLatencyMs(); mean > frameMs/2 {
+		t.Errorf("mean response time %.1f ms, want well under one %.0f ms client frame", mean, frameMs)
+	}
+}
+
 func TestBlockAssign(t *testing.T) {
 	// 8 clients over 4 threads with capacity 8: two per thread, in
 	// contiguous blocks.

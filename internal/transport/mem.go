@@ -71,7 +71,7 @@ type pktBuf struct {
 	b []byte
 }
 
-//qvet:allow=globalstate process-wide datagram buffer pool by design; holds no game state
+// pktPool is process-wide by design: it holds no game state.
 var pktPool = sync.Pool{
 	New: func() any { return &pktBuf{b: make([]byte, 0, MaxDatagram)} },
 }

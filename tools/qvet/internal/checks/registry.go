@@ -3,14 +3,11 @@ package checks
 
 import (
 	"qserve/tools/qvet/internal/checks/annotcheck"
-	"qserve/tools/qvet/internal/checks/atomicfield"
 	"qserve/tools/qvet/internal/checks/detcore"
-	"qserve/tools/qvet/internal/checks/globalstate"
 	"qserve/tools/qvet/internal/checks/lockguard"
 	"qserve/tools/qvet/internal/checks/noalloc"
 	"qserve/tools/qvet/internal/checks/phasecheck"
 	"qserve/tools/qvet/internal/checks/stealcheck"
-	"qserve/tools/qvet/internal/checks/wirecheck"
 	"qserve/tools/qvet/internal/core"
 )
 
@@ -19,12 +16,9 @@ func All() []*core.Analyzer {
 	return []*core.Analyzer{
 		annotcheck.Analyzer,
 		lockguard.Analyzer,
-		atomicfield.Analyzer,
 		phasecheck.Analyzer,
 		noalloc.Analyzer,
-		globalstate.Analyzer,
 		detcore.Analyzer,
-		wirecheck.Analyzer,
 		stealcheck.Analyzer,
 	}
 }

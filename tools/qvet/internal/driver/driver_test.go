@@ -56,8 +56,8 @@ func TestDriverList(t *testing.T) {
 	if code := driver.Main([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list: exit %d", code)
 	}
-	analysistest.MustFind(t, stdout.String(), "lockguard", "phasecheck", "atomicfield", "noalloc", "annot",
-		"globalstate", "detcore", "wirecheck", "stealcheck")
+	analysistest.MustFind(t, stdout.String(), "lockguard", "phasecheck", "noalloc", "annot",
+		"detcore", "stealcheck")
 }
 
 // TestDriverJSON emits the same findings as machine-readable JSON, in
