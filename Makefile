@@ -70,10 +70,13 @@ conformance:
 
 # chaos runs the robustness acceptance suite under the race detector:
 # the fault-injected soak (loss/reorder/dup/corruption plus an injected
-# panic), the watchdog quarantine, panic containment, the overload shed
-# ladder, and graceful shutdown.
+# panic), the watchdog's wedge record, panic containment in both phases,
+# the frame barriers, the overload shed ladder, graceful shutdown, and
+# the crash-only wedge path (a wedged worker exits the server, which
+# recovers from its checkpoint).
 chaos:
-	$(GO) test -race -v -run 'TestChaosSoak|TestWatchdog|TestPanicContainment|TestOverloadShedLadder|TestGracefulShutdown|TestFrameCtl' ./internal/server/
+	$(GO) test -race -v -run 'TestChaosSoak|TestWatchdogRecordsWedge|TestPanicContainment|TestOverloadShedLadder|TestGracefulShutdown|TestFrameCtlBarrierOrdering' ./internal/server/
+	$(GO) test -race -v -run 'TestWedgeCrashRecovers' ./internal/replay/
 	$(GO) test -race -run 'TestDecodeSurvivesFaultInjector|Fuzz' ./internal/protocol/
 
 # lockwall gates the work-stealing ablation (DESIGN.md §10) on the paper's

@@ -12,6 +12,18 @@
 // a range of UDP ports". Clients connect to the base port and are told
 // their assigned port in the Accept reply. Stop with SIGINT/SIGTERM; the
 // server prints its execution-time breakdown on exit.
+//
+// The server is crash-only. With -watchdog D, a thread stuck in one frame
+// phase for longer than D makes qserved print the wedge and every
+// goroutine's stack to stderr and exit with status 3. qserved does not
+// restart itself: run it under a supervisor that reruns it with
+//
+//	qserved -threads 4 -checkpoint DIR -restore -restore-log old.qrl
+//
+// which resumes from the newest checkpoint in DIR plus the redo tail of
+// the crashed run's -record log; clients reconnect onto their entities.
+// Without -checkpoint there is nothing to restore, and a restart is a
+// fresh world.
 package main
 
 import (
@@ -45,8 +57,7 @@ func main() {
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats print interval (0 disables)")
 	bal := flag.Bool("balance", false, "enable dynamic client->thread load balancing (parallel engine)")
 	steal := flag.Bool("steal", false, "conflict-aware work-stealing request execution (parallel engine)")
-	watchdog := flag.Duration("watchdog", 0, "frame watchdog deadline per phase (0 disables)")
-	quarantine := flag.Bool("quarantine", false, "watchdog also quarantines the client a wedged thread was serving")
+	watchdog := flag.Duration("watchdog", 0, "frame watchdog deadline per phase: a thread stuck longer exits the server with status 3 for a supervisor to restart with -restore (0 disables)")
 	budget := flag.Duration("budget", 0, "frame-time budget for overload shedding (0 disables)")
 	dropP := flag.Float64("faultdrop", 0, "chaos: per-datagram drop probability on every port")
 	dupP := flag.Float64("faultdup", 0, "chaos: per-datagram duplication probability")
@@ -149,7 +160,6 @@ func main() {
 		Strategy:         strat,
 		MaxClients:       *maxClients,
 		WatchdogDeadline: *watchdog,
-		QuarantineWedged: *quarantine,
 		FrameBudget:      *budget,
 		Stealing:         *steal,
 	}
@@ -381,9 +391,8 @@ func printBreakdowns(eng server.Engine) {
 		eng.BytesIn()/1024, eng.BytesOut()/1024)
 	if par, ok := eng.(*server.Parallel); ok {
 		fmt.Printf("migrations: %d\n", par.Migrations())
-		if w, e := len(par.Wedges()), par.FaultEvictions(); w > 0 || e > 0 {
-			fmt.Printf("robustness: wedges=%d evictions=%d shed-level=%d\n",
-				w, e, par.ShedLevel())
+		if e := par.FaultEvictions(); e > 0 {
+			fmt.Printf("robustness: evictions=%d shed-level=%d\n", e, par.ShedLevel())
 		}
 	}
 }

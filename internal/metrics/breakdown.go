@@ -114,12 +114,10 @@ type Breakdown struct {
 	StealConflicts int64
 
 	// Robustness counters from the failure-model layer: panics contained
-	// by the per-thread recover wrappers, wedged-phase detections by the
-	// frame watchdog, replies and entities shed by the overload ladder,
-	// connection attempts refused while overloaded, and datagrams lost to
-	// mux receive-queue overflow.
+	// by the per-thread recover wrappers, replies and entities shed by the
+	// overload ladder, connection attempts refused while overloaded, and
+	// datagrams lost to mux receive-queue overflow.
 	PanicsRecovered int64
-	WedgesDetected  int64
 	RepliesShed     int64
 	EntitiesCapped  int64
 	BusyRejects     int64
@@ -158,7 +156,6 @@ func (b *Breakdown) Add(o *Breakdown) {
 	b.StealsNs += o.StealsNs
 	b.StealConflicts += o.StealConflicts
 	b.PanicsRecovered += o.PanicsRecovered
-	b.WedgesDetected += o.WedgesDetected
 	b.RepliesShed += o.RepliesShed
 	b.EntitiesCapped += o.EntitiesCapped
 	b.BusyRejects += o.BusyRejects
@@ -245,7 +242,6 @@ func (b *Breakdown) Scale(f float64) {
 	b.StealsNs = int64(float64(b.StealsNs) * f)
 	b.StealConflicts = int64(float64(b.StealConflicts) * f)
 	b.PanicsRecovered = int64(float64(b.PanicsRecovered) * f)
-	b.WedgesDetected = int64(float64(b.WedgesDetected) * f)
 	b.RepliesShed = int64(float64(b.RepliesShed) * f)
 	b.EntitiesCapped = int64(float64(b.EntitiesCapped) * f)
 	b.BusyRejects = int64(float64(b.BusyRejects) * f)

@@ -83,16 +83,14 @@ func TestCrashRecoverySoak(t *testing.T) {
 	var stepNo atomic.Int64
 	var panicFired atomic.Bool
 	cfg := server.Config{
-		World:            w,
-		Conns:            conns,
-		Threads:          threads,
-		Strategy:         locking.Optimized{},
-		MaxClients:       numBots + 4,
-		SelectTimeout:    2 * time.Millisecond,
-		WatchdogDeadline: time.Second,
-		QuarantineWedged: true,
-		Record:           st,
-		Checkpoint:       wr,
+		World:         w,
+		Conns:         conns,
+		Threads:       threads,
+		Strategy:      locking.Optimized{},
+		MaxClients:    numBots + 4,
+		SelectTimeout: 2 * time.Millisecond,
+		Record:        st,
+		Checkpoint:    wr,
 	}
 	cfg.Hooks.PreExec = func(thread int, id uint16) {
 		if stepNo.Load() >= steps/2 && panicFired.CompareAndSwap(false, true) {

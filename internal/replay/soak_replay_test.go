@@ -69,15 +69,13 @@ func TestChaosSoakReplay(t *testing.T) {
 	var stepNo atomic.Int64
 	var panicFired atomic.Bool
 	cfg := server.Config{
-		World:            w,
-		Conns:            conns,
-		Threads:          threads,
-		Strategy:         locking.Optimized{},
-		MaxClients:       numBots + 4,
-		SelectTimeout:    2 * time.Millisecond,
-		WatchdogDeadline: time.Second,
-		QuarantineWedged: true,
-		Record:           rec,
+		World:         w,
+		Conns:         conns,
+		Threads:       threads,
+		Strategy:      locking.Optimized{},
+		MaxClients:    numBots + 4,
+		SelectTimeout: 2 * time.Millisecond,
+		Record:        rec,
 	}
 	cfg.Hooks.PreExec = func(thread int, id uint16) {
 		if stepNo.Load() >= steps/2 && panicFired.CompareAndSwap(false, true) {

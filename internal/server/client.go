@@ -43,10 +43,8 @@ type client struct {
 	// input. Charged by whichever thread executes the client's request —
 	// the owner, or a thief under work stealing; either way the cost
 	// names the serving client, so migration plans reflect who is
-	// expensive, not who ran them. Read and decayed (by atomic
-	// subtraction) by the master at the barrier. Atomic because a wedged
-	// thread abandoned by the watchdog may still be mid-write when the
-	// master reads.
+	// expensive, not who ran them. Read and decayed by the master at the
+	// barrier. Atomic because any executor may charge it.
 	loadNs atomic.Int64
 
 	// Request-phase state, touched only by the owning thread.
@@ -55,9 +53,7 @@ type client struct {
 
 	// repliedFrame is the last frame this client received a reply in.
 	// Written by the owning thread during the reply phase and read by
-	// the master during cleanup. The frame barriers order the accesses in
-	// normal operation; atomic so an abandoned (zombie) thread straggling
-	// through its reply phase cannot race the master.
+	// the master during cleanup and by any executor's admission check.
 	repliedFrame atomic.Uint32
 
 	// claim serializes request execution for this client under work
@@ -88,21 +84,6 @@ type client struct {
 	// (claimForRemoval), so the claim-release/claim-acquire pair orders
 	// the flag before any later executor's entity reads.
 	gone atomic.Bool
-
-	// quarantined marks a client whose request wedged its owning thread:
-	// the watchdog sets it when it abandons the thread, every thread drops
-	// the client's traffic, and the recovering thread evicts it. Also set
-	// by panic containment between the recover and the eviction.
-	quarantined atomic.Bool
-
-	// quarantinedBy records which worker (id+1) quarantined the client,
-	// so the recovery path evicts exactly the clients it condemned. With
-	// stealing, the wedged request's client may belong to a *different*
-	// thread than the executor the watchdog abandoned; keying recovery on
-	// ownership alone would leave such a client quarantined forever.
-	// 0 means unattributed (legacy paths); rolled back together with
-	// quarantined when an abandonment attempt fails.
-	quarantinedBy atomic.Int32
 
 	// shedFar marks the client as far from the action centroid: under
 	// overload (shed level >= 1) its snapshot rate is halved. Computed by
@@ -155,8 +136,8 @@ type client struct {
 	backlog   []protocol.GameEvent
 
 	// lastActive is the wall clock (UnixNano) of the client's last valid
-	// request, for the stale-client reaper. Atomic for the same
-	// zombie-straggler reason as repliedFrame.
+	// request, for the stale-client reaper. Atomic because any executor
+	// may stamp it.
 	lastActive atomic.Int64
 }
 

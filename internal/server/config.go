@@ -40,16 +40,6 @@ type Config struct {
 	// assignment.
 	Balance balance.Policy
 
-	// BatchDelay, when positive, has the frame master hold the frame
-	// open for this long before the world update, so other threads'
-	// selects can return and join the frame — the live counterpart of
-	// simserver's BatchDelayNs (the paper's §5.2 "wait for a period of
-	// time before starting the frame" suggestion). Zero by default:
-	// frames form exactly as the published server's do. Multi-thread
-	// frames are a precondition for work stealing to engage, so the
-	// stealing stress tests and the lockwall live arm set it.
-	BatchDelay time.Duration
-
 	// Stealing enables conflict-aware work-stealing request execution
 	// (parallel engine only): workers place their clients' move commands
 	// in per-worker frame pools, drain their own pool first, then steal
@@ -64,14 +54,10 @@ type Config struct {
 
 	// WatchdogDeadline arms the frame watchdog (parallel engine only): a
 	// worker stuck in its request or reply phase longer than this is
-	// reported as wedged. Zero disables the watchdog.
+	// wedged, and the server crashes with WedgeExitCode so its supervisor
+	// restarts it from the last checkpoint (DESIGN.md §7). Zero disables
+	// the watchdog.
 	WatchdogDeadline time.Duration
-	// QuarantineWedged lets the watchdog act on a wedge: the client being
-	// served is quarantined, the wedged worker is abandoned at the frame
-	// barriers so the remaining threads keep serving, and the worker
-	// evicts the quarantined client when (if) it comes back. With it off
-	// the watchdog only detects and counts.
-	QuarantineWedged bool
 
 	// FrameBudget is the overload ladder's target frame duration: frames
 	// over budget for shedTripFrames consecutive frames raise the shed
@@ -140,10 +126,24 @@ func (c *Config) timeNow() time.Time {
 // Hooks exposes fault-injection seams for the chaos tests. All fields
 // optional.
 type Hooks struct {
-	// PreExec runs on the owning thread right before a move command
+	// PreExec runs on the executing thread right before a move command
 	// executes. The wedge/panic tests use it to stall or crash a thread at
 	// a precisely known point (before any region lock is taken).
 	PreExec func(thread int, clientID uint16)
+	// PreReply runs on the owning thread right before a client's snapshot
+	// is formed: the reply-phase counterpart of PreExec.
+	PreReply func(thread int, clientID uint16)
+	// Wedged, when set, receives the watchdog's detections instead of the
+	// crash, and the server runs on.
+	Wedged func(WedgeRecord)
+	// BatchDelay, when positive, has the frame master hold the frame
+	// open for this long before the world update, so other threads'
+	// selects can return and join the frame — the live counterpart of
+	// simserver's BatchDelayNs (the paper's §5.2 "wait for a period of
+	// time before starting the frame" suggestion). Multi-thread frames
+	// are a precondition for work stealing to engage, so the stealing
+	// stress tests set it.
+	BatchDelay time.Duration
 }
 
 func (c *Config) fill(needThreads bool) error {
@@ -158,13 +158,6 @@ func (c *Config) fill(needThreads bool) error {
 	}
 	if needThreads && len(c.Conns) != c.Threads {
 		return fmt.Errorf("server: %d conns for %d threads", len(c.Conns), c.Threads)
-	}
-	if needThreads && c.Threads > maxThreads {
-		// The frame controller tracks request-barrier passage in a uint64
-		// bitmask (frameCtl.reqDoneBy); a worker id past 63 would silently
-		// fall outside it and disable the abandonment protocol for that
-		// thread. Refuse loudly instead.
-		return fmt.Errorf("server: %d threads exceeds the supported maximum of %d (frame-control bitmask width)", c.Threads, maxThreads)
 	}
 	if c.Strategy == nil {
 		c.Strategy = locking.Conservative{}

@@ -73,9 +73,6 @@ func (s *session) dispatch(ln *lane, data []byte, from transport.Addr) (*client,
 		c = s.clients.lookup(from)
 	}
 	ln.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
-	if c != nil && c.quarantined.Load() {
-		return nil, nil // pending eviction: the recovering thread owns the client
-	}
 	switch m := msg.(type) {
 	case *protocol.Move:
 		if c == nil {
@@ -118,7 +115,7 @@ func (s *session) dispatch(ln *lane, data []byte, from transport.Addr) (*client,
 //
 //qvet:phase=exec
 func (s *session) admitMove(ln *lane, c *client, m *protocol.Move) *entity.Entity {
-	if c.gone.Load() || c.quarantined.Load() {
+	if c.gone.Load() {
 		return nil
 	}
 	if m.Seq != 0 && (seqOlder(m.Seq, c.lastSeq) || seqWild(m.Seq, c.lastSeq)) &&
@@ -241,12 +238,10 @@ func (s *session) admit(ln *lane, m *protocol.Connect, from transport.Addr) (*cl
 }
 
 // spawnPlayer spawns a player; on a locking lane, under a region lock
-// covering the spawn location (and the world guard's read side), keeping
-// the tree mutation safe against concurrent request processing.
+// covering the spawn location, keeping the tree mutation safe against
+// concurrent request processing.
 func (s *session) spawnPlayer(ln *lane) (*entity.Entity, error) {
 	if ln.locker != nil {
-		s.worldGuard.RLock()
-		defer s.worldGuard.RUnlock()
 		guard := ln.locker.Acquire(s.world.Map.Bounds, nil)
 		defer guard.Release()
 	}
@@ -255,8 +250,6 @@ func (s *session) spawnPlayer(ln *lane) (*entity.Entity, error) {
 
 func (s *session) removePlayer(ln *lane, id entity.ID) {
 	if ln.locker != nil {
-		s.worldGuard.RLock()
-		defer s.worldGuard.RUnlock()
 		guard := ln.locker.Acquire(s.world.Map.Bounds, nil)
 		defer guard.Release()
 	}
@@ -329,8 +322,8 @@ func (s *session) applyResumes() {
 func (s *session) applyResume(c *client, addr transport.Addr) {
 	// Retransmitted Connects queue duplicates; the first application
 	// clears awaitingResume and the rest fall through here. A client
-	// reaped or quarantined while queued stays untouched.
-	if !c.awaitingResume.Load() || c.quarantined.Load() || s.clients.lookupID(c.id) != c {
+	// reaped or evicted while queued stays untouched.
+	if !c.awaitingResume.Load() || s.clients.lookupID(c.id) != c {
 		return
 	}
 	old := c.addrStr
@@ -367,7 +360,7 @@ func (s *session) sendReplies(ln *lane, vi *game.VisIndex, frame uint32) {
 		entityLimit = s.cfg.OverloadEntityCap
 	}
 	sc.clientBuf = s.clients.forThreadBuf(sc.clientBuf, ln.id, func(c *client) {
-		if !c.replyPending || c.quarantined.Load() {
+		if !c.replyPending {
 			return
 		}
 		if level >= shedFarHalf && c.shedFar.Load() && frame&1 == 1 {
@@ -387,6 +380,9 @@ func (s *session) sendReplies(ln *lane, vi *game.VisIndex, frame uint32) {
 			c.baseline.Invalidate()
 		}
 		ln.serving.Store(int32(c.id) + 1)
+		if s.cfg.Hooks.PreReply != nil {
+			s.cfg.Hooks.PreReply(ln.id, c.id)
+		}
 		sc.backlogBuf = c.drainBacklog(sc.backlogBuf[:0])
 		data, st := sc.reply.FormSnapshot(s.world, vi, ent, &c.baseline,
 			frame, c.lastSeq, serverTime, sc.backlogBuf, sc.frameEv, entityLimit)
@@ -411,10 +407,8 @@ func (s *session) sendReplies(ln *lane, vi *game.VisIndex, frame uint32) {
 // clients, feeds the overload ladder, closes the frame in the record,
 // captures a due checkpoint, and clears the global state buffer ("the
 // master thread clears this global state buffer before signaling the end
-// of the current frame"). degraded says an abandoned worker may still
-// wake mid-request, so the world reads here must exclude it like every
-// other barrier-side reader (see worldGuard).
-func (s *session) endFrame(ln *lane, frame uint64, frameT0 time.Time, degraded bool) {
+// of the current frame").
+func (s *session) endFrame(ln *lane, frame uint64, frameT0 time.Time) {
 	s.globalMu.Lock()
 	events := s.frameEvents
 	// Truncate in place: events stays valid because it is consumed below,
@@ -429,12 +423,6 @@ func (s *session) endFrame(ln *lane, frame uint64, frameT0 time.Time, degraded b
 		if c.repliedFrame.Load() != uint32(frame) {
 			c.queueEvents(events)
 		}
-		// Quarantined clients belong to their recovering thread; clients
-		// on a zombie thread are skipped because eviction takes region
-		// locks the wedged thread may hold.
-		if c.quarantined.Load() || s.lanes[c.thread].zombie.Load() {
-			return
-		}
 		if now-c.lastActive.Load() > int64(s.cfg.ClientTimeout) {
 			stale = append(stale, c)
 		}
@@ -446,10 +434,6 @@ func (s *session) endFrame(ln *lane, frame uint64, frameT0 time.Time, degraded b
 	// Overload ladder: feed the frame's duration, then refresh the
 	// shed-far flags while a shed level is active.
 	level := s.shed.observe(time.Since(frameT0).Nanoseconds())
-	if degraded {
-		s.worldGuard.Lock()
-		defer s.worldGuard.Unlock()
-	}
 	if level >= shedFarHalf {
 		s.shedClients, s.shedDists = markShedFar(s.world, s.clients, s.shedClients, s.shedDists)
 	}

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"fmt"
 	"log"
+	"os"
+	"runtime/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,12 +41,6 @@ type Parallel struct {
 
 	frameT0 time.Time // frame start stamp; master writes, cleanup reads (fc-ordered)
 
-	// Failure-model state: wedges counts watchdog detections; wedgeLog
-	// keeps the structured records.
-	wedges   atomic.Int64
-	wedgeMu  sync.Mutex
-	wedgeLog []WedgeRecord
-
 	// pendingEvict holds clients whose eviction was decided in the reply
 	// phase (a reply-side panic), where removing the player would race the
 	// other threads' lockless snapshot reads. masterCleanup — single
@@ -58,7 +55,7 @@ type Parallel struct {
 
 // WedgeRecord describes one watchdog detection: which worker was stuck,
 // in which phase, for how long, and — when known — the client whose
-// request it was serving.
+// request or reply it was serving.
 type WedgeRecord struct {
 	Worker    int
 	Phase     int32 // wpRequest or wpReply
@@ -67,6 +64,26 @@ type WedgeRecord struct {
 	ClientID  uint16
 	HasClient bool
 }
+
+// String is the record's one-line report, the line a wedge crash writes
+// to stderr.
+func (r WedgeRecord) String() string {
+	phase := "request"
+	if r.Phase == wpReply {
+		phase = "reply"
+	}
+	client := -1
+	if r.HasClient {
+		client = int(r.ClientID)
+	}
+	return fmt.Sprintf("server: watchdog: thread %d wedged in %s phase for %v (frame %d, serving client %d)",
+		r.Worker, phase, r.StuckFor, r.Frame, client)
+}
+
+// WedgeExitCode is the process exit status of a watchdog crash: a wedged
+// worker cannot be stopped from Go, so the server exits and its
+// supervisor restarts it from the last checkpoint (DESIGN.md §7).
+const WedgeExitCode = 3
 
 // worker is one server thread: a lane plus the parallel engine's locking,
 // stealing and watchdog state.
@@ -191,13 +208,6 @@ func (s *Parallel) Start() {
 	}
 }
 
-// Wedges returns a copy of the watchdog's detection records.
-func (s *Parallel) Wedges() []WedgeRecord {
-	s.wedgeMu.Lock()
-	defer s.wedgeMu.Unlock()
-	return append([]WedgeRecord(nil), s.wedgeLog...)
-}
-
 // workerLoop is Figure 3 for one thread.
 func (s *Parallel) workerLoop(w *worker) {
 	for {
@@ -216,7 +226,7 @@ func (s *Parallel) workerLoop(w *worker) {
 		}
 		s.bytesIn.Add(int64(n))
 
-		role := s.fc.join(w.id)
+		role := s.fc.join()
 		for role == roleMissed {
 			// Too late for this frame: inter-frame wait for the frame
 			// end signal, then retry ("they are guaranteed to be part of
@@ -224,11 +234,11 @@ func (s *Parallel) workerLoop(w *worker) {
 			t0 = time.Now()
 			s.fc.waitFrameEnd()
 			w.bd.Charge(metrics.CompInterWait, time.Since(t0).Nanoseconds())
-			role = s.fc.join(w.id)
+			role = s.fc.join()
 		}
 
 		if role == roleMaster {
-			if d := s.cfg.BatchDelay; d > 0 {
+			if d := s.cfg.Hooks.BatchDelay; d > 0 {
 				// Request batching (§5.2 future work): hold the frame
 				// open so more threads and requests join it. Deliberate
 				// idling, not synchronization wait — as in select.
@@ -237,40 +247,24 @@ func (s *Parallel) workerLoop(w *worker) {
 				w.bd.Charge(metrics.CompIdle, time.Since(t0).Nanoseconds())
 			}
 			s.frameT0 = time.Now()
-			s.runWorldUpdate(w)
+			// World physics: lockless, by the barrier.
+			s.worldTick(&w.lane)
 			s.fc.openRequests()
 		} else {
 			t0 = time.Now()
-			ok := s.fc.waitRequestsOpen(w.id)
+			s.fc.waitRequestsOpen()
 			w.bd.Charge(metrics.CompInterWait, time.Since(t0).Nanoseconds())
-			if !ok {
-				s.zombieRecover(w)
-				continue
-			}
 		}
 
 		// Request phase: the packet select returned (still in the receive
-		// buffer — nothing above touches it), then drain the queue. The
-		// zombie poll lets an abandoned worker stop mid-drain instead of
-		// racing the frame that moved on without it. With stealing on, the
-		// drain only pools move commands (connection traffic is still
-		// handled inline); the pooled work executes in the steal phase
-		// below, overlapped with other workers still draining.
+		// buffer — nothing above touches it), then drain the queue. With
+		// stealing on, the drain only pools move commands (connection
+		// traffic is still handled inline); the pooled work executes in the
+		// steal phase below, overlapped with other workers still draining.
 		w.poolIdx = 0
-		if s.stealing {
-			// Leftover pool entries at frame start are stale by
-			// construction (a healthy steal phase only ends with every
-			// pool empty): a thief parked a stolen entry after this
-			// worker's zombie recovery had already drained the pool and
-			// cleared the flag. Drop them — their frame is dead — and
-			// settle the barrier arithmetic they still hold.
-			if dropped := w.pool.drain(); dropped > 0 {
-				w.outstanding.Add(-int64(dropped))
-			}
-		}
 		w.beginPhase(wpRequest)
 		s.safeProcessPacket(w, w.scratch.recvBuf[:n], from)
-		for !w.zombie.Load() {
+		for {
 			t0 = time.Now()
 			n, from, err = w.conn.Recv(w.scratch.recvBuf, 0)
 			w.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
@@ -281,19 +275,15 @@ func (s *Parallel) workerLoop(w *worker) {
 			s.safeProcessPacket(w, w.scratch.recvBuf[:n], from)
 		}
 		if s.stealing {
-			s.fc.doneDraining(w.id)
+			s.fc.doneDraining()
 			s.runStealPhase(w)
 		}
 		w.endPhase()
 
 		// Intra-frame barrier before replies.
 		t0 = time.Now()
-		ok := s.fc.doneRequests(w.id)
+		s.fc.doneRequests()
 		w.bd.Charge(metrics.CompIntraWait, time.Since(t0).Nanoseconds())
-		if !ok {
-			s.zombieRecover(w)
-			continue
-		}
 
 		// Reply phase.
 		t0 = time.Now()
@@ -301,15 +291,9 @@ func (s *Parallel) workerLoop(w *worker) {
 		s.safeSendReplies(w)
 		w.endPhase()
 		w.bd.Charge(metrics.CompReply, time.Since(t0).Nanoseconds())
-		ok, promoted := s.fc.doneReply(w.id)
-		if !ok {
-			s.zombieRecover(w)
-			continue
-		}
+		s.fc.doneReply()
 
-		if role == roleMaster || promoted {
-			// promoted: the master wedged mid-frame and this worker was the
-			// last to finish replies — it inherits cleanup and frame end.
+		if role == roleMaster {
 			t0 = time.Now()
 			s.fc.waitAllReplied()
 			s.masterCleanup(w)
@@ -317,52 +301,6 @@ func (s *Parallel) workerLoop(w *worker) {
 			w.bd.Charge(metrics.CompInterWait, time.Since(t0).Nanoseconds())
 		}
 	}
-}
-
-// zombieRecover is the path a worker takes after discovering the
-// watchdog abandoned it: unwind any locks a wedge left stranded, discard
-// the pooled requests of the frame that moved on without it, evict the
-// quarantined clients it condemned (their requests are what wedged it),
-// clear the zombie mark, and return to the loop to rejoin the next
-// frame. The worker evicts the clients *it quarantined* — not simply the
-// ones it owns — because under stealing the request that wedged it may
-// have been a stolen one; eviction runs here (not on the master) because
-// it takes region locks the wedged thread itself may have been holding.
-func (s *Parallel) zombieRecover(w *worker) {
-	w.endPhase()
-	w.serving.Store(0)
-	w.activeHint.Store(0)
-	released := w.locker.ReleaseAll()
-	if dropped := w.pool.drain(); dropped > 0 {
-		// The dropped entries were never executed; settle the barrier
-		// arithmetic so next frame's outstanding count starts clean.
-		// Entries of this pool claimed by live thieves are not in the
-		// pool anymore: the thief either commits them normally or — on a
-		// park while this worker is marked zombie — completes them as
-		// drops (parkPoolEntry), settling their outstanding counts
-		// itself. A park that slips in after this drain AND after the
-		// zombie flag clears is swept by the frame-start leftover drain
-		// in workerLoop before it could execute a frame late.
-		w.outstanding.Add(-int64(dropped))
-	}
-	me := int32(w.id) + 1
-	var evict []*client
-	s.clients.forEach(func(c *client) {
-		if !c.quarantined.Load() {
-			return
-		}
-		by := c.quarantinedBy.Load()
-		if by == me || (by == 0 && c.thread == w.id) {
-			evict = append(evict, c)
-		}
-	})
-	for _, c := range evict {
-		s.evictClient(&w.lane, c, "request stalled the server")
-	}
-	w.zombie.Store(false)
-	s.fc.acquit(w.id)
-	log.Printf("server: thread %d recovered from abandonment (released %d locks, evicted %d quarantined clients)",
-		w.id, released, len(evict))
 }
 
 // safeProcessPacket contains a panic in request handling to the client
@@ -411,15 +349,8 @@ func (s *Parallel) safeProcessPacket(w *worker, data []byte, from transport.Addr
 // safeSendReplies is the reply-phase analogue. A panic skips the rest of
 // the thread's reply pass for this frame (those clients simply see one
 // dropped snapshot) but the barrier protocol continues undisturbed.
-// While a zombie is outstanding the pass holds the world guard
-// exclusively: its snapshot reads are normally barrier-protected, but an
-// abandoned worker waking mid-request writes outside the barrier.
 func (s *Parallel) safeSendReplies(w *worker) {
 	defer s.recoverWorker(w, "reply")
-	if s.fc.hasZombies() {
-		s.worldGuard.Lock()
-		defer s.worldGuard.Unlock()
-	}
 	// Build (or help build) the frame's shared visibility index first.
 	// Every worker passes through here after the request barrier, so the
 	// encode shards are split across all threads; acquire wall time is
@@ -443,8 +374,6 @@ func (s *Parallel) recoverWorker(w *worker, phase string) {
 		victim = s.clients.lookupID(uint16(cid - 1))
 	}
 	if victim != nil {
-		victim.quarantined.Store(true)
-		victim.quarantinedBy.Store(int32(w.id) + 1)
 		if phase == "request" {
 			// Request phase: world writes are lock-protected, evict inline.
 			s.evictClient(&w.lane, victim, "server error handling your request")
@@ -462,12 +391,12 @@ func (s *Parallel) recoverWorker(w *worker, phase string) {
 }
 
 // watchdog is the frame-pipeline monitor: it fires when a worker sits in
-// one phase past the configured deadline, records the wedge, and — when
-// quarantine is enabled — abandons the worker at the frame barriers so
-// the remaining threads keep serving their clients. It cannot rescue the
-// wedged OS thread itself (Go offers no way to kill a goroutine), and it
-// never force-releases a truly hung thread's region locks — see
-// DESIGN.md §7 for the documented limitations.
+// one phase past the configured deadline. Go cannot stop a goroutine, so
+// a wedged worker cannot be taken out of the frame; the server is
+// crash-only instead (DESIGN.md §7). The first detection writes the
+// record and every goroutine's stack to stderr and exits the process
+// with WedgeExitCode, and the supervisor restarts it from the last
+// checkpoint. Hooks.Wedged replaces the exit in tests.
 func (s *Parallel) watchdog() {
 	defer s.wg.Done()
 	deadline := s.cfg.WatchdogDeadline
@@ -478,9 +407,8 @@ func (s *Parallel) watchdog() {
 	tk := time.NewTicker(tick)
 	defer tk.Stop()
 	// One detection per wedge: keyed by the phase-start stamp, which the
-	// execution paths refresh per request — so the dedup is per stalled
-	// request, and a worker that wedges on a second request after
-	// surviving a first is detected again.
+	// execution paths refresh per request, so a seam that lets the server
+	// live on sees each stalled request once.
 	fired := make([]int64, len(s.workers))
 	for {
 		select {
@@ -499,75 +427,32 @@ func (s *Parallel) watchdog() {
 				continue
 			}
 			fired[w.id] = start
-			cid := w.serving.Load()
 			rec := WedgeRecord{
 				Worker:   w.id,
 				Phase:    ph,
 				Frame:    s.fc.frameNumber(),
 				StuckFor: time.Duration(now - start),
 			}
-			if cid > 0 {
+			if cid := w.serving.Load(); cid > 0 {
 				rec.ClientID = uint16(cid - 1)
 				rec.HasClient = true
 			}
-			s.wedges.Add(1)
-			s.wedgeMu.Lock()
-			s.wedgeLog = append(s.wedgeLog, rec)
-			s.wedgeMu.Unlock()
-			phName := "request"
-			if ph == wpReply {
-				phName = "reply"
+			if h := s.cfg.Hooks.Wedged; h != nil {
+				h(rec)
+				continue
 			}
-			log.Printf("server: watchdog: thread %d wedged in %s phase for %v (frame %d, serving client %d)",
-				w.id, phName, rec.StuckFor, rec.Frame, int32(cid)-1)
-			// Quarantine is confined to request-phase wedges: a reply-phase
-			// zombie would resume lockless world reads that nothing can
-			// retroactively synchronize with later frames' writes (the
-			// request side holds the world guard; the reply side, by
-			// design, holds nothing). A wedged reply pass is recorded but
-			// stalls the frame — see DESIGN.md §7.
-			if s.cfg.QuarantineWedged && ph == wpRequest {
-				// Quarantine the suspect client and mark the worker before
-				// abandoning, so a zombie that wakes immediately cannot miss
-				// either flag; both are rolled back if the frame controller
-				// finds the worker already past the request barrier (the
-				// observation above is unsynchronized and may be stale).
-				var qc *client
-				if cid > 0 {
-					qc = s.clients.lookupID(uint16(cid - 1))
-				}
-				if qc != nil {
-					// Attribute the quarantine to the executing worker: with
-					// stealing, the stalled request's client may belong to a
-					// different thread, and recovery must evict the clients
-					// this worker condemned, not the ones it owns.
-					qc.quarantined.Store(true)
-					qc.quarantinedBy.Store(int32(w.id) + 1)
-				}
-				w.zombie.Store(true)
-				if !s.fc.abandonRequestStalled(w.id) {
-					w.zombie.Store(false)
-					if qc != nil {
-						qc.quarantinedBy.Store(0)
-						qc.quarantined.Store(false)
-					}
-				}
-			}
+			crashOnWedge(rec)
 		}
 	}
 }
 
-// runWorldUpdate performs the master's world-physics phase. Its writes
-// are lockless by the barrier; in degraded mode (outstanding zombie) it
-// holds the world guard exclusively against a waking zombie's request.
-//
-//qvet:phase=physics
-func (s *Parallel) runWorldUpdate(w *worker) {
-	if s.fc.hasZombies() {
-		s.worldGuard.Lock()
-		defer s.worldGuard.Unlock()
-	}
-	s.worldTick(&w.lane)
+// crashOnWedge reports a wedge and every goroutine's stack on stderr,
+// in the form an unrecovered panic prints them, then exits with
+// WedgeExitCode.
+func crashOnWedge(rec WedgeRecord) {
+	fmt.Fprintln(os.Stderr, rec)
+	pprof.Lookup("goroutine").WriteTo(os.Stderr, 2)
+	os.Exit(WedgeExitCode)
 }
 
 // masterCleanup runs after all replies, single-threaded at the barrier:
@@ -590,7 +475,7 @@ func (s *Parallel) masterCleanup(w *worker) {
 	}
 	s.applyResumes()
 
-	s.endFrame(&w.lane, frame, s.frameT0, s.fc.hasZombies())
+	s.endFrame(&w.lane, frame, s.frameT0)
 }
 
 // rebalance runs at the frame barrier, the only point where no region
@@ -619,32 +504,23 @@ func (s *Parallel) rebalance() {
 	applied := 0
 	for _, mg := range migs {
 		c := cs[mg.Client]
-		// Clients owned by an abandoned (zombie) thread are frozen: the
-		// wedged thread may still be straggling through its request phase,
-		// and migrating its client under it would put two threads on one
-		// client's state. Quarantined clients are pending eviction.
-		// Restore-parked clients are frozen too: their load figure is
+		// Restore-parked clients are frozen: their load figure is
 		// pre-crash history and their mux route must keep pointing at the
 		// checkpointed thread until the reconnect handshake lands.
-		if s.workers[c.thread].zombie.Load() || c.quarantined.Load() ||
-			c.awaitingResume.Load() {
+		if c.awaitingResume.Load() {
 			continue
 		}
 		// A client with a forwarded datagram in flight is frozen: migrating
 		// it now would re-route the datagram again and let it chase the
 		// assignment across barriers indefinitely. Stamps far older than
 		// any plausible delivery mean the datagram was dropped — expire
-		// them so the client does not stay pinned forever. The clear must
-		// CAS against the stamp we judged stale: in degraded mode a
-		// straggling zombie can forward (and re-stamp) concurrently with
-		// this sweep, and a plain store would erase its fresh freeze.
+		// them so the client does not stay pinned forever. Only the request
+		// phase stamps, so nothing races this clear.
 		if f := c.fwdFrame.Load(); f != 0 {
 			if !fwdFreezeExpired(f, frame) {
 				continue
 			}
-			if !c.fwdFrame.CompareAndSwap(f, 0) {
-				continue // re-stamped under us: freshly frozen again
-			}
+			c.fwdFrame.Store(0)
 		}
 		c.thread = mg.To
 		if s.mux != nil {
@@ -656,14 +532,11 @@ func (s *Parallel) rebalance() {
 		applied++
 	}
 	// Decay the load window so the balancer tracks recent cost: halving
-	// gives an exponential moving sum with a few-frame horizon. Decay by
-	// atomic subtraction, not store: a straggling zombie — or, with
-	// stealing, a thief finishing a stolen request — may Add concurrently,
-	// and a load-store pair would silently drop its charge and starve the
-	// client's migration priority.
+	// gives an exponential moving sum with a few-frame horizon. Every
+	// executor is past the request barrier, so nothing charges loadNs
+	// concurrently.
 	for _, c := range cs {
-		v := c.loadNs.Load()
-		c.loadNs.Add(v>>1 - v)
+		c.loadNs.Store(c.loadNs.Load() >> 1)
 	}
 	s.migrations.Add(int64(applied))
 }
@@ -674,26 +547,9 @@ func (s *Parallel) rebalance() {
 const fwdFreezeFrames = 64
 
 // fwdFreezeExpired reports whether a forward stamp is stale at the given
-// rebalance frame (both in the stamp's frameNumber+1 coordinates). A
-// stamp from the future — possible when a zombie straggler forwards just
-// after endFrame advanced the counter past the sweep's snapshot — keeps
-// the freeze: unsigned frame-f would otherwise wrap to a huge value and
-// expire a freshly frozen client. Frame counters are uint64, so
-// legitimate stamps never wrap within a server's lifetime.
+// rebalance frame (both in the stamp's frameNumber+1 coordinates).
 func fwdFreezeExpired(stamp, frame uint64) bool {
-	if stamp > frame {
-		return false
-	}
-	return frame-stamp >= fwdFreezeFrames
-}
-
-// Breakdowns returns a copy of each thread's execution-time breakdown,
-// with the engine-level watchdog detections folded into thread 0's copy
-// so MergeThreads reports see them.
-func (s *Parallel) Breakdowns() []metrics.Breakdown {
-	out := s.session.Breakdowns()
-	out[0].WedgesDetected += s.wedges.Load()
-	return out
+	return frame >= stamp+fwdFreezeFrames
 }
 
 // Migrations returns how many client→thread migrations the balancer

@@ -17,186 +17,24 @@ import (
 	"qserve/internal/worldmap"
 )
 
-// --- frame controller abandonment -----------------------------------
-
-// TestFrameCtlAbandonAtRequestBarrier: a participant stuck before its
-// doneRequests is abandoned; the remaining participant's barrier opens
-// without it, and the zombie's own barrier calls report abandonment.
-func TestFrameCtlAbandonAtRequestBarrier(t *testing.T) {
-	fc := newFrameCtl()
-	if fc.join(0) != roleMaster || fc.join(1) != roleWorker {
-		t.Fatal("bad roles")
-	}
-	fc.openRequests()
-
-	released := make(chan bool, 1)
-	go func() { released <- fc.doneRequests(0) }()
-	select {
-	case <-released:
-		t.Fatal("request barrier released with a participant outstanding")
-	case <-time.After(20 * time.Millisecond):
-	}
-
-	// Worker 1 wedges; the watchdog abandons it.
-	if !fc.abandon(1) {
-		t.Fatal("abandon refused a live participant")
-	}
-	select {
-	case ok := <-released:
-		if !ok {
-			t.Fatal("surviving participant reported abandoned")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("request barrier never released after abandonment")
-	}
-
-	// The zombie's own barrier entries must fail.
-	if fc.doneRequests(1) {
-		t.Error("zombie doneRequests returned ok")
-	}
-	if ok, _ := fc.doneReply(1); ok {
-		t.Error("zombie doneReply returned ok")
-	}
-	if !fc.isZombie(1) {
-		t.Error("abandoned worker not marked zombie")
-	}
-
-	// The survivor (the master) finishes the frame alone.
-	if ok, promoted := fc.doneReply(0); !ok || promoted {
-		t.Fatalf("doneReply(0) = %v, %v", ok, promoted)
-	}
-	fc.waitAllReplied()
-	fc.endFrame()
-	if fc.frameNumber() != 1 {
-		t.Errorf("frame number = %d, want 1", fc.frameNumber())
-	}
-
-	// Until it acquits, the zombie stays one; after acquitting it can
-	// join the next frame.
-	fc.acquit(1)
-	if fc.isZombie(1) {
-		t.Error("acquit did not clear the zombie mark")
-	}
-	if role := fc.join(1); role != roleMaster {
-		t.Errorf("post-acquit join role = %v, want master", role)
-	}
-}
-
-// TestFrameCtlMasterAbandonedPromotion: the master is abandoned during
-// the reply phase; the last active participant to finish its replies is
-// promoted to close the frame.
-func TestFrameCtlMasterAbandonedPromotion(t *testing.T) {
-	fc := newFrameCtl()
-	fc.join(0) // master
-	fc.join(1)
-	fc.openRequests()
-	done := make(chan bool, 1)
-	go func() { done <- fc.doneRequests(0) }()
-	if !fc.doneRequests(1) {
-		t.Fatal("doneRequests(1) failed")
-	}
-	if ok := <-done; !ok {
-		t.Fatal("doneRequests(0) failed")
-	}
-
-	// Master wedges mid-reply; watchdog abandons it.
-	if !fc.abandon(0) {
-		t.Fatal("abandon refused the master")
-	}
-	ok, promoted := fc.doneReply(1)
-	if !ok || !promoted {
-		t.Fatalf("doneReply(1) = ok=%v promoted=%v, want promotion", ok, promoted)
-	}
-	fc.waitAllReplied()
-	fc.endFrame()
-	if fc.frameNumber() != 1 {
-		t.Errorf("frame number = %d, want 1", fc.frameNumber())
-	}
-}
-
-// TestFrameCtlMasterAbandonedAfterAllReplied: everyone already called
-// doneReply when the master is abandoned — no future doneReply can claim
-// promotion, so abandon itself must close the frame.
-func TestFrameCtlMasterAbandonedAfterAllReplied(t *testing.T) {
-	fc := newFrameCtl()
-	fc.join(0) // master
-	fc.join(1)
-	fc.openRequests()
-	go fc.doneRequests(0)
-	fc.doneRequests(1)
-	if ok, promoted := fc.doneReply(1); !ok || promoted {
-		t.Fatalf("doneReply(1) = %v %v", ok, promoted)
-	}
-	// Master wedged between its barrier exit and doneReply: its replies
-	// never arrive, and worker 1 has already left the frame.
-	if !fc.abandon(0) {
-		t.Fatal("abandon refused")
-	}
-	waitFrame(t, fc, 1)
-}
-
-// TestFrameCtlMasterAbandonedInWorldPhase: requests never open, so the
-// controller collapses the frame and waiting workers escape with !ok.
-func TestFrameCtlMasterAbandonedInWorldPhase(t *testing.T) {
-	fc := newFrameCtl()
-	fc.join(0) // master, wedged in the world update
-	fc.join(1)
-	escaped := make(chan bool, 1)
-	go func() { escaped <- fc.waitRequestsOpen(1) }()
-	select {
-	case <-escaped:
-		t.Fatal("waitRequestsOpen returned before the world phase ended")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if !fc.abandon(0) {
-		t.Fatal("abandon refused")
-	}
-	select {
-	case ok := <-escaped:
-		if ok {
-			t.Fatal("worker reported a live frame after collapse")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("worker stuck in waitRequestsOpen after frame collapse")
-	}
-	waitFrame(t, fc, 1)
-}
-
-// TestFrameCtlAllParticipantsAbandoned: with every participant a zombie
-// the controller must close the frame itself.
-func TestFrameCtlAllParticipantsAbandoned(t *testing.T) {
-	fc := newFrameCtl()
-	fc.join(0)
-	fc.openRequests()
-	if !fc.abandon(0) {
-		t.Fatal("abandon refused")
-	}
-	waitFrame(t, fc, 1)
-	// Double abandon is refused.
-	if fc.abandon(0) {
-		t.Error("second abandon of the same worker succeeded")
-	}
-}
-
-func waitFrame(t *testing.T, fc *frameCtl, want uint64) {
-	t.Helper()
-	deadline := time.Now().Add(time.Second)
-	for fc.frameNumber() < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("frame number stuck at %d, want %d", fc.frameNumber(), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // --- watchdog ---------------------------------------------------------
 
-// TestWatchdogQuarantinesWedgedWorker injects a finite wedge (a PreExec
-// hook that sleeps far past the deadline) into one worker and asserts
-// the watchdog detects it while it is still stuck, quarantines the
-// client it was serving, and that clients on other threads keep being
-// served throughout.
-func TestWatchdogQuarantinesWedgedWorker(t *testing.T) {
+// TestWatchdogRecordsWedge injects a finite wedge (a seam that sleeps far
+// past the deadline) into one worker, once in the request phase and once
+// in the reply phase, and checks the record the watchdog hands to the
+// Wedged seam in place of the crash: the stuck worker, the client it was
+// serving, the phase, and a detection latency inside [deadline, wedge),
+// i.e. while the worker was still stuck.
+func TestWatchdogRecordsWedge(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		phase int32
+	}{{"request", wpRequest}, {"reply", wpReply}} {
+		t.Run(tc.name, func(t *testing.T) { testWatchdogRecordsWedge(t, tc.phase) })
+	}
+}
+
+func testWatchdogRecordsWedge(t *testing.T, phase int32) {
 	const (
 		deadline   = 100 * time.Millisecond
 		wedgeSleep = 400 * time.Millisecond
@@ -205,44 +43,40 @@ func TestWatchdogQuarantinesWedgedWorker(t *testing.T) {
 	var wedged atomic.Bool
 	var wedgedClient atomic.Int32 // id+1
 	var wedgedThread atomic.Int32
+	wedge := func(thread int, id uint16) {
+		if wedged.CompareAndSwap(false, true) {
+			wedgedClient.Store(int32(id) + 1)
+			wedgedThread.Store(int32(thread))
+			time.Sleep(wedgeSleep)
+		}
+	}
+	records := make(chan WedgeRecord, 8)
 	rig := newRigCfg(t, 2, numBots, locking.Optimized{}, func(cfg *Config) {
 		cfg.Assign = RoundRobinAssign // split the bots across both threads
 		cfg.WatchdogDeadline = deadline
-		cfg.QuarantineWedged = true
-		cfg.Hooks.PreExec = func(thread int, id uint16) {
-			if wedged.CompareAndSwap(false, true) {
-				wedgedClient.Store(int32(id) + 1)
-				wedgedThread.Store(int32(thread))
-				time.Sleep(wedgeSleep)
+		cfg.Hooks.Wedged = func(rec WedgeRecord) {
+			select {
+			case records <- rec:
+			default:
 			}
+		}
+		if phase == wpRequest {
+			cfg.Hooks.PreExec = wedge
+		} else {
+			cfg.Hooks.PreReply = wedge
 		}
 	})
 	par := rig.engine.(*Parallel)
+	rig.drive(300, 2*time.Millisecond)
 
-	// Drive through the wedge. Mid-wedge, snapshot the replies of the
-	// bots on the healthy thread; they must keep growing while the other
-	// thread sleeps.
-	var mid1, mid2 []int64
-	for step := 0; step < 300; step++ {
-		for _, b := range rig.bots {
-			b.Step()
-		}
-		switch step {
-		case 80: // ~160ms in: wedge detected, still sleeping
-			mid1 = replyCounts(rig.bots)
-		case 160: // ~320ms in: still sleeping
-			mid2 = replyCounts(rig.bots)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	wedges := par.Wedges()
-	if len(wedges) == 0 {
+	var rec WedgeRecord
+	select {
+	case rec = <-records:
+	default:
 		t.Fatal("watchdog recorded no wedge")
 	}
-	rec := wedges[0]
-	if rec.Phase != wpRequest {
-		t.Errorf("wedge phase = %d, want request", rec.Phase)
+	if rec.Phase != phase {
+		t.Errorf("wedge phase = %d, want %d", rec.Phase, phase)
 	}
 	if rec.StuckFor < deadline || rec.StuckFor >= wedgeSleep {
 		t.Errorf("detection latency %v outside [%v, %v): watchdog fired too early or after the wedge resolved",
@@ -255,43 +89,18 @@ func TestWatchdogQuarantinesWedgedWorker(t *testing.T) {
 	if rec.Worker != int(wedgedThread.Load()) {
 		t.Errorf("wedge blamed worker %d, hook ran on %d", rec.Worker, wedgedThread.Load())
 	}
-
-	// The healthy thread's clients were served during the wedge.
-	if mid1 == nil || mid2 == nil {
-		t.Fatal("mid-wedge snapshots missing")
-	}
-	healthyGrew := false
-	for i := range rig.bots {
-		if i%2 != int(wedgedThread.Load()) && mid2[i] > mid1[i] {
-			healthyGrew = true
-		}
-	}
-	if !healthyGrew {
-		t.Error("no healthy-thread client was served while the other thread was wedged")
+	if len(records) != 0 {
+		t.Errorf("%d further detections of one wedge", len(records))
 	}
 
-	// After recovery: exactly the wedged client was evicted, everyone
-	// else is still connected, and the engine is still framing.
-	waitCond(t, 2*time.Second, func() bool {
-		return par.FaultEvictions() == 1 && par.NumClients() == numBots-1
-	}, "wedged client never evicted")
+	// The seam replaced the crash: nobody was evicted and the engine
+	// still frames.
 	framesBefore := par.Frames()
-	for step := 0; step < 20; step++ {
-		for _, b := range rig.bots {
-			b.Step()
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	rig.drive(20, 2*time.Millisecond)
 	waitCond(t, time.Second, func() bool { return par.Frames() > framesBefore },
-		"engine stopped framing after recovery")
-
-	rig.engine.Stop()
-	var wedgeCount int64
-	for _, bd := range rig.engine.Breakdowns() {
-		wedgeCount += bd.WedgesDetected
-	}
-	if wedgeCount == 0 {
-		t.Error("WedgesDetected not surfaced in breakdowns")
+		"engine stopped framing after the wedge")
+	if n := par.NumClients(); n != numBots {
+		t.Errorf("clients = %d after the wedge, want %d", n, numBots)
 	}
 }
 
@@ -316,83 +125,83 @@ func waitCond(t *testing.T, timeout time.Duration, cond func() bool, msg string)
 
 // --- panic containment ------------------------------------------------
 
-// TestPanicContainmentParallel injects one panic into a request handler
-// and asserts the worker survives, the offending client is evicted, and
-// the server keeps serving everyone else.
-func TestPanicContainmentParallel(t *testing.T) {
-	const numBots = 4
+// panicSeam arms a one-shot panic in the given phase's seam: PreExec for
+// a request-phase fault, PreReply for a reply-phase one. victim records
+// the client being served (id+1).
+func panicSeam(cfg *Config, phase string, victim *atomic.Int32) {
 	var fired atomic.Bool
-	var victim atomic.Int32 // id+1
-	rig := newRigCfg(t, 2, numBots, locking.Optimized{}, func(cfg *Config) {
-		cfg.Assign = RoundRobinAssign
-		cfg.Hooks.PreExec = func(thread int, id uint16) {
-			if fired.CompareAndSwap(false, true) {
-				victim.Store(int32(id) + 1)
-				panic("injected fault: corrupted request state")
-			}
-		}
-	})
-	par := rig.engine.(*Parallel)
-
-	rig.drive(80, 2*time.Millisecond)
-
-	waitCond(t, 2*time.Second, func() bool {
-		return par.FaultEvictions() == 1 && par.NumClients() == numBots-1
-	}, "panicking request's client never evicted")
-
-	// Everyone else is still served after the panic.
-	before := replyCounts(rig.bots)
-	rig.drive(40, 2*time.Millisecond)
-	after := replyCounts(rig.bots)
-	served := 0
-	for i := range rig.bots {
-		if int32(i)+1 != victim.Load() && after[i] > before[i] {
-			served++
+	seam := func(thread int, id uint16) {
+		if fired.CompareAndSwap(false, true) {
+			victim.Store(int32(id) + 1)
+			panic("injected fault: corrupted " + phase + " state")
 		}
 	}
-	if served < numBots-1 {
-		t.Errorf("only %d of %d surviving clients served after the panic", served, numBots-1)
-	}
-
-	rig.engine.Stop()
-	var panics int64
-	for _, bd := range rig.engine.Breakdowns() {
-		panics += bd.PanicsRecovered
-	}
-	if panics != 1 {
-		t.Errorf("PanicsRecovered = %d, want 1", panics)
+	if phase == "request" {
+		cfg.Hooks.PreExec = seam
+	} else {
+		cfg.Hooks.PreReply = seam
 	}
 }
 
-// TestPanicContainmentSequential is the same fault on the sequential
-// engine: the loop recovers, evicts, and keeps serving.
+// TestPanicContainmentParallel injects one panic into a request handler
+// and, separately, into a reply pass, and asserts the worker survives,
+// exactly the client being served is evicted (inline in the request
+// phase, at the barrier for the reply phase), and the server keeps
+// serving everyone else.
+func TestPanicContainmentParallel(t *testing.T) {
+	for _, phase := range []string{"request", "reply"} {
+		t.Run(phase, func(t *testing.T) { testPanicContainment(t, 2, 4, phase) })
+	}
+}
+
+// TestPanicContainmentSequential is the same pair of faults on the
+// sequential engine: the loop recovers, evicts, and keeps serving.
 func TestPanicContainmentSequential(t *testing.T) {
-	const numBots = 3
-	var fired atomic.Bool
-	rig := newRigCfg(t, 0, numBots, nil, func(cfg *Config) {
-		cfg.Hooks.PreExec = func(thread int, id uint16) {
-			if fired.CompareAndSwap(false, true) {
-				panic("injected fault")
-			}
-		}
+	for _, phase := range []string{"request", "reply"} {
+		t.Run(phase, func(t *testing.T) { testPanicContainment(t, 0, 3, phase) })
+	}
+}
+
+func testPanicContainment(t *testing.T, threads, numBots int, phase string) {
+	var victim atomic.Int32 // id+1
+	var strat locking.Strategy
+	if threads > 0 {
+		strat = locking.Optimized{}
+	}
+	rig := newRigCfg(t, threads, numBots, strat, func(cfg *Config) {
+		cfg.Assign = RoundRobinAssign
+		panicSeam(cfg, phase, &victim)
 	})
-	seq := rig.engine.(*Sequential)
+	eng := rig.engine.(interface {
+		Engine
+		FaultEvictions() int64
+	})
 
 	rig.drive(80, 2*time.Millisecond)
 	waitCond(t, 2*time.Second, func() bool {
-		return seq.FaultEvictions() == 1 && seq.NumClients() == numBots-1
-	}, "sequential engine never evicted the panicking client")
+		return eng.FaultEvictions() == 1 && eng.NumClients() == numBots-1
+	}, "panicking client never evicted")
+	if victim.Load() == 0 {
+		t.Fatal("injected panic never fired")
+	}
 
+	// The victim's bot was told, and everyone else is still served.
 	before := replyCounts(rig.bots)
 	rig.drive(40, 2*time.Millisecond)
 	after := replyCounts(rig.bots)
 	served := 0
 	for i := range rig.bots {
+		if int32(rig.bots[i].ClientID())+1 == victim.Load() {
+			if after[i] != before[i] {
+				t.Errorf("evicted client %d still got %d replies", i, after[i]-before[i])
+			}
+			continue
+		}
 		if after[i] > before[i] {
 			served++
 		}
 	}
-	if served < numBots-1 {
+	if served != numBots-1 {
 		t.Errorf("only %d of %d surviving clients served after the panic", served, numBots-1)
 	}
 

@@ -120,7 +120,7 @@ func (s *Sequential) runFrame(first int, firstFrom transport.Addr) (sawTraffic b
 		ln.bd.Charge(metrics.CompReply, time.Since(t0).Nanoseconds())
 	}
 
-	s.endFrame(ln, s.frames.Load(), frameT0, false)
+	s.endFrame(ln, s.frames.Load(), frameT0)
 	s.frames.Add(1)
 	return sawTraffic
 }

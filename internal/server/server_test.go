@@ -324,20 +324,20 @@ func TestBlockAssign(t *testing.T) {
 
 func TestFrameCtlBarrierOrdering(t *testing.T) {
 	fc := newFrameCtl()
-	if role := fc.join(0); role != roleMaster {
+	if role := fc.join(); role != roleMaster {
 		t.Fatalf("first join role = %v", role)
 	}
-	if role := fc.join(1); role != roleWorker {
+	if role := fc.join(); role != roleWorker {
 		t.Fatalf("second join role = %v", role)
 	}
 	fc.openRequests()
-	if role := fc.join(2); role != roleMissed {
+	if role := fc.join(); role != roleMissed {
 		t.Fatalf("late join role = %v", role)
 	}
 
 	done := make(chan int, 2)
 	go func() {
-		fc.doneRequests(0) // blocks until both arrive
+		fc.doneRequests() // blocks until both arrive
 		done <- 1
 	}()
 	select {
@@ -345,21 +345,15 @@ func TestFrameCtlBarrierOrdering(t *testing.T) {
 		t.Fatal("barrier released with one of two participants")
 	case <-time.After(20 * time.Millisecond):
 	}
-	if !fc.doneRequests(1) {
-		t.Fatal("live participant reported abandoned at request barrier")
-	}
+	fc.doneRequests()
 	select {
 	case <-done:
 	case <-time.After(time.Second):
 		t.Fatal("barrier never released")
 	}
 
-	if ok, promoted := fc.doneReply(0); !ok || promoted {
-		t.Fatalf("doneReply(0) = %v, %v; want ok, no promotion", ok, promoted)
-	}
-	if ok, promoted := fc.doneReply(1); !ok || promoted {
-		t.Fatalf("doneReply(1) = %v, %v; want ok, no promotion", ok, promoted)
-	}
+	fc.doneReply()
+	fc.doneReply()
 	fc.waitAllReplied() // must not block now
 
 	endSeen := make(chan struct{})
@@ -378,7 +372,7 @@ func TestFrameCtlBarrierOrdering(t *testing.T) {
 		t.Errorf("frame number = %d", fc.frameNumber())
 	}
 	// Next frame is joinable again.
-	if role := fc.join(2); role != roleMaster {
+	if role := fc.join(); role != roleMaster {
 		t.Errorf("post-frame join role = %v", role)
 	}
 }

@@ -54,19 +54,6 @@ type session struct {
 	mux      *transport.Mux
 	stealing bool
 
-	// worldGuard makes abandonment race-free. Request-phase world
-	// mutations on a locking lane always hold its read side (shared — they
-	// are already serialized against each other by region locks, so this
-	// costs two uncontended atomics per request). World readers that the
-	// barrier normally protects — the reply phase, the world update, the
-	// shed-far scan — take the write side, but only while a zombie is
-	// outstanding (fc.hasZombies): an abandoned worker may wake from its
-	// wedge at any moment and finish the request it was executing, and its
-	// read-side section is the only thing those lockless readers can
-	// synchronize with. In normal operation the guard is never locked
-	// exclusively and readers skip it entirely.
-	worldGuard sync.RWMutex
-
 	// pendingResume holds reconnect handshakes for restore-parked clients
 	// (DESIGN.md §12) on a multi-lane engine. A Connect may arrive on any
 	// thread's endpoint, but resuming rewrites client identity state (addr,
@@ -121,13 +108,6 @@ type lane struct {
 	// processing right now (id+1; 0 = none), for panic containment and the
 	// watchdog.
 	serving atomic.Int32
-
-	// zombie marks a lane the watchdog abandoned mid-frame; never set on
-	// an engine without one. It mirrors the frame controller's verdict as
-	// a cheap atomic so the request drain loop can poll it per datagram
-	// without taking the controller's mutex. The controller's map stays
-	// authoritative; this is only the fast-path signal.
-	zombie atomic.Bool
 }
 
 // init fills the engine-independent state. The engine constructor then
@@ -214,8 +194,7 @@ func (s *session) SetFrameBudget(d time.Duration) { s.shed.setBudget(d) }
 // ShedLevel returns the overload ladder's current level.
 func (s *session) ShedLevel() int { return int(s.shed.current()) }
 
-// FaultEvictions returns how many clients were evicted by the
-// containment paths (panic recovery and wedge quarantine).
+// FaultEvictions returns how many clients panic containment evicted.
 func (s *session) FaultEvictions() int64 { return s.faultEvictions.Load() }
 
 // Breakdowns returns a copy of each thread's execution-time breakdown.

@@ -52,7 +52,7 @@ func TestStealingRaceStress(t *testing.T) {
 		cfg.Balance = balance.Policy{Enabled: true, EveryFrame: true, MaxMigrations: 8}
 		// Hold frames open so other threads' selects join them — stealing
 		// needs multi-thread frames to engage at all.
-		cfg.BatchDelay = 3 * time.Millisecond
+		cfg.Hooks.BatchDelay = 3 * time.Millisecond
 		// Deschedule mid-execution so pools stay claimable while their
 		// owner works. On a multi-core host the thieves run concurrently
 		// anyway; on a single-CPU CI host the owner would otherwise drain
@@ -148,7 +148,7 @@ func TestStealingPanicOnStolenRequest(t *testing.T) {
 	rig := newRigCfg(t, threads, numBots, locking.Optimized{}, func(cfg *Config) {
 		cfg.Stealing = true
 		cfg.Assign = assignAllToZero
-		cfg.BatchDelay = 3 * time.Millisecond
+		cfg.Hooks.BatchDelay = 3 * time.Millisecond
 		cfg.Hooks.PreExec = func(thread int, id uint16) {
 			// Deschedule so pooled entries stay claimable while thread 0
 			// works (see TestStealingRaceStress); all clients are owned by
@@ -457,8 +457,8 @@ func TestStealPoolParkRequeueOrder(t *testing.T) {
 	if e, ok := p.Take(true, 0b1000, claimPlain); !ok || e.Idx != 3 {
 		t.Fatalf("take with disjoint mask = (%v, idx=%d), want idx=3", ok, e.Idx)
 	}
-	if n := p.Drain(); n != 0 {
-		t.Fatalf("pool holds %d entries after every take", n)
+	if e, ok := p.Take(false, 0, func(*plainClient) bool { return true }); ok {
+		t.Fatalf("pool still holds idx=%d after every take", e.Idx)
 	}
 }
 
@@ -512,52 +512,6 @@ func newIdleParallel(t *testing.T, threads int) *Parallel {
 	return s
 }
 
-// TestParkPoolEntryDropsForZombieOwner pins the park path against a
-// drained pool: an entry parked while its owner is marked zombie must
-// complete as a drop (claim released, outstanding settled, nothing
-// requeued) — requeueing would carry a stale previous-frame entry, and
-// its outstanding count, into the recovered owner's next frame.
-func TestParkPoolEntryDropsForZombieOwner(t *testing.T) {
-	s := newIdleParallel(t, 2)
-	owner, thief := s.workers[0], s.workers[1]
-	c := &client{}
-	c.claim.Store(int32(thief.id) + 1)
-	owner.outstanding.Store(1)
-	owner.zombie.Store(true)
-
-	s.parkPoolEntry(thief, poolEntry{Client: c, Owner: owner.id, Idx: 0})
-
-	if got := owner.outstanding.Load(); got != 0 {
-		t.Errorf("outstanding = %d after zombie-owner park, want 0", got)
-	}
-	if got := c.claim.Load(); got != 0 {
-		t.Errorf("claim = %d after zombie-owner park, want released", got)
-	}
-	if _, ok := owner.pool.take(owner, false, 0); ok {
-		t.Error("zombie owner's pool received a requeued entry; park must drop instead")
-	}
-
-	// Healthy owner: the same park requeues and keeps the barrier count.
-	owner.zombie.Store(false)
-	owner.outstanding.Store(1)
-	c.claim.Store(int32(thief.id) + 1)
-	s.parkPoolEntry(thief, poolEntry{Client: c, Owner: owner.id, Idx: 0})
-	if got := owner.outstanding.Load(); got != 1 {
-		t.Errorf("outstanding = %d after healthy park, want 1 (entry still pending)", got)
-	}
-	if got := c.claim.Load(); got != 0 {
-		t.Errorf("claim = %d after healthy park, want released", got)
-	}
-	if e, ok := owner.pool.take(owner, false, 0); !ok {
-		t.Error("healthy park did not requeue the entry")
-	} else if e.Parks != 1 {
-		t.Errorf("requeued entry parks = %d, want 1", e.Parks)
-	}
-	if got := thief.bd.StealConflicts; got != 1 {
-		t.Errorf("StealConflicts = %d, want 1 (healthy park only)", got)
-	}
-}
-
 // TestClaimForRemovalBoundedSpin pins the removal path's escape hatch:
 // when a claim holder never releases (a wedged executor with the
 // watchdog disabled), claimForRemoval must give up within its timeout
@@ -601,41 +555,31 @@ func TestClaimForRemovalBoundedSpin(t *testing.T) {
 	}
 }
 
-// TestConfigRejectsTooManyThreads pins the frame controller's bitmask
-// bound: a worker pool wider than 64 must be refused up front (worker 64
-// would be invisible to reqDoneBy and the abandonment protocol).
-func TestConfigRejectsTooManyThreads(t *testing.T) {
-	net := transport.NewNetwork(transport.NetworkConfig{QueueLen: 64})
-	const threads = maxThreads + 1
-	conns := make([]transport.Conn, threads)
-	for i := range conns {
-		c, err := net.Listen(fmt.Sprintf("wide:%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = c
+// TestParallel65Workers runs a pool one wider than a 64-bit worker mask
+// with its only client on worker 64: frames must advance and the client
+// must be served by the widest worker id.
+func TestParallel65Workers(t *testing.T) {
+	const threads = 65
+	rig := newRigCfg(t, threads, 1, locking.Optimized{}, func(cfg *Config) {
+		cfg.Assign = func(int, int, int) int { return threads - 1 }
+	})
+	rig.drive(60, 2*time.Millisecond)
+	if rig.engine.Frames() == 0 {
+		t.Fatal("no frames with 65 workers")
 	}
-	m := worldmap.MustGenerate(worldmap.DefaultConfig())
-	w, err := game.NewWorld(game.Config{Map: m, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
+	if rig.bots[0].Resp.Replies == 0 {
+		t.Fatal("the client on worker 64 got no replies")
 	}
-	_, err = NewParallel(Config{World: w, Conns: conns, Threads: threads})
-	if err == nil {
-		t.Fatalf("NewParallel accepted %d threads; reqDoneBy tracks only %d", threads, maxThreads)
-	}
-	// At the boundary the pool must still be accepted.
-	conns64 := conns[:maxThreads]
-	if _, err := NewParallel(Config{World: w, Conns: conns64, Threads: maxThreads}); err != nil {
-		t.Fatalf("NewParallel rejected the documented maximum of %d threads: %v", maxThreads, err)
+	rig.engine.Stop()
+	if got := rig.engine.Breakdowns()[threads-1].ExecCmds; got == 0 {
+		t.Error("worker 64 executed no commands")
 	}
 }
 
 // TestFwdFreezeExpired pins the forward-stamp expiry arithmetic the
 // rebalance sweep relies on: fresh stamps freeze, the boundary falls
-// exactly at fwdFreezeFrames, and a stamp from the future (a zombie
-// straggler forwarding after the sweep snapshotted the frame counter)
-// must keep the freeze instead of wrapping uint64 and expiring it.
+// exactly at fwdFreezeFrames, and a stamp at or past the sweep's frame
+// keeps the freeze instead of wrapping uint64 and expiring it.
 func TestFwdFreezeExpired(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -659,35 +603,5 @@ func TestFwdFreezeExpired(t *testing.T) {
 				t.Errorf("fwdFreezeExpired(%d, %d) = %v, want %v", tc.stamp, tc.frame, got, tc.expired)
 			}
 		})
-	}
-}
-
-// TestFwdFreezeClearIsCAS pins the clear protocol around an expired
-// stamp: the sweep must only clear the exact stamp it judged stale, so a
-// concurrent re-stamp (a straggling zombie forwarding again) is never
-// erased — the CAS fails and the client stays frozen under the fresh
-// stamp.
-func TestFwdFreezeClearIsCAS(t *testing.T) {
-	var c client
-	stale := uint64(10)
-	c.fwdFrame.Store(stale)
-	frame := stale + fwdFreezeFrames
-
-	if !fwdFreezeExpired(stale, frame) {
-		t.Fatalf("stamp %d at frame %d should be expired", stale, frame)
-	}
-	// Re-stamp lands between the staleness judgment and the clear.
-	fresh := frame + 1
-	c.fwdFrame.Store(fresh)
-	if c.fwdFrame.CompareAndSwap(stale, 0) {
-		t.Fatal("CAS cleared a re-stamped freeze: fresh stamp erased")
-	}
-	if got := c.fwdFrame.Load(); got != fresh {
-		t.Fatalf("fwdFrame = %d, want the fresh stamp %d", got, fresh)
-	}
-	// Without interference the expired stamp clears.
-	c.fwdFrame.Store(stale)
-	if !c.fwdFrame.CompareAndSwap(stale, 0) {
-		t.Fatal("CAS failed to clear an undisturbed expired stamp")
 	}
 }

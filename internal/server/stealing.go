@@ -5,8 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"qserve/internal/entity"
-	"qserve/internal/game"
 	"qserve/internal/metrics"
 	"qserve/internal/protocol"
 )
@@ -95,12 +93,6 @@ func (p *stealPool) requeue(e poolEntry) {
 	p.mu.Unlock()
 }
 
-func (p *stealPool) drain() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.q.Drain()
-}
-
 // runStealPhase executes pooled requests until every entry this worker
 // pooled has completed: its own pool head-first, then steals from the
 // other workers. It is the worker's replacement for the inline execution
@@ -109,7 +101,7 @@ func (p *stealPool) drain() int {
 //
 //qvet:phase=exec
 func (s *Parallel) runStealPhase(w *worker) {
-	for !w.zombie.Load() && !s.stopping() {
+	for !s.stopping() {
 		if e, ok := w.pool.take(w, false, s.activeRegionHints(w)); ok {
 			s.runPoolEntry(w, e)
 			continue
@@ -127,31 +119,27 @@ func (s *Parallel) runStealPhase(w *worker) {
 		// Work remains (or may still be pooled by a participant that has
 		// not finished its receive drain) but none is claimable right
 		// now. Yield and re-check; if an executor truly wedges holding a
-		// claim, the watchdog sees this worker's stale request-phase
-		// stamp and abandons it out of the spin.
+		// claim, the watchdog sees a stale request-phase stamp and
+		// crashes the server.
 		runtime.Gosched()
 	}
 }
 
-// totalOutstanding sums the live workers' uncommitted pooled entries —
-// the frame-wide amount of request work still to execute. While it is
+// totalOutstanding sums the workers' uncommitted pooled entries — the
+// frame-wide amount of request work still to execute. While it is
 // nonzero, a worker whose own pool is drained keeps scanning for steals
 // instead of parking at the request barrier (the lock wall's idle share,
-// which this scheduler exists to convert into execution). Zombies are
-// excluded: their leftover counts are torn down by their own recovery.
+// which this scheduler exists to convert into execution).
 func (s *Parallel) totalOutstanding() int64 {
 	var n int64
 	for _, o := range s.workers {
-		if !o.zombie.Load() {
-			n += o.outstanding.Load()
-		}
+		n += o.outstanding.Load()
 	}
 	return n
 }
 
 // stealWork scans the other workers' pools for a steal candidate,
-// starting after this worker's id so victims rotate. Zombie victims are
-// skipped: their pools are torn down by their own recovery path.
+// starting after this worker's id so victims rotate.
 //
 //qvet:phase=exec
 func (s *Parallel) stealWork(w *worker) (poolEntry, bool) {
@@ -159,9 +147,6 @@ func (s *Parallel) stealWork(w *worker) (poolEntry, bool) {
 	n := len(s.workers)
 	for i := 1; i < n; i++ {
 		v := s.workers[(w.id+i)%n]
-		if v.zombie.Load() {
-			continue
-		}
 		if e, ok := v.pool.take(w, true, avoid); ok {
 			return e, true
 		}
@@ -171,13 +156,11 @@ func (s *Parallel) stealWork(w *worker) (poolEntry, bool) {
 
 // activeRegionHints unions the leaf masks other workers have published
 // for the requests they are executing right now — the conflict-awareness
-// input of every pool scan. Zombies are skipped: an abandoned worker
-// wedged mid-execution never clears its published mask, and honoring it
-// would make every healthy worker defer against the corpse forever.
+// input of every pool scan.
 func (s *Parallel) activeRegionHints(w *worker) uint64 {
 	var m uint64
 	for _, o := range s.workers {
-		if o != w && !o.zombie.Load() {
+		if o != w {
 			m |= o.activeHint.Load()
 		}
 	}
@@ -238,45 +221,23 @@ const claimRemovalTimeout = 100 * time.Millisecond
 
 // runPoolEntry executes one pooled entry, handling the park protocol and
 // the completion accounting. The claim is released only after the entry
-// is back in a pool (parked) or fully committed, and the owner's
-// outstanding count is decremented last — the release/acquire pair that
-// orders a thief's client-state writes before the owner's reply phase.
+// is back in its owner's pool (parked) or fully committed, and the
+// owner's outstanding count is decremented last — the release/acquire
+// pair that orders a thief's client-state writes before the owner's
+// reply phase.
 //
 //qvet:phase=exec
 func (s *Parallel) runPoolEntry(w *worker, e poolEntry) {
-	if s.safeExecPoolEntry(w, e) {
-		s.parkPoolEntry(w, e)
-		return
-	}
-	e.Client.claim.Store(0)
-	s.workers[e.Owner].outstanding.Add(-1)
-}
-
-// parkPoolEntry returns a parked entry to its owner's pool — unless the
-// owner was abandoned, in which case its recovery has drained (or is
-// about to drain) that pool and a requeue would smuggle a stale
-// previous-frame entry into the owner's next frame. Such entries
-// complete as drops instead: claim released, outstanding settled — the
-// same accounting the recovery drain applies to the entries it did find
-// in the pool (a claimed entry is never pool-resident, so the two paths
-// can't double-settle). The residual race — recovery finishes and
-// clears the zombie flag before this check — is closed by the owner's
-// frame-start leftover drain (workerLoop): the park happens-before the
-// parking worker's request barrier in the dead frame, which
-// happens-before the recovered owner rejoins a later frame.
-//
-//qvet:phase=exec
-func (s *Parallel) parkPoolEntry(w *worker, e poolEntry) {
 	owner := s.workers[e.Owner]
-	if owner.zombie.Load() {
+	if s.safeExecPoolEntry(w, e) {
+		w.bd.StealConflicts++
+		e.Parks++
+		owner.pool.requeue(e)
 		e.Client.claim.Store(0)
-		owner.outstanding.Add(-1)
 		return
 	}
-	w.bd.StealConflicts++
-	e.Parks++
-	owner.pool.requeue(e)
 	e.Client.claim.Store(0)
+	owner.outstanding.Add(-1)
 }
 
 // safeExecPoolEntry contains a panic in a move execution to the client
@@ -296,7 +257,7 @@ func (s *Parallel) safeExecPoolEntry(w *worker, e poolEntry) (parked bool) {
 }
 
 // execPoolEntry is the parallel engine's one move executor: admission,
-// watchdog publication, the guarded execution, and the commit, plus the
+// watchdog publication, the execution, and the commit, plus the
 // try-first acquisition that makes pooled work park instead of block
 // while the entry has park budget left. It separates exec time from lock
 // time (the lock component accrues inside the timed provider during the
@@ -315,14 +276,6 @@ func (s *Parallel) execPoolEntry(w *worker, e poolEntry) (parked bool) {
 	if ent == nil {
 		return false
 	}
-	if w.zombie.Load() {
-		// The watchdog abandoned this worker while the request sat in the
-		// pre-exec seam: the frame has moved on without it, and executing
-		// the stale command now would write into frames that no longer
-		// expect this thread. Drop it; zombieRecover owns the cleanup.
-		w.serving.Store(0)
-		return false
-	}
 	var mask uint64
 	w.lockCtx.LeafMask = &mask
 	w.lockCtx.TryFirst = e.Parks < MaxStealParks
@@ -330,7 +283,10 @@ func (s *Parallel) execPoolEntry(w *worker, e poolEntry) (parked bool) {
 
 	lockBefore := w.bd.Ns[metrics.CompLock]
 	t0 := time.Now()
-	res := s.executePoolMoveGuarded(w, c, &e.Move, ent)
+	res := s.world.ExecuteMove(ent, &e.Move.Cmd, &w.lockCtx)
+	if !res.Parked {
+		s.commitMove(&w.lane, c, &e.Move)
+	}
 	span := time.Since(t0).Nanoseconds()
 	w.lockCtx.TryFirst = false
 	w.activeHint.Store(0)
@@ -356,23 +312,4 @@ func (s *Parallel) execPoolEntry(w *worker, e poolEntry) (parked bool) {
 		c.leafHint.Store(mask)
 	}
 	return false
-}
-
-// executePoolMoveGuarded runs the move and, unless it parked, commits the
-// client's reply state inside the same world-guard read section (see
-// worldGuard): the commit may come from a thief, and in degraded
-// (zombie-outstanding) mode the owner's reply pass synchronizes with
-// concurrent request work only through the world guard. The deferred
-// unlock keeps the guard panic-safe: a panic in game code unwinds through
-// here before recoverWorker runs.
-//
-//qvet:phase=exec
-func (s *Parallel) executePoolMoveGuarded(w *worker, c *client, m *protocol.Move, ent *entity.Entity) game.MoveResult {
-	s.worldGuard.RLock()
-	defer s.worldGuard.RUnlock()
-	res := s.world.ExecuteMove(ent, &m.Cmd, &w.lockCtx)
-	if !res.Parked {
-		s.commitMove(&w.lane, c, m)
-	}
-	return res
 }

@@ -161,12 +161,3 @@ func (p *StealPool[C, M]) Requeue(e StealEntry[C, M]) {
 	}
 	p.Push(e)
 }
-
-// Drain empties the pool and returns how many entries it removed — the
-// zombie-recovery path discarding work a dead frame will never commit.
-func (p *StealPool[C, M]) Drain() int {
-	n := len(p.q) - p.head
-	p.q = p.q[:0]
-	p.head = 0
-	return n
-}

@@ -21,10 +21,9 @@ import (
 //   - Every worker that calls acquire for frame f has passed the
 //     request->reply barrier for f, so all concurrent acquirers agree on
 //     the frame number and the world state is frozen read-only.
-//   - Under worldGuard degraded mode the reply phase may run with a
-//     single worker holding the world exclusively; the protocol never
-//     waits for absent peers (a lone acquirer claims and encodes every
-//     shard itself), so it cannot deadlock when only one thread shows up.
+//   - The protocol never waits for absent peers (a lone acquirer claims
+//     and encodes every shard itself), so a frame with one participant
+//     cannot deadlock it.
 type visBuilder struct {
 	mu   sync.Mutex
 	cond *sync.Cond

@@ -57,7 +57,7 @@ func TestVisBuilderSingleBuildPerFrame(t *testing.T) {
 	}
 }
 
-// TestVisBuilderLoneWorker models worldGuard degraded mode: a single
+// TestVisBuilderLoneWorker models a one-participant frame: a single
 // worker acquiring alone must complete the whole build itself without
 // waiting for peers.
 func TestVisBuilderLoneWorker(t *testing.T) {
