@@ -127,11 +127,7 @@ func main() {
 		strat = locking.Optimized{}
 	}
 
-	numConns := *threads
-	if numConns < 1 {
-		numConns = 1
-	}
-	conns, err := openPorts(*addr, numConns)
+	conns, err := openPorts(*addr, max(*threads, 1))
 	if err != nil {
 		fatal(err)
 	}
@@ -194,19 +190,16 @@ func main() {
 			*ckptDir, *ckptInterval, *ckptDelta)
 	}
 
-	var eng server.Engine
+	eng, err := server.NewParallel(cfg)
+	if err != nil {
+		fatal(err)
+	}
 	mode := "sequential"
-	if *threads <= 0 {
-		eng, err = server.NewSequential(cfg)
-	} else {
-		eng, err = server.NewParallel(cfg)
+	if *threads > 0 {
 		mode = fmt.Sprintf("parallel x%d (%s locking)", *threads, strat.Name())
 		if *steal {
 			mode += " +stealing"
 		}
-	}
-	if err != nil {
-		fatal(err)
 	}
 
 	fmt.Printf("qserved: map %q (%d rooms), %s engine, base addr %s\n",
@@ -277,12 +270,12 @@ func runMatches(m *worldmap.Map, seed int64, addr string, n, workers, maxClients
 	st := game.NewStatic(m)
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("m%d", i)
-		if _, err := lobby.CreateMatch(name, func(c transport.Conn) (*server.Sequential, error) {
+		if _, err := lobby.CreateMatch(name, func(c transport.Conn) (*server.Parallel, error) {
 			w, err := game.NewWorld(game.Config{Static: st, Seed: seed})
 			if err != nil {
 				return nil, err
 			}
-			return server.NewSequential(server.Config{
+			return server.NewParallel(server.Config{
 				World:      w,
 				Conns:      []transport.Conn{c},
 				MaxClients: maxClients,
@@ -382,18 +375,16 @@ func openPorts(addr string, n int) ([]transport.Conn, error) {
 	return conns, nil
 }
 
-func printBreakdowns(eng server.Engine) {
+func printBreakdowns(eng *server.Parallel) {
 	for i, bd := range eng.Breakdowns() {
 		fmt.Printf("thread %d: %s\n", i, bd.String())
 	}
 	fmt.Printf("total: frames=%d replies=%d duration=%s in=%dKB out=%dKB\n",
 		eng.Frames(), eng.Replies(), eng.Duration().Truncate(time.Millisecond),
 		eng.BytesIn()/1024, eng.BytesOut()/1024)
-	if par, ok := eng.(*server.Parallel); ok {
-		fmt.Printf("migrations: %d\n", par.Migrations())
-		if e := par.FaultEvictions(); e > 0 {
-			fmt.Printf("robustness: evictions=%d shed-level=%d\n", e, par.ShedLevel())
-		}
+	fmt.Printf("migrations: %d\n", eng.Migrations())
+	if e := eng.FaultEvictions(); e > 0 {
+		fmt.Printf("robustness: evictions=%d shed-level=%d\n", e, eng.ShedLevel())
 	}
 }
 

@@ -31,13 +31,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. An in-memory packet network and the sequential server engine.
+	// 2. An in-memory packet network and the sequential server (Threads: 0).
 	net := transport.NewNetwork(transport.NetworkConfig{})
 	port, err := net.Listen("server:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := server.NewSequential(server.Config{
+	srv, err := server.NewParallel(server.Config{
 		World: world,
 		Conns: []transport.Conn{port},
 	})

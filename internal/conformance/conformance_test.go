@@ -110,9 +110,9 @@ func (lc *lockClient) awaitAck(t *testing.T, seq uint32) {
 	}
 }
 
-// runLive drives the scenario through a live engine over the mem
-// transport. threads == 0 selects the sequential engine; stealing turns
-// on the work-stealing request scheduler.
+// runLive drives the scenario through the live engine over the mem
+// transport. threads == 0 is the sequential server; stealing turns on the
+// work-stealing request scheduler.
 func runLive(t *testing.T, sc *Scenario, threads int, pol balance.Policy, stealing bool) []PlayerState {
 	t.Helper()
 	world, err := game.NewWorld(game.Config{Map: sc.Map, Seed: sc.WorldSeed})
@@ -120,11 +120,7 @@ func runLive(t *testing.T, sc *Scenario, threads int, pol balance.Policy, steali
 		t.Fatal(err)
 	}
 	net := transport.NewNetwork(transport.NetworkConfig{QueueLen: 4096})
-	nConns := threads
-	if nConns == 0 {
-		nConns = 1
-	}
-	conns := make([]transport.Conn, nConns)
+	conns := make([]transport.Conn, max(threads, 1))
 	for i := range conns {
 		c, err := net.Listen(fmt.Sprintf("srv:%d", i))
 		if err != nil {
@@ -146,20 +142,9 @@ func runLive(t *testing.T, sc *Scenario, threads int, pol balance.Policy, steali
 		Stealing:      stealing,
 		Record:        rec,
 	}
-	var eng server.Engine
-	var par *server.Parallel
-	if threads == 0 {
-		seq, err := server.NewSequential(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng = seq
-	} else {
-		par, err = server.NewParallel(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng = par
+	eng, err := server.NewParallel(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	eng.Start()
 	defer eng.Stop()
@@ -200,8 +185,8 @@ func runLive(t *testing.T, sc *Scenario, threads int, pol balance.Policy, steali
 	if moves := rec.Finish(world).Moves(); total.ExecCmds == 0 || total.ExecCmds != int64(moves) {
 		t.Fatalf("Breakdown.ExecCmds = %d, recorder captured %d moves", total.ExecCmds, moves)
 	}
-	if par != nil && pol.Enabled {
-		if par.Migrations() == 0 {
+	if pol.Enabled {
+		if eng.Migrations() == 0 {
 			t.Fatal("balance-on run performed no migrations: the conformance table is not exercising migration")
 		}
 	}
@@ -237,9 +222,11 @@ func runDES(t *testing.T, sc *Scenario, threads int, sequential bool, pol balanc
 }
 
 // TestCrossEngineConformance is the headline test: one seeded scenario
-// through every engine × {2,4,8} threads × {balance off, balancer
-// forced to migrate every frame} must yield identical end-of-run player
-// tables. The live sequential engine is the reference.
+// through the live engine and the DES × {2,4,8} threads × {balance off,
+// balancer forced to migrate every frame} × {stealing off, on}, plus the
+// live engine on one locking thread and the sequential DES, must yield
+// identical end-of-run player tables. The live sequential server
+// (Threads: 0) is the reference.
 func TestCrossEngineConformance(t *testing.T) {
 	sc := scenario(t)
 	want := runLive(t, sc, 0, balance.Policy{}, false)
@@ -258,6 +245,14 @@ func TestCrossEngineConformance(t *testing.T) {
 		}
 	}
 
+	// Fig. 4's arm: the parallel code, region locks and all, on one
+	// thread. Balancing and stealing need a second thread.
+	t.Run("live-parallel/threads=1", func(t *testing.T) {
+		got := runLive(t, sc, 1, balance.Policy{}, false)
+		if d := Diff(want, got); d != "" {
+			t.Fatalf("one-thread live diverged from sequential reference:\n%s", d)
+		}
+	})
 	for _, threads := range []int{2, 4, 8} {
 		for _, balanced := range []bool{false, true} {
 			for _, stealing := range []bool{false, true} {

@@ -33,7 +33,7 @@ func (v *vclock) tick(d time.Duration) { v.t = v.t.Add(d) }
 // scriptedMatch is one engine with a raw scripted client: no bot AI, so
 // the input stream is a pure function of the step index.
 type scriptedMatch struct {
-	eng    *server.Sequential
+	eng    *server.Parallel
 	world  *game.World
 	clock  *vclock
 	cli    *transport.MemConn
@@ -60,7 +60,7 @@ func newScriptedMatch(t *testing.T, st *game.Static, shared *server.SharedBufs, 
 		t.Fatal(err)
 	}
 	clock := &vclock{t: time.Unix(1000, 0)}
-	eng, err := server.NewSequential(server.Config{
+	eng, err := server.NewParallel(server.Config{
 		World:      w,
 		Conns:      []transport.Conn{srvConn},
 		MaxClients: 8,
@@ -237,7 +237,7 @@ func TestMatchFootprint(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < matches; i++ {
-		if _, err := lobby.CreateMatch(fmt.Sprintf("m%d", i), func(c transport.Conn) (*server.Sequential, error) {
+		if _, err := lobby.CreateMatch(fmt.Sprintf("m%d", i), func(c transport.Conn) (*server.Parallel, error) {
 			return newEngine(t, st, c, mgr.Shared()), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -280,7 +280,7 @@ func TestEvictionIsolation(t *testing.T) {
 	lobby := NewLobby(mgr, srvConn)
 	defer lobby.Close()
 	for _, name := range []string{"good", "bad"} {
-		if _, err := lobby.CreateMatch(name, func(conn transport.Conn) (*server.Sequential, error) {
+		if _, err := lobby.CreateMatch(name, func(conn transport.Conn) (*server.Parallel, error) {
 			return newEngine(t, st, conn, mgr.Shared()), nil
 		}); err != nil {
 			t.Fatal(err)

@@ -66,7 +66,7 @@ func NewLobby(mgr *Manager, conn transport.Conn) *Lobby {
 // registers the result as a named match. The build callback must thread
 // the manager's Shared pool into the engine Config for the idle-match
 // memory bound to hold.
-func (l *Lobby) CreateMatch(name string, build func(conn transport.Conn) (*server.Sequential, error)) (*Match, error) {
+func (l *Lobby) CreateMatch(name string, build func(conn transport.Conn) (*server.Parallel, error)) (*Match, error) {
 	port, mp := l.mux.AddPort()
 	eng, err := build(mp)
 	if err != nil {

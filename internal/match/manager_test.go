@@ -35,13 +35,13 @@ func smallStatic(t testing.TB) *game.Static {
 
 func smallMap(t testing.TB) *worldmap.Map { return smallStatic(t).Map }
 
-func newEngine(t testing.TB, st *game.Static, conn transport.Conn, shared *server.SharedBufs) *server.Sequential {
+func newEngine(t testing.TB, st *game.Static, conn transport.Conn, shared *server.SharedBufs) *server.Parallel {
 	t.Helper()
 	w, err := game.NewWorld(game.Config{Static: st})
 	if err != nil {
 		t.Fatalf("world: %v", err)
 	}
-	eng, err := server.NewSequential(server.Config{
+	eng, err := server.NewParallel(server.Config{
 		World:      w,
 		Conns:      []transport.Conn{conn},
 		MaxClients: 32,
@@ -70,7 +70,7 @@ func TestLobbyRoutesAndAssigns(t *testing.T) {
 	defer lobby.Close()
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("m%d", i)
-		if _, err := lobby.CreateMatch(name, func(conn transport.Conn) (*server.Sequential, error) {
+		if _, err := lobby.CreateMatch(name, func(conn transport.Conn) (*server.Parallel, error) {
 			return newEngine(t, st, conn, mgr.Shared()), nil
 		}); err != nil {
 			t.Fatalf("create %s: %v", name, err)

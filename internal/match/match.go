@@ -3,8 +3,8 @@
 //
 // The paper parallelizes one match across threads; real deployments
 // reach large populations with many 16–160 player matches per box. A
-// Manager owns M server.Sequential engines in stepped mode (no per-match
-// goroutines) and multiplexes their frames over a GOMAXPROCS-sized
+// Manager owns M sequential server engines (server.Parallel at Threads:
+// 0) in stepped mode (no per-match goroutines) and multiplexes their frames over a GOMAXPROCS-sized
 // worker pool with deadline-ordered dispatch: active matches get their
 // frame cadence, idle matches coalesce onto a slow tick and hold no warm
 // buffers (server.SharedBufs). A Lobby routes client datagrams to their
@@ -71,7 +71,7 @@ func (c *Config) fill() {
 // Match is one scheduled game instance.
 type Match struct {
 	name string
-	eng  *server.Sequential
+	eng  *server.Parallel
 	port int // lobby mux port index; -1 when not lobby-routed
 
 	// Scheduler state, all guarded by the Manager's mutex. A match is in
@@ -98,7 +98,7 @@ func (mt *Match) Name() string { return mt.name }
 // Engine returns the match's engine. Engine state (breakdowns, client
 // counts) must only be read while the match cannot be stepping — in
 // practice, after Manager.Stop.
-func (mt *Match) Engine() *server.Sequential { return mt.eng }
+func (mt *Match) Engine() *server.Parallel { return mt.eng }
 
 // Manager owns the match set and the shared frame scheduler.
 type Manager struct {
@@ -135,11 +135,11 @@ func (m *Manager) Shared() *server.SharedBufs { return m.cfg.Shared }
 // frame immediately. The engine must have been built with this
 // manager's Shared pool and must not have been started; Add puts it in
 // stepped mode.
-func (m *Manager) Add(name string, eng *server.Sequential) (*Match, error) {
+func (m *Manager) Add(name string, eng *server.Parallel) (*Match, error) {
 	return m.add(name, eng, -1)
 }
 
-func (m *Manager) add(name string, eng *server.Sequential, port int) (*Match, error) {
+func (m *Manager) add(name string, eng *server.Parallel, port int) (*Match, error) {
 	mt := &Match{name: name, eng: eng, port: port, heapIdx: -1}
 	eng.StartStepped()
 	m.mu.Lock()

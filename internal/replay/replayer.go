@@ -97,11 +97,6 @@ func newVclock() *vclock {
 func (v *vclock) now() time.Time   { return v.base.Add(time.Duration(v.off.Load())) }
 func (v *vclock) advance(ns int64) { v.off.Add(ns) }
 
-type liveEngine interface {
-	Start()
-	Stop()
-}
-
 // rclient is one lockstep protocol client: at most one request of its
 // own ever in flight, every received snapshot folded into its stream
 // digest.
@@ -122,7 +117,7 @@ type rclient struct {
 type liveDriver struct {
 	world   *game.World
 	net     *transport.Network
-	eng     liveEngine
+	eng     *server.Parallel
 	vc      *vclock
 	rec     *Recorder
 	ctl     *rclient
@@ -138,11 +133,7 @@ func newLiveDriver(m *worldmap.Map, seed int64, lc LiveConfig, rec *Recorder, ma
 		return nil, err
 	}
 	net := transport.NewNetwork(transport.NetworkConfig{QueueLen: 4096})
-	nConns := lc.Threads
-	if nConns == 0 {
-		nConns = 1
-	}
-	conns := make([]transport.Conn, nConns)
+	conns := make([]transport.Conn, max(lc.Threads, 1))
 	for i := range conns {
 		c, err := net.Listen(fmt.Sprintf("srv:%d", i))
 		if err != nil {
@@ -171,12 +162,7 @@ func newLiveDriver(m *worldmap.Map, seed int64, lc LiveConfig, rec *Recorder, ma
 	}
 	vc := newVclock()
 	cfg.Clock = vc.now
-	var eng liveEngine
-	if lc.Threads == 0 {
-		eng, err = server.NewSequential(cfg)
-	} else {
-		eng, err = server.NewParallel(cfg)
-	}
+	eng, err := server.NewParallel(cfg)
 	if err != nil {
 		return nil, err
 	}

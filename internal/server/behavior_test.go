@@ -62,9 +62,9 @@ func (c *rawClient) recv(t *testing.T, timeout time.Duration) any {
 	return msg
 }
 
-// parityEngines are the hosts the protocol-parity table runs under: the
-// frame core on one unsynchronised lane, on one locking lane, and on two
-// lanes with pooled, stealable execution.
+// parityEngines are the configurations the protocol-parity table runs
+// under: one unlocked lane (the sequential server), one locking lane, and
+// two lanes with pooled, stealable execution.
 var parityEngines = []struct {
 	name     string
 	threads  int
@@ -80,24 +80,13 @@ var parityEngines = []struct {
 // the transcripts must be equal across engines.
 type parityRig struct {
 	t   *testing.T
-	eng Engine
+	eng *Parallel
 	net *transport.Network
 	log []string
 }
 
 func (r *parityRig) logf(format string, args ...any) {
 	r.log = append(r.log, fmt.Sprintf(format, args...))
-}
-
-func (r *parityRig) session() *session {
-	switch e := r.eng.(type) {
-	case *Sequential:
-		return &e.session
-	case *Parallel:
-		return &e.session
-	}
-	r.t.Fatalf("unknown engine %T", r.eng)
-	return nil
 }
 
 func (r *parityRig) client(addr string) *rawClient { return newRawClient(r.t, r.net, addr) }
@@ -289,7 +278,7 @@ func TestProtocolParity(t *testing.T) {
 			run: func(r *parityRig) {
 				c := r.client("")
 				r.connect(c, "early")
-				r.session().draining.Store(true)
+				r.eng.draining.Store(true)
 				r.connect(r.client(""), "late")
 				r.connect(c, "early")
 				r.clients()
@@ -358,7 +347,7 @@ func TestEventsReachSilentClients(t *testing.T) {
 	w, _ := game.NewWorld(game.Config{Map: m, Seed: 2})
 	net := transport.NewNetwork(transport.NetworkConfig{})
 	conn, _ := net.Listen("srv:0")
-	srv, err := NewSequential(Config{
+	srv, err := NewParallel(Config{
 		World: w, Conns: []transport.Conn{conn},
 		SelectTimeout: 2 * time.Millisecond,
 	})

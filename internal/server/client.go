@@ -1,8 +1,8 @@
-// Package server implements the live execution engines for the game
-// server: the sequential baseline (the paper's Figure 1 loop) and the
-// multithreaded parallel server (Figure 3) with phase barriers, frame
+// Package server implements the live execution engine for the game
+// server: the multithreaded server (Figure 3) with phase barriers, frame
 // master election, the global-state-buffer lock, and region locking over
-// the areanode tree. "Threads" are goroutines; on a multicore host the Go
+// the areanode tree, whose zero-thread configuration is the sequential
+// baseline (the paper's Figure 1 loop). "Threads" are goroutines; on a multicore host the Go
 // runtime spreads them across CPUs exactly as pthreads would.
 //
 // The companion package simserver runs the same orchestration on a

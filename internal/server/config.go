@@ -11,16 +11,19 @@ import (
 	"qserve/internal/transport"
 )
 
-// Config parameterizes either live engine.
+// Config parameterizes the live engine.
 type Config struct {
 	// World is the game state; required.
 	World *game.World
-	// Conns are the server's datagram endpoints, one per thread. The
-	// parallel engine requires exactly Threads entries; the sequential
-	// engine uses the first. Connection requests may arrive at any of
+	// Conns are the server's datagram endpoints, one per thread: exactly
+	// max(Threads, 1) entries. Connection requests may arrive at any of
 	// them; gameplay traffic arrives at the owning thread's endpoint.
 	Conns []transport.Conn
-	// Threads is the worker count for the parallel engine.
+	// Threads is the worker count. 0 is the paper's sequential server:
+	// one thread with no region locks, so Strategy, Balance and Stealing
+	// do nothing. N >= 1 is the multithreaded server on N threads with
+	// region locks; 1 is Fig. 4's parallel code on one thread. Negative
+	// counts are rejected.
 	Threads int
 	// Strategy selects the region-lock scheme; Conservative by default.
 	Strategy locking.Strategy
@@ -35,13 +38,12 @@ type Config struct {
 	// default emulates the paper's static block assignment for clients
 	// that connect up-front: index i goes to thread i*Threads/MaxClients.
 	Assign func(joinIdx, threads, maxClients int) int
-	// Balance configures dynamic client→thread rebalancing (parallel
-	// engine only). Off by default, preserving the paper's static
-	// assignment.
+	// Balance configures dynamic client→thread rebalancing (two or more
+	// threads). Off by default, preserving the paper's static assignment.
 	Balance balance.Policy
 
 	// Stealing enables conflict-aware work-stealing request execution
-	// (parallel engine only): workers place their clients' move commands
+	// (two or more threads): workers place their clients' move commands
 	// in per-worker frame pools, drain their own pool first, then steal
 	// pending requests from other workers instead of idling at the
 	// request barrier. A request whose region is contended is parked and
@@ -52,7 +54,7 @@ type Config struct {
 	// preserved; see DESIGN.md §10.
 	Stealing bool
 
-	// WatchdogDeadline arms the frame watchdog (parallel engine only): a
+	// WatchdogDeadline arms the frame watchdog (any thread count): a
 	// worker stuck in its request or reply phase longer than this is
 	// wedged, and the server crashes with WedgeExitCode so its supervisor
 	// restarts it from the last checkpoint (DESIGN.md §7). Zero disables
@@ -146,17 +148,14 @@ type Hooks struct {
 	BatchDelay time.Duration
 }
 
-func (c *Config) fill(needThreads bool) error {
+func (c *Config) fill() error {
 	if c.World == nil {
 		return fmt.Errorf("server: config has no world")
 	}
-	if len(c.Conns) == 0 {
-		return fmt.Errorf("server: config has no connections")
+	if c.Threads < 0 {
+		return fmt.Errorf("server: negative thread count %d", c.Threads)
 	}
-	if c.Threads <= 0 {
-		c.Threads = 1
-	}
-	if needThreads && len(c.Conns) != c.Threads {
+	if len(c.Conns) != max(c.Threads, 1) {
 		return fmt.Errorf("server: %d conns for %d threads", len(c.Conns), c.Threads)
 	}
 	if c.Strategy == nil {

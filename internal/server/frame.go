@@ -10,13 +10,13 @@ import (
 	"qserve/internal/transport"
 )
 
-// The live frame core (DESIGN.md §2.1): every protocol rule of the
-// server frame, written once against a session and the lane running it.
-// The engines own the frame's *shape* — who blocks in select, where the
-// barriers fall, which locks a move executes under — and call in here
-// for everything the wire can observe. Differences between the engines
-// reach these functions as data: a nil lane locker, a nil mux, flags
-// that are never set, a single lane.
+// The live frame rules (DESIGN.md §2.1): every protocol rule of the
+// server frame, written against a session and the lane running it. The
+// engine's frame body (Parallel.runFrame) owns the frame's *shape* — who
+// blocks in select, where the barriers fall, which locks a move executes
+// under — and calls in here for everything the wire can observe.
+// Configurations differ only as data: a nil lane locker, a nil mux,
+// flags that are never set, a single lane.
 
 // minWorldTick rate-limits the world-physics phase like QuakeWorld's
 // sv_mintic: frames arriving faster than this skip the P stage.

@@ -18,14 +18,17 @@ import (
 	"qserve/internal/transport"
 )
 
-// Parallel is the multithreaded server of §3: a fixed pool of worker
-// goroutines created at start, each owning a datagram endpoint and a
-// static subset of the clients, synchronized by the frame controller's
-// global barriers and by region locks over the areanode tree.
+// Parallel is the live server engine. Threads: 0 is the paper's
+// sequential server (Figure 1): one thread, no region locks, nothing
+// added to request and reply processing. Threads: N is the multithreaded
+// server of §3 — the same frame with a fixed pool of N worker goroutines
+// created at start, each owning a datagram endpoint and a static subset
+// of the clients, synchronized by the frame controller's global barriers
+// and by region locks over the areanode tree. Threads: 1 is Fig. 4's
+// "parallel code on one thread": one worker, with region locks.
 type Parallel struct {
 	session
 	fc      *frameCtl
-	prov    *locking.MutexProvider
 	workers []*worker
 
 	// Dynamic load balancing (nil/unused when cfg.Balance is off). The
@@ -52,6 +55,12 @@ type Parallel struct {
 	// workers partition among themselves at the reply barrier.
 	vis *visBuilder
 }
+
+// Sequential is the sequential server: the engine at Threads: 0.
+type Sequential = Parallel
+
+// NewSequential builds the sequential server, NewParallel at Threads: 0.
+func NewSequential(cfg Config) (*Sequential, error) { cfg.Threads = 0; return NewParallel(cfg) }
 
 // WedgeRecord describes one watchdog detection: which worker was stuck,
 // in which phase, for how long, and — when known — the client whose
@@ -85,8 +94,8 @@ func (r WedgeRecord) String() string {
 // supervisor restarts it from the last checkpoint (DESIGN.md §7).
 const WedgeExitCode = 3
 
-// worker is one server thread: a lane plus the parallel engine's locking,
-// stealing and watchdog state.
+// worker is one server thread: a lane plus its locking, stealing and
+// watchdog state.
 type worker struct {
 	lane
 
@@ -142,28 +151,38 @@ func (tp *timedProvider) LockNode(n int32) {
 
 func (tp *timedProvider) UnlockNode(n int32) { tp.inner.UnlockNode(n) }
 
-// NewParallel builds a parallel server. Call Start to spawn the threads.
+// NewParallel builds the engine. Call Start to spawn the threads, or
+// StartStepped to drive frames from outside.
 func NewParallel(cfg Config) (*Parallel, error) {
-	if err := cfg.fill(true); err != nil {
+	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	s := &Parallel{
-		fc:   newFrameCtl(),
-		prov: locking.NewMutexProvider(cfg.World.Tree.NumNodes()),
-		vis:  newVisBuilder(),
-	}
+	s := &Parallel{fc: newFrameCtl(), vis: newVisBuilder(nil)}
 	s.init(cfg)
 	// With one worker there is nobody to steal from and the pool
 	// indirection is pure overhead.
 	s.stealing = cfg.Stealing && cfg.Threads > 1
-	for i := 0; i < cfg.Threads; i++ {
+	var prov *locking.MutexProvider
+	if cfg.Threads > 0 {
+		prov = locking.NewMutexProvider(cfg.World.Tree.NumNodes())
+	}
+	if cfg.Shared == nil {
+		// Classic mode owns its buffers for life; with a shared pool they
+		// are borrowed (step.go).
+		s.vis.index = new(game.VisIndex)
+	}
+	for i, conn := range cfg.Conns {
 		w := &worker{}
 		w.id = i
-		w.conn = cfg.Conns[i]
-		w.scratch = newFrameScratch()
-		w.locker = &locking.RegionLocker{
-			Tree:     s.world.Tree,
-			Provider: &timedProvider{inner: s.prov, tree: s.world.Tree, bd: &w.bd},
+		w.conn = conn
+		if cfg.Shared == nil {
+			w.scratch = newFrameScratch()
+		}
+		if prov != nil {
+			w.locker = &locking.RegionLocker{
+				Tree:     s.world.Tree,
+				Provider: &timedProvider{inner: prov, tree: s.world.Tree, bd: &w.bd},
+			}
 		}
 		w.lockCtx = game.LockContext{
 			Locker:   w.locker,
@@ -195,6 +214,11 @@ func (s *Parallel) Start() {
 	s.started = time.Now()
 	s.lastTick = s.cfg.timeNow()
 	s.frameT0 = s.started
+	if s.cfg.Shared != nil {
+		// The threaded loop blocks in Recv and can't park buffers at idle
+		// points; borrow them once and keep them for the run.
+		s.borrow()
+	}
 	for _, w := range s.workers {
 		s.wg.Add(1)
 		go func(w *worker) {
@@ -208,10 +232,10 @@ func (s *Parallel) Start() {
 	}
 }
 
-// workerLoop is Figure 3 for one thread.
+// workerLoop is Figure 3 for one thread: block in select, then run the
+// frame the datagram opens.
 func (s *Parallel) workerLoop(w *worker) {
 	for {
-		// Select: block for a request on this thread's endpoint.
 		t0 := time.Now()
 		n, from, err := w.conn.Recv(w.scratch.recvBuf, s.cfg.SelectTimeout)
 		w.bd.Charge(metrics.CompIdle, time.Since(t0).Nanoseconds())
@@ -224,83 +248,100 @@ func (s *Parallel) workerLoop(w *worker) {
 		if err != nil {
 			return // endpoint closed
 		}
-		s.bytesIn.Add(int64(n))
+		s.runFrame(w, n, from)
+	}
+}
 
-		role := s.fc.join()
-		for role == roleMissed {
-			// Too late for this frame: inter-frame wait for the frame
-			// end signal, then retry ("they are guaranteed to be part of
-			// the execution of the next server frame").
-			t0 = time.Now()
-			s.fc.waitFrameEnd()
-			w.bd.Charge(metrics.CompInterWait, time.Since(t0).Nanoseconds())
-			role = s.fc.join()
+// runFrame is one server frame on worker w: join it, world physics (the
+// master), request drain, reply phase, frame bookkeeping (the master).
+// n > 0 is the length of a datagram from `from` already sitting in the
+// receive buffer — the one the threaded loop blocked for; the stepped
+// driver passes 0 and never blocks. It reports whether any datagram was
+// processed.
+func (s *Parallel) runFrame(w *worker, n int, from transport.Addr) (sawTraffic bool) {
+	role := s.fc.join()
+	for role == roleMissed {
+		// Too late for this frame: inter-frame wait for the frame end
+		// signal, then retry ("they are guaranteed to be part of the
+		// execution of the next server frame").
+		t0 := time.Now()
+		s.fc.waitFrameEnd()
+		w.bd.Charge(metrics.CompInterWait, time.Since(t0).Nanoseconds())
+		role = s.fc.join()
+	}
+
+	if role == roleMaster {
+		if d := s.cfg.Hooks.BatchDelay; d > 0 {
+			// Request batching (§5.2 future work): hold the frame open so
+			// more threads and requests join it. Deliberate idling, not
+			// synchronization wait — as in select.
+			t0 := time.Now()
+			time.Sleep(d)
+			w.bd.Charge(metrics.CompIdle, time.Since(t0).Nanoseconds())
 		}
+		s.frameT0 = time.Now()
+		// World physics: lockless, by the barrier. It does not touch the
+		// receive buffer, so the first datagram keeps until the request
+		// phase.
+		s.worldTick(&w.lane)
+		s.fc.openRequests()
+	} else {
+		t0 := time.Now()
+		s.fc.waitRequestsOpen()
+		w.bd.Charge(metrics.CompInterWait, time.Since(t0).Nanoseconds())
+	}
 
-		if role == roleMaster {
-			if d := s.cfg.Hooks.BatchDelay; d > 0 {
-				// Request batching (§5.2 future work): hold the frame
-				// open so more threads and requests join it. Deliberate
-				// idling, not synchronization wait — as in select.
-				t0 = time.Now()
-				time.Sleep(d)
-				w.bd.Charge(metrics.CompIdle, time.Since(t0).Nanoseconds())
-			}
-			s.frameT0 = time.Now()
-			// World physics: lockless, by the barrier.
-			s.worldTick(&w.lane)
-			s.fc.openRequests()
-		} else {
-			t0 = time.Now()
-			s.fc.waitRequestsOpen()
-			w.bd.Charge(metrics.CompInterWait, time.Since(t0).Nanoseconds())
-		}
-
-		// Request phase: the packet select returned (still in the receive
-		// buffer — nothing above touches it), then drain the queue. With
-		// stealing on, the drain only pools move commands (connection
-		// traffic is still handled inline); the pooled work executes in the
-		// steal phase below, overlapped with other workers still draining.
-		w.poolIdx = 0
-		w.beginPhase(wpRequest)
-		s.safeProcessPacket(w, w.scratch.recvBuf[:n], from)
-		for {
-			t0 = time.Now()
-			n, from, err = w.conn.Recv(w.scratch.recvBuf, 0)
-			w.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
-			if err != nil {
-				break // queue empty
-			}
+	// Request phase: receive and process requests until the queue is
+	// empty. With stealing on, the drain only pools move commands
+	// (connection traffic is still handled inline); the pooled work
+	// executes in the steal phase below, overlapped with other workers
+	// still draining.
+	w.poolIdx = 0
+	w.beginPhase(wpRequest)
+	for {
+		if n > 0 {
 			s.bytesIn.Add(int64(n))
+			sawTraffic = true
 			s.safeProcessPacket(w, w.scratch.recvBuf[:n], from)
 		}
-		if s.stealing {
-			s.fc.doneDraining()
-			s.runStealPhase(w)
+		t0 := time.Now()
+		var err error
+		n, from, err = w.conn.Recv(w.scratch.recvBuf, 0)
+		w.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
+		if err != nil {
+			break // queue empty
 		}
-		w.endPhase()
+	}
+	if s.stealing {
+		s.fc.doneDraining()
+		s.runStealPhase(w)
+	}
+	w.endPhase()
 
-		// Intra-frame barrier before replies.
-		t0 = time.Now()
-		s.fc.doneRequests()
-		w.bd.Charge(metrics.CompIntraWait, time.Since(t0).Nanoseconds())
+	// Intra-frame barrier before replies.
+	t0 := time.Now()
+	s.fc.doneRequests()
+	w.bd.Charge(metrics.CompIntraWait, time.Since(t0).Nanoseconds())
 
-		// Reply phase.
+	// Reply phase — only when someone can receive a reply. The
+	// empty-server skip is what makes an idle match's tick cheap.
+	if s.clients.count() > 0 {
 		t0 = time.Now()
 		w.beginPhase(wpReply)
 		s.safeSendReplies(w)
 		w.endPhase()
 		w.bd.Charge(metrics.CompReply, time.Since(t0).Nanoseconds())
-		s.fc.doneReply()
-
-		if role == roleMaster {
-			t0 = time.Now()
-			s.fc.waitAllReplied()
-			s.masterCleanup(w)
-			s.fc.endFrame()
-			w.bd.Charge(metrics.CompInterWait, time.Since(t0).Nanoseconds())
-		}
 	}
+	s.fc.doneReply()
+
+	if role == roleMaster {
+		t0 = time.Now()
+		s.fc.waitAllReplied()
+		s.masterCleanup(w)
+		s.fc.endFrame()
+		w.bd.Charge(metrics.CompInterWait, time.Since(t0).Nanoseconds())
+	}
+	return sawTraffic
 }
 
 // safeProcessPacket contains a panic in request handling to the client
@@ -367,7 +408,10 @@ func (s *Parallel) recoverWorker(w *worker, phase string) {
 	if r == nil {
 		return
 	}
-	released := w.locker.ReleaseAll()
+	released := 0
+	if w.locker != nil {
+		released = w.locker.ReleaseAll()
+	}
 	w.bd.PanicsRecovered++
 	var victim *client
 	if cid := w.serving.Swap(0); cid > 0 {

@@ -161,11 +161,7 @@ func TestMigrationRaceStress(t *testing.T) {
 	if rig.engine.Replies() == 0 {
 		t.Fatal("no replies sent")
 	}
-	par, ok := rig.engine.(*Parallel)
-	if !ok {
-		t.Fatal("rig did not build a parallel engine")
-	}
-	if par.Migrations() == 0 {
+	if rig.engine.Migrations() == 0 {
 		t.Fatal("balancer never migrated a client during the stress run")
 	}
 	for i, b := range rig.bots {

@@ -83,12 +83,7 @@ func newRestoredRig(t *testing.T, threads, survivors int, mut func(*Config)) *re
 	if mut != nil {
 		mut(&cfg)
 	}
-	var eng Engine
-	if threads <= 0 {
-		eng, err = NewSequential(cfg)
-	} else {
-		eng, err = NewParallel(cfg)
-	}
+	eng, err := NewParallel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

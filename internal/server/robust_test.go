@@ -21,20 +21,27 @@ import (
 
 // TestWatchdogRecordsWedge injects a finite wedge (a seam that sleeps far
 // past the deadline) into one worker, once in the request phase and once
-// in the reply phase, and checks the record the watchdog hands to the
-// Wedged seam in place of the crash: the stuck worker, the client it was
-// serving, the phase, and a detection latency inside [deadline, wedge),
-// i.e. while the worker was still stuck.
+// in the reply phase, on the sequential server and on two threads, and
+// checks the record the watchdog hands to the Wedged seam in place of the
+// crash: the stuck worker, the client it was serving, the phase, and a
+// detection latency inside [deadline, wedge), i.e. while the worker was
+// still stuck.
 func TestWatchdogRecordsWedge(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		phase int32
 	}{{"request", wpRequest}, {"reply", wpReply}} {
-		t.Run(tc.name, func(t *testing.T) { testWatchdogRecordsWedge(t, tc.phase) })
+		t.Run(tc.name, func(t *testing.T) {
+			for _, threads := range []int{0, 2} {
+				t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+					testWatchdogRecordsWedge(t, threads, tc.phase)
+				})
+			}
+		})
 	}
 }
 
-func testWatchdogRecordsWedge(t *testing.T, phase int32) {
+func testWatchdogRecordsWedge(t *testing.T, threads int, phase int32) {
 	const (
 		deadline   = 100 * time.Millisecond
 		wedgeSleep = 400 * time.Millisecond
@@ -51,8 +58,8 @@ func testWatchdogRecordsWedge(t *testing.T, phase int32) {
 		}
 	}
 	records := make(chan WedgeRecord, 8)
-	rig := newRigCfg(t, 2, numBots, locking.Optimized{}, func(cfg *Config) {
-		cfg.Assign = RoundRobinAssign // split the bots across both threads
+	rig := newRigCfg(t, threads, numBots, locking.Optimized{}, func(cfg *Config) {
+		cfg.Assign = RoundRobinAssign // split the bots across the threads
 		cfg.WatchdogDeadline = deadline
 		cfg.Hooks.Wedged = func(rec WedgeRecord) {
 			select {
@@ -66,7 +73,7 @@ func testWatchdogRecordsWedge(t *testing.T, phase int32) {
 			cfg.Hooks.PreReply = wedge
 		}
 	})
-	par := rig.engine.(*Parallel)
+	par := rig.engine
 	rig.drive(300, 2*time.Millisecond)
 
 	var rec WedgeRecord
@@ -143,39 +150,28 @@ func panicSeam(cfg *Config, phase string, victim *atomic.Int32) {
 	}
 }
 
-// TestPanicContainmentParallel injects one panic into a request handler
-// and, separately, into a reply pass, and asserts the worker survives,
-// exactly the client being served is evicted (inline in the request
-// phase, at the barrier for the reply phase), and the server keeps
-// serving everyone else.
-func TestPanicContainmentParallel(t *testing.T) {
-	for _, phase := range []string{"request", "reply"} {
-		t.Run(phase, func(t *testing.T) { testPanicContainment(t, 2, 4, phase) })
-	}
-}
-
-// TestPanicContainmentSequential is the same pair of faults on the
-// sequential engine: the loop recovers, evicts, and keeps serving.
-func TestPanicContainmentSequential(t *testing.T) {
-	for _, phase := range []string{"request", "reply"} {
-		t.Run(phase, func(t *testing.T) { testPanicContainment(t, 0, 3, phase) })
+// TestPanicContainment injects one panic into a request handler and,
+// separately, into a reply pass, on the sequential server and on two
+// threads, and asserts the worker survives, exactly the client being
+// served is evicted (inline in the request phase, at the barrier for the
+// reply phase), and the server keeps serving everyone else.
+func TestPanicContainment(t *testing.T) {
+	for _, tc := range []struct{ threads, bots int }{{0, 3}, {2, 4}} {
+		t.Run(fmt.Sprintf("threads=%d", tc.threads), func(t *testing.T) {
+			for _, phase := range []string{"request", "reply"} {
+				t.Run(phase, func(t *testing.T) { testPanicContainment(t, tc.threads, tc.bots, phase) })
+			}
+		})
 	}
 }
 
 func testPanicContainment(t *testing.T, threads, numBots int, phase string) {
 	var victim atomic.Int32 // id+1
-	var strat locking.Strategy
-	if threads > 0 {
-		strat = locking.Optimized{}
-	}
-	rig := newRigCfg(t, threads, numBots, strat, func(cfg *Config) {
+	rig := newRigCfg(t, threads, numBots, locking.Optimized{}, func(cfg *Config) {
 		cfg.Assign = RoundRobinAssign
 		panicSeam(cfg, phase, &victim)
 	})
-	eng := rig.engine.(interface {
-		Engine
-		FaultEvictions() int64
-	})
+	eng := rig.engine
 
 	rig.drive(80, 2*time.Millisecond)
 	waitCond(t, 2*time.Second, func() bool {
@@ -254,11 +250,7 @@ func testOverloadShedLadder(t *testing.T, threads int) {
 		cfg.Restore = &RestoreState{JoinIdx: len(parked), NextClientID: uint16(len(parked)), Clients: parked}
 		cfg.Record = tap
 	})
-	eng := rig.engine.(interface {
-		Engine
-		SetFrameBudget(time.Duration)
-		ShedLevel() int
-	})
+	eng := rig.engine
 
 	// Pre-overload baseline window.
 	rig.drive(20, 2*time.Millisecond) // warm-up
@@ -412,20 +404,9 @@ func TestGracefulShutdown(t *testing.T) {
 				Strategy: locking.Optimized{}, MaxClients: 8,
 				SelectTimeout: 2 * time.Millisecond,
 			}
-			var eng Engine
-			var setDraining func(bool)
-			if threads <= 0 {
-				s, err := NewSequential(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng, setDraining = s, func(v bool) { s.draining.Store(v) }
-			} else {
-				s, err := NewParallel(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng, setDraining = s, func(v bool) { s.draining.Store(v) }
+			eng, err := NewParallel(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
 			eng.Start()
 			defer eng.Stop()
@@ -440,7 +421,7 @@ func TestGracefulShutdown(t *testing.T) {
 			}
 
 			// Draining refuses new connections.
-			setDraining(true)
+			eng.draining.Store(true)
 			lc, err := net.Listen("late")
 			if err != nil {
 				t.Fatal(err)
@@ -450,7 +431,7 @@ func TestGracefulShutdown(t *testing.T) {
 			if !ok || rej.Reason != "server shutting down" {
 				t.Fatalf("draining server answered %#v, want shutdown rejection", rej)
 			}
-			setDraining(false)
+			eng.draining.Store(false)
 
 			// Shutdown notifies the connected client.
 			eng.Shutdown()

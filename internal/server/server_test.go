@@ -18,7 +18,7 @@ import (
 type testRig struct {
 	net    *transport.Network
 	world  *game.World
-	engine Engine
+	engine *Parallel
 	bots   []*botclient.Bot
 	m      *worldmap.Map
 }
@@ -58,12 +58,7 @@ func newRigCfg(t *testing.T, threads, numBots int, strat locking.Strategy, mut f
 	if mut != nil {
 		mut(&cfg)
 	}
-	var eng Engine
-	if threads <= 0 {
-		eng, err = NewSequential(cfg)
-	} else {
-		eng, err = NewParallel(cfg)
-	}
+	eng, err := NewParallel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,36 +112,11 @@ func max(a, b int) int {
 	return b
 }
 
-func TestSequentialEndToEnd(t *testing.T) {
-	rig := newRig(t, 0, 8, nil)
-	rig.drive(60, 3*time.Millisecond)
-	rig.engine.Stop() // breakdowns are only readable after Stop
-
-	if rig.engine.Frames() == 0 {
-		t.Fatal("no frames executed")
-	}
-	if rig.engine.Replies() == 0 {
-		t.Fatal("no replies sent")
-	}
-	for i, b := range rig.bots {
-		if b.Snapshots == 0 {
-			t.Errorf("bot %d received no snapshots", i)
-		}
-		if b.Moved < 50 {
-			t.Errorf("bot %d barely moved: %v units", i, b.Moved)
-		}
-	}
-	bd := rig.engine.Breakdowns()[0]
-	if bd.Ns[metrics.CompExec] == 0 || bd.Ns[metrics.CompReply] == 0 {
-		t.Errorf("sequential breakdown empty: %s", bd.String())
-	}
-	if bd.Ns[metrics.CompLock] != 0 {
-		t.Errorf("sequential server charged lock time: %s", bd.String())
-	}
-}
-
+// TestParallelEndToEnd drives bots through the engine at every thread
+// count, the sequential server (threads=0) included: it runs no region
+// locks and so charges no lock time, while every locking row must.
 func TestParallelEndToEnd(t *testing.T) {
-	for _, threads := range []int{1, 2, 4} {
+	for _, threads := range []int{0, 1, 2, 4} {
 		threads := threads
 		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
 			rig := newRig(t, threads, 12, locking.Conservative{})
@@ -172,11 +142,11 @@ func TestParallelEndToEnd(t *testing.T) {
 			for _, bd := range rig.engine.Breakdowns() {
 				total.Add(&bd)
 			}
-			if total.Ns[metrics.CompExec] == 0 {
-				t.Error("no exec time recorded")
+			if total.Ns[metrics.CompExec] == 0 || total.Ns[metrics.CompReply] == 0 {
+				t.Errorf("breakdown empty: %s", total.String())
 			}
-			if total.Ns[metrics.CompLock] == 0 {
-				t.Error("no lock time recorded (locking enabled)")
+			if locked := total.Ns[metrics.CompLock] != 0; locked != (threads > 0) {
+				t.Errorf("lock time charged = %v, want %v: %s", locked, threads > 0, total.String())
 			}
 			if total.Ns[metrics.CompWorld] == 0 {
 				t.Error("no world-update time recorded")
@@ -209,7 +179,7 @@ func TestConnectRejectWhenFull(t *testing.T) {
 	w, _ := game.NewWorld(game.Config{Map: m, Seed: 1})
 	net := transport.NewNetwork(transport.NetworkConfig{})
 	conn, _ := net.Listen("srv:0")
-	srv, err := NewSequential(Config{
+	srv, err := NewParallel(Config{
 		World: w, Conns: []transport.Conn{conn},
 		MaxClients: 1, SelectTimeout: 2 * time.Millisecond,
 	})
@@ -378,7 +348,7 @@ func TestFrameCtlBarrierOrdering(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewSequential(Config{}); err == nil {
+	if _, err := NewParallel(Config{}); err == nil {
 		t.Error("empty config accepted")
 	}
 	m := worldmap.MustGenerate(worldmap.DefaultConfig())
@@ -390,5 +360,12 @@ func TestConfigValidation(t *testing.T) {
 	c1, _ := net.Listen("")
 	if _, err := NewParallel(Config{World: w, Threads: 4, Conns: []transport.Conn{c1}}); err == nil {
 		t.Error("conn/thread mismatch accepted")
+	}
+	c2, _ := net.Listen("")
+	if _, err := NewParallel(Config{World: w, Conns: []transport.Conn{c1, c2}}); err == nil {
+		t.Error("sequential server with two conns accepted")
+	}
+	if _, err := NewParallel(Config{World: w, Threads: -1, Conns: []transport.Conn{c1}}); err == nil {
+		t.Error("negative thread count accepted")
 	}
 }

@@ -12,18 +12,17 @@ import (
 	"qserve/internal/transport"
 )
 
-// session is the engine-independent half of a live server: the world,
+// session is the thread-independent half of the live server: the world,
 // the client table, the global state buffer, the overload ladder, the
-// counters and the lifecycle. Both engines embed one and run the frame
-// rules of frame.go against it; what they add is synchronisation —
-// nothing for Sequential, barriers and region locks for Parallel
+// counters and the lifecycle. The engine embeds one and runs the frame
+// rules of frame.go against it; what it adds is the threads and their
+// synchronisation — barriers always, region locks from Threads: 1 up
 // (DESIGN.md §2.1).
 type session struct {
 	cfg     Config
 	world   *game.World
 	clients *clientTable
-	// lanes are the server threads, indexed by client.thread: one for
-	// Sequential, one per worker for Parallel.
+	// lanes are the server threads, indexed by client.thread.
 	lanes []*lane
 
 	// globalMu is the single lock serializing the global state buffer
@@ -46,11 +45,11 @@ type session struct {
 	shed     shedController
 	draining atomic.Bool
 
-	// The fields below are only ever set by the parallel engine; the
+	// The fields below are only ever set on two or more threads; the
 	// frame rules read them as data, and their zero values are the
-	// sequential engine's behaviour. mux re-routes migrated clients'
-	// datagrams (nil: no routing); stealing arms the per-client execution
-	// claim that removals must win first.
+	// one-thread behaviour. mux re-routes migrated clients' datagrams
+	// (nil: no routing); stealing arms the per-client execution claim
+	// that removals must win first.
 	mux      *transport.Mux
 	stealing bool
 
@@ -85,8 +84,7 @@ type resumePending struct {
 
 // lane is one server thread's private state: its endpoint, its share of
 // the execution-time breakdown, and the buffers its request and reply
-// processing reuse. Sequential owns one; every parallel worker embeds
-// one.
+// processing reuse. Every worker embeds one.
 type lane struct {
 	id int
 	// conn is the lane's receive side: the thread's endpoint, or its mux
@@ -95,12 +93,16 @@ type lane struct {
 	bd   metrics.Breakdown
 	// writer encodes control messages (send).
 	writer protocol.Writer
-	// scratch is the per-frame buffer set; nil only while a stepped
-	// engine has parked it in the shared pool (step.go).
+	// scratch is the per-frame buffer set: the lane's own, or the one in
+	// bufs. Nil only while a stepped engine has parked its buffers in the
+	// shared pool (step.go).
 	scratch *frameScratch
+	// bufs is the set borrowed from Config.Shared; nil when the lane owns
+	// its scratch.
+	bufs *frameBufs
 
-	// locker takes this lane's region locks. Nil on the sequential engine:
-	// spawns and removals then run unguarded, exactly as a nil
+	// locker takes this lane's region locks. Nil at Threads: 0: spawns
+	// and removals then run unguarded, exactly as a nil
 	// game.LockContext.Locker runs moves lock-free.
 	locker *locking.RegionLocker
 
@@ -138,8 +140,8 @@ func (s *session) restore(rs *RestoreState) {
 }
 
 // Stop shuts the engine down and waits for its threads to exit. Any
-// frame in progress completes first. Stop is idempotent. Breakdowns (and
-// the parallel engine's frame log) must only be read after Stop returns.
+// frame in progress completes first. Stop is idempotent. Breakdowns must
+// only be read after Stop returns.
 func (s *session) Stop() {
 	s.stopOnce.Do(func() {
 		close(s.stop)
@@ -234,8 +236,7 @@ func (s *session) Duration() time.Duration {
 	return s.stopped.Sub(s.started)
 }
 
-// Engine is the interface both live servers satisfy, letting tests,
-// examples, and the harness treat them uniformly.
+// Engine is the live server's lifecycle and counter surface.
 type Engine interface {
 	Start()
 	Stop()
@@ -249,7 +250,4 @@ type Engine interface {
 	BytesOut() int64
 }
 
-var (
-	_ Engine = (*Sequential)(nil)
-	_ Engine = (*Parallel)(nil)
-)
+var _ Engine = (*Parallel)(nil)

@@ -10,9 +10,9 @@ import (
 
 // SharedBufs is the cross-instance frame-scratch pool (DESIGN.md §13).
 // A match manager running thousands of engines in one process sets one
-// SharedBufs in every match's Config; each engine borrows a scratch set
-// (receive buffer, reply scratch, visibility-index arrays, event and
-// client sweep buffers) while it has work and parks it again when idle.
+// SharedBufs in every match's Config; each engine borrows a buffer set
+// (receive buffer, reply scratch, event and client sweep buffers, and
+// the visibility index) while it has work and parks it again when idle.
 // The pool therefore holds roughly one warm scratch set per
 // *simultaneously active* match — bounded by the scheduler's worker
 // count plus the currently loaded matches — instead of one per match.
@@ -25,7 +25,7 @@ import (
 // it holds none of it.
 type SharedBufs struct {
 	mu   sync.Mutex
-	free []*frameScratch
+	free []*frameBufs
 	made int
 }
 
@@ -36,15 +36,11 @@ func NewSharedBufs() *SharedBufs { return &SharedBufs{} }
 // frameScratch is one lane's per-frame buffer set: the receive buffer and
 // everything the reply pass reuses across clients and frames so the hot
 // path allocates nothing in steady state (see reply.go for the ownership
-// rules). A lane owns one for life, or — a stepped engine with
-// Config.Shared — borrows one from the pool per activity burst.
+// rules). A lane owns one for life, or — with Config.Shared — borrows
+// one from the pool (frameBufs).
 type frameScratch struct {
-	recvBuf []byte
-	reply   ReplyScratch
-	// vis is the sequential engine's per-frame visibility index, rebuilt
-	// serially at the top of each reply phase; parallel lanes share the
-	// engine's cooperatively built one instead.
-	vis        game.VisIndex
+	recvBuf    []byte
+	reply      ReplyScratch
 	frameEv    []protocol.GameEvent
 	backlogBuf []protocol.GameEvent
 	clientBuf  []*client
@@ -54,22 +50,31 @@ func newFrameScratch() *frameScratch {
 	return &frameScratch{recvBuf: make([]byte, transport.MaxDatagram)}
 }
 
+// frameBufs is the unit SharedBufs lends: a lane's scratch and a
+// visibility index. A stepped engine has one lane, so one set carries
+// everything its frame touches; the index in it is the engine's
+// (visBuilder.index) while borrowed.
+type frameBufs struct {
+	scratch frameScratch
+	vis     game.VisIndex
+}
+
 // get borrows a scratch set, building one only when the pool is dry.
 // A deliberate free list rather than sync.Pool: the GC may drop pooled
 // items at any time, which would re-introduce steady-state allocations
 // on the scheduler's per-frame path.
-func (p *SharedBufs) get() *frameScratch {
+func (p *SharedBufs) get() *frameBufs {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
-		sc := p.free[n-1]
+		b := p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 		p.mu.Unlock()
-		return sc
+		return b
 	}
 	p.made++
 	p.mu.Unlock()
-	return newFrameScratch()
+	return &frameBufs{scratch: *newFrameScratch()}
 }
 
 // put parks a scratch set for the next borrower. Grown capacity travels
@@ -77,15 +82,16 @@ func (p *SharedBufs) get() *frameScratch {
 // the client sweep buffer is cleared and the visibility index drops its
 // world reference, so a parked set cannot keep another match's state
 // reachable.
-func (p *SharedBufs) put(sc *frameScratch) {
-	sc.vis.Detach()
+func (p *SharedBufs) put(b *frameBufs) {
+	b.vis.Detach()
+	sc := &b.scratch
 	cb := sc.clientBuf[:cap(sc.clientBuf)]
 	for i := range cb {
 		cb[i] = nil
 	}
 	sc.clientBuf = cb[:0]
 	p.mu.Lock()
-	p.free = append(p.free, sc)
+	p.free = append(p.free, b)
 	p.mu.Unlock()
 }
 

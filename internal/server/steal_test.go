@@ -113,7 +113,7 @@ func TestStealingRaceStress(t *testing.T) {
 	if rig.engine.Replies() == 0 {
 		t.Fatal("no replies sent")
 	}
-	par := rig.engine.(*Parallel)
+	par := rig.engine
 	if par.Migrations() == 0 {
 		t.Fatal("balancer never migrated a client during the stress run")
 	}
@@ -199,7 +199,7 @@ func TestStealingPanicOnStolenRequest(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	rig.engine.Stop()
-	par := rig.engine.(*Parallel)
+	par := rig.engine
 
 	if !panicFired.Load() {
 		t.Fatal("no request was ever stolen: the injected fault never fired")

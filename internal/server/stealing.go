@@ -256,7 +256,7 @@ func (s *Parallel) safeExecPoolEntry(w *worker, e poolEntry) (parked bool) {
 	return s.execPoolEntry(w, e)
 }
 
-// execPoolEntry is the parallel engine's one move executor: admission,
+// execPoolEntry is the engine's one move executor: admission,
 // watchdog publication, the execution, and the commit, plus the
 // try-first acquisition that makes pooled work park instead of block
 // while the entry has park budget left. It separates exec time from lock

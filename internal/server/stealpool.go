@@ -1,7 +1,7 @@
 package server
 
 // The steal scheduler's pool (DESIGN.md §10), once for every substrate:
-// the live parallel engine instantiates it behind a mutex with a
+// the live engine instantiates it behind a mutex with a
 // compare-and-swap claim (stealing.go), the discrete-event engine with a
 // plain bool (internal/simserver/stealing.go). The pool itself is plain
 // data — the entry, the FIFO, the scan rules and the park placement —

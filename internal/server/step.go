@@ -3,8 +3,8 @@ package server
 import "time"
 
 // Stepped mode (DESIGN.md §13): instead of owning a goroutine that spins
-// in select (Start/loop), a Sequential engine can be driven one frame at
-// a time by an external scheduler — the match manager multiplexes
+// in select (Start/workerLoop), a one-lane engine can be driven one frame
+// at a time by an external scheduler — the match manager multiplexes
 // thousands of engines over a GOMAXPROCS-sized worker pool this way.
 // The caller guarantees mutual exclusion: at most one StepFrame runs at
 // a time, and the scheduler's own synchronization (its heap mutex)
@@ -13,7 +13,12 @@ import "time"
 
 // StartStepped prepares the engine for externally driven frames. Call it
 // once instead of Start; then call StepFrame on the scheduler's cadence.
-func (s *Sequential) StartStepped() {
+// Only a one-lane engine (Threads 0 or 1) can be stepped: one caller runs
+// the whole frame, so there is nobody to meet at its barriers.
+func (s *Parallel) StartStepped() {
+	if len(s.workers) != 1 {
+		panic("server: StartStepped on an engine with more than one lane")
+	}
 	s.started = time.Now()
 	s.lastTick = s.cfg.timeNow()
 }
@@ -22,16 +27,28 @@ func (s *Sequential) StartStepped() {
 // the connection. It returns whether the match is active: a datagram
 // arrived or a client is connected. An idle match (false) only pays the
 // physics tick, skips the visibility build and reply sweep entirely, and
-// parks its shared frame scratch back in the pool, so thousands of idle
+// parks its shared frame buffers back in the pool, so thousands of idle
 // matches hold no warm buffers and coalesce onto a slow cadence.
-func (s *Sequential) StepFrame() bool {
-	if s.lane.scratch == nil {
-		s.lane.scratch = s.cfg.Shared.get()
+func (s *Parallel) StepFrame() bool {
+	w := s.workers[0]
+	if w.scratch == nil {
+		s.borrow()
 	}
-	active := s.runFrame(0, nil) || s.clients.count() > 0
+	active := s.runFrame(w, 0, nil) || s.clients.count() > 0
 	if !active && s.cfg.Shared != nil {
-		s.cfg.Shared.put(s.lane.scratch)
-		s.lane.scratch = nil
+		s.cfg.Shared.put(w.bufs)
+		w.bufs, w.scratch, s.vis.index = nil, nil, nil
 	}
 	return active
+}
+
+// borrow takes the engine's frame buffers from Config.Shared: a set for
+// every lane, the first lane's also holding the engine's visibility
+// index.
+func (s *Parallel) borrow() {
+	for _, w := range s.workers {
+		w.bufs = s.cfg.Shared.get()
+		w.scratch = &w.bufs.scratch
+	}
+	s.vis.index = &s.workers[0].bufs.vis
 }

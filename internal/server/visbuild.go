@@ -7,7 +7,7 @@ import (
 )
 
 // visBuilder coordinates the once-per-frame visibility-index build across
-// the parallel engine's worker threads. Workers hit the reply phase at
+// the engine's worker threads. Workers hit the reply phase at
 // slightly different times; whichever arrives first starts the build and
 // every arrival — initiator or not — helps encode state shards until none
 // remain, then waits for the last finisher to publish the index. The
@@ -28,7 +28,9 @@ type visBuilder struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	index game.VisIndex
+	// index is the engine's visibility index: its own, or the one in the
+	// buffer set a stepped engine has borrowed (nil while it is parked).
+	index *game.VisIndex
 
 	// stamp is frame+1 of the build the fields below describe (0: none).
 	stamp uint64
@@ -39,8 +41,8 @@ type visBuilder struct {
 	next, done, shards int
 }
 
-func newVisBuilder() *visBuilder {
-	vb := &visBuilder{}
+func newVisBuilder(index *game.VisIndex) *visBuilder {
+	vb := &visBuilder{index: index}
 	vb.cond = sync.NewCond(&vb.mu)
 	return vb
 }
@@ -81,7 +83,7 @@ func (vb *visBuilder) acquire(frame uint64, w *game.World) *game.VisIndex {
 		// wait for the last finisher to publish.
 		vb.cond.Wait()
 	}
-	return &vb.index
+	return vb.index
 }
 
 // encodeOne claims and encodes shard s, dropping mu around the encode.

@@ -28,7 +28,7 @@ func TestVisBuilderSingleBuildPerFrame(t *testing.T) {
 		w.RunWorldFrame(0.033)
 	}
 
-	vb := newVisBuilder()
+	vb := newVisBuilder(new(game.VisIndex))
 	for frame := uint64(0); frame < 5; frame++ {
 		const workers = 8
 		ptrs := make([]*game.VisIndex, workers)
@@ -71,7 +71,7 @@ func TestVisBuilderLoneWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vb := newVisBuilder()
+	vb := newVisBuilder(new(game.VisIndex))
 	vi := vb.acquire(0, w)
 	if vi.Len() < 70 {
 		t.Fatalf("lone build holds %d entries, want at least the 70 players", vi.Len())
@@ -94,7 +94,7 @@ func TestVisBuilderEmptyWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vb := newVisBuilder()
+	vb := newVisBuilder(new(game.VisIndex))
 	vi := vb.acquire(0, w)
 	// A fresh world still contains map furniture (items, teleporters may
 	// be ineligible); the point is acquire returns without hanging.
