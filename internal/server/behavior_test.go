@@ -63,8 +63,8 @@ func (c *rawClient) recv(t *testing.T, timeout time.Duration) any {
 }
 
 // parityEngines are the configurations the protocol-parity table runs
-// under: one unlocked lane (the sequential server), one locking lane, and
-// two lanes with pooled, stealable execution.
+// under: one unlocked worker (the sequential server), one locking worker, and
+// two workers with pooled, stealable execution.
 var parityEngines = []struct {
 	name     string
 	threads  int
@@ -131,7 +131,7 @@ func (r *parityRig) move(c *rawClient, seq, ack uint32) {
 }
 
 // moveUntilAnswered retransmits a move, as a client's tick would, until
-// the server answers it: a multi-lane engine completes a parked
+// the server answers it: a multi-worker engine completes a parked
 // survivor's resume at the frame barrier and drops its moves until then.
 func (r *parityRig) moveUntilAnswered(c *rawClient, seq uint32) {
 	r.t.Helper()

@@ -11,12 +11,12 @@ import (
 )
 
 // The live frame rules (DESIGN.md §2.1): every protocol rule of the
-// server frame, written against a session and the lane running it. The
+// server frame, written against a session and the worker running it. The
 // engine's frame body (Parallel.runFrame) owns the frame's *shape* — who
 // blocks in select, where the barriers fall, which locks a move executes
 // under — and calls in here for everything the wire can observe.
-// Configurations differ only as data: a nil lane locker, a nil mux,
-// flags that are never set, a single lane.
+// Configurations differ only as data: a nil worker locker, a nil mux,
+// flags that are never set, a single worker.
 
 // minWorldTick rate-limits the world-physics phase like QuakeWorld's
 // sv_mintic: frames arriving faster than this skip the P stage.
@@ -34,7 +34,7 @@ const baselineGapFrames = 64
 // wall-clock input world evolution sees.
 //
 //qvet:phase=physics
-func (s *session) worldTick(ln *lane) {
+func (s *session) worldTick(w *worker) {
 	t0 := time.Now()
 	now := s.cfg.timeNow()
 	if dt := now.Sub(s.lastTick); dt >= minWorldTick {
@@ -45,7 +45,7 @@ func (s *session) worldTick(ln *lane) {
 		}
 		s.appendEvents(res.Events)
 	}
-	ln.bd.Charge(metrics.CompWorld, time.Since(t0).Nanoseconds())
+	w.bd.Charge(metrics.CompWorld, time.Since(t0).Nanoseconds())
 }
 
 // appendEvents adds game events to the global state buffer.
@@ -65,14 +65,14 @@ func (s *session) appendEvents(events []game.Event) {
 // gameplay". A move command from a connected client is handed back for
 // the engine to execute under its own synchronisation (admitMove, the
 // engine's ExecuteMove call, commitMove).
-func (s *session) dispatch(ln *lane, data []byte, from transport.Addr) (*client, *protocol.Move) {
+func (s *session) dispatch(w *worker, data []byte, from transport.Addr) (*client, *protocol.Move) {
 	t0 := time.Now()
 	msg, err := protocol.Decode(data)
 	var c *client
 	if err == nil {
 		c = s.clients.lookup(from)
 	}
-	ln.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
+	w.bd.Charge(metrics.CompRecv, time.Since(t0).Nanoseconds())
 	switch m := msg.(type) {
 	case *protocol.Move:
 		if c == nil {
@@ -86,13 +86,13 @@ func (s *session) dispatch(ln *lane, data []byte, from transport.Addr) (*client,
 		}
 		return c, m
 	case *protocol.Connect:
-		s.handleConnect(ln, c, m, from)
+		s.handleConnect(w, c, m, from)
 	case *protocol.Disconnect:
-		if c != nil && s.removeClient(ln, c, DiscReasonClient) {
-			s.send(ln, from, &protocol.Disconnected{Reason: "bye"})
+		if c != nil && s.removeClient(w, c, DiscReasonClient) {
+			s.send(w, from, &protocol.Disconnected{Reason: "bye"})
 		}
 	case *protocol.Ping:
-		s.send(ln, from, &protocol.Pong{Nonce: m.Nonce})
+		s.send(w, from, &protocol.Pong{Nonce: m.Nonce})
 	}
 	return nil, nil
 }
@@ -106,7 +106,7 @@ func (s *session) dispatch(ln *lane, data []byte, from transport.Addr) (*client,
 // A resumed client's first move re-seeds lastSeq instead (seqResync): its
 // peer's seq space may have moved arbitrarily while the server was down.
 //
-// On admission the lane publishes which client it is serving, for the
+// On admission the worker publishes which client it is serving, for the
 // watchdog and panic containment, and runs the test seam — before any
 // region lock is taken, so an injected wedge never strands locks.
 // Liveness (ent.Active, Health) is checked inside ExecuteMove under the
@@ -114,7 +114,7 @@ func (s *session) dispatch(ln *lane, data []byte, from transport.Addr) (*client,
 // concurrent damage or removal.
 //
 //qvet:phase=exec
-func (s *session) admitMove(ln *lane, c *client, m *protocol.Move) *entity.Entity {
+func (s *session) admitMove(w *worker, c *client, m *protocol.Move) *entity.Entity {
 	if c.gone.Load() {
 		return nil
 	}
@@ -132,9 +132,9 @@ func (s *session) admitMove(ln *lane, c *client, m *protocol.Move) *entity.Entit
 	if ent == nil {
 		return nil
 	}
-	ln.serving.Store(int32(c.id) + 1)
+	w.serving.Store(int32(c.id) + 1)
 	if s.cfg.Hooks.PreExec != nil {
-		s.cfg.Hooks.PreExec(ln.id, c.id)
+		s.cfg.Hooks.PreExec(w.id, c.id)
 	}
 	return ent
 }
@@ -144,7 +144,7 @@ func (s *session) admitMove(ln *lane, c *client, m *protocol.Move) *entity.Entit
 // (parked entries re-execute and would otherwise be recorded twice).
 //
 //qvet:phase=exec
-func (s *session) commitMove(ln *lane, c *client, m *protocol.Move) {
+func (s *session) commitMove(w *worker, c *client, m *protocol.Move) {
 	c.replyPending = true
 	c.lastSeq = m.Seq
 	c.seqResync.Store(false)
@@ -155,14 +155,14 @@ func (s *session) commitMove(ln *lane, c *client, m *protocol.Move) {
 	// The client's forwarded datagram (if this was one) has landed; lift
 	// the migration freeze.
 	c.fwdFrame.Store(0)
-	ln.bd.ExecCmds++
+	w.bd.ExecCmds++
 }
 
 // handleConnect answers a Connect from a sender whose existing session,
 // if any, is known. Everyone who ends up with a session — a retransmitted
 // or restarted client, a restore-parked survivor, a new player — gets
 // the same Accept; only a genuinely new address can be refused.
-func (s *session) handleConnect(ln *lane, known *client, m *protocol.Connect, from transport.Addr) {
+func (s *session) handleConnect(w *worker, known *client, m *protocol.Connect, from transport.Addr) {
 	c, refusal := known, ""
 	switch {
 	case s.draining.Load():
@@ -184,16 +184,16 @@ func (s *session) handleConnect(ln *lane, known *client, m *protocol.Connect, fr
 			// the restart): matched by name; no new client slot is consumed.
 			s.resume(c, from)
 		} else {
-			c, refusal = s.admit(ln, m, from)
+			c, refusal = s.admit(w, m, from)
 		}
 	}
 	if c == nil {
-		s.send(ln, from, &protocol.Reject{Reason: refusal})
+		s.send(w, from, &protocol.Reject{Reason: refusal})
 		return
 	}
 	// Every field is stable from admission on, so the Accept is correct
 	// even when the resume itself is still queued for the barrier.
-	s.send(ln, from, &protocol.Accept{
+	s.send(w, from, &protocol.Accept{
 		ClientID: c.id,
 		EntityID: int32(c.entID),
 		MapName:  s.world.Map.Name,
@@ -202,16 +202,16 @@ func (s *session) handleConnect(ln *lane, known *client, m *protocol.Connect, fr
 }
 
 // admit spawns and registers a new player, or returns why not.
-func (s *session) admit(ln *lane, m *protocol.Connect, from transport.Addr) (*client, string) {
+func (s *session) admit(w *worker, m *protocol.Connect, from transport.Addr) (*client, string) {
 	if s.shed.current() >= shedRejectNew {
 		// Overload ladder level 3: protect the clients already connected.
-		ln.bd.BusyRejects++
+		w.bd.BusyRejects++
 		return nil, "busy"
 	}
 	if s.clients.count() >= s.cfg.MaxClients {
 		return nil, "server full"
 	}
-	ent, err := s.spawnPlayer(ln)
+	ent, err := s.spawnPlayer(w)
 	if err != nil {
 		return nil, "no entity slots"
 	}
@@ -219,11 +219,11 @@ func (s *session) admit(ln *lane, m *protocol.Connect, from transport.Addr) (*cl
 		entID:  ent.ID,
 		name:   m.Name,
 		addr:   from,
-		thread: s.cfg.Assign(int(s.joinIdx.Add(1)-1), len(s.lanes), s.cfg.MaxClients),
+		thread: s.cfg.Assign(int(s.joinIdx.Add(1)-1), len(s.workers), s.cfg.MaxClients),
 	}
 	c.touch(time.Now())
 	if !s.clients.add(c) {
-		s.removePlayer(ln, ent.ID)
+		s.removePlayer(w, ent.ID)
 		return nil, "server full"
 	}
 	if s.mux != nil {
@@ -237,20 +237,20 @@ func (s *session) admit(ln *lane, m *protocol.Connect, from transport.Addr) (*cl
 	return c, ""
 }
 
-// spawnPlayer spawns a player; on a locking lane, under a region lock
+// spawnPlayer spawns a player; on a locking worker, under a region lock
 // covering the spawn location, keeping the tree mutation safe against
 // concurrent request processing.
-func (s *session) spawnPlayer(ln *lane) (*entity.Entity, error) {
-	if ln.locker != nil {
-		guard := ln.locker.Acquire(s.world.Map.Bounds, nil)
+func (s *session) spawnPlayer(w *worker) (*entity.Entity, error) {
+	if w.locker != nil {
+		guard := w.locker.Acquire(s.world.Map.Bounds, nil)
 		defer guard.Release()
 	}
 	return s.world.SpawnPlayer()
 }
 
-func (s *session) removePlayer(ln *lane, id entity.ID) {
-	if ln.locker != nil {
-		guard := ln.locker.Acquire(s.world.Map.Bounds, nil)
+func (s *session) removePlayer(w *worker, id entity.ID) {
+	if w.locker != nil {
+		guard := w.locker.Acquire(s.world.Map.Bounds, nil)
 		defer guard.Release()
 	}
 	s.world.RemovePlayer(id)
@@ -260,8 +260,8 @@ func (s *session) removePlayer(ln *lane, id entity.ID) {
 // behind disconnects, the stale reaper and fault eviction. It reports
 // false, removing nothing, when the client's execution claim could not
 // be won (claimForRemoval); periodic callers retry on later frames.
-func (s *session) removeClient(ln *lane, c *client, reason uint8) bool {
-	if !s.claimForRemoval(ln, c) {
+func (s *session) removeClient(w *worker, c *client, reason uint8) bool {
+	if !s.claimForRemoval(w, c) {
 		return false
 	}
 	s.clients.remove(c)
@@ -270,7 +270,7 @@ func (s *session) removeClient(ln *lane, c *client, reason uint8) bool {
 		// (addr nil until reconnect) is handled uniformly.
 		s.mux.Unroute(transport.MemAddr(c.addrStr))
 	}
-	s.removePlayer(ln, c.entID)
+	s.removePlayer(w, c.entID)
 	if r := s.cfg.Record; r != nil {
 		r.RecordDisconnect(c.id, reason)
 	}
@@ -279,21 +279,21 @@ func (s *session) removeClient(ln *lane, c *client, reason uint8) bool {
 
 // evictClient removes a client the containment paths decided is at
 // fault, notifying it with a Disconnected message.
-func (s *session) evictClient(ln *lane, c *client, reason string) {
-	if !s.removeClient(ln, c, DiscReasonEvict) {
+func (s *session) evictClient(w *worker, c *client, reason string) {
+	if !s.removeClient(w, c, DiscReasonEvict) {
 		return
 	}
-	s.send(ln, c.addr, &protocol.Disconnected{Reason: reason})
+	s.send(w, c.addr, &protocol.Disconnected{Reason: reason})
 	s.faultEvictions.Add(1)
 }
 
 // resume lifts a restore-parked client's parked state and reports
-// whether it is lifted now. With a single lane nothing else can be
+// whether it is lifted now. With a single worker nothing else can be
 // reading the client's identity, so the resume applies in place; with
 // several it is queued for the frame barrier (see pendingResume) and the
 // datagram that triggered it must not act on the client yet.
 func (s *session) resume(c *client, from transport.Addr) bool {
-	if len(s.lanes) == 1 {
+	if len(s.workers) == 1 {
 		s.applyResume(c, from)
 		return true
 	}
@@ -339,7 +339,7 @@ func (s *session) applyResume(c *client, addr transport.Addr) {
 	c.touch(time.Now())
 }
 
-// sendReplies forms and transmits the snapshots for the lane's clients
+// sendReplies forms and transmits the snapshots for the worker's clients
 // that requested during the frame — reply processing "involves reading
 // global state but writing only private (per-client) reply messages". vi
 // is the frame's visibility index, which the engine builds (or helps
@@ -348,8 +348,8 @@ func (s *session) applyResume(c *client, addr transport.Addr) {
 //
 //qvet:phase=reply
 //qvet:noalloc
-func (s *session) sendReplies(ln *lane, vi *game.VisIndex, frame uint32) {
-	sc := ln.scratch
+func (s *session) sendReplies(w *worker, vi *game.VisIndex, frame uint32) {
+	sc := w.scratch
 	s.globalMu.Lock()
 	sc.frameEv = append(sc.frameEv[:0], s.frameEvents...)
 	s.globalMu.Unlock()
@@ -359,7 +359,7 @@ func (s *session) sendReplies(ln *lane, vi *game.VisIndex, frame uint32) {
 	if level >= shedEntityCap {
 		entityLimit = s.cfg.OverloadEntityCap
 	}
-	sc.clientBuf = s.clients.forThreadBuf(sc.clientBuf, ln.id, func(c *client) {
+	sc.clientBuf = s.clients.forThreadBuf(sc.clientBuf, w.id, func(c *client) {
 		if !c.replyPending {
 			return
 		}
@@ -368,7 +368,7 @@ func (s *session) sendReplies(ln *lane, vi *game.VisIndex, frame uint32) {
 			// every other snapshot. replyPending stays set, so the reply
 			// goes out next frame; the skipped snapshot is invisible to
 			// delta continuity (the baseline only advances on sends).
-			ln.bd.RepliesShed++
+			w.bd.RepliesShed++
 			return
 		}
 		c.replyPending = false
@@ -379,24 +379,24 @@ func (s *session) sendReplies(ln *lane, vi *game.VisIndex, frame uint32) {
 		if c.resetBaseline.Swap(false) {
 			c.baseline.Invalidate()
 		}
-		ln.serving.Store(int32(c.id) + 1)
+		w.serving.Store(int32(c.id) + 1)
 		if s.cfg.Hooks.PreReply != nil {
-			s.cfg.Hooks.PreReply(ln.id, c.id)
+			s.cfg.Hooks.PreReply(w.id, c.id)
 		}
 		sc.backlogBuf = c.drainBacklog(sc.backlogBuf[:0])
 		data, st := sc.reply.FormSnapshot(s.world, vi, ent, &c.baseline,
 			frame, c.lastSeq, serverTime, sc.backlogBuf, sc.frameEv, entityLimit)
-		ln.serving.Store(0)
-		ln.bd.SnapMergeNs += st.SnapNs
+		w.serving.Store(0)
+		w.bd.SnapMergeNs += st.SnapNs
 		if data == nil {
 			return
 		}
 		s.bytesOut.Add(int64(len(data)))
-		_ = ln.conn.Send(c.addr, data)
-		ln.bd.ReplyBytes += int64(st.Bytes)
-		ln.bd.ReplyDatagrams++
-		ln.bd.ReplyAllocs += int64(st.Allocs)
-		ln.bd.EntitiesCapped += int64(st.Capped)
+		_ = w.conn.Send(c.addr, data)
+		w.bd.ReplyBytes += int64(st.Bytes)
+		w.bd.ReplyDatagrams++
+		w.bd.ReplyAllocs += int64(st.Allocs)
+		w.bd.EntitiesCapped += int64(st.Capped)
 		c.markReplied(frame)
 		s.replies.Add(1)
 	})
@@ -408,7 +408,7 @@ func (s *session) sendReplies(ln *lane, vi *game.VisIndex, frame uint32) {
 // captures a due checkpoint, and clears the global state buffer ("the
 // master thread clears this global state buffer before signaling the end
 // of the current frame").
-func (s *session) endFrame(ln *lane, frame uint64, frameT0 time.Time) {
+func (s *session) endFrame(w *worker, frame uint64, frameT0 time.Time) {
 	s.globalMu.Lock()
 	events := s.frameEvents
 	// Truncate in place: events stays valid because it is consumed below,
@@ -416,7 +416,7 @@ func (s *session) endFrame(ln *lane, frame uint64, frameT0 time.Time) {
 	s.frameEvents = s.frameEvents[:0]
 	s.globalMu.Unlock()
 
-	sc := ln.scratch
+	sc := w.scratch
 	now := time.Now().UnixNano()
 	var stale []*client
 	sc.clientBuf = s.clients.forEachBuf(sc.clientBuf, func(c *client) {
@@ -428,7 +428,7 @@ func (s *session) endFrame(ln *lane, frame uint64, frameT0 time.Time) {
 		}
 	})
 	for _, c := range stale {
-		s.removeClient(ln, c, DiscReasonTimeout)
+		s.removeClient(w, c, DiscReasonTimeout)
 	}
 
 	// Overload ladder: feed the frame's duration, then refresh the
@@ -447,6 +447,6 @@ func (s *session) endFrame(ln *lane, frame uint64, frameT0 time.Time) {
 		// the record taps so the checkpoint's redo-log cut names exactly
 		// the state the snapshot contains (DESIGN.md §12).
 		sc.clientBuf = captureCheckpoint(wr, s.world, s.clients, sc.clientBuf,
-			s.cfg.Record, frame, int(s.joinIdx.Load()), &ln.bd)
+			s.cfg.Record, frame, int(s.joinIdx.Load()), &w.bd)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"qserve/internal/game"
 	"qserve/internal/locking"
 	"qserve/internal/metrics"
+	"qserve/internal/protocol"
 	"qserve/internal/transport"
 )
 
@@ -28,8 +29,7 @@ import (
 // "parallel code on one thread": one worker, with region locks.
 type Parallel struct {
 	session
-	fc      *frameCtl
-	workers []*worker
+	fc *frameCtl
 
 	// Dynamic load balancing (nil/unused when cfg.Balance is off). The
 	// session's mux sits between the endpoints and the workers so the
@@ -94,12 +94,35 @@ func (r WedgeRecord) String() string {
 // supervisor restarts it from the last checkpoint (DESIGN.md §7).
 const WedgeExitCode = 3
 
-// worker is one server thread: a lane plus its locking, stealing and
-// watchdog state.
+// worker is one server thread's private state: its endpoint, its share
+// of the execution-time breakdown, the buffers its request and reply
+// processing reuse, and its locking, stealing and watchdog state.
 type worker struct {
-	lane
+	id int
+	// conn is the worker's receive side: the thread's endpoint, or its mux
+	// port under load balancing. Replies leave through it too.
+	conn transport.Conn
+	bd   metrics.Breakdown
+	// writer encodes control messages (send).
+	writer protocol.Writer
+	// scratch is the per-frame buffer set: the worker's own, or the one
+	// in bufs. Nil only while a stepped engine has parked its buffers in
+	// the shared pool (step.go).
+	scratch *frameScratch
+	// bufs is the set borrowed from Config.Shared; nil when the worker
+	// owns its scratch.
+	bufs *frameBufs
 
+	// locker takes this worker's region locks. Nil at Threads: 0: spawns
+	// and removals then run unguarded, exactly as a nil
+	// game.LockContext.Locker runs moves lock-free.
+	locker  *locking.RegionLocker
 	lockCtx game.LockContext
+
+	// serving publishes the client whose request or reply the worker is
+	// processing right now (id+1; 0 = none), for panic containment and
+	// the watchdog.
+	serving atomic.Int32
 
 	// Work-stealing state (Config.Stealing). pool holds this worker's
 	// clients' move commands for the current frame; poolIdx stamps their
@@ -113,8 +136,8 @@ type worker struct {
 	activeHint  atomic.Uint64
 
 	// Watchdog publication: the phase this worker is executing (wpIdle
-	// when at a barrier or in select) and when it entered it; the lane's
-	// serving field names the client. phaseStart is written before phase,
+	// when at a barrier or in select) and when it entered it; serving
+	// names the client. phaseStart is written before phase,
 	// so a non-idle phase always pairs with a fresh stamp.
 	phase      atomic.Int32
 	phaseStart atomic.Int64
@@ -189,7 +212,6 @@ func NewParallel(cfg Config) (*Parallel, error) {
 			Strategy: cfg.Strategy,
 		}
 		s.workers = append(s.workers, w)
-		s.lanes = append(s.lanes, &w.lane)
 	}
 	if cfg.Balance.Enabled && cfg.Threads > 1 {
 		// Interpose the mux so client→thread routing can change at
@@ -283,7 +305,7 @@ func (s *Parallel) runFrame(w *worker, n int, from transport.Addr) (sawTraffic b
 		// World physics: lockless, by the barrier. It does not touch the
 		// receive buffer, so the first datagram keeps until the request
 		// phase.
-		s.worldTick(&w.lane)
+		s.worldTick(w)
 		s.fc.openRequests()
 	} else {
 		t0 := time.Now()
@@ -350,7 +372,7 @@ func (s *Parallel) runFrame(w *worker, n int, from transport.Addr) (sawTraffic b
 // adversarial request must never take the server down.
 func (s *Parallel) safeProcessPacket(w *worker, data []byte, from transport.Addr) {
 	defer s.recoverWorker(w, "request")
-	c, m := s.dispatch(&w.lane, data, from)
+	c, m := s.dispatch(w, data, from)
 	if c == nil {
 		return
 	}
@@ -400,7 +422,7 @@ func (s *Parallel) safeSendReplies(w *worker) {
 	buildT0 := time.Now()
 	vi := s.vis.acquire(frame, s.world)
 	w.bd.SnapBuildNs += time.Since(buildT0).Nanoseconds()
-	s.sendReplies(&w.lane, vi, uint32(frame))
+	s.sendReplies(w, vi, uint32(frame))
 }
 
 func (s *Parallel) recoverWorker(w *worker, phase string) {
@@ -420,7 +442,7 @@ func (s *Parallel) recoverWorker(w *worker, phase string) {
 	if victim != nil {
 		if phase == "request" {
 			// Request phase: world writes are lock-protected, evict inline.
-			s.evictClient(&w.lane, victim, "server error handling your request")
+			s.evictClient(w, victim, "server error handling your request")
 		} else {
 			// Reply phase: removing the player writes the world while the
 			// other threads read it locklessly. Defer to masterCleanup,
@@ -511,7 +533,7 @@ func (s *Parallel) masterCleanup(w *worker) {
 	s.pendingEvict = nil
 	s.pendingMu.Unlock()
 	for _, c := range pending {
-		s.evictClient(&w.lane, c, "server error handling your request")
+		s.evictClient(w, c, "server error handling your request")
 	}
 
 	if s.bal != nil {
@@ -519,7 +541,7 @@ func (s *Parallel) masterCleanup(w *worker) {
 	}
 	s.applyResumes()
 
-	s.endFrame(&w.lane, frame, s.frameT0)
+	s.endFrame(w, frame, s.frameT0)
 }
 
 // rebalance runs at the frame barrier, the only point where no region

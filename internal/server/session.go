@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"qserve/internal/game"
-	"qserve/internal/locking"
 	"qserve/internal/metrics"
 	"qserve/internal/protocol"
 	"qserve/internal/transport"
@@ -22,8 +21,8 @@ type session struct {
 	cfg     Config
 	world   *game.World
 	clients *clientTable
-	// lanes are the server threads, indexed by client.thread.
-	lanes []*lane
+	// workers are the server threads, indexed by client.thread.
+	workers []*worker
 
 	// globalMu is the single lock serializing the global state buffer
 	// (§3.3: "All accesses to the global state buffer are synchronized
@@ -54,7 +53,7 @@ type session struct {
 	stealing bool
 
 	// pendingResume holds reconnect handshakes for restore-parked clients
-	// (DESIGN.md §12) on a multi-lane engine. A Connect may arrive on any
+	// (DESIGN.md §12) on a multi-thread engine. A Connect may arrive on any
 	// thread's endpoint, but resuming rewrites client identity state (addr,
 	// byAddr key) that the owning thread and the disconnect paths read —
 	// so the application is deferred to the frame barrier (applyResumes)
@@ -82,38 +81,8 @@ type resumePending struct {
 	addr transport.Addr
 }
 
-// lane is one server thread's private state: its endpoint, its share of
-// the execution-time breakdown, and the buffers its request and reply
-// processing reuse. Every worker embeds one.
-type lane struct {
-	id int
-	// conn is the lane's receive side: the thread's endpoint, or its mux
-	// port under load balancing. Replies leave through it too.
-	conn transport.Conn
-	bd   metrics.Breakdown
-	// writer encodes control messages (send).
-	writer protocol.Writer
-	// scratch is the per-frame buffer set: the lane's own, or the one in
-	// bufs. Nil only while a stepped engine has parked its buffers in the
-	// shared pool (step.go).
-	scratch *frameScratch
-	// bufs is the set borrowed from Config.Shared; nil when the lane owns
-	// its scratch.
-	bufs *frameBufs
-
-	// locker takes this lane's region locks. Nil at Threads: 0: spawns
-	// and removals then run unguarded, exactly as a nil
-	// game.LockContext.Locker runs moves lock-free.
-	locker *locking.RegionLocker
-
-	// serving publishes the client whose request or reply the lane is
-	// processing right now (id+1; 0 = none), for panic containment and the
-	// watchdog.
-	serving atomic.Int32
-}
-
 // init fills the engine-independent state. The engine constructor then
-// registers its lanes and, when recovering, calls restore.
+// registers its workers and, when recovering, calls restore.
 func (s *session) init(cfg Config) {
 	s.cfg = cfg
 	s.world = cfg.World
@@ -131,12 +100,12 @@ func (s *session) init(cfg Config) {
 // logs monotonic.
 func (s *session) restore(rs *RestoreState) {
 	s.joinIdx.Store(int64(rs.JoinIdx))
-	for _, c := range parkRestoredClients(s.clients, rs, len(s.lanes), time.Now()) {
+	for _, c := range parkRestoredClients(s.clients, rs, len(s.workers), time.Now()) {
 		if s.mux != nil && c.addrStr != "" {
 			s.mux.Route(transport.MemAddr(c.addrStr), c.thread)
 		}
 	}
-	s.lanes[0].bd.RecoveryNs = rs.RecoveryNs
+	s.workers[0].bd.RecoveryNs = rs.RecoveryNs
 }
 
 // Stop shuts the engine down and waits for its threads to exit. Any
@@ -170,23 +139,23 @@ func (s *session) Shutdown() {
 	s.draining.Store(true)
 	s.Stop()
 	s.clients.forEach(func(c *client) {
-		s.send(s.lanes[c.thread], c.addr, &protocol.Disconnected{Reason: "server shutting down"})
+		s.send(s.workers[c.thread], c.addr, &protocol.Disconnected{Reason: "server shutting down"})
 		s.clients.remove(c)
 	})
 }
 
-// send encodes and transmits one control message from the lane's
+// send encodes and transmits one control message from the worker's
 // endpoint.
-func (s *session) send(ln *lane, to transport.Addr, msg any) {
+func (s *session) send(w *worker, to transport.Addr, msg any) {
 	if to == nil {
 		return // restore-parked client: no transport address yet
 	}
-	ln.writer.Reset()
-	if err := protocol.Encode(&ln.writer, msg); err != nil {
+	w.writer.Reset()
+	if err := protocol.Encode(&w.writer, msg); err != nil {
 		return
 	}
-	s.bytesOut.Add(int64(len(ln.writer.Bytes())))
-	_ = ln.conn.Send(to, ln.writer.Bytes())
+	s.bytesOut.Add(int64(len(w.writer.Bytes())))
+	_ = w.conn.Send(to, w.writer.Bytes())
 }
 
 // SetFrameBudget adjusts the overload ladder's frame budget at runtime
@@ -203,9 +172,9 @@ func (s *session) FaultEvictions() int64 { return s.faultEvictions.Load() }
 // Mux queue drops are folded into thread 0's copy so MergeThreads
 // reports see them.
 func (s *session) Breakdowns() []metrics.Breakdown {
-	out := make([]metrics.Breakdown, len(s.lanes))
-	for i, ln := range s.lanes {
-		out[i] = ln.bd
+	out := make([]metrics.Breakdown, len(s.workers))
+	for i, w := range s.workers {
+		out[i] = w.bd
 	}
 	if s.mux != nil {
 		out[0].MuxDrops += s.mux.Drops()

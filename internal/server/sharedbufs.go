@@ -33,10 +33,10 @@ type SharedBufs struct {
 // demand.
 func NewSharedBufs() *SharedBufs { return &SharedBufs{} }
 
-// frameScratch is one lane's per-frame buffer set: the receive buffer and
+// frameScratch is one worker's per-frame buffer set: the receive buffer and
 // everything the reply pass reuses across clients and frames so the hot
 // path allocates nothing in steady state (see reply.go for the ownership
-// rules). A lane owns one for life, or — with Config.Shared — borrows
+// rules). A worker owns one for life, or — with Config.Shared — borrows
 // one from the pool (frameBufs).
 type frameScratch struct {
 	recvBuf    []byte
@@ -50,8 +50,8 @@ func newFrameScratch() *frameScratch {
 	return &frameScratch{recvBuf: make([]byte, transport.MaxDatagram)}
 }
 
-// frameBufs is the unit SharedBufs lends: a lane's scratch and a
-// visibility index. A stepped engine has one lane, so one set carries
+// frameBufs is the unit SharedBufs lends: a worker's scratch and a
+// visibility index. A stepped engine has one worker, so one set carries
 // everything its frame touches; the index in it is the engine's
 // (visBuilder.index) while borrowed.
 type frameBufs struct {

@@ -262,7 +262,7 @@ func TestPoolScanBlocksClientOnFailedClaim(t *testing.T) {
 
 	// A thief's take is a single scan: the failed CAS at idx 0 must
 	// block the client outright, never fall through to idx 1.
-	thief := &worker{lane: lane{id: 1}}
+	thief := &worker{id: 1}
 	if e, ok := p.take(thief, true, 0); ok {
 		t.Fatalf("thief scan claimed idx=%d of a client blocked at its oldest entry", e.Idx)
 	}
@@ -271,7 +271,7 @@ func TestPoolScanBlocksClientOnFailedClaim(t *testing.T) {
 	// claim the now-released client — but only at its OLDEST entry. The
 	// buggy scan claimed idx 1 here, committing it ahead of idx 0.
 	c.claim.Store(99)
-	w := &worker{lane: lane{id: 0}}
+	w := &worker{id: 0}
 	e, ok := p.take(w, false, 0)
 	if !ok {
 		t.Fatal("owner take found nothing despite the released claim")
@@ -330,7 +330,7 @@ func TestPoolScanPreservesPerClientFIFO(t *testing.T) {
 		}
 	}
 	var wg sync.WaitGroup
-	for _, w := range []*worker{{lane: lane{id: 0}}, {lane: lane{id: 1}}} {
+	for _, w := range []*worker{{id: 0}, {id: 1}} {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
@@ -522,7 +522,7 @@ func TestClaimForRemovalBoundedSpin(t *testing.T) {
 
 	// Unclaimed client: removal wins the claim, marks gone, releases.
 	c := &client{}
-	if !s.claimForRemoval(&w.lane, c) {
+	if !s.claimForRemoval(w, c) {
 		t.Fatal("claimForRemoval failed on an unclaimed client")
 	}
 	if !c.gone.Load() || c.claim.Load() != 0 {
@@ -533,7 +533,7 @@ func TestClaimForRemovalBoundedSpin(t *testing.T) {
 	// client it was serving): proceed without touching the claim.
 	c2 := &client{}
 	c2.claim.Store(int32(w.id) + 1)
-	if !s.claimForRemoval(&w.lane, c2) {
+	if !s.claimForRemoval(w, c2) {
 		t.Fatal("claimForRemoval failed for the claim holder itself")
 	}
 	if !c2.gone.Load() || c2.claim.Load() != int32(w.id)+1 {
@@ -544,7 +544,7 @@ func TestClaimForRemovalBoundedSpin(t *testing.T) {
 	c3 := &client{}
 	c3.claim.Store(int32(s.workers[1].id) + 1)
 	start := time.Now()
-	if s.claimForRemoval(&w.lane, c3) {
+	if s.claimForRemoval(w, c3) {
 		t.Fatal("claimForRemoval succeeded against a never-released claim")
 	}
 	if waited := time.Since(start); waited > 10*claimRemovalTimeout {

@@ -186,11 +186,11 @@ func (s *Parallel) activeRegionHints(w *worker) uint64 {
 // (WatchdogDeadline=0) nothing will ever break it, and spinning on
 // would just wedge this worker too. The caller skips the removal; the
 // periodic paths (stale sweep) retry on later frames.
-func (s *session) claimForRemoval(ln *lane, c *client) bool {
+func (s *session) claimForRemoval(w *worker, c *client) bool {
 	if !s.stealing {
 		return true
 	}
-	me := int32(ln.id) + 1
+	me := int32(w.id) + 1
 	var deadline time.Time
 	for !c.claim.CompareAndSwap(0, me) {
 		if c.claim.Load() == me {
@@ -272,7 +272,7 @@ func (s *Parallel) execPoolEntry(w *worker, e poolEntry) (parked bool) {
 	// not wedged, and the wedge record must name the request that
 	// actually stalled.
 	w.phaseStart.Store(time.Now().UnixNano())
-	ent := s.admitMove(&w.lane, c, &e.Move)
+	ent := s.admitMove(w, c, &e.Move)
 	if ent == nil {
 		return false
 	}
@@ -285,7 +285,7 @@ func (s *Parallel) execPoolEntry(w *worker, e poolEntry) (parked bool) {
 	t0 := time.Now()
 	res := s.world.ExecuteMove(ent, &e.Move.Cmd, &w.lockCtx)
 	if !res.Parked {
-		s.commitMove(&w.lane, c, &e.Move)
+		s.commitMove(w, c, &e.Move)
 	}
 	span := time.Since(t0).Nanoseconds()
 	w.lockCtx.TryFirst = false

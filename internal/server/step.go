@@ -3,7 +3,7 @@ package server
 import "time"
 
 // Stepped mode (DESIGN.md §13): instead of owning a goroutine that spins
-// in select (Start/workerLoop), a one-lane engine can be driven one frame
+// in select (Start/workerLoop), a one-worker engine can be driven one frame
 // at a time by an external scheduler — the match manager multiplexes
 // thousands of engines over a GOMAXPROCS-sized worker pool this way.
 // The caller guarantees mutual exclusion: at most one StepFrame runs at
@@ -13,11 +13,11 @@ import "time"
 
 // StartStepped prepares the engine for externally driven frames. Call it
 // once instead of Start; then call StepFrame on the scheduler's cadence.
-// Only a one-lane engine (Threads 0 or 1) can be stepped: one caller runs
+// Only a one-worker engine (Threads 0 or 1) can be stepped: one caller runs
 // the whole frame, so there is nobody to meet at its barriers.
 func (s *Parallel) StartStepped() {
 	if len(s.workers) != 1 {
-		panic("server: StartStepped on an engine with more than one lane")
+		panic("server: StartStepped on an engine with more than one worker")
 	}
 	s.started = time.Now()
 	s.lastTick = s.cfg.timeNow()
@@ -43,7 +43,7 @@ func (s *Parallel) StepFrame() bool {
 }
 
 // borrow takes the engine's frame buffers from Config.Shared: a set for
-// every lane, the first lane's also holding the engine's visibility
+// every worker, the first one's also holding the engine's visibility
 // index.
 func (s *Parallel) borrow() {
 	for _, w := range s.workers {

@@ -84,12 +84,12 @@ func TestStepFrameIdleParksBuffers(t *testing.T) {
 }
 
 // TestStartSteppedRejectsMultiLane: stepping runs the whole frame on the
-// caller, so nobody would meet a second lane at the frame barriers.
+// caller, so nobody would meet a second worker at the frame barriers.
 func TestStartSteppedRejectsMultiLane(t *testing.T) {
 	eng, _ := newSteppedEngine(t, 2, nil)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("StartStepped accepted a two-lane engine")
+			t.Fatal("StartStepped accepted a two-worker engine")
 		}
 	}()
 	eng.StartStepped()
