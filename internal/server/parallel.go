@@ -118,6 +118,11 @@ type worker struct {
 	// game.LockContext.Locker runs moves lock-free.
 	locker  *locking.RegionLocker
 	lockCtx game.LockContext
+	// entry is the move command being executed, and leafMask collects the
+	// leaves it locks (lockCtx.LeafMask). Worker-owned, so executing a
+	// command allocates neither.
+	entry    poolEntry
+	leafMask uint64
 
 	// serving publishes the client whose request or reply the worker is
 	// processing right now (id+1; 0 = none), for panic containment and
@@ -135,10 +140,12 @@ type worker struct {
 	outstanding atomic.Int64
 	activeHint  atomic.Uint64
 
-	// Watchdog publication: the phase this worker is executing (wpIdle
-	// when at a barrier or in select) and when it entered it; serving
-	// names the client. phaseStart is written before phase,
-	// so a non-idle phase always pairs with a fresh stamp.
+	// Watchdog publication, kept only while a watchdog is armed (watched):
+	// the phase this worker is executing (wpIdle when at a barrier or in
+	// select) and when it entered it; serving names the client.
+	// phaseStart is written before phase, so a non-idle phase always pairs
+	// with a fresh stamp.
+	watched    bool
 	phase      atomic.Int32
 	phaseStart atomic.Int64
 }
@@ -151,11 +158,20 @@ const (
 )
 
 func (w *worker) beginPhase(p int32) {
-	w.phaseStart.Store(time.Now().UnixNano())
-	w.phase.Store(p)
+	if w.watched {
+		w.stampPhase()
+		w.phase.Store(p)
+	}
 }
 
-func (w *worker) endPhase() { w.phase.Store(wpIdle) }
+func (w *worker) endPhase() {
+	if w.watched {
+		w.phase.Store(wpIdle)
+	}
+}
+
+// stampPhase restarts the watchdog's clock on the current phase.
+func (w *worker) stampPhase() { w.phaseStart.Store(time.Now().UnixNano()) }
 
 // timedProvider wraps the shared mutex provider, charging acquisition
 // wall time to the worker's lock component, split by leaf/parent — the
@@ -198,6 +214,7 @@ func NewParallel(cfg Config) (*Parallel, error) {
 		w := &worker{}
 		w.id = i
 		w.conn = conn
+		w.watched = cfg.WatchdogDeadline > 0
 		if cfg.Shared == nil {
 			w.scratch = newFrameScratch()
 		}
@@ -210,6 +227,7 @@ func NewParallel(cfg Config) (*Parallel, error) {
 		w.lockCtx = game.LockContext{
 			Locker:   w.locker,
 			Strategy: cfg.Strategy,
+			LeafMask: &w.leafMask,
 		}
 		s.workers = append(s.workers, w)
 	}
@@ -392,21 +410,21 @@ func (s *Parallel) safeProcessPacket(w *worker, data []byte, from transport.Addr
 		}
 		return
 	}
-	e := poolEntry{Client: c, Move: *m, Owner: w.id, Idx: w.poolIdx, Hint: c.leafHint.Load()}
+	w.entry = poolEntry{Client: c, Move: *m, Owner: w.id, Idx: w.poolIdx, Hint: c.leafHint.Load()}
 	if s.stealing {
 		// Stamp the command with its commit order and pool it; outstanding
 		// gates the worker's request barrier, which passes only when every
 		// entry it pooled this frame has been executed (by anyone).
 		w.poolIdx++
 		w.outstanding.Add(1)
-		w.pool.push(e)
+		w.pool.push(w.entry)
 		return
 	}
 	// Static assignment: the owner executes inline, through the same
 	// executor with the entry's park budget spent — a blocking first
 	// acquire, so it never parks.
-	e.Parks = MaxStealParks
-	s.safeExecPoolEntry(w, e)
+	w.entry.Parks = MaxStealParks
+	s.safeExecPoolEntry(w, &w.entry)
 }
 
 // safeSendReplies is the reply-phase analogue. A panic skips the rest of

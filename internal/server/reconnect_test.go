@@ -21,7 +21,7 @@ import (
 // address, bare move from the old address) against it.
 type restoredRig struct {
 	net    *transport.Network
-	engine Engine
+	engine *Parallel
 	world  *game.World
 	m      *worldmap.Map
 	rs     *RestoreState

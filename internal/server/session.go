@@ -205,7 +205,8 @@ func (s *session) Duration() time.Duration {
 	return s.stopped.Sub(s.started)
 }
 
-// Engine is the live server's lifecycle and counter surface.
+// Engine is the live server's lifecycle and counter surface, by which
+// bench/qload holds its engines.
 type Engine interface {
 	Start()
 	Stop()

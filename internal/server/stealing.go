@@ -229,7 +229,8 @@ const claimRemovalTimeout = 100 * time.Millisecond
 //qvet:phase=exec
 func (s *Parallel) runPoolEntry(w *worker, e poolEntry) {
 	owner := s.workers[e.Owner]
-	if s.safeExecPoolEntry(w, e) {
+	w.entry = e
+	if s.safeExecPoolEntry(w, &w.entry) {
 		w.bd.StealConflicts++
 		e.Parks++
 		owner.pool.requeue(e)
@@ -247,7 +248,7 @@ func (s *Parallel) runPoolEntry(w *worker, e poolEntry) {
 // still releases the claim and the barrier.
 //
 //qvet:phase=exec
-func (s *Parallel) safeExecPoolEntry(w *worker, e poolEntry) (parked bool) {
+func (s *Parallel) safeExecPoolEntry(w *worker, e *poolEntry) (parked bool) {
 	defer s.recoverWorker(w, "request")
 	// A panic unwinds past execPoolEntry's own hint clear, and a stale
 	// nonzero mask would keep other workers deferring against an
@@ -262,22 +263,25 @@ func (s *Parallel) safeExecPoolEntry(w *worker, e poolEntry) (parked bool) {
 // while the entry has park budget left. It separates exec time from lock
 // time (the lock component accrues inside the timed provider during the
 // call; the difference is pure execution). Reports parked=true when the
-// entry must be retried (no side effects were applied).
+// entry must be retried (no side effects were applied). e points at the
+// worker's own entry slot: the commit hands &e.Move to the recorder, so
+// an entry held anywhere else would move to the heap on every command.
 //
 //qvet:phase=exec
-func (s *Parallel) execPoolEntry(w *worker, e poolEntry) (parked bool) {
+func (s *Parallel) execPoolEntry(w *worker, e *poolEntry) (parked bool) {
 	c := e.Client
 	// The watchdog deadline measures a single request, not the whole
 	// phase: a worker that executes many requests in one frame is busy,
 	// not wedged, and the wedge record must name the request that
 	// actually stalled.
-	w.phaseStart.Store(time.Now().UnixNano())
+	if w.watched {
+		w.stampPhase()
+	}
 	ent := s.admitMove(w, c, &e.Move)
 	if ent == nil {
 		return false
 	}
-	var mask uint64
-	w.lockCtx.LeafMask = &mask
+	w.leafMask = 0
 	w.lockCtx.TryFirst = e.Parks < MaxStealParks
 	w.activeHint.Store(e.Hint)
 
@@ -308,8 +312,8 @@ func (s *Parallel) execPoolEntry(w *worker, e poolEntry) (parked bool) {
 		}
 	}
 	s.appendEvents(res.Events)
-	if mask != 0 {
-		c.leafHint.Store(mask)
+	if w.leafMask != 0 {
+		c.leafHint.Store(w.leafMask)
 	}
 	return false
 }
