@@ -63,8 +63,7 @@ func (s *session) appendEvents(events []game.Event) {
 // inline — those requests "are associated with the connection or
 // disconnection protocols ... or other facilities that do not affect
 // gameplay". A move command from a connected client is handed back for
-// the engine to execute under its own synchronisation (admitMove, the
-// engine's ExecuteMove call, commitMove).
+// the executor (execPoolEntry: admitMove, ExecuteMove, commitMove).
 func (s *session) dispatch(w *worker, data []byte, from transport.Addr) (*client, *protocol.Move) {
 	t0 := time.Now()
 	msg, err := protocol.Decode(data)

@@ -157,21 +157,14 @@ const (
 	wpReply
 )
 
-func (w *worker) beginPhase(p int32) {
+// setPhase publishes the phase w is entering, and when, for the
+// watchdog. With none armed it does nothing: the stamp is a clock read.
+func (w *worker) setPhase(p int32) {
 	if w.watched {
-		w.stampPhase()
+		w.phaseStart.Store(time.Now().UnixNano())
 		w.phase.Store(p)
 	}
 }
-
-func (w *worker) endPhase() {
-	if w.watched {
-		w.phase.Store(wpIdle)
-	}
-}
-
-// stampPhase restarts the watchdog's clock on the current phase.
-func (w *worker) stampPhase() { w.phaseStart.Store(time.Now().UnixNano()) }
 
 // timedProvider wraps the shared mutex provider, charging acquisition
 // wall time to the worker's lock component, split by leaf/parent — the
@@ -197,7 +190,10 @@ func NewParallel(cfg Config) (*Parallel, error) {
 		return nil, err
 	}
 	s := &Parallel{fc: newFrameCtl(), vis: newVisBuilder(nil)}
-	s.init(cfg)
+	s.cfg, s.world = cfg, cfg.World
+	s.clients = newClientTable(cfg.MaxClients)
+	s.stop = make(chan struct{})
+	s.shed.init(&s.cfg)
 	// With one worker there is nobody to steal from and the pool
 	// indirection is pure overhead.
 	s.stealing = cfg.Stealing && cfg.Threads > 1
@@ -211,10 +207,7 @@ func NewParallel(cfg Config) (*Parallel, error) {
 		s.vis.index = new(game.VisIndex)
 	}
 	for i, conn := range cfg.Conns {
-		w := &worker{}
-		w.id = i
-		w.conn = conn
-		w.watched = cfg.WatchdogDeadline > 0
+		w := &worker{id: i, conn: conn, watched: cfg.WatchdogDeadline > 0}
 		if cfg.Shared == nil {
 			w.scratch = newFrameScratch()
 		}
@@ -224,11 +217,7 @@ func NewParallel(cfg Config) (*Parallel, error) {
 				Provider: &timedProvider{inner: prov, tree: s.world.Tree, bd: &w.bd},
 			}
 		}
-		w.lockCtx = game.LockContext{
-			Locker:   w.locker,
-			Strategy: cfg.Strategy,
-			LeafMask: &w.leafMask,
-		}
+		w.lockCtx = game.LockContext{Locker: w.locker, Strategy: cfg.Strategy, LeafMask: &w.leafMask}
 		s.workers = append(s.workers, w)
 	}
 	if cfg.Balance.Enabled && cfg.Threads > 1 {
@@ -337,7 +326,7 @@ func (s *Parallel) runFrame(w *worker, n int, from transport.Addr) (sawTraffic b
 	// executes in the steal phase below, overlapped with other workers
 	// still draining.
 	w.poolIdx = 0
-	w.beginPhase(wpRequest)
+	w.setPhase(wpRequest)
 	for {
 		if n > 0 {
 			s.bytesIn.Add(int64(n))
@@ -356,7 +345,7 @@ func (s *Parallel) runFrame(w *worker, n int, from transport.Addr) (sawTraffic b
 		s.fc.doneDraining()
 		s.runStealPhase(w)
 	}
-	w.endPhase()
+	w.setPhase(wpIdle)
 
 	// Intra-frame barrier before replies.
 	t0 := time.Now()
@@ -367,9 +356,9 @@ func (s *Parallel) runFrame(w *worker, n int, from transport.Addr) (sawTraffic b
 	// empty-server skip is what makes an idle match's tick cheap.
 	if s.clients.count() > 0 {
 		t0 = time.Now()
-		w.beginPhase(wpReply)
+		w.setPhase(wpReply)
 		s.safeSendReplies(w)
-		w.endPhase()
+		w.setPhase(wpIdle)
 		w.bd.Charge(metrics.CompReply, time.Since(t0).Nanoseconds())
 	}
 	s.fc.doneReply()

@@ -81,16 +81,6 @@ type resumePending struct {
 	addr transport.Addr
 }
 
-// init fills the engine-independent state. The engine constructor then
-// registers its workers and, when recovering, calls restore.
-func (s *session) init(cfg Config) {
-	s.cfg = cfg
-	s.world = cfg.World
-	s.clients = newClientTable(cfg.MaxClients)
-	s.stop = make(chan struct{})
-	s.shed.init(&s.cfg)
-}
-
 // restore resumes a recovered session (crash recovery, DESIGN.md §12):
 // the allocation counter picks up where the crashed server left off and
 // the survivors are parked for reconnection. Routing a parked client's

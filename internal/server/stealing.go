@@ -274,9 +274,7 @@ func (s *Parallel) execPoolEntry(w *worker, e *poolEntry) (parked bool) {
 	// phase: a worker that executes many requests in one frame is busy,
 	// not wedged, and the wedge record must name the request that
 	// actually stalled.
-	if w.watched {
-		w.stampPhase()
-	}
+	w.setPhase(wpRequest)
 	ent := s.admitMove(w, c, &e.Move)
 	if ent == nil {
 		return false
