@@ -63,8 +63,10 @@ vis:
 	$(GO) test -race -v -run 'TestVisIndex|TestVisBuilder|TestGoldenReplyStream' ./internal/game/ ./internal/server/
 	$(GO) test -run=NONE -bench='BenchmarkBuildSnapshot|BenchmarkVisIndexBuild' -benchmem .
 
-# conformance proves the three engines compute the same game, with the
-# load balancer off and with migration forced every frame.
+# conformance proves the live engine at 0 (the sequential reference), 1,
+# 2, 4 and 8 threads and the DES at 2/4/8 threads and sequential compute
+# the same game, with the load balancer off and with migration forced
+# every frame.
 conformance:
 	$(GO) test -race -v -run 'TestCrossEngineConformance' ./internal/conformance/
 

@@ -1,6 +1,7 @@
 // qserved is the live game server daemon. It hosts a deathmatch session
-// over real UDP sockets using either the sequential engine or the
-// multithreaded engine with region locking — the deployable counterpart
+// over real UDP sockets on the server engine: -threads 0 is the
+// sequential server (one thread, no region locks), -threads N the
+// multithreaded server with region locking — the deployable counterpart
 // of the simulated experiments.
 //
 // Usage:
@@ -49,14 +50,14 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:27500", "base UDP address")
-	threads := flag.Int("threads", 1, "server threads (0 = sequential engine)")
+	threads := flag.Int("threads", 1, "server threads (0 = the sequential server: one thread, no region locks)")
 	lockMode := flag.String("locking", "conservative", "locking strategy: conservative or optimized")
 	maxClients := flag.Int("maxclients", 128, "maximum simultaneous players")
 	mapPath := flag.String("map", "", "map file (JSON, from qmap); empty generates the default map")
 	mapSeed := flag.Int64("mapseed", 1, "seed for the generated map")
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats print interval (0 disables)")
-	bal := flag.Bool("balance", false, "enable dynamic client->thread load balancing (parallel engine)")
-	steal := flag.Bool("steal", false, "conflict-aware work-stealing request execution (parallel engine)")
+	bal := flag.Bool("balance", false, "enable dynamic client->thread load balancing (2+ threads)")
+	steal := flag.Bool("steal", false, "conflict-aware work-stealing request execution (2+ threads)")
 	watchdog := flag.Duration("watchdog", 0, "frame watchdog deadline per phase: a thread stuck longer exits the server with status 3 for a supervisor to restart with -restore (0 disables)")
 	budget := flag.Duration("budget", 0, "frame-time budget for overload shedding (0 disables)")
 	dropP := flag.Float64("faultdrop", 0, "chaos: per-datagram drop probability on every port")
@@ -78,7 +79,7 @@ func main() {
 
 	if *matches > 0 {
 		if *restore || *recordPath != "" || *ckptDir != "" || *threads > 1 {
-			fatal(fmt.Errorf("-matches hosts sequential engines and does not compose with -threads/-record/-checkpoint/-restore"))
+			fatal(fmt.Errorf("-matches hosts sequential servers and does not compose with -threads/-record/-checkpoint/-restore"))
 		}
 		m, err := loadMap(*mapPath, *mapSeed)
 		if err != nil {
@@ -250,7 +251,7 @@ func main() {
 	}
 }
 
-// runMatches is the instancing daemon: N sequential-engine matches
+// runMatches is the instancing daemon: N sequential-server matches
 // multiplexed over one UDP socket and a shared worker pool. Clients
 // join a specific match by naming it in their Connect datagram
 // (qbot -match m3) or let the lobby assign one round-robin.

@@ -416,8 +416,9 @@ func (p *MutexProvider) UnlockNode(node int32) { p.locks[node].mu.Unlock() }
 // TryLockNode implements TryProvider.
 func (p *MutexProvider) TryLockNode(node int32) bool { return p.locks[node].mu.TryLock() }
 
-// NopProvider performs no locking; the sequential server uses it so the
-// same game code runs lock-free single-threaded.
+// NopProvider performs no locking: tests use it to exercise the region
+// protocol's bookkeeping without mutexes. The sequential server runs
+// lock-free with no RegionLocker at all.
 type NopProvider struct{}
 
 // LockNode implements Provider.
