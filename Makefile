@@ -24,13 +24,15 @@ race:
 # benchmark line the triple prints must end in "0 allocs/op" — the pooled
 # and indexed reply paths, the once-per-frame visibility-index build, the
 # idle fault injector (production conns are wrapped unconditionally when
-# -fault* flags exist), the UDP receive from a known sender, the recorder
-# tap, and the checkpoint capture.
+# -fault* flags exist), the UDP receive from a known sender, a warm
+# batched send of 32 reply datagrams, the recorder tap, and the
+# checkpoint capture.
 define ALLOC_GATES
 . BenchmarkReplyPhaseAllocs/(pooled|indexed) 100x
 . BenchmarkVisIndexBuild 100x
 ./internal/transport/ BenchmarkFaultConnPassthrough 1000x
 ./internal/transport/ BenchmarkUDPRecv 1000x
+./internal/transport/ BenchmarkUDPSendBatch 1000x
 ./internal/replay/ BenchmarkRecorderOverhead 10000x
 ./internal/checkpoint/ BenchmarkWriterCapture 100x
 endef
@@ -130,8 +132,9 @@ cover:
 # the steal-hint protocol, and annotation rot — the six checks whose bugs
 # no runtime gate catches (DESIGN.md §9). The final guard proves the
 # tools module's dependencies never leak into the engine's go.mod, and
-# the cross-builds keep the build-tagged files (the UDP receive path)
-# compiling for Windows and macOS.
+# the cross-builds keep the build-tagged files (the UDP receive path, and
+# the batched send path's per-architecture sendmmsg number) compiling
+# for Windows, macOS and linux/arm64.
 lint:
 	$(GO) test -C tools ./...
 	$(GO) build -C tools -o bin/qvet ./qvet
@@ -143,6 +146,7 @@ lint:
 		{ echo 'lint: root go.mod must stay dependency-free (tool deps live in tools/go.mod)'; exit 1; }
 	GOOS=windows $(GO) build ./...
 	GOOS=darwin $(GO) build ./...
+	GOOS=linux GOARCH=arm64 $(GO) build ./...
 
 # instancing runs the match-manager acceptance set: internal/match whole
 # under -race (cross-instance digest isolation over one shared static

@@ -42,6 +42,7 @@ import (
 	"qserve/internal/game"
 	"qserve/internal/locking"
 	"qserve/internal/match"
+	"qserve/internal/metrics"
 	"qserve/internal/replay"
 	"qserve/internal/server"
 	"qserve/internal/transport"
@@ -377,8 +378,14 @@ func openPorts(addr string, n int) ([]transport.Conn, error) {
 }
 
 func printBreakdowns(eng *server.Parallel) {
+	var all metrics.Breakdown
 	for i, bd := range eng.Breakdowns() {
 		fmt.Printf("thread %d: %s\n", i, bd.String())
+		all.Add(&bd)
+	}
+	if all.ReplySendCalls > 0 {
+		fmt.Printf("reply sends: %d datagrams in %d calls (%.1f per call)\n",
+			all.ReplyDatagrams, all.ReplySendCalls, float64(all.ReplyDatagrams)/float64(all.ReplySendCalls))
 	}
 	fmt.Printf("total: frames=%d replies=%d duration=%s in=%dKB out=%dKB\n",
 		eng.Frames(), eng.Replies(), eng.Duration().Truncate(time.Millisecond),

@@ -1,6 +1,9 @@
 package game
 
 import (
+	"math/bits"
+	"slices"
+
 	"qserve/internal/entity"
 	"qserve/internal/geom"
 	"qserve/internal/protocol"
@@ -13,12 +16,13 @@ import (
 // protocol.EntityState is viewer-independent. A VisIndex inverts that
 // loop: once per frame it encodes every snapshot-eligible entity exactly
 // once into a pooled state cache — entries in ascending entity-ID order —
-// and tags each entry with its room bucket. Each client's snapshot is
-// then a single pass over the cached entries that resolves every entry
-// through the viewer's precomputed room-classification row (take the
-// span outright, range-check it, or skip it without touching the entity)
-// and copies the precomputed states of the included ones — no per-client
-// re-encoding, no entity-table walk, and ID order falls out of the entry
+// and tags each entry with its room bucket, recorded as one membership
+// bitset per bucket (bit i is entry i). Each client's snapshot then walks
+// the entries 64 at a time: it ORs together the bitsets of the buckets
+// the viewer's room takes outright, range-checks and re-checks, decides
+// which candidates pass, and copies the precomputed states of the pass
+// bits — no per-client re-encoding, no entity-table walk, a skipped
+// bucket costs nothing per entry, and ID order falls out of the bit
 // order for free.
 //
 // The build is read-only over world state and is split into two passes
@@ -60,6 +64,12 @@ type VisIndex struct {
 	buckets []int32                // classification bucket (see Begin)
 	origins []geom.Vec3            // exact origins for range checks
 	states  []protocol.EntityState // encoded wire states (EncodeShard fills)
+
+	// Bucket-major membership bitsets: bucket b's words are
+	// sets[b*words:(b+1)*words], and bit i of them is set when entry i
+	// is in bucket b. Every entry is in exactly one bucket.
+	sets  []uint64
+	words int // 64-entry words per bucket
 }
 
 // Len returns the number of cached (snapshot-eligible) entities.
@@ -73,10 +83,9 @@ func (vi *VisIndex) Detach() { vi.w = nil }
 // Begin runs the serial collect pass: it snapshots the eligible entity
 // set from the table's active-ID index and assigns each entry a bucket —
 // the entity's room for fresh rooms, nRooms for room-unknown entries,
-// nRooms+1 for entries whose cached room no longer contains the origin.
-// The buckets line up with the two extra tail slots of each visClass
-// row, so the merge resolves any entry with one table lookup. Must be
-// called before EncodeShard; single-threaded.
+// nRooms+1 for entries whose cached room no longer contains the origin —
+// and records the buckets as membership bitsets for AppendVisible. Must
+// be called before EncodeShard; single-threaded.
 //
 //qvet:phase=reply
 //qvet:noalloc
@@ -118,6 +127,19 @@ func (vi *VisIndex) Begin(w *World) {
 	}
 	vi.states = vi.states[:n]
 	vi.origins = vi.origins[:n]
+
+	nw := (n + 63) / 64
+	size := (nRooms + 2) * nw
+	if cap(vi.sets) < size {
+		//qvet:allow=noalloc amortized bitset growth, with the population or the room count
+		vi.sets = make([]uint64, size)
+	}
+	sets := vi.sets[:size]
+	clear(sets)
+	for i, b := range vi.buckets {
+		sets[int(b)*nw+i>>6] |= 1 << (uint(i) & 63)
+	}
+	vi.sets, vi.words = sets, nw
 }
 
 // Shards returns how many EncodeShard units the current entry set
@@ -188,7 +210,7 @@ func (vi *VisIndex) AppendVisible(viewer *entity.Entity, dst []protocol.EntitySt
 	// are sound for this viewer. Doorway-band viewers (unknown room) and
 	// stale-room viewers fall back to a straight scan of the cache with
 	// the naive per-entity predicate — still no re-encoding.
-	if vRoom < 0 || vRoom >= nRooms || len(w.static.visClass) == 0 ||
+	if vRoom < 0 || vRoom >= nRooms || len(w.static.visTake) == 0 ||
 		!w.static.visRoomBounds[vRoom].Contains(vo) {
 		for i := range vi.ids {
 			if vi.ids[i] == viewerID {
@@ -204,35 +226,62 @@ func (vi *VisIndex) AppendVisible(viewer *entity.Entity, dst []protocol.EntitySt
 		return dst, work
 	}
 
-	// One classification-driven pass over the ID-ordered entries: cls has
-	// a slot per room plus the overflow and stale tail slots, so each
-	// entry resolves with a single byte load. Skipped entries cost two
-	// array reads and never touch the entity or its cached state.
-	cls := w.static.visClass[vRoom]
-	for i, b := range vi.buckets {
-		c := cls[b]
-		if c == visSkip {
-			continue
-		}
-		if vi.ids[i] == viewerID {
-			continue
-		}
-		work.Considered++
-		switch c {
-		case visTake:
-			// Room-visible from the viewer's room: included outright.
-		case visCheck:
-			if vo.DistSq(vi.origins[i]) > cut2 {
-				continue
-			}
-		default: // visStale
-			if !vi.entryVisible(vRoom, vo, i, cut2) {
-				continue
-			}
-		}
-		dst = append(dst, vi.states[i])
-		work.Visible++
+	// One pass over the entries, a 64-entry word at a time. The take,
+	// check and stale bitsets of the word are ORed from the viewer room's
+	// bucket lists, so a skipped bucket is never read. The pass mask is
+	// decided first (take bits outright, check bits by range, stale bits
+	// by the naive predicate), then its states are copied in bit order.
+	st := w.static
+	take, check := st.visTake[vRoom], st.visCheck[vRoom]
+	nw := vi.words
+	stale := vi.sets[(nRooms+1)*nw : (nRooms+2)*nw]
+	visStart := len(dst)
+	// The viewer's own entry, if it has one: entries are in ID order.
+	self, selfWord := uint64(0), -1
+	if i, ok := slices.BinarySearch(vi.ids, viewerID); ok {
+		self, selfWord = 1<<(i%64), i/64
 	}
+	for wi := 0; wi < nw; wi++ {
+		var t, c uint64
+		for _, b := range take {
+			t |= vi.sets[int(b)*nw+wi]
+		}
+		for _, b := range check {
+			c |= vi.sets[int(b)*nw+wi]
+		}
+		s := stale[wi]
+		if wi == selfWord {
+			t, c, s = t&^self, c&^self, s&^self
+		}
+		work.Considered += bits.OnesCount64(t | c | s)
+		base := wi * 64
+		pass := t
+		for m := c; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			if vo.DistSq(vi.origins[base+j]) <= cut2 {
+				pass |= 1 << j
+			}
+		}
+		for m := s; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			if vi.entryVisible(vRoom, vo, base+j, cut2) {
+				pass |= 1 << j
+			}
+		}
+		// Grow dst once, then copy the pass bits' states in bit order.
+		n := len(dst)
+		k := bits.OnesCount64(pass)
+		if cap(dst)-n < k {
+			//qvet:allow=noalloc amortized growth of the caller's state buffer
+			dst = append(make([]protocol.EntityState, 0, 2*cap(dst)+k), dst...)
+		}
+		dst = dst[:n+k]
+		for ; pass != 0; pass &= pass - 1 {
+			dst[n] = vi.states[base+bits.TrailingZeros64(pass)]
+			n++
+		}
+	}
+	work.Visible = len(dst) - visStart
 	return dst, work
 }
 

@@ -52,8 +52,9 @@ func buildTestWorld(t testing.TB, rng *rand.Rand, rows, cols, players, frames in
 }
 
 // assertSameSnapshot compares the indexed merge against the naive scan
-// for one viewer: identical state bytes (order included) and identical
-// Visible counts.
+// for one viewer: identical state bytes (order included), identical
+// Visible counts, and the Considered count the index promises
+// (wantConsidered).
 func assertSameSnapshot(t *testing.T, w *World, vi *VisIndex, viewer *entity.Entity, label string) {
 	t.Helper()
 	wantStates, wantWork := w.BuildSnapshot(viewer, nil)
@@ -69,6 +70,68 @@ func assertSameSnapshot(t *testing.T, w *World, vi *VisIndex, viewer *entity.Ent
 	}
 	if wantWork.Visible != gotWork.Visible {
 		t.Fatalf("%s: naive Visible=%d, indexed Visible=%d", label, wantWork.Visible, gotWork.Visible)
+	}
+	if want := wantConsidered(w, vi, viewer); gotWork.Considered != want {
+		t.Fatalf("%s: indexed Considered=%d, want %d", label, gotWork.Considered, want)
+	}
+}
+
+// wantConsidered counts the entries the index examines for a viewer:
+// for a fresh-room viewer, the entries in its room's take and check
+// buckets (overflow included) and the stale bucket; for a doorway or
+// stale viewer, every entry. The viewer itself never counts.
+func wantConsidered(w *World, vi *VisIndex, viewer *entity.Entity) int {
+	nRooms := len(w.Map.Rooms)
+	v := viewer.RoomID
+	examined := map[int32]bool{}
+	fast := v >= 0 && v < nRooms && w.static.visRoomBounds[v].Contains(viewer.Origin)
+	if fast {
+		examined[int32(nRooms+1)] = true
+		for _, b := range w.static.visTake[v] {
+			examined[b] = true
+		}
+		for _, b := range w.static.visCheck[v] {
+			examined[b] = true
+		}
+	}
+	n := 0
+	for i, id := range vi.ids {
+		if id != viewer.ID && (!fast || examined[vi.buckets[i]]) {
+			n++
+		}
+	}
+	return n
+}
+
+// setEligible adds players to, or removes items and players from, w
+// until exactly n entities are snapshot-eligible.
+func setEligible(t *testing.T, w *World, n int) {
+	t.Helper()
+	var vi VisIndex
+	for {
+		vi.Begin(w)
+		d := vi.Len() - n
+		if d == 0 {
+			return
+		}
+		for ; d < 0; d++ {
+			if _, err := w.SpawnPlayer(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := len(vi.ids) - 1; i >= 0 && d > 0; i-- {
+			switch e := w.Ents.Get(vi.ids[i]); e.Class {
+			case entity.ClassItem:
+				w.unlink(e)
+				d--
+			case entity.ClassPlayer:
+				w.RemovePlayer(e.ID)
+				d--
+			}
+		}
+		if d > 0 {
+			t.Fatalf("cannot bring the eligible population down to %d", n)
+		}
 	}
 }
 
@@ -105,6 +168,30 @@ func TestVisIndexEquivalenceRandomized(t *testing.T) {
 				continue
 			}
 			assertSameSnapshot(t, w, &vi, e, fmt.Sprintf("trial %d viewer %d (room %d)", trial, i, e.RoomID))
+		}
+	}
+
+	// Word boundaries: eligible populations either side of one and two
+	// 64-entry words, with the entries at bit 0 and bit 63 of each word
+	// as viewers too.
+	for _, n := range []int{63, 64, 65, 128} {
+		w, ents := buildTestWorld(t, rng, 3, 3, 24, 30)
+		setEligible(t, w, n)
+		var vi VisIndex
+		vi.Build(w)
+		if vi.Len() != n {
+			t.Fatalf("population %d: index holds %d entries", n, vi.Len())
+		}
+		for i, e := range ents {
+			if e.Active {
+				assertSameSnapshot(t, w, &vi, e, fmt.Sprintf("population %d viewer %d (room %d)", n, i, e.RoomID))
+			}
+		}
+		for _, bit := range []int{0, 63, 64, 127} {
+			if bit < n {
+				e := w.Ents.Get(vi.ids[bit])
+				assertSameSnapshot(t, w, &vi, e, fmt.Sprintf("population %d entry %d (%v, room %d)", n, bit, e.Class, e.RoomID))
+			}
 		}
 	}
 }

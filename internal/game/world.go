@@ -55,16 +55,16 @@ type Static struct {
 	// is room r's bounds widened exactly as Map.RoomAt accepts points
 	// (wall-band expansion, Z extended to the world top), so RoomID==r
 	// with Origin inside visRoomBounds[r] is the "fresh room" invariant.
-	// visClass[v][r] classifies room r for a viewer in room v: take
-	// (room-visible, no range check), check (outside the visibility
-	// matrix but close enough that the audible-range fallback could
-	// still include an entity there), or skip (provably out of range).
-	// Each row carries two extra tail slots so the index's overflow
-	// (room unknown: always range-checked) and stale (cached room
-	// disagrees with origin: full naive predicate) buckets resolve
-	// through the same one-load lookup as real rooms.
+	// For a viewer in room v, visTake[v] lists the index buckets taken
+	// outright (room-visible, no range check) and visCheck[v] those that
+	// need the audible-range check: rooms outside the visibility matrix
+	// but close enough that the fallback could still include an entity
+	// there, plus the overflow bucket (room unknown). Every other room is
+	// skipped (provably out of range), and the stale bucket (cached room
+	// disagrees with origin) always takes the full naive predicate.
 	visRoomBounds []geom.AABB
-	visClass      [][]uint8
+	visTake       [][]int32
+	visCheck      [][]int32
 }
 
 // NewStatic derives the immutable half of a world from a (non-nil) map:
@@ -121,15 +121,6 @@ type World struct {
 	// snapshot of the index taken at frame start.
 	frameIDs []entity.ID
 }
-
-// Viewer-room classification of a room's entity span during snapshot
-// merging (see Static.visClass).
-const (
-	visSkip uint8 = iota
-	visCheck
-	visTake
-	visStale
-)
 
 // NewWorld builds a world over a Static (cfg.Static, or a private one
 // derived from cfg.Map): a fresh areanode tree and the initial entity
@@ -219,22 +210,20 @@ func (st *Static) buildVisTables() {
 		b.Max.Z = m.Bounds.Max.Z
 		st.visRoomBounds[r] = b.Expand(m.WallSize)
 	}
-	st.visClass = make([][]uint8, n)
-	stride := n + 2
-	flat := make([]uint8, n*stride)
+	st.visTake = make([][]int32, n)
+	st.visCheck = make([][]int32, n)
 	for v := 0; v < n; v++ {
-		row := flat[v*stride : (v+1)*stride]
+		var take, check []int32
 		for r := 0; r < n; r++ {
 			switch {
 			case m.Visible(v, r):
-				row[r] = visTake
+				take = append(take, int32(r))
 			case boxMinDistSq(st.visRoomBounds[v], st.visRoomBounds[r]) <= visCutoff*visCutoff:
-				row[r] = visCheck
+				check = append(check, int32(r))
 			}
 		}
-		row[n] = visCheck   // overflow bucket: room unknown, range check
-		row[n+1] = visStale // stale bucket: full naive predicate
-		st.visClass[v] = row
+		st.visTake[v] = take
+		st.visCheck[v] = append(check, int32(n)) // overflow bucket: room unknown, range check
 	}
 }
 

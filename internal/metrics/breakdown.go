@@ -86,6 +86,10 @@ type Breakdown struct {
 	ReplyBytes     int64
 	ReplyDatagrams int64
 	ReplyAllocs    int64
+	// ReplySendCalls counts the send calls that carried the reply
+	// datagrams: one per datagram through a plain Conn, one per sendmmsg
+	// on a Linux UDP socket. ReplyDatagrams over it is the batching factor.
+	ReplySendCalls int64
 
 	// Reply sub-phase timers (both inside CompReply, not additional
 	// components): SnapBuildNs is this thread's share of the shared
@@ -149,6 +153,7 @@ func (b *Breakdown) Add(o *Breakdown) {
 	b.ReplyBytes += o.ReplyBytes
 	b.ReplyDatagrams += o.ReplyDatagrams
 	b.ReplyAllocs += o.ReplyAllocs
+	b.ReplySendCalls += o.ReplySendCalls
 	b.SnapBuildNs += o.SnapBuildNs
 	b.SnapMergeNs += o.SnapMergeNs
 	b.ExecCmds += o.ExecCmds
@@ -235,6 +240,7 @@ func (b *Breakdown) Scale(f float64) {
 	b.ReplyBytes = int64(float64(b.ReplyBytes) * f)
 	b.ReplyDatagrams = int64(float64(b.ReplyDatagrams) * f)
 	b.ReplyAllocs = int64(float64(b.ReplyAllocs) * f)
+	b.ReplySendCalls = int64(float64(b.ReplySendCalls) * f)
 	b.SnapBuildNs = int64(float64(b.SnapBuildNs) * f)
 	b.SnapMergeNs = int64(float64(b.SnapMergeNs) * f)
 	b.ExecCmds = int64(float64(b.ExecCmds) * f)

@@ -338,12 +338,18 @@ func (s *session) applyResume(c *client, addr transport.Addr) {
 	c.touch(time.Now())
 }
 
+// replyBatch is how many reply datagrams a worker queues before it sends
+// them: one sendmmsg on a Linux UDP socket. The sweep's tail goes at its
+// end (flushReplies).
+const replyBatch = 16
+
 // sendReplies forms and transmits the snapshots for the worker's clients
 // that requested during the frame — reply processing "involves reading
 // global state but writing only private (per-client) reply messages". vi
 // is the frame's visibility index, which the engine builds (or helps
 // build) first: every snapshot below is a merge over it instead of a
-// fresh table scan.
+// fresh table scan. The datagrams queue in the worker's batch, which
+// goes out every replyBatch replies; the caller flushes the rest.
 //
 //qvet:phase=reply
 //qvet:noalloc
@@ -391,7 +397,10 @@ func (s *session) sendReplies(w *worker, vi *game.VisIndex, frame uint32) {
 			return
 		}
 		s.bytesOut.Add(int64(len(data)))
-		_ = w.conn.Send(c.addr, data)
+		sc.replies.Add(c.addr, data)
+		if sc.replies.Len() >= replyBatch {
+			w.flushReplies()
+		}
 		w.bd.ReplyBytes += int64(st.Bytes)
 		w.bd.ReplyDatagrams++
 		w.bd.ReplyAllocs += int64(st.Allocs)
@@ -399,6 +408,13 @@ func (s *session) sendReplies(w *worker, vi *game.VisIndex, frame uint32) {
 		c.markReplied(frame)
 		s.replies.Add(1)
 	})
+}
+
+// flushReplies sends the reply datagrams queued in the worker's batch.
+//
+//qvet:noalloc
+func (w *worker) flushReplies() {
+	w.bd.ReplySendCalls += int64(w.scratch.replies.Flush(w.conn))
 }
 
 // endFrame is the frame master's sweep after all replies: it distributes

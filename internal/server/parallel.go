@@ -419,8 +419,12 @@ func (s *Parallel) safeProcessPacket(w *worker, data []byte, from transport.Addr
 // safeSendReplies is the reply-phase analogue. A panic skips the rest of
 // the thread's reply pass for this frame (those clients simply see one
 // dropped snapshot) but the barrier protocol continues undisturbed.
+// The worker's reply batch is flushed on the way out, a panic included:
+// the clients formed before it have advanced their baselines, so their
+// snapshots leave in this frame.
 func (s *Parallel) safeSendReplies(w *worker) {
 	defer s.recoverWorker(w, "reply")
+	defer w.flushReplies()
 	// Build (or help build) the frame's shared visibility index first.
 	// Every worker passes through here after the request barrier, so the
 	// encode shards are split across all threads; acquire wall time is

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -132,21 +133,121 @@ func waitCond(t *testing.T, timeout time.Duration, cond func() bool, msg string)
 
 // --- panic containment ------------------------------------------------
 
-// panicSeam arms a one-shot panic in the given phase's seam: PreExec for
-// a request-phase fault, PreReply for a reply-phase one. victim records
-// the client being served (id+1).
-func panicSeam(cfg *Config, phase string, victim *atomic.Int32) {
+// panicSeam arms a one-shot panic in the request phase's seam,
+// PreExec. victim records the client being served (id+1).
+func panicSeam(cfg *Config, victim *atomic.Int32) {
 	var fired atomic.Bool
-	seam := func(thread int, id uint16) {
+	cfg.Hooks.PreExec = func(thread int, id uint16) {
 		if fired.CompareAndSwap(false, true) {
 			victim.Store(int32(id) + 1)
-			panic("injected fault: corrupted " + phase + " state")
+			panic("injected fault: corrupted request state")
 		}
 	}
-	if phase == "request" {
-		cfg.Hooks.PreExec = seam
+}
+
+// replyPanic is the reply-phase seam with a record of what left when.
+// Its PreReply hook panics once, at the first client that is not the
+// first its worker forms in a sweep, and keeps the clients formed
+// before it in that sweep; its conn wrapper logs every snapshot
+// datagram with the frame the server was in when it left.
+type replyPanic struct {
+	eng    atomic.Pointer[Parallel] // set once the engine exists
+	victim *atomic.Int32
+
+	mu         sync.Mutex
+	sweepFrame map[int]uint64   // worker → frame of its current sweep
+	formed     map[int][]uint16 // worker → clients formed so far in it
+	before     []uint16         // formed before the panic, in its sweep
+	panicFrame uint64
+	sent       []sentSnapshot
+}
+
+type sentSnapshot struct {
+	to            string
+	frame, sentIn uint64 // the snapshot's frame, the server's frame at send
+}
+
+func armReplyPanic(cfg *Config, victim *atomic.Int32) *replyPanic {
+	rp := &replyPanic{victim: victim, sweepFrame: map[int]uint64{}, formed: map[int][]uint16{}}
+	cfg.Hooks.PreReply = rp.preReply
+	for i, c := range cfg.Conns {
+		cfg.Conns[i] = &snapshotLog{Conn: c, rp: rp}
+	}
+	return rp
+}
+
+func (rp *replyPanic) preReply(thread int, id uint16) {
+	eng := rp.eng.Load()
+	if eng == nil {
+		return
+	}
+	frame := eng.fc.frameNumber()
+	rp.mu.Lock()
+	if rp.sweepFrame[thread] != frame {
+		rp.sweepFrame[thread], rp.formed[thread] = frame, nil
+	}
+	fire := rp.victim.Load() == 0 && len(rp.formed[thread]) > 0
+	if fire {
+		rp.victim.Store(int32(id) + 1)
+		rp.before, rp.panicFrame = rp.formed[thread], frame
 	} else {
-		cfg.Hooks.PreReply = seam
+		rp.formed[thread] = append(rp.formed[thread], id)
+	}
+	rp.mu.Unlock()
+	if fire {
+		panic("injected fault: corrupted reply state")
+	}
+}
+
+// snapshotLog is a server endpoint that logs the snapshots sent
+// through it for replyPanic.
+type snapshotLog struct {
+	transport.Conn
+	rp *replyPanic
+}
+
+func (c *snapshotLog) Send(to transport.Addr, data []byte) error {
+	if eng := c.rp.eng.Load(); eng != nil {
+		if m, err := protocol.Decode(data); err == nil {
+			if snap, ok := m.(*protocol.Snapshot); ok {
+				c.rp.mu.Lock()
+				c.rp.sent = append(c.rp.sent, sentSnapshot{to.String(), uint64(snap.Frame), eng.fc.frameNumber()})
+				c.rp.mu.Unlock()
+			}
+		}
+	}
+	return c.Conn.Send(to, data)
+}
+
+// check asserts that the clients formed before the panic in its sweep
+// got that frame's snapshot, and that no snapshot left in a later frame
+// than its own: the reply batch is flushed, not dropped or carried over.
+func (rp *replyPanic) check(t *testing.T, bots []*botclient.Bot) {
+	t.Helper()
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	if len(rp.before) == 0 {
+		t.Fatal("the reply panic fired with no client formed before it")
+	}
+	for _, s := range rp.sent {
+		if s.sentIn != s.frame {
+			t.Errorf("the frame-%d snapshot to %s left in frame %d", s.frame, s.to, s.sentIn)
+		}
+	}
+	for _, id := range rp.before {
+		addr := ""
+		for i, b := range bots {
+			if b.ClientID() == id {
+				addr = fmt.Sprintf("bot:%d", i)
+			}
+		}
+		got := false
+		for _, s := range rp.sent {
+			got = got || s.to == addr && s.frame == rp.panicFrame
+		}
+		if !got {
+			t.Errorf("client %d, formed before the panic, never got its frame-%d snapshot", id, rp.panicFrame)
+		}
 	}
 }
 
@@ -154,7 +255,9 @@ func panicSeam(cfg *Config, phase string, victim *atomic.Int32) {
 // separately, into a reply pass, on the sequential server and on two
 // threads, and asserts the worker survives, exactly the client being
 // served is evicted (inline in the request phase, at the barrier for the
-// reply phase), and the server keeps serving everyone else.
+// reply phase), and the server keeps serving everyone else. In the
+// reply phase the panic hits a client formed after others in the same
+// sweep: their snapshots must still leave in that frame.
 func TestPanicContainment(t *testing.T) {
 	for _, tc := range []struct{ threads, bots int }{{0, 3}, {2, 4}} {
 		t.Run(fmt.Sprintf("threads=%d", tc.threads), func(t *testing.T) {
@@ -167,11 +270,19 @@ func TestPanicContainment(t *testing.T) {
 
 func testPanicContainment(t *testing.T, threads, numBots int, phase string) {
 	var victim atomic.Int32 // id+1
+	var rp *replyPanic
 	rig := newRigCfg(t, threads, numBots, locking.Optimized{}, func(cfg *Config) {
 		cfg.Assign = RoundRobinAssign
-		panicSeam(cfg, phase, &victim)
+		if phase == "request" {
+			panicSeam(cfg, &victim)
+		} else {
+			rp = armReplyPanic(cfg, &victim)
+		}
 	})
 	eng := rig.engine
+	if rp != nil {
+		rp.eng.Store(eng)
+	}
 
 	rig.drive(80, 2*time.Millisecond)
 	waitCond(t, 2*time.Second, func() bool {
@@ -208,6 +319,9 @@ func testPanicContainment(t *testing.T, threads, numBots int, phase string) {
 	}
 	if panics != 1 {
 		t.Errorf("PanicsRecovered = %d, want 1", panics)
+	}
+	if rp != nil {
+		rp.check(t, rig.bots)
 	}
 }
 

@@ -36,11 +36,13 @@ func NewSharedBufs() *SharedBufs { return &SharedBufs{} }
 // frameScratch is one worker's per-frame buffer set: the receive buffer and
 // everything the reply pass reuses across clients and frames so the hot
 // path allocates nothing in steady state (see reply.go for the ownership
-// rules). A worker owns one for life, or — with Config.Shared — borrows
-// one from the pool (frameBufs).
+// rules), including the batch its reply datagrams queue in until sent.
+// A worker owns one for life, or — with Config.Shared — borrows one from
+// the pool (frameBufs).
 type frameScratch struct {
 	recvBuf    []byte
 	reply      ReplyScratch
+	replies    transport.Batch
 	frameEv    []protocol.GameEvent
 	backlogBuf []protocol.GameEvent
 	clientBuf  []*client

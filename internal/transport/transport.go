@@ -98,10 +98,12 @@ func ResolveLike(c Conn, s string) (Addr, error) {
 }
 
 // UDPConn adapts a real UDP socket to Conn. Recv lives in udp_unix.go,
-// with a deadline-read fallback for other platforms in udp_other.go.
+// with a deadline-read fallback for other platforms in udp_other.go;
+// Batch's sendmmsg path lives in batch_linux.go.
 type UDPConn struct {
 	pc   *net.UDPConn
 	recv udpRecv // receive state, owned by the conn's one reader
+	send udpSend // batched-send state, read-only after ListenUDP
 }
 
 // ListenUDP opens a UDP endpoint on the given address ("127.0.0.1:0"
@@ -117,6 +119,10 @@ func ListenUDP(addr string) (*UDPConn, error) {
 	}
 	c := &UDPConn{pc: pc}
 	if err := c.recv.init(c); err != nil {
+		pc.Close()
+		return nil, fmt.Errorf("transport: %w", err)
+	}
+	if err := c.send.init(c); err != nil {
 		pc.Close()
 		return nil, fmt.Errorf("transport: %w", err)
 	}
