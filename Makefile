@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet allocgate collide vis conformance chaos cover lint lockwall durable-race replay durability instancing ci
+.PHONY: all build test race vet allocgate collide vis conformance chaos cover lint rungates lockwall durable-race replay durability instancing ci
 
 all: build
 
@@ -23,10 +23,9 @@ race:
 # line below is a (package, benchmark regexp, benchtime) triple, and every
 # benchmark line the triple prints must end in "0 allocs/op" — the pooled
 # and indexed reply paths, the once-per-frame visibility-index build, the
-# idle fault injector (production conns are wrapped unconditionally when
-# -fault* flags exist), the UDP receive from a known sender, a warm
-# batched send of 32 reply datagrams, the recorder tap, and the
-# checkpoint capture.
+# idle fault injector (the chaos soaks wrap every conn in it), the UDP
+# receive from a known sender, a warm batched send of 32 reply datagrams,
+# the recorder tap, and the checkpoint capture.
 define ALLOC_GATES
 . BenchmarkReplyPhaseAllocs/(pooled|indexed) 100x
 . BenchmarkVisIndexBuild 100x
@@ -148,6 +147,22 @@ lint:
 	GOOS=darwin $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 
+# rungates keeps the -run 'A|B|…' lists of the targets in this file
+# honest: each alternative must match at least one test, fuzz target or
+# benchmark in its line's packages (`go test -list`), so a renamed test
+# cannot silently leave its gate.
+rungates:
+	@sed -n "s/^\t\$$(GO) test .*-run '\([^']*\)' \(.*\)$$/\1 \2/p" $(firstword $(MAKEFILE_LIST)) | \
+	while read -r re pkgs; do \
+		names=$$($(GO) test -list . $$pkgs | grep -E '^(Test|Fuzz|Benchmark|Example)') || \
+			{ echo "rungates: cannot list the tests of $$pkgs"; exit 1; }; \
+		for alt in $$(echo "$$re" | tr '|' ' '); do \
+			echo "$$names" | grep -Eq -- "$$alt" || \
+				{ echo "rungates: -run alternative $$alt matches no test in $$pkgs"; exit 1; }; \
+		done; \
+		echo "rungates: $$pkgs: $$re"; \
+	done
+
 # instancing runs the match-manager acceptance set: internal/match whole
 # under -race (cross-instance digest isolation over one shared static
 # world, the Reference-view locality check, the per-match footprint
@@ -161,4 +176,4 @@ instancing:
 	$(GO) test -v -run 'TestSchedulerDispatchZeroAllocs|TestMatchManagerTailGate' ./internal/match/
 	$(GO) test -run=NONE -bench=BenchmarkMatchManager -benchmem -benchtime=10000x ./internal/match/
 
-ci: vet build lint race allocgate collide conformance chaos lockwall replay durability instancing
+ci: vet build lint rungates race allocgate collide conformance chaos lockwall replay durability instancing

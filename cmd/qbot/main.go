@@ -45,7 +45,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		srv, err := transport.ResolveLike(conn, *serverAddr)
+		srv, err := conn.Resolve(*serverAddr)
 		if err != nil {
 			fatal(err)
 		}

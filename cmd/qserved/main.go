@@ -33,7 +33,9 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"sort"
 	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -61,11 +63,6 @@ func main() {
 	steal := flag.Bool("steal", false, "conflict-aware work-stealing request execution (2+ threads)")
 	watchdog := flag.Duration("watchdog", 0, "frame watchdog deadline per phase: a thread stuck longer exits the server with status 3 for a supervisor to restart with -restore (0 disables)")
 	budget := flag.Duration("budget", 0, "frame-time budget for overload shedding (0 disables)")
-	dropP := flag.Float64("faultdrop", 0, "chaos: per-datagram drop probability on every port")
-	dupP := flag.Float64("faultdup", 0, "chaos: per-datagram duplication probability")
-	reorderP := flag.Float64("faultreorder", 0, "chaos: per-datagram reorder probability")
-	corruptP := flag.Float64("faultcorrupt", 0, "chaos: per-datagram bit-flip probability")
-	faultSeed := flag.Int64("faultseed", 1, "chaos: fault stream seed")
 	recordPath := flag.String("record", "", "stream the session's deterministic input stream to this file as it runs (durable redo log; replay with qreplay)")
 	ckptDir := flag.String("checkpoint", "", "checkpoint directory: capture durable world checkpoints at the reply barrier (enables -restore after a crash)")
 	ckptInterval := flag.Uint64("checkpoint-interval", checkpoint.DefaultInterval, "frames between checkpoints")
@@ -79,8 +76,10 @@ func main() {
 	flag.Parse()
 
 	if *matches > 0 {
-		if *restore || *recordPath != "" || *ckptDir != "" || *threads > 1 {
-			fatal(fmt.Errorf("-matches hosts sequential servers and does not compose with -threads/-record/-checkpoint/-restore"))
+		set := map[string]string{}
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() })
+		if err := checkMatchFlags(set); err != nil {
+			fatal(err)
 		}
 		m, err := loadMap(*mapPath, *mapSeed)
 		if err != nil {
@@ -132,24 +131,6 @@ func main() {
 	conns, err := openPorts(*addr, max(*threads, 1))
 	if err != nil {
 		fatal(err)
-	}
-	fcfg := transport.FaultConfig{
-		Seed:        *faultSeed,
-		DropProb:    *dropP,
-		DupProb:     *dupP,
-		ReorderProb: *reorderP,
-		CorruptProb: *corruptP,
-	}.Clamped()
-	if fcfg != (transport.FaultConfig{Seed: *faultSeed}) {
-		// Self-inflicted chaos: wrap every port in the fault injector so a
-		// deployment can be soak-tested without an external impairment box.
-		for i, c := range conns {
-			pc := fcfg
-			pc.Seed = fcfg.Seed*31 + int64(i) + 1
-			conns[i] = transport.NewFaultConn(c, pc)
-		}
-		fmt.Printf("qserved: fault injection on: drop=%.2g dup=%.2g reorder=%.2g corrupt=%.2g seed=%d\n",
-			fcfg.DropProb, fcfg.DupProb, fcfg.ReorderProb, fcfg.CorruptProb, fcfg.Seed)
 	}
 	cfg := server.Config{
 		World:            world,
@@ -250,6 +231,31 @@ func main() {
 				eng.BytesIn()/1024, eng.BytesOut()/1024)
 		}
 	}
+}
+
+// matchFlags are the flags instancing reads. -matches hosts sequential
+// servers behind one lobby socket, so every other flag would be ignored.
+var matchFlags = map[string]bool{
+	"addr": true, "map": true, "mapseed": true, "maxclients": true, "stats": true,
+	"matches": true, "match-workers": true, "match-active": true, "match-idle": true,
+}
+
+// checkMatchFlags refuses the explicitly set flags, given as name →
+// value, that -matches would ignore. -threads 0 names what every match
+// already is, the sequential server, so it is accepted.
+func checkMatchFlags(set map[string]string) error {
+	var ignored []string
+	for name, v := range set {
+		if !matchFlags[name] && (name != "threads" || v != "0") {
+			ignored = append(ignored, "-"+name)
+		}
+	}
+	if len(ignored) == 0 {
+		return nil
+	}
+	sort.Strings(ignored)
+	return fmt.Errorf("-matches hosts sequential servers behind one lobby socket and ignores %s",
+		strings.Join(ignored, " "))
 }
 
 // runMatches is the instancing daemon: N sequential-server matches

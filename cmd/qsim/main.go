@@ -17,8 +17,7 @@ import (
 
 func main() {
 	players := flag.Int("players", 128, "number of automatic players")
-	threads := flag.Int("threads", 4, "server threads")
-	seq := flag.Bool("seq", false, "run the sequential (lock-free) server")
+	threads := flag.Int("threads", 4, "server threads (0 = the sequential server: one thread, no region locks)")
 	opt := flag.Bool("opt", false, "use optimized locking")
 	dur := flag.Float64("dur", 10, "virtual seconds to simulate")
 	depth := flag.Int("depth", 0, "areanode tree depth (0 = default 4)")
@@ -31,7 +30,6 @@ func main() {
 	bal := flag.Bool("balance", false, "enable dynamic client->thread load balancing at the frame barrier")
 	steal := flag.Bool("steal", false, "conflict-aware work-stealing request execution")
 	cluster := flag.Int("cluster", 0, "pin the first N players to room 0 (skewed workload)")
-	loss := flag.Float64("loss", 0, "per-request network loss probability (0..1)")
 	ckptDir := flag.String("checkpoint", "", "capture durable checkpoints into this directory during the run")
 	ckptInterval := flag.Uint64("checkpoint-interval", checkpoint.DefaultInterval, "frames between checkpoints")
 	ckptDelta := flag.Int("checkpoint-delta", checkpoint.DefaultDeltaEvery, "delta checkpoints between full images")
@@ -40,7 +38,6 @@ func main() {
 	cfg := simserver.Config{
 		Players:       *players,
 		Threads:       *threads,
-		Sequential:    *seq,
 		DurationS:     *dur,
 		AreanodeDepth: *depth,
 		Seed:          *seed,
@@ -63,7 +60,6 @@ func main() {
 	cfg.BatchDelayNs = *batch * 1000
 	cfg.TraceFrames = *trace
 	cfg.Cluster = *cluster
-	cfg.LossProb = *loss
 	if *bal {
 		cfg.Balance = balance.Policy{Enabled: true}
 	}
@@ -98,14 +94,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("players=%d threads=%d seq=%v strategy=%s leaves=%d\n",
-		res.Players, res.Threads, res.Sequential, res.Strategy, res.NumLeaves)
+	fmt.Printf("players=%d threads=%d strategy=%s leaves=%d\n",
+		res.Players, res.Threads, res.Strategy, res.NumLeaves)
 	fmt.Printf("frames=%d requests=%d replies=%d rate=%.1f/s resp=%.1fms\n",
 		res.Frames, res.Requests, res.Resp.Replies, res.ResponseRate(), res.ResponseTimeMs())
-	if res.LostRequests > 0 {
-		fmt.Printf("lost=%d (%.1f%% of offered load)\n", res.LostRequests,
-			100*float64(res.LostRequests)/float64(res.Requests+res.LostRequests))
-	}
 	bd := res.Avg
 	for c := metrics.Component(0); c < metrics.NumComponents; c++ {
 		fmt.Printf("  %-11s %6.1f%%  (%s)\n", c.String(), bd.Percent(c), metrics.Dur(bd.Ns[c]))
@@ -157,7 +149,7 @@ func main() {
 	}
 	if *trace > 0 {
 		fmt.Println()
-		fmt.Print(experiments.RenderTimeline(res.Trace, res.Threads, 96))
+		fmt.Print(experiments.RenderTimeline(res.Trace, len(res.PerThread), 96))
 	}
 }
 

@@ -74,7 +74,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		srvAddr, err := transport.ResolveLike(conn, conns[0].LocalAddr().String())
+		srvAddr, err := conn.Resolve(conns[0].LocalAddr().String())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -24,11 +24,11 @@ func main() {
 	for _, players := range []int{64, 96, 128, 144, 160} {
 		fmt.Printf("%7d |", players)
 		for _, cfg := range []simserver.Config{
-			mk(opts, players, 1, true, nil),
-			mk(opts, players, 2, false, locking.Conservative{}),
-			mk(opts, players, 4, false, locking.Conservative{}),
-			mk(opts, players, 8, false, locking.Conservative{}),
-			mk(opts, players, 8, false, locking.Optimized{}),
+			mk(opts, players, 0, nil),
+			mk(opts, players, 2, locking.Conservative{}),
+			mk(opts, players, 4, locking.Conservative{}),
+			mk(opts, players, 8, locking.Conservative{}),
+			mk(opts, players, 8, locking.Optimized{}),
 		} {
 			res, err := simserver.Run(cfg)
 			if err != nil {
@@ -47,14 +47,14 @@ func main() {
 	fmt.Print(r.Render())
 }
 
-func mk(o experiments.Options, players, threads int, seq bool, strat locking.Strategy) simserver.Config {
+// mk is one configuration; threads 0 is the sequential server.
+func mk(o experiments.Options, players, threads int, strat locking.Strategy) simserver.Config {
 	return simserver.Config{
-		MapConfig:  experiments.PaperMapConfig(o.Seed),
-		Players:    players,
-		Threads:    threads,
-		Sequential: seq,
-		Strategy:   strat,
-		DurationS:  o.DurationS,
-		Seed:       o.Seed,
+		MapConfig: experiments.PaperMapConfig(o.Seed),
+		Players:   players,
+		Threads:   threads,
+		Strategy:  strat,
+		DurationS: o.DurationS,
+		Seed:      o.Seed,
 	}
 }

@@ -136,7 +136,7 @@ func (b *Bot) Connect() error {
 			case *protocol.Accept:
 				b.clientID = m.ClientID
 				b.entityID = m.EntityID
-				addr, err := transport.ResolveLike(b.conn, m.Addr)
+				addr, err := b.conn.Resolve(m.Addr)
 				if err != nil {
 					return fmt.Errorf("botclient: bad assigned addr %q: %w", m.Addr, err)
 				}

@@ -80,7 +80,7 @@ func (lc *lockClient) connect(t *testing.T) {
 		}
 		switch m := msg.(type) {
 		case *protocol.Accept:
-			addr, err := transport.ResolveLike(lc.conn, m.Addr)
+			addr, err := lc.conn.Resolve(m.Addr)
 			if err != nil {
 				t.Fatalf("client %d: bad accept addr %q: %v", lc.idx, m.Addr, err)
 			}
@@ -133,14 +133,13 @@ func runLive(t *testing.T, sc *Scenario, threads int, pol balance.Policy, steali
 		t.Fatal(err)
 	}
 	cfg := server.Config{
-		World:         world,
-		Conns:         conns,
-		Threads:       threads,
-		MaxClients:    sc.Players + 2,
-		SelectTimeout: 2 * time.Millisecond,
-		Balance:       pol,
-		Stealing:      stealing,
-		Record:        rec,
+		World:      world,
+		Conns:      conns,
+		Threads:    threads,
+		MaxClients: sc.Players + 2,
+		Balance:    pol,
+		Stealing:   stealing,
+		Record:     rec,
 	}
 	eng, err := server.NewParallel(cfg)
 	if err != nil {
@@ -194,20 +193,18 @@ func runLive(t *testing.T, sc *Scenario, threads int, pol balance.Policy, steali
 }
 
 // runDES drives the scenario through the discrete-event engine.
-func runDES(t *testing.T, sc *Scenario, threads int, sequential bool, pol balance.Policy, stealing bool) []PlayerState {
+func runDES(t *testing.T, sc *Scenario, threads int, pol balance.Policy, stealing bool) []PlayerState {
 	t.Helper()
 	res, err := simserver.Run(simserver.Config{
-		Map:           sc.Map,
-		Players:       sc.Players,
-		Threads:       threads,
-		Sequential:    sequential,
-		Seed:          sc.WorldSeed,
-		DurationS:     4,
-		ClientFrameMs: 33,
-		Script:        sc.Script,
-		MaxMoves:      int64(sc.Moves),
-		Balance:       pol,
-		Stealing:      stealing,
+		Map:       sc.Map,
+		Players:   sc.Players,
+		Threads:   threads,
+		Seed:      sc.WorldSeed,
+		DurationS: 4,
+		Script:    sc.Script,
+		MaxMoves:  int64(sc.Moves),
+		Balance:   pol,
+		Stealing:  stealing,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +265,7 @@ func TestCrossEngineConformance(t *testing.T) {
 					}
 				})
 				t.Run(fmt.Sprintf("des/threads=%d/balance=%v/steal=%v", threads, balanced, stealing), func(t *testing.T) {
-					got := runDES(t, sc, threads, false, pol, stealing)
+					got := runDES(t, sc, threads, pol, stealing)
 					if d := Diff(want, got); d != "" {
 						t.Fatalf("DES diverged from sequential reference:\n%s", d)
 					}
@@ -277,7 +274,7 @@ func TestCrossEngineConformance(t *testing.T) {
 		}
 	}
 	t.Run("des/sequential", func(t *testing.T) {
-		got := runDES(t, sc, 1, true, balance.Policy{}, false)
+		got := runDES(t, sc, 0, balance.Policy{}, false)
 		if d := Diff(want, got); d != "" {
 			t.Fatalf("sequential DES diverged from sequential reference:\n%s", d)
 		}

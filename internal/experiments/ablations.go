@@ -31,7 +31,7 @@ func AblationAssignment(o Options) (Result, error) {
 	} {
 		for _, players := range []int{128, 144} {
 			o.Progress("ablation-assign: %v players=%d", policy, players)
-			cfg := baseConfig(o, players, 4, false, locking.Optimized{})
+			cfg := baseConfig(o, players, 4, locking.Optimized{})
 			cfg.Assign = policy
 			res, err := run(cfg)
 			if err != nil {
@@ -73,7 +73,7 @@ func AblationBatching(o Options) (Result, error) {
 	}
 	for _, batchUs := range []int64{0, 250, 500, 1000, 2000} {
 		o.Progress("ablation-batch: %dus", batchUs)
-		cfg := baseConfig(o, 128, 4, false, locking.Conservative{})
+		cfg := baseConfig(o, 128, 4, locking.Conservative{})
 		cfg.BatchDelayNs = batchUs * 1000
 		res, err := run(cfg)
 		if err != nil {
@@ -125,7 +125,7 @@ func AblationSMT(o Options) (Result, error) {
 		{"ideal", "ideal: 8 true cores, free memory", 8, 1.0, 0},
 	} {
 		o.Progress("ablation-smt: %s", v.name)
-		cfg := baseConfig(o, 160, 8, false, locking.Conservative{})
+		cfg := baseConfig(o, 160, 8, locking.Conservative{})
 		cfg.Machine.Cores = v.cores
 		cfg.Machine.SMTPenalty = v.smt
 		cfg.Machine.MemContention = v.mem
@@ -164,7 +164,7 @@ func AblationLockGranularity(o Options) (Result, error) {
 	}
 	for _, depth := range []int{1, 2, 3, 4, 5} {
 		o.Progress("ablation-granularity: depth=%d", depth)
-		cfg := baseConfig(o, 144, 4, false, locking.Optimized{})
+		cfg := baseConfig(o, 144, 4, locking.Optimized{})
 		cfg.AreanodeDepth = depth
 		res, err := run(cfg)
 		if err != nil {

@@ -48,7 +48,7 @@ func TestBatchingThickensFrames(t *testing.T) {
 func TestIdealMachineOutperformsPaperMachine(t *testing.T) {
 	t.Parallel()
 	mk := func(cores int, smt, mem float64) *simserver.Result {
-		cfg := baseConfig(quickOpts(), 160, 8, false, locking.Optimized{})
+		cfg := baseConfig(quickOpts(), 160, 8, locking.Optimized{})
 		cfg.Machine.Cores = cores
 		cfg.Machine.SMTPenalty = smt
 		cfg.Machine.MemContention = mem

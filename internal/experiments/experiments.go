@@ -102,15 +102,14 @@ func PaperMapConfig(seed int64) worldmap.Config {
 }
 
 // baseConfig assembles the standard experiment configuration.
-func baseConfig(o Options, players, threads int, sequential bool, strat locking.Strategy) simserver.Config {
+func baseConfig(o Options, players, threads int, strat locking.Strategy) simserver.Config {
 	return simserver.Config{
-		MapConfig:  PaperMapConfig(o.Seed),
-		Players:    players,
-		Threads:    threads,
-		Sequential: sequential,
-		Strategy:   strat,
-		DurationS:  o.DurationS,
-		Seed:       o.Seed,
+		MapConfig: PaperMapConfig(o.Seed),
+		Players:   players,
+		Threads:   threads,
+		Strategy:  strat,
+		DurationS: o.DurationS,
+		Seed:      o.Seed,
 	}
 }
 
@@ -169,7 +168,7 @@ func Table1(Options) (Result, error) {
 // ordering and shares — the structural content of the paper's Figure 1.
 func Fig1(o Options) (Result, error) {
 	o.fill()
-	res, err := run(baseConfig(o, 64, 1, true, nil))
+	res, err := run(baseConfig(o, 64, 0, nil))
 	if err != nil {
 		return Result{}, err
 	}
@@ -198,7 +197,7 @@ func Fig1(o Options) (Result, error) {
 // construction and linking invariants are checked by the areanode tests.
 func Fig2(o Options) (Result, error) {
 	o.fill()
-	res, err := run(baseConfig(o, 32, 1, false, locking.Optimized{}))
+	res, err := run(baseConfig(o, 32, 1, locking.Optimized{}))
 	if err != nil {
 		return Result{}, err
 	}
@@ -215,7 +214,7 @@ func Fig2(o Options) (Result, error) {
 // Figure 3 — and renders an execution timeline of the traced frames.
 func Fig3(o Options) (Result, error) {
 	o.fill()
-	cfg := baseConfig(o, 144, 4, false, locking.Conservative{})
+	cfg := baseConfig(o, 144, 4, locking.Conservative{})
 	cfg.TraceFrames = 40
 	res, err := run(cfg)
 	if err != nil {
@@ -305,11 +304,11 @@ func Fig4(o Options) (Result, error) {
 	}
 	for _, n := range []int{64, 96, 128} {
 		o.Progress("fig4: players=%d", n)
-		seq, err := run(baseConfig(o, n, 1, true, nil))
+		seq, err := run(baseConfig(o, n, 0, nil))
 		if err != nil {
 			return Result{}, err
 		}
-		par, err := run(baseConfig(o, n, 1, false, locking.Conservative{}))
+		par, err := run(baseConfig(o, n, 1, locking.Conservative{}))
 		if err != nil {
 			return Result{}, err
 		}
@@ -363,7 +362,7 @@ func threadSweep(o Options, strat locking.Strategy, exp, title string) (Result, 
 	for _, th := range threads {
 		for _, n := range players {
 			o.Progress("%s: threads=%d players=%d", title, th, n)
-			res, err := run(baseConfig(o, n, th, false, strat))
+			res, err := run(baseConfig(o, n, th, strat))
 			if err != nil {
 				return Result{}, err
 			}
@@ -411,7 +410,7 @@ func Fig7a(o Options) (Result, error) {
 	for _, th := range []int{2, 4, 8} {
 		for _, n := range []int{64, 128, 160} {
 			o.Progress("fig7a: threads=%d players=%d", th, n)
-			res, err := run(baseConfig(o, n, th, false, locking.Conservative{}))
+			res, err := run(baseConfig(o, n, th, locking.Conservative{}))
 			if err != nil {
 				return Result{}, err
 			}
@@ -445,7 +444,7 @@ func Fig7b(o Options) (Result, error) {
 	}
 	for _, depth := range []int{1, 2, 3, 4, 5} {
 		o.Progress("fig7b: depth=%d", depth)
-		cfg := baseConfig(o, 128, 4, false, locking.Optimized{})
+		cfg := baseConfig(o, 128, 4, locking.Optimized{})
 		cfg.AreanodeDepth = depth
 		res, err := run(cfg)
 		if err != nil {
@@ -479,7 +478,7 @@ func Fig7c(o Options) (Result, error) {
 	for _, th := range threads {
 		for _, n := range players {
 			o.Progress("fig7c: threads=%d players=%d", th, n)
-			res, err := run(baseConfig(o, n, th, false, locking.Conservative{}))
+			res, err := run(baseConfig(o, n, th, locking.Conservative{}))
 			if err != nil {
 				return Result{}, err
 			}
@@ -509,7 +508,7 @@ func Imbalance(o Options) (Result, error) {
 	}
 	for _, th := range []int{2, 4, 8} {
 		o.Progress("imbalance: threads=%d", th)
-		res, err := run(baseConfig(o, 128, th, false, locking.Conservative{}))
+		res, err := run(baseConfig(o, 128, th, locking.Conservative{}))
 		if err != nil {
 			return Result{}, err
 		}
@@ -536,7 +535,7 @@ func Coverage(o Options) (Result, error) {
 	for _, th := range []int{2, 4, 8} {
 		for _, n := range []int{64, 128, 160} {
 			o.Progress("coverage: threads=%d players=%d", th, n)
-			res, err := run(baseConfig(o, n, th, false, locking.Conservative{}))
+			res, err := run(baseConfig(o, n, th, locking.Conservative{}))
 			if err != nil {
 				return Result{}, err
 			}
@@ -567,11 +566,11 @@ func Saturation(o Options) (Result, error) {
 		mk    func(n int) simserver.Config
 	}
 	probes := []probe{
-		{"sequential", func(n int) simserver.Config { return baseConfig(o, n, 1, true, nil) }},
-		{"2T conservative", func(n int) simserver.Config { return baseConfig(o, n, 2, false, locking.Conservative{}) }},
-		{"4T conservative", func(n int) simserver.Config { return baseConfig(o, n, 4, false, locking.Conservative{}) }},
-		{"8T conservative", func(n int) simserver.Config { return baseConfig(o, n, 8, false, locking.Conservative{}) }},
-		{"8T optimized", func(n int) simserver.Config { return baseConfig(o, n, 8, false, locking.Optimized{}) }},
+		{"sequential", func(n int) simserver.Config { return baseConfig(o, n, 0, nil) }},
+		{"2T conservative", func(n int) simserver.Config { return baseConfig(o, n, 2, locking.Conservative{}) }},
+		{"4T conservative", func(n int) simserver.Config { return baseConfig(o, n, 4, locking.Conservative{}) }},
+		{"8T conservative", func(n int) simserver.Config { return baseConfig(o, n, 8, locking.Conservative{}) }},
+		{"8T optimized", func(n int) simserver.Config { return baseConfig(o, n, 8, locking.Optimized{}) }},
 	}
 	var seqSupported int
 	for _, pr := range probes {
@@ -617,7 +616,7 @@ func WaitAnalysis(o Options) (Result, error) {
 	}
 	for _, th := range []int{2, 4, 8} {
 		o.Progress("wait: threads=%d", th)
-		res, err := run(baseConfig(o, 128, th, false, locking.Conservative{}))
+		res, err := run(baseConfig(o, 128, th, locking.Conservative{}))
 		if err != nil {
 			return Result{}, err
 		}

@@ -231,15 +231,15 @@ func TestPaperMapConfig(t *testing.T) {
 }
 
 func TestBaseConfigDefaults(t *testing.T) {
-	cfg := baseConfig(quickOpts(), 64, 2, false, locking.Optimized{})
-	if cfg.Players != 64 || cfg.Threads != 2 || cfg.Sequential {
+	cfg := baseConfig(quickOpts(), 64, 2, locking.Optimized{})
+	if cfg.Players != 64 || cfg.Threads != 2 {
 		t.Errorf("base config = %+v", cfg)
 	}
 }
 
 func TestRenderTimeline(t *testing.T) {
 	t.Parallel()
-	cfg := baseConfig(quickOpts(), 96, 4, false, locking.Conservative{})
+	cfg := baseConfig(quickOpts(), 96, 4, locking.Conservative{})
 	cfg.TraceFrames = 10
 	res, err := run(cfg)
 	if err != nil {

@@ -29,7 +29,7 @@ func Lockwall(o Options) (Result, error) {
 			"steals/s", "parks/s", "stolen%", "rate/s", "resp ms"},
 	}
 	for _, th := range []int{2, 4, 8} {
-		cfg := baseConfig(o, players, th, false, locking.Conservative{})
+		cfg := baseConfig(o, players, th, locking.Conservative{})
 		o.Progress("lockwall: threads=%d static", th)
 		static, err := run(cfg)
 		if err != nil {

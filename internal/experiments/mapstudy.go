@@ -64,12 +64,10 @@ func MapStudy(o Options) (Result, error) {
 		o.Progress("mapstudy: %s", v.label)
 		stats := v.m.ComputeStats()
 		res, err := run(simserver.Config{
-			Map:        v.m,
-			Players:    128,
-			Threads:    1,
-			Sequential: true,
-			DurationS:  o.DurationS,
-			Seed:       o.Seed,
+			Map:       v.m,
+			Players:   128,
+			DurationS: o.DurationS,
+			Seed:      o.Seed,
 		})
 		if err != nil {
 			return Result{}, err

@@ -43,8 +43,6 @@ func Visibility(o Options) (Result, error) {
 				res, err := run(simserver.Config{
 					Map:              v.m,
 					Players:          players,
-					Threads:          1,
-					Sequential:       true,
 					DurationS:        o.DurationS,
 					Seed:             o.Seed,
 					IndexedSnapshots: !naive,

@@ -1,9 +1,5 @@
 package metrics
 
-import (
-	"qserve/internal/stats"
-)
-
 // FrameRecord captures one server frame's activity for the §4.2/§5
 // analyses: how many requests each thread processed and which leaf
 // areanodes each thread locked. Leaf sets are bitmasks over leaf
@@ -51,7 +47,7 @@ func (l *FrameLog) NumLeaves() int { return l.leaves }
 // participating thread per frame — the §5.2 "4, 2.5, and 1.5 requests
 // per thread" statistic.
 func (l *FrameLog) RequestsPerThreadPerFrame() float64 {
-	var w stats.Welford
+	var w Welford
 	for _, f := range l.Frames {
 		for _, r := range f.RequestsByThread {
 			w.Add(float64(r))
@@ -81,7 +77,7 @@ func (l *FrameLog) ImbalanceStats() (mean, stddev float64) {
 		}
 		diffs = append(diffs, float64(mx-mn))
 	}
-	return stats.Mean(diffs), stats.StdDev(diffs)
+	return meanOf(diffs), stdDevOf(diffs)
 }
 
 // SharedLeafFraction returns the average fraction (0..1) of the world's
@@ -91,7 +87,7 @@ func (l *FrameLog) SharedLeafFraction() float64 {
 	if l.leaves == 0 {
 		return 0
 	}
-	var w stats.Welford
+	var w Welford
 	for _, f := range l.Frames {
 		var once, twice uint64
 		for _, set := range f.LeafLocksByThread {
@@ -110,7 +106,7 @@ func (l *FrameLog) TouchedLeafFraction() float64 {
 	if l.leaves == 0 {
 		return 0
 	}
-	var w stats.Welford
+	var w Welford
 	for _, f := range l.Frames {
 		var any uint64
 		for _, set := range f.LeafLocksByThread {
@@ -128,7 +124,7 @@ func (l *FrameLog) LockOpsPerLeafPerFrame() float64 {
 	if l.leaves == 0 {
 		return 0
 	}
-	var w stats.Welford
+	var w Welford
 	for _, f := range l.Frames {
 		w.Add(float64(f.LeafLockOps) / float64(l.leaves))
 	}
@@ -182,8 +178,8 @@ func popcount(x uint64) int {
 type ResponseStats struct {
 	Replies   int64
 	DurationS float64
-	Latency   stats.Welford // seconds
-	Hist      LatencyHist   // percentile view of the same samples
+	Latency   Welford     // seconds
+	Hist      LatencyHist // percentile view of the same samples
 }
 
 // Rate returns replies per second.

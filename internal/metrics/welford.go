@@ -1,11 +1,9 @@
-// Package stats provides the small statistical helpers the benchmark
-// harness and metrics layer use: accumulators and series formatting.
-package stats
+package metrics
 
 import "math"
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
+// meanOf returns the arithmetic mean of xs, or 0 for an empty slice.
+func meanOf(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -16,12 +14,12 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
+// stdDevOf returns the population standard deviation of xs.
+func stdDevOf(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
-	m := Mean(xs)
+	m := meanOf(xs)
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
@@ -63,14 +61,6 @@ func (w *Welford) N() int64 { return w.n }
 
 // Mean returns the running mean.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n))
-}
 
 // Min returns the smallest sample seen (0 if none).
 func (w *Welford) Min() float64 { return w.min }

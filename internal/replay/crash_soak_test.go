@@ -83,14 +83,13 @@ func TestCrashRecoverySoak(t *testing.T) {
 	var stepNo atomic.Int64
 	var panicFired atomic.Bool
 	cfg := server.Config{
-		World:         w,
-		Conns:         conns,
-		Threads:       threads,
-		Strategy:      locking.Optimized{},
-		MaxClients:    numBots + 4,
-		SelectTimeout: 2 * time.Millisecond,
-		Record:        st,
-		Checkpoint:    wr,
+		World:      w,
+		Conns:      conns,
+		Threads:    threads,
+		Strategy:   locking.Optimized{},
+		MaxClients: numBots + 4,
+		Record:     st,
+		Checkpoint: wr,
 	}
 	cfg.Hooks.PreExec = func(thread int, id uint16) {
 		if stepNo.Load() >= steps/2 && panicFired.CompareAndSwap(false, true) {
@@ -240,13 +239,12 @@ func TestCrashRecoverySoak(t *testing.T) {
 		}
 	}
 	par2, err := server.NewParallel(server.Config{
-		World:         rv.World,
-		Conns:         conns2,
-		Threads:       threads,
-		Strategy:      locking.Optimized{},
-		MaxClients:    numBots + 4,
-		SelectTimeout: 2 * time.Millisecond,
-		Restore:       rv.RestoreState(recoveryNs),
+		World:      rv.World,
+		Conns:      conns2,
+		Threads:    threads,
+		Strategy:   locking.Optimized{},
+		MaxClients: numBots + 4,
+		Restore:    rv.RestoreState(recoveryNs),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -64,22 +64,14 @@ func ReplayDES(lg *Log, lc LiveConfig) (*Result, error) {
 	if lc.Balance {
 		pol = balance.Policy{Enabled: true, EveryFrame: true, MaxMigrations: 4}
 	}
-	threads := lc.Threads
-	sequential := false
-	if threads == 0 {
-		threads = 1
-		sequential = true
-	}
 	res, err := simserver.Run(simserver.Config{
-		Map:           lg.Map,
-		Players:       pb.Clients,
-		Threads:       threads,
-		Sequential:    sequential,
-		Seed:          lg.WorldSeed,
-		ClientFrameMs: 33,
-		Playback:      pb,
-		Balance:       pol,
-		Stealing:      lc.Stealing,
+		Map:      lg.Map,
+		Players:  pb.Clients,
+		Threads:  lc.Threads,
+		Seed:     lg.WorldSeed,
+		Playback: pb,
+		Balance:  pol,
+		Stealing: lc.Stealing,
 	})
 	if err != nil {
 		return nil, err

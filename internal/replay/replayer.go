@@ -146,11 +146,10 @@ func newLiveDriver(m *worldmap.Map, seed int64, lc LiveConfig, rec *Recorder, ma
 		pol = balance.Policy{Enabled: true, EveryFrame: true, MaxMigrations: 4}
 	}
 	cfg := server.Config{
-		World:         world,
-		Conns:         conns,
-		Threads:       lc.Threads,
-		MaxClients:    maxClients,
-		SelectTimeout: 2 * time.Millisecond,
+		World:      world,
+		Conns:      conns,
+		Threads:    lc.Threads,
+		MaxClients: maxClients,
 		// The driver paces the session; wall-clock silence between
 		// lockstep rounds must never evict a replayed client.
 		ClientTimeout: time.Hour,
@@ -250,7 +249,7 @@ func (d *liveDriver) connect(key uint16, name string) (*protocol.Accept, error) 
 		}
 		switch m := msg.(type) {
 		case *protocol.Accept:
-			addr, err := transport.ResolveLike(c.conn, m.Addr)
+			addr, err := c.conn.Resolve(m.Addr)
 			if err != nil {
 				return nil, fmt.Errorf("replay: client %d accept addr %q: %w", key, m.Addr, err)
 			}

@@ -69,13 +69,12 @@ func TestChaosSoakReplay(t *testing.T) {
 	var stepNo atomic.Int64
 	var panicFired atomic.Bool
 	cfg := server.Config{
-		World:         w,
-		Conns:         conns,
-		Threads:       threads,
-		Strategy:      locking.Optimized{},
-		MaxClients:    numBots + 4,
-		SelectTimeout: 2 * time.Millisecond,
-		Record:        rec,
+		World:      w,
+		Conns:      conns,
+		Threads:    threads,
+		Strategy:   locking.Optimized{},
+		MaxClients: numBots + 4,
+		Record:     rec,
 	}
 	cfg.Hooks.PreExec = func(thread int, id uint16) {
 		if stepNo.Load() >= steps/2 && panicFired.CompareAndSwap(false, true) {

@@ -134,7 +134,6 @@ func runWedgeChild(t *testing.T, dir string) {
 		Conns:            conns,
 		Threads:          wedgeThreads,
 		Strategy:         locking.Optimized{},
-		SelectTimeout:    2 * time.Millisecond,
 		WatchdogDeadline: 100 * time.Millisecond,
 		Record:           st,
 		Checkpoint:       wr,

@@ -349,7 +349,6 @@ func TestEventsReachSilentClients(t *testing.T) {
 	conn, _ := net.Listen("srv:0")
 	srv, err := NewParallel(Config{
 		World: w, Conns: []transport.Conn{conn},
-		SelectTimeout: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

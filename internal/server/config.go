@@ -29,15 +29,8 @@ type Config struct {
 	Strategy locking.Strategy
 	// MaxClients bounds the session size. Default 256.
 	MaxClients int
-	// SelectTimeout is how long a thread blocks in its select before
-	// re-checking for shutdown. Default 5ms.
-	SelectTimeout time.Duration
 	// ClientTimeout evicts clients silent for this long. Default 15s.
 	ClientTimeout time.Duration
-	// Assign maps a new client's join index to an owning thread. The
-	// default emulates the paper's static block assignment for clients
-	// that connect up-front: index i goes to thread i*Threads/MaxClients.
-	Assign func(joinIdx, threads, maxClients int) int
 	// Balance configures dynamic client→thread rebalancing (two or more
 	// threads). Off by default, preserving the paper's static assignment.
 	Balance balance.Policy
@@ -67,9 +60,6 @@ type Config struct {
 	// disables overload shedding. Adjustable at runtime via
 	// SetFrameBudget.
 	FrameBudget time.Duration
-	// OverloadEntityCap is the per-snapshot visible-entity cap applied at
-	// shed level 2+. Default 16.
-	OverloadEntityCap int
 
 	// Record, when non-nil, receives the session's deterministic input
 	// stream — ticks, committed moves, connects/disconnects, migrations
@@ -125,8 +115,9 @@ func (c *Config) timeNow() time.Time {
 	return time.Now()
 }
 
-// Hooks exposes fault-injection seams for the chaos tests. All fields
-// optional.
+// Hooks are test seams: fault injection for the chaos tests, and the
+// client placement and overload cap the scheduling and shed tests force.
+// All fields optional; production leaves them zero.
 type Hooks struct {
 	// PreExec runs on the executing thread right before a move command
 	// executes. The wedge/panic tests use it to stall or crash a thread at
@@ -146,6 +137,15 @@ type Hooks struct {
 	// are a precondition for work stealing to engage, so the stealing
 	// stress tests set it.
 	BatchDelay time.Duration
+	// Assign, when set, replaces BlockAssign as the map from a new
+	// client's join index to its owning thread. The paper's static block
+	// assignment puts join index i on thread i*Threads/MaxClients; tests
+	// set RoundRobinAssign to split a few clients across threads, or pin
+	// every client to one thread.
+	Assign func(joinIdx, threads, maxClients int) int
+	// OverloadEntityCap, when positive, replaces overloadEntityCap as the
+	// per-snapshot visible-entity cap at shed level 2+.
+	OverloadEntityCap int
 }
 
 func (c *Config) fill() error {
@@ -164,17 +164,8 @@ func (c *Config) fill() error {
 	if c.MaxClients <= 0 {
 		c.MaxClients = 256
 	}
-	if c.SelectTimeout <= 0 {
-		c.SelectTimeout = 5 * time.Millisecond
-	}
 	if c.ClientTimeout <= 0 {
 		c.ClientTimeout = 15 * time.Second
-	}
-	if c.Assign == nil {
-		c.Assign = BlockAssign
-	}
-	if c.OverloadEntityCap <= 0 {
-		c.OverloadEntityCap = 16
 	}
 	return nil
 }

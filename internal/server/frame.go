@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"time"
 
 	"qserve/internal/entity"
@@ -214,11 +215,15 @@ func (s *session) admit(w *worker, m *protocol.Connect, from transport.Addr) (*c
 	if err != nil {
 		return nil, "no entity slots"
 	}
+	assign := BlockAssign
+	if s.cfg.Hooks.Assign != nil {
+		assign = s.cfg.Hooks.Assign
+	}
 	c := &client{
 		entID:  ent.ID,
 		name:   m.Name,
 		addr:   from,
-		thread: s.cfg.Assign(int(s.joinIdx.Add(1)-1), len(s.workers), s.cfg.MaxClients),
+		thread: assign(int(s.joinIdx.Add(1)-1), len(s.workers), s.cfg.MaxClients),
 	}
 	c.touch(time.Now())
 	if !s.clients.add(c) {
@@ -362,7 +367,7 @@ func (s *session) sendReplies(w *worker, vi *game.VisIndex, frame uint32) {
 	level := s.shed.current()
 	entityLimit := 0
 	if level >= shedEntityCap {
-		entityLimit = s.cfg.OverloadEntityCap
+		entityLimit = cmp.Or(s.cfg.Hooks.OverloadEntityCap, overloadEntityCap)
 	}
 	sc.clientBuf = s.clients.forThreadBuf(sc.clientBuf, w.id, func(c *client) {
 		if !c.replyPending {

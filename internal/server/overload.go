@@ -33,6 +33,10 @@ const (
 	shedClearFrames = 16
 )
 
+// overloadEntityCap is the per-snapshot visible-entity cap at shed level
+// shedEntityCap and above (Hooks.OverloadEntityCap overrides it).
+const overloadEntityCap = 16
+
 // shedController implements graceful overload degradation: when the
 // frame time stays over budget for a run of consecutive frames the
 // server sheds load one ladder step at a time instead of letting latency

@@ -94,6 +94,10 @@ func (r WedgeRecord) String() string {
 // supervisor restarts it from the last checkpoint (DESIGN.md §7).
 const WedgeExitCode = 3
 
+// selectTimeout is how long a worker blocks in its select before
+// re-checking for shutdown: it bounds how long Stop waits, nothing else.
+const selectTimeout = 5 * time.Millisecond
+
 // worker is one server thread's private state: its endpoint, its share
 // of the execution-time breakdown, the buffers its request and reply
 // processing reuse, and its locking, stealing and watchdog state.
@@ -266,7 +270,7 @@ func (s *Parallel) Start() {
 func (s *Parallel) workerLoop(w *worker) {
 	for {
 		t0 := time.Now()
-		n, from, err := w.conn.Recv(w.scratch.recvBuf, s.cfg.SelectTimeout)
+		n, from, err := w.conn.Recv(w.scratch.recvBuf, selectTimeout)
 		w.bd.Charge(metrics.CompIdle, time.Since(t0).Nanoseconds())
 		if s.stopping() {
 			return

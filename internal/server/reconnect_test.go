@@ -72,13 +72,12 @@ func newRestoredRig(t *testing.T, threads, survivors int, mut func(*Config)) *re
 		}
 	}
 	cfg := Config{
-		World:         w,
-		Conns:         conns,
-		Threads:       threads,
-		Strategy:      locking.Optimized{},
-		MaxClients:    32,
-		SelectTimeout: 2 * time.Millisecond,
-		Restore:       rs,
+		World:      w,
+		Conns:      conns,
+		Threads:    threads,
+		Strategy:   locking.Optimized{},
+		MaxClients: 32,
+		Restore:    rs,
 	}
 	if mut != nil {
 		mut(&cfg)

@@ -60,7 +60,7 @@ func testWatchdogRecordsWedge(t *testing.T, threads int, phase int32) {
 	}
 	records := make(chan WedgeRecord, 8)
 	rig := newRigCfg(t, threads, numBots, locking.Optimized{}, func(cfg *Config) {
-		cfg.Assign = RoundRobinAssign // split the bots across the threads
+		cfg.Hooks.Assign = RoundRobinAssign // split the bots across the threads
 		cfg.WatchdogDeadline = deadline
 		cfg.Hooks.Wedged = func(rec WedgeRecord) {
 			select {
@@ -272,7 +272,7 @@ func testPanicContainment(t *testing.T, threads, numBots int, phase string) {
 	var victim atomic.Int32 // id+1
 	var rp *replyPanic
 	rig := newRigCfg(t, threads, numBots, locking.Optimized{}, func(cfg *Config) {
-		cfg.Assign = RoundRobinAssign
+		cfg.Hooks.Assign = RoundRobinAssign
 		if phase == "request" {
 			panicSeam(cfg, &victim)
 		} else {
@@ -352,8 +352,8 @@ func testOverloadShedLadder(t *testing.T, threads int) {
 		{ID: 1, Name: "by-name", Addr: "old:1"},
 	}
 	rig := newRigCfg(t, threads, numBots, locking.Optimized{}, func(cfg *Config) {
-		cfg.Assign = RoundRobinAssign
-		cfg.OverloadEntityCap = 1 // guarantee truncation at level 2
+		cfg.Hooks.Assign = RoundRobinAssign
+		cfg.Hooks.OverloadEntityCap = 1 // guarantee truncation at level 2
 		for i := range parked {
 			e, err := cfg.World.SpawnPlayer()
 			if err != nil {
@@ -516,7 +516,6 @@ func TestGracefulShutdown(t *testing.T) {
 			cfg := Config{
 				World: w, Conns: conns, Threads: threads,
 				Strategy: locking.Optimized{}, MaxClients: 8,
-				SelectTimeout: 2 * time.Millisecond,
 			}
 			eng, err := NewParallel(cfg)
 			if err != nil {

@@ -48,12 +48,11 @@ func newRigCfg(t *testing.T, threads, numBots int, strat locking.Strategy, mut f
 		conns[i] = c
 	}
 	cfg := Config{
-		World:         w,
-		Conns:         conns,
-		Threads:       threads,
-		Strategy:      strat,
-		MaxClients:    numBots + 4,
-		SelectTimeout: 2 * time.Millisecond,
+		World:      w,
+		Conns:      conns,
+		Threads:    threads,
+		Strategy:   strat,
+		MaxClients: numBots + 4,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -181,7 +180,7 @@ func TestConnectRejectWhenFull(t *testing.T) {
 	conn, _ := net.Listen("srv:0")
 	srv, err := NewParallel(Config{
 		World: w, Conns: []transport.Conn{conn},
-		MaxClients: 1, SelectTimeout: 2 * time.Millisecond,
+		MaxClients: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -63,12 +63,11 @@ func TestChaosSoak(t *testing.T) {
 	var panicFired atomic.Bool
 	var victim atomic.Int32 // clientID+1
 	cfg := Config{
-		World:         w,
-		Conns:         conns,
-		Threads:       threads,
-		Strategy:      locking.Optimized{},
-		MaxClients:    numBots + 4,
-		SelectTimeout: 2 * time.Millisecond,
+		World:      w,
+		Conns:      conns,
+		Threads:    threads,
+		Strategy:   locking.Optimized{},
+		MaxClients: numBots + 4,
 	}
 	cfg.Hooks.PreExec = func(thread int, id uint16) {
 		if stepNo.Load() >= steps/2 && panicFired.CompareAndSwap(false, true) {

@@ -48,7 +48,7 @@ func TestStealingRaceStress(t *testing.T) {
 	)
 	rig := newRigCfg(t, threads, numBots, locking.Optimized{}, func(cfg *Config) {
 		cfg.Stealing = true
-		cfg.Assign = assignAllToZero
+		cfg.Hooks.Assign = assignAllToZero
 		cfg.Balance = balance.Policy{Enabled: true, EveryFrame: true, MaxMigrations: 8}
 		// Hold frames open so other threads' selects join them — stealing
 		// needs multi-thread frames to engage at all.
@@ -147,7 +147,7 @@ func TestStealingPanicOnStolenRequest(t *testing.T) {
 	var panicThread atomic.Int32
 	rig := newRigCfg(t, threads, numBots, locking.Optimized{}, func(cfg *Config) {
 		cfg.Stealing = true
-		cfg.Assign = assignAllToZero
+		cfg.Hooks.Assign = assignAllToZero
 		cfg.Hooks.BatchDelay = 3 * time.Millisecond
 		cfg.Hooks.PreExec = func(thread int, id uint16) {
 			// Deschedule so pooled entries stay claimable while thread 0
@@ -561,7 +561,7 @@ func TestClaimForRemovalBoundedSpin(t *testing.T) {
 func TestParallel65Workers(t *testing.T) {
 	const threads = 65
 	rig := newRigCfg(t, threads, 1, locking.Optimized{}, func(cfg *Config) {
-		cfg.Assign = func(int, int, int) int { return threads - 1 }
+		cfg.Hooks.Assign = func(int, int, int) int { return threads - 1 }
 	})
 	rig.drive(60, 2*time.Millisecond)
 	if rig.engine.Frames() == 0 {

@@ -34,7 +34,7 @@ func TestUDPParallelEndToEnd(t *testing.T) {
 	defer srv.Stop()
 
 	bc, _ := transport.ListenUDP("127.0.0.1:0")
-	srvAddr, _ := transport.ResolveLike(bc, conns[0].LocalAddr().String())
+	srvAddr, _ := bc.Resolve(conns[0].LocalAddr().String())
 	bot, err := botclient.New(botclient.Config{Name: "b", Conn: bc, Server: srvAddr, Map: m, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -34,29 +34,24 @@ type Config struct {
 	MapConfig worldmap.Config
 	// Players is the number of automatic players.
 	Players int
-	// Threads is the server thread count. Ignored when Sequential.
+	// Threads is the server thread count, as in the live engine's
+	// server.Config. 0 is the unmodified sequential server (§4.1's
+	// baseline): one context, no locking, no region bookkeeping, so
+	// Strategy, Balance and Stealing do nothing. N >= 1 is the
+	// multithreaded server on N threads with region locks. Negative
+	// counts are rejected.
 	Threads int
-	// Sequential selects the unmodified single-threaded server: one
-	// context, no locking, no region bookkeeping (§4.1's baseline).
-	Sequential bool
 	// Machine is the simulated hardware; costmodel.PaperMachine by
 	// default.
 	Machine costmodel.MachineConfig
 	// Strategy is the region-lock scheme; locking.Conservative by
 	// default.
 	Strategy locking.Strategy
-	// Model prices operations; costmodel.Default by default.
-	Model costmodel.Model
 	// DurationS is the virtual run length in seconds. The paper runs two
 	// minutes; ten seconds reproduces the same steady-state statistics.
 	DurationS float64
-	// ClientFrameMs is the client frame duration (30 fps ⇒ ~33ms).
-	ClientFrameMs float64
 	// AreanodeDepth overrides the tree depth (default 4 ⇒ 31 nodes).
 	AreanodeDepth int
-	// NetDelayNs is the one-way client↔server latency added to response
-	// times (LAN-scale by default).
-	NetDelayNs int64
 	// Seed drives map generation fallback, client staggering, and bot
 	// behaviour.
 	Seed int64
@@ -66,21 +61,11 @@ type Config struct {
 	// suggestion ("dynamically assigning threads to players taking into
 	// account the region they are located may reduce contention").
 	Assign AssignPolicy
-	// ReassignEveryS is the dynamic policy's reassignment period in
-	// virtual seconds (default 1).
-	ReassignEveryS float64
 	// BatchDelayNs implements the §5.2 future-work suggestion ("the
 	// frame master thread can wait for a period of time before starting
 	// the frame"): the master idles this long after its triggering
 	// packet, letting more threads and requests join the frame.
 	BatchDelayNs int64
-
-	// LossProb drops each inbound move request with this probability —
-	// the simulated counterpart of the live transport's fault injector,
-	// for studying how throughput degrades on a lossy network. Lost
-	// requests cost the server nothing (they vanish upstream) and the
-	// affected client simply misses one reply.
-	LossProb float64
 
 	// TraceFrames, when positive, records per-thread phase spans for the
 	// first N frames into Result.Trace — the raw material for a Figure-3
@@ -123,7 +108,7 @@ type Config struct {
 	// running bot clients: players spawn from recorded connects, moves
 	// replay in log order with one item in flight server-wide, and world
 	// physics runs exactly the recorded tick dts (see internal/replay
-	// and DESIGN.md §11). Players/Script/MaxMoves/LossProb are ignored;
+	// and DESIGN.md §11). Players/Script/MaxMoves are ignored;
 	// the run ends when the stream drains.
 	Playback *Playback
 	// Record, when non-nil, receives the run's deterministic input
@@ -192,11 +177,8 @@ func (c *Config) fill() error {
 	if c.Players <= 0 && c.Playback == nil {
 		return fmt.Errorf("simserver: need players")
 	}
-	if c.Sequential {
-		c.Threads = 1
-	}
-	if c.Threads <= 0 {
-		c.Threads = 1
+	if c.Threads < 0 {
+		return fmt.Errorf("simserver: negative thread count %d", c.Threads)
 	}
 	if c.Map == nil && c.MapConfig.Rows == 0 {
 		c.MapConfig = worldmap.DefaultConfig()
@@ -208,25 +190,8 @@ func (c *Config) fill() error {
 	if c.Strategy == nil {
 		c.Strategy = locking.Conservative{}
 	}
-	if c.Model == (costmodel.Model{}) {
-		c.Model = costmodel.Default()
-	}
 	if c.DurationS <= 0 {
 		c.DurationS = 10
-	}
-	if c.ClientFrameMs <= 0 {
-		c.ClientFrameMs = 33
-	}
-	if c.NetDelayNs <= 0 {
-		c.NetDelayNs = 150_000 // 0.15ms one way: switched 100Mbit LAN
-	}
-	if c.ReassignEveryS <= 0 {
-		c.ReassignEveryS = 1
-	}
-	if c.LossProb < 0 {
-		c.LossProb = 0
-	} else if c.LossProb > 1 {
-		c.LossProb = 1
 	}
 	return nil
 }
@@ -259,12 +224,12 @@ func (l *LockAggregate) RelockFraction() float64 {
 
 // Result is one simulated run's complete measurement set.
 type Result struct {
-	Players    int
-	Threads    int
-	Sequential bool
-	Strategy   string
-	NumLeaves  int
-	DurationS  float64
+	Players int
+	// Threads is Config.Threads: 0 for the sequential server.
+	Threads   int
+	Strategy  string
+	NumLeaves int
+	DurationS float64
 
 	PerThread []metrics.Breakdown
 	Avg       metrics.Breakdown
@@ -275,9 +240,6 @@ type Result struct {
 
 	Frames   uint64
 	Requests int64
-	// LostRequests counts requests dropped by the simulated lossy
-	// network (Config.LossProb).
-	LostRequests int64
 	// Migrations counts balancer-driven client→thread moves.
 	Migrations int64
 

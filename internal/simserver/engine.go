@@ -22,6 +22,18 @@ import (
 // it only bounds how often an idle thread re-checks for shutdown.
 const selectTimeoutNs = 5_000_000
 
+// netDelayNs is the one-way client↔server latency added to response
+// times: 0.15 ms, a switched 100 Mbit LAN.
+const netDelayNs = 150_000
+
+// clientFrameMs is the client frame duration: 30 fps ⇒ ~33 ms between a
+// client's requests.
+const clientFrameMs = 33
+
+// reassignEveryNs is AssignRegion's reassignment period: one virtual
+// second.
+const reassignEveryNs = 1_000_000_000
+
 // minWorldTickNs rate-limits the world-physics phase, as QuakeWorld's
 // sv_mintic does: a frame whose master finds less than this much game
 // time elapsed skips the physics update (the P stage costs nothing),
@@ -80,7 +92,10 @@ type simWorker struct {
 type engine struct {
 	cfg   Config
 	world *game.World
-	model *costmodel.Model
+	model costmodel.Model
+	// seq is the sequential server (Config.Threads 0), run as one
+	// context with cfg.Threads 1: no locks, no region bookkeeping.
+	seq bool
 
 	machine   *sim.Sim
 	ports     []*clientPort
@@ -118,8 +133,6 @@ type engine struct {
 	resp         metrics.ResponseStats
 	locks        LockAggregate
 	requests     int64
-	lost         int64
-	lossRng      *rand.Rand
 	lastWorldNs  int64
 	lastReassign int64
 	endNs        int64
@@ -214,20 +227,25 @@ func Run(cfg Config) (*Result, error) {
 	// exhaustive trace walk (DESIGN.md §3.2): same game, published prices.
 	world.Collide = world.Collide.Reference()
 
+	seq := cfg.Threads == 0
+	if seq {
+		cfg.Threads = 1
+	}
 	smt := 1.0
 	cores := cfg.Threads
-	if !cfg.Sequential && cfg.Threads > cfg.Machine.Cores {
+	if cfg.Threads > cfg.Machine.Cores {
 		cores = cfg.Machine.Cores
 		smt = cfg.Machine.SMTPenalty
 	}
 	memBeta := 0.0
-	if !cfg.Sequential && cfg.Threads > 1 {
+	if cfg.Threads > 1 {
 		memBeta = cfg.Machine.MemContention
 	}
 	e := &engine{
 		cfg:      cfg,
 		world:    world,
-		model:    &cfg.Model,
+		model:    costmodel.Default(),
+		seq:      seq,
 		machine:  sim.New(sim.Config{Procs: cfg.Threads, Cores: cores, SMTPenalty: smt, MemBeta: memBeta}),
 		workers:  make([]simWorker, cfg.Threads),
 		bds:      make([]metrics.Breakdown, cfg.Threads),
@@ -241,11 +259,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 	e.nodeLocks = make([]sim.Lock, world.Tree.NumNodes())
 	e.fc.e = e
-	if cfg.Balance.Enabled && !cfg.Sequential && cfg.Threads > 1 {
+	if cfg.Balance.Enabled && cfg.Threads > 1 {
 		e.bal = balance.New(cfg.Balance)
-	}
-	if cfg.LossProb > 0 {
-		e.lossRng = rand.New(rand.NewSource(cfg.Seed*7919 + 11))
 	}
 	if cfg.Playback != nil {
 		e.pbs = &playbackState{
@@ -276,26 +291,25 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		Trace:        e.trace,
-		Players:      cfg.Players,
-		Threads:      cfg.Threads,
-		Sequential:   cfg.Sequential,
-		Strategy:     cfg.Strategy.Name(),
-		NumLeaves:    world.Tree.NumLeaves(),
-		DurationS:    cfg.DurationS,
-		PerThread:    e.bds,
-		Avg:          metrics.MergeThreads(e.bds),
-		FrameLog:     e.frameLog,
-		Resp:         e.resp,
-		Locks:        e.locks,
-		Frames:       e.fc.frame,
-		Requests:     e.requests,
-		LostRequests: e.lost,
-		Migrations:   e.migrations,
-		World:        world,
+		Trace:      e.trace,
+		Players:    cfg.Players,
+		Threads:    cfg.Threads,
+		Strategy:   cfg.Strategy.Name(),
+		NumLeaves:  world.Tree.NumLeaves(),
+		DurationS:  cfg.DurationS,
+		PerThread:  e.bds,
+		Avg:        metrics.MergeThreads(e.bds),
+		FrameLog:   e.frameLog,
+		Resp:       e.resp,
+		Locks:      e.locks,
+		Frames:     e.fc.frame,
+		Requests:   e.requests,
+		Migrations: e.migrations,
+		World:      world,
 	}
 	res.Resp.DurationS = cfg.DurationS
-	if cfg.Sequential {
+	if seq {
+		res.Threads = 0
 		res.Strategy = "none"
 	}
 	return res, nil
@@ -316,7 +330,7 @@ func (e *engine) buildClients() error {
 		// order, so entity IDs repeat the recorded session's.
 		return nil
 	}
-	periodNs := int64(cfg.ClientFrameMs * 1e6)
+	periodNs := int64(clientFrameMs * 1e6)
 	stagger := rand.New(rand.NewSource(cfg.Seed + 7))
 	for i := 0; i < cfg.Players; i++ {
 		ent, err := e.world.SpawnPlayer()
@@ -338,7 +352,7 @@ func (e *engine) buildClients() error {
 			c.pinned = true
 			c.home = e.world.Map.Rooms[0].Bounds.Center()
 		}
-		start := stagger.Int63n(periodNs) + e.cfg.NetDelayNs
+		start := stagger.Int63n(periodNs) + netDelayNs
 		end := e.endNs
 		if cfg.MaxMoves > 0 {
 			if lim := start + cfg.MaxMoves*periodNs; lim < end {
@@ -519,12 +533,12 @@ func (e *engine) runWorld(p *sim.Proc) {
 }
 
 func (e *engine) globalBufferAppend(p *sim.Proc, n int) {
-	if !e.cfg.Sequential {
+	if !e.seq {
 		e.fc.globalLock.Lock(p)
 	}
 	e.advance(p, e.model.GlobalBuffer*int64(n), metrics.CompExec)
 	e.frameEvents += n
-	if !e.cfg.Sequential {
+	if !e.seq {
 		e.fc.globalLock.Unlock(p)
 	}
 }
@@ -571,7 +585,7 @@ func (e *engine) sendReplies(p *sim.Proc) {
 		bd.ReplyAllocs += int64(st.Allocs)
 		c.replied = e.fc.frame + 1
 
-		latNs := (p.Now() - c.lastArrival) + 2*e.cfg.NetDelayNs
+		latNs := (p.Now() - c.lastArrival) + 2*netDelayNs
 		e.resp.Replies++
 		e.resp.Record(float64(latNs) / 1e9)
 	}
@@ -592,7 +606,7 @@ func (e *engine) masterCleanup(p *sim.Proc) {
 
 	// Dynamic assignment epoch (exclusive: all participants are past
 	// their reply phases and non-participants never touch byThread).
-	if e.cfg.Assign == AssignRegion && p.Now()-e.lastReassign >= int64(e.cfg.ReassignEveryS*1e9) {
+	if e.cfg.Assign == AssignRegion && p.Now()-e.lastReassign >= reassignEveryNs {
 		e.lastReassign = p.Now()
 		e.reassignByRegion()
 	}
@@ -715,7 +729,7 @@ func (c *simClient) decide(e *engine, seq int64) protocol.MoveCmd {
 		return e.cfg.Script(c.idx, seq)
 	}
 	var cmd protocol.MoveCmd
-	cmd.Msec = uint8(e.cfg.ClientFrameMs)
+	cmd.Msec = clientFrameMs
 	cmd.Forward = 320
 
 	pos := c.ent.Origin

@@ -20,9 +20,7 @@ func shortCfg(players, threads int) Config {
 }
 
 func TestSequentialRunBasics(t *testing.T) {
-	cfg := shortCfg(16, 1)
-	cfg.Sequential = true
-	res, err := Run(cfg)
+	res, err := Run(shortCfg(16, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +128,6 @@ func TestMoreThreadsMoreThroughputUnderLoad(t *testing.T) {
 		cfg := shortCfg(160, threads)
 		cfg.DurationS = 3
 		cfg.Strategy = locking.Optimized{}
-		if threads == 0 {
-			cfg.Sequential = true
-			cfg.Threads = 1
-		}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -173,13 +167,20 @@ func TestConfigValidationAndDefaults(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
 		t.Error("zero config accepted")
 	}
-	cfg := Config{Players: 4, DurationS: 0.5}
-	res, err := Run(cfg)
+	if _, err := Run(Config{Players: 4, Threads: -1, DurationS: 0.5}); err == nil {
+		t.Error("negative thread count accepted")
+	}
+	// The zero thread count is the sequential server, as in the live
+	// engine's server.Config.
+	res, err := Run(Config{Players: 4, DurationS: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Threads != 1 || res.NumLeaves != 16 {
+	if res.Threads != 0 || res.Strategy != "none" || len(res.PerThread) != 1 || res.NumLeaves != 16 {
 		t.Errorf("defaults wrong: %+v", res)
+	}
+	if res.Avg.Ns[metrics.CompLock] != 0 {
+		t.Errorf("sequential run charged %d ns of locking", res.Avg.Ns[metrics.CompLock])
 	}
 }
 

@@ -69,22 +69,14 @@ func claimClient(c *simClient) bool {
 
 // stealing reports whether the pooled scheduler is active for this run.
 func (e *engine) stealing() bool {
-	return e.cfg.Stealing && !e.cfg.Sequential && e.cfg.Threads > 1
+	return e.cfg.Stealing && e.cfg.Threads > 1
 }
 
 // receive is the one receive path: it pays the receive cost, decides the
 // command, and hands the entry to the scheduler — pooled for the steal
-// phase, or executed inline by its owner. Loss and the request count are
-// settled here, once — a parked retry is the same request, not a new one.
+// phase, or executed inline by its owner. The request count is settled
+// here, once — a parked retry is the same request, not a new one.
 func (e *engine) receive(p *sim.Proc, req *simRequest, arrivedAt int64) {
-	if e.lossRng != nil && e.pbs == nil && e.lossRng.Float64() < e.cfg.LossProb {
-		// Lost upstream of the server: no receive cost, no execution; the
-		// client misses one reply. (Procs run one at a time in the
-		// discrete-event machine, so one engine-level stream stays
-		// deterministic and leaves the bots' decision rngs untouched.)
-		e.lost++
-		return
-	}
 	e.requests++
 	e.advance(p, e.model.RecvPacket, metrics.CompRecv)
 
@@ -204,7 +196,7 @@ func (e *engine) execPooled(p *sim.Proc, en *desEntry) (parked bool) {
 			e.advance(p, ns, metrics.CompExec)
 		},
 	}
-	if !e.cfg.Sequential {
+	if !e.seq {
 		lc.Locker = &locking.RegionLocker{
 			Tree:     e.world.Tree,
 			Provider: &simProvider{e: e, p: p},

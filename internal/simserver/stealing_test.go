@@ -65,7 +65,7 @@ func TestStealingMatchesStaticOnScript(t *testing.T) {
 	run := func(stealing bool) *simserver.Result {
 		res, err := simserver.Run(simserver.Config{
 			Map: sc.Map, Players: sc.Players, Threads: 2, Seed: sc.WorldSeed,
-			DurationS: 5, ClientFrameMs: 33, Script: sc.Script, MaxMoves: int64(sc.Moves),
+			DurationS: 5, Script: sc.Script, MaxMoves: int64(sc.Moves),
 			Stealing: stealing,
 			// Hold each frame open so it pools several requests per thread;
 			// six staggered clients otherwise arrive one per frame and

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -258,6 +257,9 @@ func (f *FaultConn) Recv(buf []byte, timeout time.Duration) (int, Addr, error) {
 // LocalAddr implements Conn.
 func (f *FaultConn) LocalAddr() Addr { return f.inner.LocalAddr() }
 
+// Resolve implements Conn through the wrapped conn.
+func (f *FaultConn) Resolve(s string) (Addr, error) { return f.inner.Resolve(s) }
+
 // Close implements Conn.
 func (f *FaultConn) Close() error { return f.inner.Close() }
 
@@ -326,26 +328,4 @@ func (fn *FaultNetwork) Stats() FaultStats {
 		total.Delayed += st.Delayed
 	}
 	return total
-}
-
-// clamp01 bounds a probability to [0, 1] (flag parsing convenience).
-func clamp01(p float64) float64 {
-	if math.IsNaN(p) || p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
-}
-
-// Clamped returns cfg with every probability bounded to [0, 1].
-func (c FaultConfig) Clamped() FaultConfig {
-	c.DropProb = clamp01(c.DropProb)
-	c.DupProb = clamp01(c.DupProb)
-	c.ReorderProb = clamp01(c.ReorderProb)
-	c.CorruptProb = clamp01(c.CorruptProb)
-	c.TruncateProb = clamp01(c.TruncateProb)
-	c.DelayProb = clamp01(c.DelayProb)
-	return c
 }

@@ -219,14 +219,16 @@ func TestFaultNetworkWrapsEveryEndpoint(t *testing.T) {
 	}
 }
 
+// TestFaultConnResolveLike: a FaultConn resolves addresses like the conn it
+// wraps.
 func TestFaultConnResolveLike(t *testing.T) {
 	fc, _ := faultPair(t, FaultConfig{})
-	addr, err := ResolveLike(fc, "somewhere")
+	addr, err := fc.Resolve("somewhere")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := addr.(MemAddr); !ok {
-		t.Fatalf("ResolveLike through FaultConn returned %T", addr)
+		t.Fatalf("Resolve through FaultConn returned %T", addr)
 	}
 }
 
@@ -290,12 +292,12 @@ type nopConn struct{ addr Addr }
 func (n *nopConn) Send(to Addr, data []byte) error                           { return nil }
 func (n *nopConn) Recv(buf []byte, timeout time.Duration) (int, Addr, error) { return 0, n.addr, nil }
 func (n *nopConn) LocalAddr() Addr                                           { return n.addr }
+func (n *nopConn) Resolve(s string) (Addr, error)                            { return MemAddr(s), nil }
 func (n *nopConn) Close() error                                              { return nil }
 
 // BenchmarkFaultConnPassthrough pins the zero-rate fast path: with all
 // rates zero a FaultConn must add no allocations and no locking beyond
-// one atomic load per operation, so wrapping production conns in the
-// injector (as qserved's -fault* flags do) costs nothing when idle.
+// one atomic load per operation, so an idle injector costs nothing.
 // CI's allocation gate expects 0 allocs/op here.
 func BenchmarkFaultConnPassthrough(b *testing.B) {
 	fc := NewFaultConn(&nopConn{addr: MemAddr("nop")}, FaultConfig{})

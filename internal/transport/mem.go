@@ -232,6 +232,9 @@ func (c *MemConn) Pending() int { return len(c.queue) }
 // LocalAddr implements Conn.
 func (c *MemConn) LocalAddr() Addr { return c.addr }
 
+// Resolve implements Conn: in-memory addresses are their names.
+func (c *MemConn) Resolve(s string) (Addr, error) { return MemAddr(s), nil }
+
 // Close implements Conn.
 func (c *MemConn) Close() error {
 	c.closeOnce.Do(func() {

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"log"
 	"sync"
 	"sync/atomic"
@@ -271,6 +270,9 @@ func (p *MuxPort) Recv(buf []byte, timeout time.Duration) (int, Addr, error) {
 // Accept messages keep advertising real client-visible addresses.
 func (p *MuxPort) LocalAddr() Addr { return p.inner.LocalAddr() }
 
+// Resolve implements Conn against the underlying endpoint's transport.
+func (p *MuxPort) Resolve(s string) (Addr, error) { return p.inner.Resolve(s) }
+
 // Close implements Conn. Ports close with their Mux, not individually.
 func (p *MuxPort) Close() error { return nil }
 
@@ -278,12 +280,3 @@ func (p *MuxPort) Close() error { return nil }
 func (p *MuxPort) Pending() int { return len(p.queue) }
 
 var _ Conn = (*MuxPort)(nil)
-
-// muxResolve keeps ResolveLike working through a Mux: addresses are
-// resolved against the underlying endpoint's transport.
-func muxResolve(p *MuxPort, s string) (Addr, error) {
-	if p.inner == nil {
-		return nil, fmt.Errorf("transport: mux port has no inner conn")
-	}
-	return ResolveLike(p.inner, s)
-}

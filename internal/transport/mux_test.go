@@ -136,9 +136,11 @@ func TestMuxCloseUnblocksRecvAndKeepsConnsOpen(t *testing.T) {
 	}
 }
 
+// TestResolveLikeThroughMuxPort: a MuxPort resolves addresses like the
+// endpoint under the mux.
 func TestResolveLikeThroughMuxPort(t *testing.T) {
 	_, _, mux := newMuxRig(t, 1)
-	addr, err := ResolveLike(mux.Port(0), "somewhere")
+	addr, err := mux.Port(0).Resolve("somewhere")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,31 +70,14 @@ type Conn interface {
 	Recv(buf []byte, timeout time.Duration) (int, Addr, error)
 	// LocalAddr returns this endpoint's address.
 	LocalAddr() Addr
+	// Resolve parses an address string into this endpoint's Addr family:
+	// MemAddr in memory, *net.UDPAddr over UDP. Clients use it to
+	// interpret the server's Accept.Addr field; a wrapping Conn resolves
+	// through the Conn it wraps.
+	Resolve(s string) (Addr, error)
 	// Close releases the endpoint; pending and future Recvs return
 	// ErrClosed.
 	Close() error
-}
-
-// ResolveLike parses an address string into the Addr family of the given
-// connection: MemAddr for in-memory endpoints, *net.UDPAddr for UDP.
-// Clients use it to interpret the server's Accept.Addr field.
-func ResolveLike(c Conn, s string) (Addr, error) {
-	switch cc := c.(type) {
-	case *MemConn:
-		return MemAddr(s), nil
-	case *MuxPort:
-		return muxResolve(cc, s)
-	case *FaultConn:
-		return ResolveLike(cc.inner, s)
-	case *UDPConn:
-		ua, err := net.ResolveUDPAddr("udp", s)
-		if err != nil {
-			return nil, fmt.Errorf("transport: %w", err)
-		}
-		return ua, nil
-	default:
-		return nil, fmt.Errorf("transport: cannot resolve %q for %T", s, c)
-	}
 }
 
 // UDPConn adapts a real UDP socket to Conn. Recv lives in udp_unix.go,
@@ -160,6 +143,15 @@ func recvResult(n int, from net.Addr, err error) (int, Addr, error) {
 
 // LocalAddr implements Conn.
 func (c *UDPConn) LocalAddr() Addr { return c.pc.LocalAddr().(*net.UDPAddr) }
+
+// Resolve implements Conn.
+func (c *UDPConn) Resolve(s string) (Addr, error) {
+	ua, err := net.ResolveUDPAddr("udp", s)
+	if err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
+	}
+	return ua, nil
+}
 
 // Close implements Conn.
 func (c *UDPConn) Close() error { return c.pc.Close() }
