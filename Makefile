@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet allocgate collide vis conformance chaos cover lint rungates lockwall durable-race replay durability instancing ci
+.PHONY: all build test race vet collide vis conformance chaos cover lint rungates lockwall durable-race replay durability instancing ci
 
 all: build
 
@@ -16,34 +16,10 @@ vet:
 # race runs the full suite under the race detector, including the
 # stress tests written to provoke cross-thread hazards
 # (internal/server/race_test.go, with and without per-frame migration).
+# The suite is also the one allocation gate: every allocation-free path
+# has a tier-1 test that requires exactly 0 allocations (DESIGN.md §9).
 race:
 	$(GO) test -race ./...
-
-# allocgate is the one 0 allocs/op gate (CI runs it as a hard gate): each
-# line below is a (package, benchmark regexp, benchtime) triple, and every
-# benchmark line the triple prints must end in "0 allocs/op" — the pooled
-# and indexed reply paths, the once-per-frame visibility-index build, the
-# idle fault injector (the chaos soaks wrap every conn in it), the UDP
-# receive from a known sender, a warm batched send of 32 reply datagrams,
-# the recorder tap, and the checkpoint capture.
-define ALLOC_GATES
-. BenchmarkReplyPhaseAllocs/(pooled|indexed) 100x
-. BenchmarkVisIndexBuild 100x
-./internal/transport/ BenchmarkFaultConnPassthrough 1000x
-./internal/transport/ BenchmarkUDPRecv 1000x
-./internal/transport/ BenchmarkUDPSendBatch 1000x
-./internal/replay/ BenchmarkRecorderOverhead 10000x
-./internal/checkpoint/ BenchmarkWriterCapture 100x
-endef
-export ALLOC_GATES
-
-allocgate:
-	@echo "$$ALLOC_GATES" | while read -r pkg bench n; do \
-		$(GO) test -run=NONE -bench="$$bench" -benchmem -benchtime="$$n" "$$pkg" | \
-		awk -v b="$$bench" '/^Benchmark/ { seen++; print "gate: " $$0; if ($$0 !~ / 0 allocs\/op[ \t]*$$/) bad++ } \
-			END { if (!seen || bad) { print "ALLOCATION REGRESSION: " b ": " seen+0 " benchmark lines, " bad+0 " allocating"; exit 1 } }' \
-		|| exit 1; \
-	done
 
 # collide is the trace-traversal acceptance set (DESIGN.md §3.2): the
 # front-to-back walk bit-identical to the exhaustive Reference walk and to
@@ -124,22 +100,24 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# lint builds the repo's own static analyzers (tools/qvet — a separate
-# module, so the engine itself stays stdlib-only), runs their fixture
-# tests, and runs them over the tree: lock-guard discipline, frame-phase
-# call compatibility, //qvet:noalloc escape gates, determinism closures,
-# the steal-hint protocol, and annotation rot — the six checks whose bugs
-# no runtime gate catches (DESIGN.md §9). The final guard proves the
-# tools module's dependencies never leak into the engine's go.mod, and
-# the cross-builds keep the build-tagged files (the UDP receive path, and
+# lint fails on any tracked .go file gofmt would rewrite, builds the
+# repo's own static analyzers (tools/qvet — a separate module, so the
+# engine itself stays stdlib-only), runs their fixture tests, and runs
+# them over the tree: lock-guard discipline, frame-phase call
+# compatibility, determinism closures, the steal-hint protocol, and
+# annotation rot — the five checks whose bugs no runtime gate catches
+# (DESIGN.md §9). The final guard proves the tools module's dependencies
+# never leak into the engine's go.mod, and the cross-builds keep the build-tagged files (the UDP receive path, and
 # the batched send path's per-architecture sendmmsg number) compiling
 # for Windows, macOS and linux/arm64.
 lint:
+	@out=$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$(git ls-files '*.go')); \
+		[ -z "$$out" ] || { echo "lint: gofmt would rewrite:"; echo "$$out"; exit 1; }
 	$(GO) test -C tools ./...
 	$(GO) build -C tools -o bin/qvet ./qvet
 	@n=$$(./tools/bin/qvet -list | wc -l); \
-		[ "$$n" -eq 6 ] || \
-		{ echo "lint: qvet suite has $$n analyzers, expected 6 (did a registry edit drop one?)"; exit 1; }
+		[ "$$n" -eq 5 ] || \
+		{ echo "lint: qvet suite has $$n analyzers, expected 5 (did a registry edit drop one?)"; exit 1; }
 	./tools/bin/qvet ./...
 	@! grep -E '^(require|replace)' go.mod || \
 		{ echo 'lint: root go.mod must stay dependency-free (tool deps live in tools/go.mod)'; exit 1; }
@@ -176,4 +154,4 @@ instancing:
 	$(GO) test -v -run 'TestSchedulerDispatchZeroAllocs|TestMatchManagerTailGate' ./internal/match/
 	$(GO) test -run=NONE -bench=BenchmarkMatchManager -benchmem -benchtime=10000x ./internal/match/
 
-ci: vet build lint rungates race allocgate collide conformance chaos lockwall replay durability instancing
+ci: vet build lint rungates race collide conformance chaos lockwall replay durability instancing

@@ -11,7 +11,8 @@
 // with -dur 120).
 //
 // Ownership rule: this file and cmd/qbench own the virtual-time paper
-// figures and the 0 allocs/op micro-gates (`make allocgate`); everything
+// figures and the reply-path allocation benchmarks (the 0-allocation
+// gates themselves are tier-1 tests, DESIGN.md §9); everything
 // measured on a live engine — throughput, latency, CPU per reply over a
 // real transport — belongs to bench/qload. Do not add a wall-clock
 // benchmark of a running server here.
@@ -53,9 +54,9 @@ func BenchmarkExperiments(b *testing.B) {
 // warmed-up world. "naive" is the pre-pooling path (fresh entity list,
 // delta list, and encoder per client, baseline replaced wholesale);
 // "pooled" is the live engine's ReplyScratch/Baseline pipeline. Run with
-// -benchmem; the pooled path must report ~0 allocs/op in steady state
-// while producing byte-identical datagrams (see
-// internal/server.TestGoldenReplyStream).
+// -benchmem; the pooled path reports 0 allocs/op in steady state
+// (internal/server.TestFormSnapshotSteadyStateAllocFree gates it) while
+// producing byte-identical datagrams (TestGoldenReplyStream).
 func BenchmarkReplyPhaseAllocs(b *testing.B) {
 	const numPlayers = 16
 	setup := func(b *testing.B) (*game.World, []*entity.Entity) {
@@ -115,7 +116,7 @@ func BenchmarkReplyPhaseAllocs(b *testing.B) {
 		baselines := make([]server.Baseline, numPlayers)
 		// Warm-up: the scratch and baselines circulate buffers that each
 		// grow to the high-water mark once; steady state is what the
-		// benchmark (and the CI allocation gate) measures.
+		// benchmark measures.
 		for round := 0; round < 8; round++ {
 			for i, e := range players {
 				scratch.FormSnapshot(w, nil, e, &baselines[i], 1, 1, 1, events, events, 0)
@@ -136,8 +137,8 @@ func BenchmarkReplyPhaseAllocs(b *testing.B) {
 	})
 
 	// The indexed path: one shared visibility-index build per round plus
-	// 16 merge-based snapshots. Must also hold 0 allocs/op in steady
-	// state (the cache-build CI gate greps this sub-benchmark).
+	// 16 merge-based snapshots, also 0 allocs/op in steady state (the
+	// indexed arm of TestFormSnapshotSteadyStateAllocFree).
 	b.Run("indexed", func(b *testing.B) {
 		w, players := setup(b)
 		var scratch server.ReplyScratch
@@ -249,8 +250,8 @@ func BenchmarkBuildSnapshot(b *testing.B) {
 }
 
 // BenchmarkVisIndexBuild isolates the once-per-frame cost of the shared
-// visibility-index/state-cache build. Steady-state rebuilds must be
-// allocation-free (CI gates on 0 allocs/op here).
+// visibility-index/state-cache build. Steady-state rebuilds are
+// allocation-free (game.TestVisIndexSteadyStateAllocFree gates it).
 func BenchmarkVisIndexBuild(b *testing.B) {
 	for _, players := range []int{64, 144} {
 		b.Run(fmt.Sprintf("players=%d", players), func(b *testing.B) {

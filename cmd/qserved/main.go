@@ -74,6 +74,10 @@ func main() {
 	matchActive := flag.Duration("match-active", 0, "frame cadence of a match with clients (-matches; 0 = 15ms default)")
 	matchIdle := flag.Duration("match-idle", 0, "tick cadence of an empty match (-matches; 0 = 250ms default)")
 	flag.Parse()
+	strat, err := locking.ParseStrategy(*lockMode)
+	if err != nil {
+		fatal(err)
+	}
 
 	if *matches > 0 {
 		set := map[string]string{}
@@ -95,7 +99,6 @@ func main() {
 		world     *game.World
 		rs        *server.RestoreState
 		worldSeed = *mapSeed
-		err       error
 	)
 	if *restore {
 		if *ckptDir == "" {
@@ -121,11 +124,6 @@ func main() {
 		if world, err = game.NewWorld(game.Config{Map: m, Seed: *mapSeed}); err != nil {
 			fatal(err)
 		}
-	}
-
-	var strat locking.Strategy = locking.Conservative{}
-	if *lockMode == "optimized" {
-		strat = locking.Optimized{}
 	}
 
 	conns, err := openPorts(*addr, max(*threads, 1))

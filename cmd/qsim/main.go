@@ -18,7 +18,7 @@ import (
 func main() {
 	players := flag.Int("players", 128, "number of automatic players")
 	threads := flag.Int("threads", 4, "server threads (0 = the sequential server: one thread, no region locks)")
-	opt := flag.Bool("opt", false, "use optimized locking")
+	lockMode := flag.String("locking", "conservative", "locking strategy: conservative or optimized")
 	dur := flag.Float64("dur", 10, "virtual seconds to simulate")
 	depth := flag.Int("depth", 0, "areanode tree depth (0 = default 4)")
 	seed := flag.Int64("seed", 1, "experiment seed")
@@ -34,6 +34,14 @@ func main() {
 	ckptInterval := flag.Uint64("checkpoint-interval", checkpoint.DefaultInterval, "frames between checkpoints")
 	ckptDelta := flag.Int("checkpoint-delta", checkpoint.DefaultDeltaEvery, "delta checkpoints between full images")
 	flag.Parse()
+	strat, err := locking.ParseStrategy(*lockMode)
+	if err != nil {
+		usageError(err)
+	}
+	policy, err := simserver.ParseAssign(*assign)
+	if err != nil {
+		usageError(err)
+	}
 
 	cfg := simserver.Config{
 		Players:       *players,
@@ -41,21 +49,14 @@ func main() {
 		DurationS:     *dur,
 		AreanodeDepth: *depth,
 		Seed:          *seed,
+		Strategy:      strat,
+		Assign:        policy,
 	}
 	if *rows > 0 && *cols > 0 {
 		mc := worldmap.DefaultConfig()
 		mc.Rows, mc.Cols = *rows, *cols
 		mc.Seed = *seed + 1
 		cfg.MapConfig = mc
-	}
-	if *opt {
-		cfg.Strategy = locking.Optimized{}
-	}
-	switch *assign {
-	case "roundrobin":
-		cfg.Assign = simserver.AssignRoundRobin
-	case "region":
-		cfg.Assign = simserver.AssignRegion
 	}
 	cfg.BatchDelayNs = *batch * 1000
 	cfg.TraceFrames = *trace
@@ -76,7 +77,6 @@ func main() {
 			}
 			cfg.Map = worldmap.MustGenerate(mc)
 		}
-		var err error
 		if ckw, err = checkpoint.NewWriter(checkpoint.Config{
 			Dir:        *ckptDir,
 			Interval:   *ckptInterval,
@@ -158,4 +158,11 @@ func pct(a, b int64) float64 {
 		return 0
 	}
 	return 100 * float64(a) / float64(b)
+}
+
+// usageError reports a bad flag value the way the flag package does:
+// the message, then exit status 2.
+func usageError(err error) {
+	fmt.Fprintln(os.Stderr, "qsim:", err)
+	os.Exit(2)
 }

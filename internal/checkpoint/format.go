@@ -207,8 +207,6 @@ type emitter struct {
 }
 
 // record frames p's payload as one record of the given kind and resets p.
-//
-//qvet:noalloc
 func (em *emitter) record(kind uint8) {
 	var err error
 	if em.buf, err = qfile.AppendRecord(em.buf, kind, em.p.Buf); err != nil && em.err == nil {

@@ -69,7 +69,7 @@ type flushReq struct {
 // Writer captures checkpoints at the reply barrier. The capture path —
 // Begin, AddClient per client, Commit — encodes into a preallocated
 // buffer and hands it to a background flusher goroutine; steady-state it
-// performs zero heap allocations (gated by BenchmarkWriterCapture), so
+// performs zero heap allocations (gated by TestWriterCaptureAllocs), so
 // the barrier pays only the serialization walk. If the flusher still
 // owns every buffer when a capture comes due, Begin skips and counts the
 // capture rather than blocking the frame; BeginWait, for virtual-time
@@ -167,7 +167,6 @@ func (w *Writer) Err() error {
 // reply phase guarantees this).
 //
 //qvet:phase=reply
-//qvet:noalloc
 func (w *Writer) Begin(world *game.World, meta Meta) bool {
 	select {
 	case buf := <-w.free:
@@ -186,7 +185,6 @@ func (w *Writer) Begin(world *game.World, meta Meta) bool {
 // cadence alone, never on disk speed.
 //
 //qvet:phase=reply
-//qvet:noalloc
 func (w *Writer) BeginWait(world *game.World, meta Meta) {
 	w.begin(<-w.free, world, meta)
 }
@@ -195,7 +193,6 @@ func (w *Writer) BeginWait(world *game.World, meta Meta) {
 // taken from free.
 //
 //qvet:phase=reply
-//qvet:noalloc
 func (w *Writer) begin(buf []byte, world *game.World, meta Meta) {
 	w.meta = meta
 	w.full = !w.haveBase || w.cfg.DeltaEvery <= 0 || w.captures%uint64(w.cfg.DeltaEvery+1) == 0
@@ -275,7 +272,6 @@ func (w *Writer) begin(buf []byte, world *game.World, meta Meta) {
 // feed clients in ascending client-id order. No-op when Begin skipped.
 //
 //qvet:phase=reply
-//qvet:noalloc
 func (w *Writer) AddClient(rec ClientRec) {
 	if !w.capturing {
 		return
@@ -293,7 +289,6 @@ func (w *Writer) AddClient(rec ClientRec) {
 // capture's stats; zero Stats when Begin skipped.
 //
 //qvet:phase=reply
-//qvet:noalloc
 func (w *Writer) Commit() Stats {
 	if !w.capturing {
 		return Stats{}

@@ -380,29 +380,47 @@ func TestWriterPrunesOldGenerations(t *testing.T) {
 	}
 }
 
-// TestWriterCaptureAllocs is the CI gate on the barrier-side capture
-// path: steady-state Begin/AddClient/Commit must not allocate. The
-// writer's flusher is replaced by an allocation-free drainer that skips
-// the file write, so the measurement isolates the capture path.
+// TestWriterCaptureAllocs is the allocation gate on the barrier-side
+// capture path: steady-state Begin (or BeginWait), AddClient and Commit
+// must not allocate. The writer's flusher is replaced by an
+// allocation-free drainer that skips the file write, so the measurement
+// isolates the capture path.
 func TestWriterCaptureAllocs(t *testing.T) {
 	world, m, ids := liveWorld(t)
 	clients := sampleClients(ids)
 	wr := newDrainedWriter(t, m)
+	wr.cfg.DeltaEvery = 1 // alternate full images and deltas
+	meta := Meta{Frame: 30, RecItems: 5, JoinIdx: 3, NextClientID: 3}
 
-	run := func() {
-		for !wr.Begin(world, Meta{Frame: 30, RecItems: 5, JoinIdx: 3, NextClientID: 3}) {
+	var deltas int
+	capture := func(begin func()) func() {
+		return func() {
+			begin()
+			for _, c := range clients {
+				wr.AddClient(c)
+			}
+			if !wr.Commit().Full {
+				deltas++
+			}
+		}
+	}
+	run := capture(func() {
+		for !wr.Begin(world, meta) {
 			runtime.Gosched() // the drainer owns both buffers for an instant
 		}
-		for _, c := range clients {
-			wr.AddClient(c)
-		}
-		wr.Commit()
-	}
+	})
+	runWait := capture(func() { wr.BeginWait(world, meta) })
 	run() // warm-up: grows cur and the encode scratch
 	run() // warm-up: grows base (the record buffers swap on full captures)
 
 	if allocs := testing.AllocsPerRun(32, run); allocs != 0 {
 		t.Fatalf("capture path allocates: %.1f allocs/op", allocs)
+	}
+	if allocs := testing.AllocsPerRun(32, runWait); allocs != 0 {
+		t.Fatalf("capture path through BeginWait allocates: %.1f allocs/op", allocs)
+	}
+	if deltas == 0 {
+		t.Fatal("no delta capture was measured")
 	}
 }
 

@@ -40,8 +40,6 @@ func (t *Tree) TraceSegment(a, b geom.Vec3, w *Work) Trace {
 // bounding box overlaps. Both walks feed the same per-brush slab test
 // and the same nearest rule, so they return the same Trace bit for bit
 // and differ only in the Work they report.
-//
-//qvet:noalloc
 func (t *Tree) TraceBox(a, b geom.Vec3, halfExt geom.Vec3, w *Work) Trace {
 	best := noHit()
 	if t.exhaustive {

@@ -33,7 +33,6 @@ const visCutoff = 320.0
 // server.ReplyScratch does with its baseline) before reusing dst.
 //
 //qvet:phase=reply
-//qvet:noalloc
 func (w *World) BuildSnapshot(viewer *entity.Entity, dst []protocol.EntityState) ([]protocol.EntityState, SnapshotWork) {
 	var work SnapshotWork
 	viewerRoom := viewer.RoomID

@@ -88,7 +88,6 @@ func (vi *VisIndex) Detach() { vi.w = nil }
 // be called before EncodeShard; single-threaded.
 //
 //qvet:phase=reply
-//qvet:noalloc
 func (vi *VisIndex) Begin(w *World) {
 	vi.w = w
 	nRooms := len(w.Map.Rooms)
@@ -120,9 +119,7 @@ func (vi *VisIndex) Begin(w *World) {
 	if cap(vi.states) < n {
 		// Entry-array growth is amortized: both arrays are reused across
 		// frames and only regrow when the eligible population does.
-		//qvet:allow=noalloc amortized entry-array growth
 		vi.states = make([]protocol.EntityState, n)
-		//qvet:allow=noalloc amortized entry-array growth
 		vi.origins = make([]geom.Vec3, n)
 	}
 	vi.states = vi.states[:n]
@@ -131,7 +128,7 @@ func (vi *VisIndex) Begin(w *World) {
 	nw := (n + 63) / 64
 	size := (nRooms + 2) * nw
 	if cap(vi.sets) < size {
-		//qvet:allow=noalloc amortized bitset growth, with the population or the room count
+		// Amortized bitset growth, with the population or the room count.
 		vi.sets = make([]uint64, size)
 	}
 	sets := vi.sets[:size]
@@ -155,7 +152,6 @@ func (vi *VisIndex) Shards() int {
 // shard has run the index is complete.
 //
 //qvet:phase=reply
-//qvet:noalloc
 func (vi *VisIndex) EncodeShard(s int) {
 	lo := s * visShardSize
 	hi := lo + visShardSize
@@ -175,7 +171,6 @@ func (vi *VisIndex) EncodeShard(s int) {
 // benchmarks.
 //
 //qvet:phase=reply
-//qvet:noalloc
 func (vi *VisIndex) Build(w *World) {
 	vi.Begin(w)
 	for s, n := 0, vi.Shards(); s < n; s++ {
@@ -195,7 +190,6 @@ func (vi *VisIndex) Build(w *World) {
 // dst never aliases the shared index.
 //
 //qvet:phase=reply
-//qvet:noalloc
 func (vi *VisIndex) AppendVisible(viewer *entity.Entity, dst []protocol.EntityState) ([]protocol.EntityState, SnapshotWork) {
 	var work SnapshotWork
 	w := vi.w
@@ -272,7 +266,6 @@ func (vi *VisIndex) AppendVisible(viewer *entity.Entity, dst []protocol.EntitySt
 		n := len(dst)
 		k := bits.OnesCount64(pass)
 		if cap(dst)-n < k {
-			//qvet:allow=noalloc amortized growth of the caller's state buffer
 			dst = append(make([]protocol.EntityState, 0, 2*cap(dst)+k), dst...)
 		}
 		dst = dst[:n+k]

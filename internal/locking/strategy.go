@@ -21,7 +21,9 @@
 package locking
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 
 	"qserve/internal/areanode"
@@ -133,6 +135,23 @@ func (Optimized) Region(world geom.AABB, req Request, kind Kind) geom.AABB {
 		// object is being simulated."
 		return clampToWorld(DirectionalBox(world, req.Start, req.AimDir, shortRangeMargin), world)
 	}
+}
+
+// strategies are the locking schemes ParseStrategy knows, the baseline
+// first.
+var strategies = []Strategy{Conservative{}, Optimized{}}
+
+// ParseStrategy returns the strategy called name; any other name is an
+// error that lists the valid ones.
+func ParseStrategy(name string) (Strategy, error) {
+	names := make([]string, len(strategies))
+	for i, s := range strategies {
+		if s.Name() == name {
+			return s, nil
+		}
+		names[i] = s.Name()
+	}
+	return nil, fmt.Errorf("unknown locking strategy %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // DirectionalBox builds the box from start to the world boundary along

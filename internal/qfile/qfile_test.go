@@ -251,6 +251,26 @@ func TestAppendRecordBounds(t *testing.T) {
 	}
 }
 
+// TestAppendRecordAllocFree: framing a record into a buffer with room,
+// and refusing an over-size payload, allocate nothing — the checkpoint
+// capture frames every record through here at the reply barrier.
+func TestAppendRecordAllocFree(t *testing.T) {
+	payload := make([]byte, 512)
+	huge := make([]byte, qfile.MaxPayload+1)
+	dst := make([]byte, 0, 1024)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if out, err := qfile.AppendRecord(dst, 7, payload); err != nil || len(out) != 3+len(payload)+2 {
+			t.Fatalf("record: %d bytes out, err %v", len(out), err)
+		}
+		if _, err := qfile.AppendRecord(dst, 7, huge); err != qfile.ErrTooLarge {
+			t.Fatalf("over-size payload: err %v, want the bare ErrTooLarge", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendRecord allocates %.1f objects per call pair, want 0", allocs)
+	}
+}
+
 // FuzzReader throws arbitrary bytes at the walker under both formats'
 // (magic, version); walk's invariants are the contract. The seeds are
 // the ones the two format fuzzers (FuzzDecodeLog, FuzzDecodeCheckpoint)

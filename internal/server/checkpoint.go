@@ -48,7 +48,6 @@ type RestoreState struct {
 // steady state — the same discipline as the reply phase it runs behind.
 //
 //qvet:phase=reply
-//qvet:noalloc
 func captureCheckpoint(wr *checkpoint.Writer, world *game.World, clients *clientTable,
 	buf []*client, rec Recorder, frame uint64, joinIdx int, bd *metrics.Breakdown) []*client {
 	t0 := time.Now()

@@ -11,6 +11,7 @@
 package server
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -215,8 +216,13 @@ func (t *clientTable) lookupID(id uint16) *client {
 func (t *clientTable) add(c *client) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.byID) >= t.maxSize {
+	if len(t.byID) >= t.maxSize || len(t.byID) > math.MaxUint16 {
 		return false
+	}
+	// Skip ids still in use: once the counter wraps, or a restore moves
+	// it past a survivor's id, the next one may belong to a live client.
+	for t.byID[t.nextID] != nil {
+		t.nextID++
 	}
 	c.id = t.nextID
 	t.nextID++

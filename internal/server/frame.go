@@ -357,7 +357,6 @@ const replyBatch = 16
 // goes out every replyBatch replies; the caller flushes the rest.
 //
 //qvet:phase=reply
-//qvet:noalloc
 func (s *session) sendReplies(w *worker, vi *game.VisIndex, frame uint32) {
 	sc := w.scratch
 	s.globalMu.Lock()
@@ -416,8 +415,6 @@ func (s *session) sendReplies(w *worker, vi *game.VisIndex, frame uint32) {
 }
 
 // flushReplies sends the reply datagrams queued in the worker's batch.
-//
-//qvet:noalloc
 func (w *worker) flushReplies() {
 	w.bd.ReplySendCalls += int64(w.scratch.replies.Flush(w.conn))
 }

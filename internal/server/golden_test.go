@@ -127,9 +127,10 @@ func TestGoldenReplyStream(t *testing.T) {
 	}
 }
 
-// TestFormSnapshotSteadyStateAllocFree asserts the pooled path reports
-// zero buffer growths once warmed up, and that Go's allocation counter
-// agrees.
+// TestFormSnapshotSteadyStateAllocFree asserts that both arms of
+// FormSnapshot — the table scan (BuildSnapshot, vi == nil) and the merge
+// over a built visibility index (AppendVisible) — report zero buffer
+// growths once warmed up, and that Go's allocation counter agrees.
 func TestFormSnapshotSteadyStateAllocFree(t *testing.T) {
 	m := worldmap.MustGenerate(worldmap.DefaultConfig())
 	w, err := game.NewWorld(game.Config{Map: m, Seed: 7})
@@ -142,36 +143,45 @@ func TestFormSnapshotSteadyStateAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var scratch ReplyScratch
-	baselines := make([]Baseline, len(players))
+	var vis game.VisIndex
+	vis.Build(w)
 	events := []protocol.GameEvent{{Kind: 1, Actor: 2}}
-	form := func() int {
-		allocs := 0
-		for i, e := range players {
-			_, st := scratch.FormSnapshot(w, nil, e, &baselines[i], 1, 1, 1, events, events, 0)
-			allocs += st.Allocs
-		}
-		return allocs
-	}
-	// Warm-up: the scratch and the 8 baselines circulate 9 distinct
-	// buffers, and each must individually reach the high-water mark, so
-	// convergence takes a few rounds — but it must happen.
-	converged := false
-	for round := 0; round < 20; round++ {
-		if form() == 0 {
-			converged = true
-			break
-		}
-	}
-	if !converged {
-		t.Fatal("FormSnapshot buffer growth never converged to zero")
-	}
-	if got := form(); got != 0 {
-		t.Errorf("steady-state FormSnapshot reported %d buffer growths, want 0", got)
-	}
-	avg := testing.AllocsPerRun(50, func() { form() })
-	if avg != 0 {
-		t.Errorf("steady-state FormSnapshot allocates %.1f objects/round, want 0", avg)
+	for _, arm := range []struct {
+		name string
+		vi   *game.VisIndex
+	}{{"scan", nil}, {"indexed", &vis}} {
+		t.Run(arm.name, func(t *testing.T) {
+			var scratch ReplyScratch
+			baselines := make([]Baseline, len(players))
+			form := func() int {
+				allocs := 0
+				for i, e := range players {
+					_, st := scratch.FormSnapshot(w, arm.vi, e, &baselines[i], 1, 1, 1, events, events, 0)
+					allocs += st.Allocs
+				}
+				return allocs
+			}
+			// Warm-up: the scratch and the 8 baselines circulate 9 distinct
+			// buffers, and each must individually reach the high-water mark, so
+			// convergence takes a few rounds — but it must happen.
+			converged := false
+			for round := 0; round < 20; round++ {
+				if form() == 0 {
+					converged = true
+					break
+				}
+			}
+			if !converged {
+				t.Fatal("FormSnapshot buffer growth never converged to zero")
+			}
+			if got := form(); got != 0 {
+				t.Errorf("steady-state FormSnapshot reported %d buffer growths, want 0", got)
+			}
+			avg := testing.AllocsPerRun(50, func() { form() })
+			if avg != 0 {
+				t.Errorf("steady-state FormSnapshot allocates %.1f objects/round, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -109,7 +109,6 @@ type ReplyScratch struct {
 // produce DRemove deltas and reappear as DNew when the cap lifts.
 //
 //qvet:phase=reply
-//qvet:noalloc
 func (rs *ReplyScratch) FormSnapshot(
 	w *game.World, vi *game.VisIndex, viewer *entity.Entity, base *Baseline,
 	frame, ackSeq, serverTime uint32,

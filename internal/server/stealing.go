@@ -58,7 +58,6 @@ type stealPool struct {
 	scanClaimHook func(c *client)
 }
 
-//qvet:noalloc
 func (p *stealPool) push(e poolEntry) {
 	p.mu.Lock()
 	p.q.Push(e)
@@ -69,8 +68,6 @@ func (p *stealPool) push(e poolEntry) {
 // Claims are released without the pool mutex (runPoolEntry, after commit
 // or park), which is why a refused claim blocks the client for the rest
 // of the scan.
-//
-//qvet:noalloc
 func (p *stealPool) take(self *worker, asThief bool, avoid uint64) (poolEntry, bool) {
 	me := int32(self.id) + 1
 	p.mu.Lock()
@@ -86,7 +83,6 @@ func (p *stealPool) take(self *worker, asThief bool, avoid uint64) (poolEntry, b
 	})
 }
 
-//qvet:noalloc
 func (p *stealPool) requeue(e poolEntry) {
 	p.mu.Lock()
 	p.q.Requeue(e)

@@ -35,8 +35,6 @@ type StealPool[C comparable, M any] struct {
 }
 
 // Push appends an entry at the tail (owner only, during receive drain).
-//
-//qvet:noalloc
 func (p *StealPool[C, M]) Push(e StealEntry[C, M]) {
 	if p.head == len(p.q) {
 		p.q = p.q[:0]
@@ -94,8 +92,6 @@ const scanBlockMax = 16
 // it have drained. The owner falls back to them once nothing else in its
 // pool is claimable (the second, deferBlocked=false scan); a thief never
 // takes them — stalling a thief defeats the point of stealing.
-//
-//qvet:noalloc
 func (p *StealPool[C, M]) Take(asThief bool, avoid uint64, claim func(C) bool) (StealEntry[C, M], bool) {
 	if e, ok := p.takeScan(true, avoid, claim); ok {
 		return e, true
@@ -107,8 +103,6 @@ func (p *StealPool[C, M]) Take(asThief bool, avoid uint64, claim func(C) bool) (
 }
 
 // takeScan is one pass of Take.
-//
-//qvet:noalloc
 func (p *StealPool[C, M]) takeScan(deferBlocked bool, avoid uint64, claim func(C) bool) (StealEntry[C, M], bool) {
 	var blocked [scanBlockMax]C
 	nblocked := 0
@@ -142,8 +136,6 @@ scan:
 // while we decide where to put it: at the tail when this is the client's
 // only pooled entry (deferring it cannot reorder the client), else at the
 // front (it must stay ahead of the client's later entries).
-//
-//qvet:noalloc
 func (p *StealPool[C, M]) Requeue(e StealEntry[C, M]) {
 	for i := p.head; i < len(p.q); i++ {
 		if p.q[i].Client != e.Client {

@@ -53,7 +53,6 @@ func newVisBuilder(index *game.VisIndex) *visBuilder {
 // index is published and all callers return the same pointer.
 //
 //qvet:phase=reply
-//qvet:noalloc
 func (vb *visBuilder) acquire(frame uint64, w *game.World) *game.VisIndex {
 	want := frame + 1
 	vb.mu.Lock()
@@ -92,7 +91,6 @@ func (vb *visBuilder) acquire(frame uint64, w *game.World) *game.VisIndex {
 // waiting for a shard that will never finish.
 //
 //qvet:phase=reply
-//qvet:noalloc
 func (vb *visBuilder) encodeOne(s int) {
 	vb.next++
 	vb.mu.Unlock()

@@ -8,6 +8,7 @@ package simserver
 
 import (
 	"fmt"
+	"strings"
 
 	"qserve/internal/balance"
 	"qserve/internal/checkpoint"
@@ -158,6 +159,20 @@ const (
 	// proposed contention-reducing policy.
 	AssignRegion
 )
+
+// assignNames are the policies' command-line names, in declaration order.
+var assignNames = []string{AssignBlock: "block", AssignRoundRobin: "roundrobin", AssignRegion: "region"}
+
+// ParseAssign returns the policy a command line names "block",
+// "roundrobin" or "region"; any other name is an error that lists them.
+func ParseAssign(name string) (AssignPolicy, error) {
+	for i, n := range assignNames {
+		if n == name {
+			return AssignPolicy(i), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown assignment policy %q (valid: %s)", name, strings.Join(assignNames, ", "))
+}
 
 // String implements fmt.Stringer.
 func (a AssignPolicy) String() string {

@@ -20,8 +20,6 @@ type Batch struct {
 }
 
 // Add queues one datagram for to, copying data.
-//
-//qvet:noalloc
 func (b *Batch) Add(to Addr, data []byte) {
 	b.buf = append(b.buf, data...)
 	b.to = append(b.to, to)
@@ -47,8 +45,6 @@ func (b *Batch) datagram(i int) []byte {
 // Conn or platform — MemConn, FaultConn — it is one Send per datagram,
 // so a wrapper still sees every datagram. A datagram the kernel or the Conn rejects is dropped, as a
 // failed Send is, and the rest still go.
-//
-//qvet:noalloc
 func (b *Batch) Flush(c Conn) (calls int) {
 	if len(b.to) == 0 {
 		return 0

@@ -63,20 +63,14 @@ type batchSys struct {
 // go out by sendmmsg; a destination that does not (not a *net.UDPAddr,
 // an IPv6 zone, or IPv6 on an IPv4 socket) goes through c.Send between
 // runs, so order holds.
-//
-//qvet:noalloc
 func (s *batchSys) flush(b *Batch, u *UDPConn, c Conn) int {
 	n := len(b.to)
 	if len(s.hdrs) < n {
 		// Growth is amortized: the arrays keep the high-water batch
 		// size, and the callback is bound with the first of them.
-		//qvet:allow=noalloc amortized header-array growth
 		s.hdrs = make([]mmsghdr, n)
-		//qvet:allow=noalloc amortized header-array growth
 		s.iovs = make([]syscall.Iovec, n)
-		//qvet:allow=noalloc amortized header-array growth
 		s.names = make([]syscall.RawSockaddrInet6, n)
-		//qvet:allow=noalloc bound with the first header-array growth
 		s.write = s.send
 	}
 	s.calls = 0
@@ -101,8 +95,6 @@ func (s *batchSys) flush(b *Batch, u *UDPConn, c Conn) int {
 
 // fill sets up header i for datagram i of b and reports whether its
 // destination converts to a sockaddr for this socket's family.
-//
-//qvet:noalloc
 func (s *batchSys) fill(i int, b *Batch, inet6 bool) bool {
 	ua, ok := b.to[i].(*net.UDPAddr)
 	if !ok || ua.Zone != "" {
@@ -148,8 +140,6 @@ func (s *batchSys) fill(i int, b *Batch, inet6 bool) bool {
 // send is the RawConn.Write callback: sendmmsg over headers [next, end)
 // until every one has gone or been rejected. It reports false — wait
 // until the socket is writable, then call again — only on EAGAIN.
-//
-//qvet:noalloc
 func (s *batchSys) send(fd uintptr) bool {
 	for s.next < s.end {
 		r, _, errno := syscall.Syscall6(sysSendmmsg, fd,

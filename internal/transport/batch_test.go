@@ -225,25 +225,3 @@ func TestBatchFaultConnPerDatagram(t *testing.T) {
 		})
 	}
 }
-
-// BenchmarkUDPSendBatch is a warm Flush of 32 reply-sized datagrams
-// through one UDP socket: the batched send path's gate at 0 allocs/op.
-func BenchmarkUDPSendBatch(b *testing.B) {
-	src, dst := listenUDP(b, "127.0.0.1:0"), listenUDP(b, "127.0.0.1:0")
-	to := dst.LocalAddr()
-	payload := make([]byte, 176)
-	var batch Batch
-	fill := func() {
-		for i := 0; i < 32; i++ {
-			batch.Add(to, payload)
-		}
-	}
-	fill()
-	batch.Flush(src)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fill()
-		batch.Flush(src)
-	}
-}

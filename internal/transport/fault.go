@@ -98,8 +98,6 @@ func (f *FaultConn) Stats() FaultStats {
 }
 
 // Send implements Conn, injecting send-side faults.
-//
-//qvet:noalloc
 func (f *FaultConn) Send(to Addr, data []byte) error {
 	if !f.enabled.Load() {
 		return f.inner.Send(to, data)
@@ -185,7 +183,6 @@ func (f *FaultConn) transmit(to Addr, payload []byte, dup bool, cfg FaultConfig)
 		inner, d := f.inner, cfg.Delay
 		// The timer closure escapes by design: delay injection is a test
 		// fault mode, never active on the steady-state path.
-		//qvet:allow=noalloc delay-injection timer closure
 		time.AfterFunc(d, func() {
 			_ = inner.Send(to, pb.b)
 			if dup {
@@ -209,8 +206,6 @@ func (f *FaultConn) releaseCopy(pb *pktBuf) {
 }
 
 // Recv implements Conn, injecting receive-side drop and corruption.
-//
-//qvet:noalloc
 func (f *FaultConn) Recv(buf []byte, timeout time.Duration) (int, Addr, error) {
 	if !f.enabled.Load() {
 		return f.inner.Recv(buf, timeout)

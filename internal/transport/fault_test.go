@@ -233,35 +233,23 @@ func TestFaultConnResolveLike(t *testing.T) {
 }
 
 // TestFaultConnFastPathAllocFree pins the tentpole guarantee: with all
-// rates zero the injector adds zero allocations per send/recv round trip
-// over what the bare conn costs, so wrapping a conn in tests and benches
-// cannot perturb the reply pipeline's zero-alloc gate. (The bare MemConn
-// round trip itself boxes two Addr interface values; the injector must
-// add nothing on top.)
+// rates zero the injector's send and receive allocate nothing, so
+// wrapping a conn in tests and benches cannot perturb the reply
+// pipeline's allocation gates. The inner conn is a nopConn, which
+// allocates nothing itself, so the count is exactly the injector's.
 func TestFaultConnFastPathAllocFree(t *testing.T) {
-	payload := bytes.Repeat([]byte{1}, 128)
-	drain := make([]byte, MaxDatagram)
-	measure := func(tx Conn, rx Conn) float64 {
-		to := rx.LocalAddr()
-		for i := 0; i < 16; i++ { // warm the pools
-			_ = tx.Send(to, payload)
-			_, _, _ = rx.Recv(drain, 0)
+	fc := NewFaultConn(&nopConn{addr: MemAddr("nop")}, FaultConfig{})
+	var to Addr = MemAddr("peer") // box once: the interface conversion is the caller's cost
+	data := make([]byte, 64)
+	buf := make([]byte, MaxDatagram)
+	requireAllocFree(t, "fault-free FaultConn round trip", 1000, func() {
+		if err := fc.Send(to, data); err != nil {
+			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(200, func() {
-			_ = tx.Send(to, payload)
-			_, _, _ = rx.Recv(drain, 0)
-		})
-	}
-	net := NewNetwork(NetworkConfig{})
-	bareTx, _ := net.Listen("bare-tx")
-	bareRx, _ := net.Listen("bare-rx")
-	bare := measure(bareTx, bareRx)
-
-	fc, rx := faultPair(t, FaultConfig{})
-	wrapped := measure(fc, NewFaultConn(rx, FaultConfig{}))
-	if wrapped > bare {
-		t.Fatalf("fault-free path allocates %.1f/op vs bare %.1f/op, want no overhead", wrapped, bare)
-	}
+		if _, _, err := fc.Recv(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestMuxOverflowCounted(t *testing.T) {
@@ -285,8 +273,8 @@ func TestMuxOverflowCounted(t *testing.T) {
 	}
 }
 
-// nopConn is an inner Conn that does nothing, so the benchmark below
-// measures the fault injector's own overhead in isolation.
+// nopConn is an inner Conn that does nothing and allocates nothing, so
+// a wrapper's allocation test counts the wrapper alone.
 type nopConn struct{ addr Addr }
 
 func (n *nopConn) Send(to Addr, data []byte) error                           { return nil }
@@ -294,24 +282,3 @@ func (n *nopConn) Recv(buf []byte, timeout time.Duration) (int, Addr, error) { r
 func (n *nopConn) LocalAddr() Addr                                           { return n.addr }
 func (n *nopConn) Resolve(s string) (Addr, error)                            { return MemAddr(s), nil }
 func (n *nopConn) Close() error                                              { return nil }
-
-// BenchmarkFaultConnPassthrough pins the zero-rate fast path: with all
-// rates zero a FaultConn must add no allocations and no locking beyond
-// one atomic load per operation, so an idle injector costs nothing.
-// CI's allocation gate expects 0 allocs/op here.
-func BenchmarkFaultConnPassthrough(b *testing.B) {
-	fc := NewFaultConn(&nopConn{addr: MemAddr("nop")}, FaultConfig{})
-	var to Addr = MemAddr("peer") // box once: the interface conversion is the caller's cost
-	data := make([]byte, 64)
-	buf := make([]byte, MaxDatagram)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fc.Send(to, data); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := fc.Recv(buf, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -155,11 +155,9 @@ func (m *Mux) Close() {
 
 // pump drains endpoint i into the per-port receive queues for the
 // lifetime of the mux; its steady-state loop allocates nothing.
-//
-//qvet:noalloc
 func (m *Mux) pump(i int) {
 	defer m.wg.Done()
-	//qvet:allow=noalloc one receive buffer per pump goroutine, at startup
+	// One receive buffer per pump goroutine, at startup.
 	buf := make([]byte, MaxDatagram)
 	for {
 		select {
@@ -204,8 +202,6 @@ type MuxPort struct {
 // enqueue delivers one pumped datagram to this port's receive queue.
 // The fast path (queue accepts) is allocation-free; only the sampled
 // overflow log on the drop path allocates.
-//
-//qvet:noalloc
 func (p *MuxPort) enqueue(pkt memPacket) {
 	select {
 	case p.queue <- pkt:
@@ -221,7 +217,6 @@ func (p *MuxPort) enqueue(pkt memPacket) {
 		n := p.mux.dropsBySrc[from]
 		p.mux.mu.Unlock()
 		if n == 1 || n%muxDropLogSample == 0 {
-			//qvet:allow=noalloc sampled overflow log; drop path only
 			log.Printf("transport: mux queue overflow, dropped datagram from %s (%d total from this source)", from, n)
 		}
 	}

@@ -443,28 +443,6 @@ func TestUDPConcurrentSendDuringRecv(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkUDPRecv is a steady-state send and poll from a sender the
-// receiving conn has already seen: the receive path's gate at 0 allocs/op.
-func BenchmarkUDPRecv(b *testing.B) {
-	src, dst := listenUDP(b, "127.0.0.1:0"), listenUDP(b, "127.0.0.1:0")
-	payload := make([]byte, 26) // a Move datagram
-	buf := make([]byte, MaxDatagram)
-	to := dst.LocalAddr()
-	send := func() {
-		if err := src.Send(to, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	send()
-	pollUntil(b, dst, buf)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		send()
-		pollUntil(b, dst, buf)
-	}
-}
-
 func BenchmarkMemSendRecv(b *testing.B) {
 	n := NewNetwork(NetworkConfig{QueueLen: 8})
 	src, _ := n.Listen("src")

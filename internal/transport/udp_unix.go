@@ -68,8 +68,6 @@ func (r *udpRecv) init(c *UDPConn) error {
 }
 
 // Recv implements Conn.
-//
-//qvet:noalloc
 func (c *UDPConn) Recv(buf []byte, timeout time.Duration) (int, Addr, error) {
 	r := &c.recv
 	if err := r.setDeadline(c.pc, timeout); err != nil {
@@ -84,7 +82,7 @@ func (c *UDPConn) Recv(buf []byte, timeout time.Duration) (int, Addr, error) {
 	case r.errno == syscall.EAGAIN:
 		return 0, nil, ErrTimeout
 	case r.errno != 0:
-		return 0, nil, r.errno //qvet:allow=noalloc error path: recvfrom failed with neither EAGAIN nor EINTR
+		return 0, nil, r.errno
 	}
 	from := r.source()
 	if from == nil {
@@ -112,8 +110,6 @@ func (r *udpRecv) setDeadline(pc *net.UDPConn, timeout time.Duration) error {
 // once is the RawConn.Read callback: one recvfrom(MSG_DONTWAIT) into
 // r.buf and r.rsa. It reports false — park, then call again — only when
 // the socket is empty and the Recv may wait.
-//
-//qvet:noalloc
 func (r *udpRecv) once(fd uintptr) bool {
 	for {
 		r.rsaLen = syscall.SizeofSockaddrAny
@@ -137,8 +133,6 @@ func (r *udpRecv) once(fd uintptr) bool {
 // one map lookup, and every datagram from it returns the same
 // *net.UDPAddr, which callers must treat as read-only. Its String() is
 // the one ReadFromUDP's address would print.
-//
-//qvet:noalloc
 func (r *udpRecv) source() *net.UDPAddr {
 	var k addrKey
 	switch r.rsa.Addr.Family {

@@ -29,16 +29,6 @@ func Run(t *testing.T, dir string, analyzers []*core.Analyzer) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	for _, a := range analyzers {
-		if a.NeedEscapes {
-			esc, err := load.Escapes(dir, []string{"./..."})
-			if err != nil {
-				t.Fatalf("escape analysis for fixture %s: %v", dir, err)
-			}
-			prog.Escapes = esc
-			break
-		}
-	}
 	diags, err := core.RunAnalyzers(prog, analyzers)
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)

@@ -5,7 +5,6 @@ import (
 	"qserve/tools/qvet/internal/checks/annotcheck"
 	"qserve/tools/qvet/internal/checks/detcore"
 	"qserve/tools/qvet/internal/checks/lockguard"
-	"qserve/tools/qvet/internal/checks/noalloc"
 	"qserve/tools/qvet/internal/checks/phasecheck"
 	"qserve/tools/qvet/internal/checks/stealcheck"
 	"qserve/tools/qvet/internal/core"
@@ -17,7 +16,6 @@ func All() []*core.Analyzer {
 		annotcheck.Analyzer,
 		lockguard.Analyzer,
 		phasecheck.Analyzer,
-		noalloc.Analyzer,
 		detcore.Analyzer,
 		stealcheck.Analyzer,
 	}

@@ -10,7 +10,6 @@ import (
 // Annotation grammar (see DESIGN.md §9):
 //
 //	//qvet:phase=reply|physics|exec   on a func declaration's doc comment
-//	//qvet:noalloc                    on a func declaration's doc comment
 //	//qvet:det                        on a func declaration's doc comment;
 //	                                  marks a determinism root (detcore)
 //	//qvet:allow=<check> [reason]     anywhere; suppresses <check> findings
@@ -35,10 +34,8 @@ var ValidPhases = map[Phase]bool{PhaseReply: true, PhasePhysics: true, PhaseExec
 
 // FuncAnnot is the directives attached to one function declaration.
 type FuncAnnot struct {
-	Phase      Phase // "" when not phase-annotated
-	PhasePos   token.Pos
-	NoAlloc    bool
-	NoAllocPos token.Pos
+	Phase    Phase // "" when not phase-annotated
+	PhasePos token.Pos
 	// Det marks a determinism root: the function's transitive static
 	// call closure is checked by detcore.
 	Det    bool
@@ -163,14 +160,6 @@ func (ix *Index) directive(fset *token.FileSet, c *ast.Comment, own *ast.FuncDec
 		fa.Phase = name
 		fa.PhasePos = c.Pos()
 
-	case body == "noalloc":
-		fa := ix.attach(fset, c, own, "noalloc")
-		if fa == nil {
-			return
-		}
-		fa.NoAlloc = true
-		fa.NoAllocPos = c.Pos()
-
 	case body == "det":
 		fa := ix.attach(fset, c, own, "det")
 		if fa == nil {
@@ -180,7 +169,7 @@ func (ix *Index) directive(fset *token.FileSet, c *ast.Comment, own *ast.FuncDec
 		fa.DetPos = c.Pos()
 
 	default:
-		ix.problem(fset, c.Pos(), "unknown //qvet: directive %q (valid: phase=, noalloc, det, allow=)", body)
+		ix.problem(fset, c.Pos(), "unknown //qvet: directive %q (valid: phase=, det, allow=)", body)
 	}
 }
 
@@ -197,7 +186,7 @@ func joinSorted(set map[string]bool) string {
 	return strings.Join(names, ", ")
 }
 
-// attach binds a phase/noalloc/det directive to its doc-comment owner,
+// attach binds a phase/det directive to its doc-comment owner,
 // returning (creating if needed) the owner's annotation record. It
 // records a Problem instead when the directive is stranded somewhere the
 // suite does not understand (not a func declaration's doc comment, or a

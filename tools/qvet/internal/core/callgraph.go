@@ -11,7 +11,7 @@ import (
 // or method on a concrete receiver). Calls through interfaces, function
 // values, and reflection produce no edge — a documented soundness gap
 // (DESIGN.md §9); the frame pipeline's hot paths call concrete methods,
-// which is what makes the phase and noalloc closures checkable at all.
+// which is what makes the phase and determinism closures checkable at all.
 //
 // Nodes are keyed by a world-independent string (package path + receiver
 // type name + method name) because the same function is represented by

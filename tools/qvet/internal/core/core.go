@@ -1,7 +1,7 @@
 // Package core is a minimal, dependency-free stand-in for the parts of
 // golang.org/x/tools/go/analysis that qvet needs: analyzer registration,
 // a per-package pass, diagnostics, and the shared program-wide facts
-// (annotation index, call graph, escape-analysis index) the checks run
+// (annotation index, call graph) the checks run
 // against. qvet cannot depend on x/tools because the engine repo is
 // deliberately stdlib-only, so the framework is rebuilt here on
 // go/ast + go/types + the go command.
@@ -36,15 +36,13 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Program is the full loaded target set plus shared indexes. Escapes is
-// populated only when an enabled analyzer declares NeedEscapes; Graph is
+// Program is the full loaded target set plus shared indexes. Graph is
 // built lazily by EnsureGraph.
 type Program struct {
 	Dir      string // absolute module root the program was loaded from
 	Fset     *token.FileSet
 	Packages []*Package
 	Annots   *Index
-	Escapes  *EscapeIndex
 	Graph    *Graph
 }
 
@@ -73,11 +71,10 @@ type Reporter func(pos token.Pos, format string, args ...any)
 // Analyzer is one named check. Exactly one of Run (per target package)
 // or RunProgram (once, whole program) must be set.
 type Analyzer struct {
-	Name        string
-	Doc         string
-	NeedEscapes bool
-	Run         func(*Pass) error
-	RunProgram  func(*Program, Reporter) error
+	Name       string
+	Doc        string
+	Run        func(*Pass) error
+	RunProgram func(*Program, Reporter) error
 }
 
 // RunAnalyzers executes the given analyzers over the program and returns
@@ -132,19 +129,4 @@ func RunAnalyzers(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 		last = d
 	}
 	return out, nil
-}
-
-// EscapeIndex maps absolute file path -> line -> the compiler's
-// escape-analysis messages ("... escapes to heap" / "moved to heap: ...")
-// for that line.
-type EscapeIndex struct {
-	ByFile map[string]map[int][]string
-}
-
-// At returns the escape messages recorded for file:line.
-func (e *EscapeIndex) At(file string, line int) []string {
-	if e == nil {
-		return nil
-	}
-	return e.ByFile[file][line]
 }

@@ -68,18 +68,6 @@ func Main(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "qvet: %v\n", err)
 		return 2
 	}
-	for _, a := range suite {
-		if a.NeedEscapes {
-			esc, err := load.Escapes(*dir, patterns)
-			if err != nil {
-				fmt.Fprintf(stderr, "qvet: %v\n", err)
-				return 2
-			}
-			prog.Escapes = esc
-			break
-		}
-	}
-
 	diags, err := core.RunAnalyzers(prog, suite)
 	if err != nil {
 		fmt.Fprintf(stderr, "qvet: %v\n", err)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"qserve/tools/qvet/internal/analysistest"
@@ -27,6 +29,30 @@ func TestDriverFindsRot(t *testing.T) {
 	)
 }
 
+// TestDriverRejectsRetiredDirectives: allocation gates are tier-1 tests
+// now (DESIGN.md §9), so a leftover directive of the deleted noalloc
+// analyzer is rot like any other and fails the annot check. The module
+// is written at run time so the retired spelling appears nowhere in the
+// tree.
+func TestDriverRejectsRetiredDirectives(t *testing.T) {
+	dir := t.TempDir()
+	retired := "qvet:" + "noalloc"
+	src := "package p\n\n//" + retired + "\nfunc F() int {\n\treturn 1 //qvet:allow=" + "noalloc warm-up growth\n}\n"
+	for name, body := range map[string]string{"go.mod": "module p\n\ngo 1.22\n", "p.go": src} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := driver.Main([]string{"-C", dir, "./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	analysistest.MustFind(t, stdout.String(),
+		"p.go:3:1: annot: unknown //qvet: directive \"noalloc\"",
+		"p.go:5:11: annot: //qvet:allow references unknown check \"noalloc\"",
+	)
+}
+
 // TestDriverCleanTree exits 0 with no output on a conforming module.
 func TestDriverCleanTree(t *testing.T) {
 	var stdout, stderr bytes.Buffer
@@ -42,7 +68,7 @@ func TestDriverCleanTree(t *testing.T) {
 // TestDriverSubset runs a named subset and rejects unknown checks.
 func TestDriverSubset(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := driver.Main([]string{"-C", "testdata/clean", "-checks", "lockguard,noalloc", "./..."}, &stdout, &stderr); code != 0 {
+	if code := driver.Main([]string{"-C", "testdata/clean", "-checks", "lockguard,phasecheck", "./..."}, &stdout, &stderr); code != 0 {
 		t.Fatalf("subset run: exit %d, stderr: %s", code, stderr.String())
 	}
 	if code := driver.Main([]string{"-checks", "nosuchcheck"}, &stdout, &stderr); code != 2 {
@@ -56,8 +82,8 @@ func TestDriverList(t *testing.T) {
 	if code := driver.Main([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list: exit %d", code)
 	}
-	analysistest.MustFind(t, stdout.String(), "lockguard", "phasecheck", "noalloc", "annot",
-		"detcore", "stealcheck")
+	analysistest.MustFind(t, stdout.String(), "lockguard", "phasecheck", "annot", "detcore",
+		"stealcheck")
 }
 
 // TestDriverJSON emits the same findings as machine-readable JSON, in

@@ -2,10 +2,9 @@
 // kind, no violations.
 package clean
 
-// Sum is allocation-free and reply-phase.
+// Sum is reply-phase.
 //
 //qvet:phase=reply
-//qvet:noalloc
 func Sum(xs []int) int {
 	n := 0
 	for _, x := range xs {

@@ -1,12 +1,12 @@
 // Command qvet runs qserve's custom static-analysis suite: the
-// machine-checked form of the engine's concurrency and hot-path
-// invariants (region-lock protocol, barrier-phase discipline, atomic
-// field hygiene, allocation-free reply path). See DESIGN.md §9 for the
+// machine-checked form of the engine's concurrency invariants
+// (region-lock protocol, barrier-phase discipline, determinism closures,
+// the steal-hint protocol, annotation rot). See DESIGN.md §9 for the
 // rules and annotation grammar.
 //
 // Usage:
 //
-//	qvet [-C dir] [-checks lockguard,noalloc] [packages]
+//	qvet [-C dir] [-checks lockguard,phasecheck] [-json] [packages]
 //
 // Exit status: 0 clean, 1 findings, 2 error.
 package main
