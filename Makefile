@@ -22,15 +22,16 @@ race:
 	$(GO) test -race ./...
 
 # collide is the trace-traversal acceptance set (DESIGN.md §3.2): the
-# front-to-back walk bit-identical to the exhaustive Reference walk and to
-# a scan of every brush over 600 000 seeded sweeps, the deterministic
-# work budget of the per-move aim ray (which also holds both walks to 0
-# allocations), a fuzz smoke of the same comparison, and the three
-# benchmark arms with their tests/op.
+# front-to-back walk bit-identical to the exhaustive walk over the same
+# nodes, to the Reference tree and to a scan of every brush over 600 000
+# seeded sweeps, the shape of the surface-area-heuristic tree, the
+# deterministic work budget of the per-move aim ray (which also holds
+# both walks to 0 allocations), a fuzz smoke of the same comparison, the
+# three benchmark arms with their tests/op, and the tree build.
 collide:
-	$(GO) test -v -run 'TestTraceMatchesBruteForce|TestTraceWorkBudget' ./internal/collide/
+	$(GO) test -v -run 'TestTraceMatchesBruteForce|TestTreeShape|TestTraceWorkBudget' ./internal/collide/
 	$(GO) test -fuzz=FuzzTraceBox -fuzztime=10s -run=NONE ./internal/collide/
-	$(GO) test -run=NONE -bench=BenchmarkTraceBox -benchmem -benchtime=20000x ./internal/collide/
+	$(GO) test -run=NONE -bench='BenchmarkTraceBox|BenchmarkNewTree' -benchmem -benchtime=20000x ./internal/collide/
 
 # vis runs the frame-coherent interest-management acceptance set: the
 # randomized byte-identity property suite (indexed vs naive snapshots,

@@ -36,7 +36,7 @@ func (t *Tree) TraceSegment(a, b geom.Vec3, w *Work) Trace {
 // extents (the Minkowski-sum reduction).
 //
 // The tree is descended front to back along the segment (walkSegment);
-// a Reference view instead tests every brush of every leaf the sweep's
+// a Reference tree instead tests every brush of every leaf the sweep's
 // bounding box overlaps. Both walks feed the same per-brush slab test
 // and the same nearest rule, so they return the same Trace bit for bit
 // and differ only in the Work they report.

@@ -36,6 +36,53 @@ func TestTreeBuild(t *testing.T) {
 	}
 }
 
+// shape summarises a tree's nodes: its leaves, the empty ones among them,
+// the brush references they hold and the depth of the deepest.
+type shape struct {
+	leaves, empty, refs, depth int
+}
+
+func shapeOf(tr *Tree) shape {
+	var s shape
+	var walk func(ni int32, depth int)
+	walk = func(ni int32, depth int) {
+		n := &tr.nodes[ni]
+		if n.children[0] >= 0 {
+			walk(n.children[0], depth+1)
+			walk(n.children[1], depth+1)
+			return
+		}
+		s.leaves++
+		s.refs += len(n.brushes)
+		s.depth = max(s.depth, depth)
+		if len(n.brushes) == 0 {
+			s.empty++
+		}
+	}
+	walk(0, 0)
+	return s
+}
+
+// TestTreeShape pins what the surface-area heuristic buys on the default
+// map: open space gets leaves of its own, a brush sits in a few leaves
+// rather than dozens, and no path is deeper than walkSegment's stack.
+func TestTreeShape(t *testing.T) {
+	tr, _ := testTree(t)
+	s := shapeOf(tr)
+	perBrush := float64(s.refs) / float64(tr.NumBrushes())
+	t.Logf("%d nodes, %d leaves (%d empty), %.2f references per brush, depth %d; median tree %+v",
+		tr.NumNodes(), s.leaves, s.empty, perBrush, s.depth, shapeOf(tr.Reference()))
+	if s.empty == 0 {
+		t.Error("no empty leaf")
+	}
+	if perBrush > 4 {
+		t.Errorf("%.2f leaf references per brush, want at most 4", perBrush)
+	}
+	if s.depth > maxDepth {
+		t.Errorf("depth %d exceeds maxDepth %d", s.depth, maxDepth)
+	}
+}
+
 func TestPointSolid(t *testing.T) {
 	tr, m := testTree(t)
 	var w Work
@@ -286,14 +333,27 @@ func sameTrace(x, y Trace) bool {
 	return bits(x) == bits(y) && x.Brush == y.Brush && x.Hit == y.Hit && x.StartSolid == y.StartSolid
 }
 
+// exhaustiveView returns a view of tr — the same brushes and nodes —
+// whose TraceBox takes the exhaustive walk: the yardstick for how much
+// work the front-to-back walk saves on these nodes.
+func exhaustiveView(tr *Tree) *Tree {
+	v := *tr
+	v.exhaustive = true
+	return &v
+}
+
 // checkSweep runs one sweep through the front-to-back walk, the
-// exhaustive Reference walk and the tree-less scan, and fails unless all
-// three agree bit for bit and the fast walk did no more work than the
-// exhaustive one.
+// exhaustive walk over the same nodes, the Reference tree and the
+// tree-less scan. It fails unless all four agree bit for bit and the
+// fast walk did no more work than the exhaustive walk over its own
+// nodes, whose Work it returns beside the fast walk's.
 func checkSweep(t testing.TB, tr, ref *Tree, a, b, he geom.Vec3) (got Trace, fast, exhaustive Work) {
 	t.Helper()
 	got = tr.TraceBox(a, b, he, &fast)
-	want := ref.TraceBox(a, b, he, &exhaustive)
+	if ex := exhaustiveView(tr).TraceBox(a, b, he, &exhaustive); !sameTrace(got, ex) {
+		t.Fatalf("a=%v b=%v he=%v:\n front-to-back %+v\n exhaustive    %+v", a, b, he, got, ex)
+	}
+	want := ref.TraceBox(a, b, he, nil)
 	if !sameTrace(got, want) {
 		t.Fatalf("a=%v b=%v he=%v:\n front-to-back %+v\n reference     %+v", a, b, he, got, want)
 	}
@@ -301,7 +361,7 @@ func checkSweep(t testing.TB, tr, ref *Tree, a, b, he geom.Vec3) (got Trace, fas
 		t.Fatalf("a=%v b=%v he=%v:\n reference %+v\n scan      %+v", a, b, he, want, brute)
 	}
 	if fast.Nodes > exhaustive.Nodes || fast.BrushTests > exhaustive.BrushTests {
-		t.Fatalf("a=%v b=%v he=%v: front-to-back work %+v exceeds the reference's %+v", a, b, he, fast, exhaustive)
+		t.Fatalf("a=%v b=%v he=%v: front-to-back work %+v exceeds the exhaustive walk's %+v", a, b, he, fast, exhaustive)
 	}
 	return got, fast, exhaustive
 }
@@ -325,9 +385,10 @@ func equivalenceTrees(t testing.TB) map[string]*Tree {
 
 // TestTraceMatchesBruteForce is the equivalence proof for the
 // front-to-back walk: on every seeded sweep it must return exactly what
-// the exhaustive Reference walk returns — Fraction, End, Hit, StartSolid,
-// Normal and Brush — which in turn must be what a scan of every brush
-// returns, and it must never do more work.
+// the exhaustive walk over the same nodes and the Reference tree return —
+// Fraction, End, Hit, StartSolid, Normal and Brush — which in turn must
+// be what a scan of every brush returns, and it must never do more work
+// than the exhaustive walk over its own nodes.
 func TestTraceMatchesBruteForce(t *testing.T) {
 	sweeps := 200_000
 	if testing.Short() {
@@ -363,8 +424,8 @@ func TestTraceMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// FuzzTraceBox lets the fuzzer look for a sweep on which the two walks
-// and the scan disagree, starting from one of each seeded family.
+// FuzzTraceBox lets the fuzzer look for a sweep on which the walks and
+// the scan disagree, starting from one of each seeded family.
 func FuzzTraceBox(f *testing.F) {
 	tr, _ := testTree(f)
 	ref := tr.Reference()
@@ -404,8 +465,9 @@ func aimRays(m *worldmap.Map, n int) [][2]geom.Vec3 {
 // TestTraceWorkBudget pins what the front-to-back walk is for. Work
 // counts are a pure function of the map and the sweep, so they repeat
 // exactly and can gate in plain `go test`: the aim ray every move
-// command traces must cost a few dozen slab tests, where the exhaustive
-// walk spends hundreds.
+// command traces must cost a handful of slab tests, where the exhaustive
+// walk over the same nodes spends dozens (and over the Reference tree's
+// median nodes, hundreds).
 func TestTraceWorkBudget(t *testing.T) {
 	tr, m := testTree(t)
 	ref := tr.Reference()
@@ -419,8 +481,8 @@ func TestTraceWorkBudget(t *testing.T) {
 	tests, nodes := float64(fast.BrushTests)/n, float64(fast.Nodes)/n
 	t.Logf("2048-unit aim ray: %.1f tests %.1f nodes front to back, %.1f / %.1f exhaustive",
 		tests, nodes, float64(exhaustive.BrushTests)/n, float64(exhaustive.Nodes)/n)
-	if tests > 32 || nodes > 48 {
-		t.Errorf("aim ray costs %.1f brush tests and %.1f nodes, budget 32 and 48", tests, nodes)
+	if tests > 4 || nodes > 14 {
+		t.Errorf("aim ray costs %.1f brush tests and %.1f nodes, budget 4 and 14", tests, nodes)
 	}
 	if exhaustive.BrushTests < 10*fast.BrushTests {
 		t.Errorf("exhaustive walk does %d tests to the front-to-back walk's %d: the rays no longer exercise the difference",
@@ -510,6 +572,21 @@ func BenchmarkTraceBox(b *testing.B) {
 			}
 			b.ReportMetric(float64(w.BrushTests)/float64(b.N), "tests/op")
 		})
+	}
+}
+
+// BenchmarkNewTree times the build of the default map's tree, the cost
+// every server start (and every private game.Static) pays once.
+func BenchmarkNewTree(b *testing.B) {
+	m := worldmap.MustGenerate(worldmap.DefaultConfig())
+	boxes := make([]geom.AABB, len(m.Brushes))
+	for i, br := range m.Brushes {
+		boxes[i] = br.Box
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewTree(boxes, m.Bounds)
 	}
 }
 

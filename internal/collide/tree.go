@@ -4,17 +4,20 @@
 // execution uses to simulate player motion against the world.
 //
 // The structure is a kd-tree over the brush AABBs with axis-aligned
-// median splits (the same flavour of binary space partition the original
-// maps use, built over our box-shaped brushes). Brushes straddling a
-// split plane are referenced by both children. Queries report work
-// counters (nodes visited, brush tests) that the cost model uses to
-// charge virtual time in the simulated-machine engine; that engine
-// traces through a Reference view, whose exhaustive walk is the one the
-// model's constants were fitted to.
+// splits (the same flavour of binary space partition the original maps
+// use, built over our box-shaped brushes), placed by a surface-area
+// heuristic at brush faces so that open space ends up in empty leaves.
+// Brushes straddling a split plane are referenced by both children.
+// Queries report work counters (nodes visited, brush tests) that the
+// cost model uses to charge virtual time in the simulated-machine
+// engine; that engine traces through a Reference tree, built by median
+// splits, whose exhaustive walk is the one the model's constants were
+// fitted to.
 package collide
 
 import (
-	"sort"
+	"math"
+	"slices"
 
 	"qserve/internal/geom"
 )
@@ -26,7 +29,7 @@ type Tree struct {
 	nodes   []node
 	bounds  geom.AABB
 
-	exhaustive bool // a Reference view: TraceBox walks the sweep's bounding box
+	exhaustive bool // a Reference tree: TraceBox walks the sweep's bounding box
 }
 
 type node struct {
@@ -36,8 +39,15 @@ type node struct {
 }
 
 const (
-	leafTarget = 4  // split until a node holds at most this many brushes
+	leafTarget = 4  // the median build splits until a node holds at most this many brushes
 	maxDepth   = 16 // hard cap against pathological duplication
+
+	// The surface-area heuristic's prices (Wald and Havran, RT 2006): one
+	// node visit, one brush test, and the discount on a split that leaves
+	// one side empty, whose space a walk then crosses without a test.
+	sahTraverse = 1.0
+	sahTest     = 1.5
+	sahEmpty    = 0.8
 )
 
 // Work accumulates query effort. The same counters feed both profiling
@@ -53,38 +63,149 @@ func (w *Work) Add(o Work) {
 	w.BrushTests += o.BrushTests
 }
 
-// NewTree builds the index. The brush slice is copied; the caller may
-// reuse it.
+// NewTree builds the index with the surface-area heuristic. The brush
+// slice is copied; the caller may reuse it.
 func NewTree(brushes []geom.AABB, bounds geom.AABB) *Tree {
 	t := &Tree{
 		brushes: append([]geom.AABB(nil), brushes...),
 		bounds:  bounds,
 	}
-	all := make([]int32, len(brushes))
-	for i := range all {
-		all[i] = int32(i)
+	s := sahScratch{
+		lo: make([]float64, len(brushes)),
+		hi: make([]float64, len(brushes)),
 	}
-	t.build(all, bounds, 0)
+	t.build(allBrushes(len(brushes)), bounds, 0, &s)
 	return t
 }
 
-// Reference returns a view of t — the same immutable brushes and nodes —
-// whose TraceBox tests every brush of every leaf the sweep's bounding
-// box overlaps, instead of descending front to back along the segment.
-// The Trace it returns is identical; the Work it reports is that of the
-// exhaustive walk, which is what the cost model's CollideOp/BrushTest
-// constants were fitted to. The simulated-machine engine installs it so
-// virtual time keeps its calibration, and the tests use it as the
-// oracle for the fast walk.
+// Reference returns a tree over the same immutable brushes whose nodes
+// are built by median splits, as every tree was before the surface-area
+// heuristic, and whose TraceBox tests every brush of every leaf the
+// sweep's bounding box overlaps instead of descending front to back
+// along the segment. The Trace it returns is identical; the Work it
+// reports is that of the exhaustive walk over the median nodes, which is
+// what the cost model's CollideOp/BrushTest constants were fitted to.
+// The simulated-machine engine installs it so virtual time keeps its
+// calibration, and the tests use it as the oracle for the fast walk.
+// Each call builds the median nodes afresh; the live engine never calls
+// it.
 func (t *Tree) Reference() *Tree {
-	r := *t
-	r.exhaustive = true
-	return &r
+	r := &Tree{brushes: t.brushes, bounds: t.bounds, exhaustive: true}
+	r.buildMedian(allBrushes(len(t.brushes)), t.bounds, 0)
+	return r
+}
+
+// allBrushes returns the indices 0..n-1, the root's brush set.
+func allBrushes(n int) []int32 {
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return all
 }
 
 // build constructs the subtree for the given brush subset and returns its
-// node index.
-func (t *Tree) build(idx []int32, bounds geom.AABB, depth int) int32 {
+// node index. A node splits where the surface-area heuristic prices the
+// split below a leaf, so an empty leaf is what a walk meets in open
+// space.
+func (t *Tree) build(idx []int32, bounds geom.AABB, depth int, s *sahScratch) int32 {
+	self := int32(len(t.nodes))
+	t.nodes = append(t.nodes, node{children: [2]int32{-1, -1}})
+	if depth < maxDepth {
+		if pl, ok := s.split(t.brushes, idx, bounds); ok {
+			front, back := t.partition(idx, pl)
+			fb, bb := pl.SplitBox(bounds)
+			t.nodes[self].plane = pl
+			fi := t.build(front, fb, depth+1, s)
+			bi := t.build(back, bb, depth+1, s)
+			t.nodes[self].children = [2]int32{fi, bi}
+			return self
+		}
+	}
+	t.nodes[self].brushes = idx
+	return self
+}
+
+// sahScratch holds the brush extents along the axis being scored, reused
+// at every node of one build.
+type sahScratch struct {
+	lo, hi []float64
+}
+
+// split returns the cheapest plane for a node over idx within bounds, or
+// false when no split is priced below a leaf. The candidates are the
+// brush faces strictly inside bounds on each axis. One sort per axis and
+// one sweep over both sorted lists count, at each candidate d, the
+// brushes behind it (lo < d) and in front of it (hi > d) — the sides
+// SideBox sends them to.
+func (s *sahScratch) split(brushes []geom.AABB, idx []int32, bounds geom.AABB) (geom.AxisPlane, bool) {
+	n := len(idx)
+	size := bounds.Size()
+	area := halfArea(size)
+	if n == 0 || !(area > 0) {
+		return geom.AxisPlane{}, false
+	}
+	best := sahTest * float64(n) // the leaf
+	var pl geom.AxisPlane
+	found := false
+	for axis := 0; axis < 3; axis++ {
+		lo, hi := s.lo[:n], s.hi[:n]
+		for i, bi := range idx {
+			lo[i], hi[i] = brushes[bi].Min.Axis(axis), brushes[bi].Max.Axis(axis)
+		}
+		slices.Sort(lo)
+		slices.Sort(hi)
+		start, end := bounds.Min.Axis(axis), bounds.Max.Axis(axis)
+		// Each child keeps the node's extents on the other two axes.
+		u, v := size.Axis((axis+1)%3), size.Axis((axis+2)%3)
+		uv, rim := float64(u*v), u+v
+		i, j := 0, 0 // lo[:i] < d, hi[:j] <= d
+		for i < n || j < n {
+			d := math.Inf(1)
+			if i < n {
+				d = lo[i]
+			}
+			if j < n && hi[j] < d {
+				d = hi[j]
+			}
+			if d >= end {
+				break
+			}
+			for j < n && hi[j] <= d {
+				j++
+			}
+			if d > start {
+				back, front := float64(i), float64(n-j)
+				// Every product is rounded on its own (the float64
+				// conversions forbid fused multiply-adds), so the tree
+				// is the same on every architecture.
+				areaBack := uv + float64(rim*(d-start))
+				areaFront := uv + float64(rim*(end-d))
+				cost := sahTraverse + sahTest*(float64(areaBack*back)+float64(areaFront*front))/area
+				if i == 0 || j == n {
+					cost *= sahEmpty
+				}
+				if cost < best {
+					best, pl, found = cost, geom.AxisPlane{Axis: axis, Dist: d}, true
+				}
+			}
+			for i < n && lo[i] <= d {
+				i++
+			}
+		}
+	}
+	return pl, found
+}
+
+// halfArea is half the surface area of a box of the given size.
+func halfArea(size geom.Vec3) float64 {
+	return float64(size.X*size.Y) + float64(size.Y*size.Z) + float64(size.Z*size.X)
+}
+
+// buildMedian constructs the Reference tree's subtree for the given
+// brush subset and returns its node index: a split at the median brush
+// centre on the node's longest axis, down to leafTarget brushes.
+func (t *Tree) buildMedian(idx []int32, bounds geom.AABB, depth int) int32 {
 	self := int32(len(t.nodes))
 	t.nodes = append(t.nodes, node{children: [2]int32{-1, -1}})
 
@@ -97,18 +218,7 @@ func (t *Tree) build(idx []int32, bounds geom.AABB, depth int) int32 {
 	dist := medianCenter(t.brushes, idx, axis)
 	pl := geom.AxisPlane{Axis: axis, Dist: dist}
 
-	var front, back []int32
-	for _, bi := range idx {
-		switch pl.SideBox(t.brushes[bi]) {
-		case geom.SideFront:
-			front = append(front, bi)
-		case geom.SideBack:
-			back = append(back, bi)
-		default:
-			front = append(front, bi)
-			back = append(back, bi)
-		}
-	}
+	front, back := t.partition(idx, pl)
 	// Degenerate split: all brushes land on one side (including via
 	// duplication). Fall back to a leaf to guarantee termination.
 	if len(front) == len(idx) && len(back) == len(idx) ||
@@ -119,10 +229,27 @@ func (t *Tree) build(idx []int32, bounds geom.AABB, depth int) int32 {
 
 	fb, bb := pl.SplitBox(bounds)
 	t.nodes[self].plane = pl
-	fi := t.build(front, fb, depth+1)
-	bi := t.build(back, bb, depth+1)
+	fi := t.buildMedian(front, fb, depth+1)
+	bi := t.buildMedian(back, bb, depth+1)
 	t.nodes[self].children = [2]int32{fi, bi}
 	return self
+}
+
+// partition splits idx by the side of pl each brush lies on, in index
+// order; a brush straddling pl goes to both sides.
+func (t *Tree) partition(idx []int32, pl geom.AxisPlane) (front, back []int32) {
+	buf := make([]int32, 2*len(idx))
+	front, back = buf[:0:len(idx)], buf[len(idx):len(idx)]
+	for _, bi := range idx {
+		side := pl.SideBox(t.brushes[bi])
+		if side&geom.SideFront != 0 {
+			front = append(front, bi)
+		}
+		if side&geom.SideBack != 0 {
+			back = append(back, bi)
+		}
+	}
+	return front, back
 }
 
 // medianCenter returns the median brush-center coordinate along axis,
@@ -132,7 +259,7 @@ func medianCenter(brushes []geom.AABB, idx []int32, axis int) float64 {
 	for i, bi := range idx {
 		cs[i] = brushes[bi].Center().Axis(axis)
 	}
-	sort.Float64s(cs)
+	slices.Sort(cs)
 	return cs[len(cs)/2]
 }
 

@@ -85,8 +85,9 @@ func NewStatic(m *worldmap.Map) *Static {
 type World struct {
 	Map *worldmap.Map
 	// Collide starts as the Static's tree. It is the world's own pointer,
-	// so an engine may swap in a view of it (simserver installs
-	// Collide.Reference()) without reaching sibling worlds on the Static.
+	// so an engine may swap in another tree over the same brushes
+	// (simserver installs Collide.Reference()) without reaching sibling
+	// worlds on the Static.
 	Collide *collide.Tree
 	Tree    *areanode.Tree
 	Ents    *entity.Table

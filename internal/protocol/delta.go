@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"sort"
 
 	"qserve/internal/geom"
 )
@@ -110,25 +109,35 @@ func AppendDeltaEntities(dst []EntityDelta, prev, cur []EntityState) []EntityDel
 }
 
 // ApplyDelta reconstructs the new entity list from the previous one and a
-// delta list. prev must be ID-sorted; the result is ID-sorted.
+// delta list. prev must be strictly ID-ascending, as ApplyDelta and
+// BuildSnapshot emit it; so must deltas, as DeltaEntities emits them, or
+// ApplyDelta returns an error. The result is ID-ascending, newly
+// allocated, and built in one merge of the two lists.
 func ApplyDelta(prev []EntityState, deltas []EntityDelta) ([]EntityState, error) {
-	byID := make(map[uint16]EntityState, len(prev)+len(deltas))
-	for _, s := range prev {
-		byID[s.ID] = s
-	}
-	for _, d := range deltas {
+	out := make([]EntityState, 0, len(prev)+len(deltas))
+	i := 0
+	for k, d := range deltas {
+		if k > 0 && d.ID <= deltas[k-1].ID {
+			return nil, fmt.Errorf("protocol: delta for entity %d follows entity %d", d.ID, deltas[k-1].ID)
+		}
+		for i < len(prev) && prev[i].ID < d.ID {
+			out = append(out, prev[i])
+			i++
+		}
+		s, known := EntityState{}, i < len(prev) && prev[i].ID == d.ID
+		if known {
+			s = prev[i]
+			i++
+		}
 		switch {
 		case d.Bits&DRemove != 0:
-			delete(byID, d.ID)
+			continue
 		case d.Bits&DNew != 0:
-			s := d.State
+			s = d.State
 			s.ID = d.ID
-			byID[d.ID] = s
+		case !known:
+			return nil, fmt.Errorf("protocol: delta for unknown entity %d", d.ID)
 		default:
-			s, ok := byID[d.ID]
-			if !ok {
-				return nil, fmt.Errorf("protocol: delta for unknown entity %d", d.ID)
-			}
 			if d.Bits&DOrigin != 0 {
 				s.X, s.Y, s.Z = d.State.X, d.State.Y, d.State.Z
 			}
@@ -144,15 +153,10 @@ func ApplyDelta(prev []EntityState, deltas []EntityDelta) ([]EntityState, error)
 			if d.Bits&DClass != 0 {
 				s.Class = d.State.Class
 			}
-			byID[d.ID] = s
 		}
-	}
-	out := make([]EntityState, 0, len(byID))
-	for _, s := range byID {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out, nil
+	return append(out, prev[i:]...), nil
 }
 
 func encodeDeltas(w *Writer, deltas []EntityDelta) {

@@ -51,24 +51,41 @@ func TestUDPSendBatchAllocFree(t *testing.T) {
 
 // TestMuxPumpAllocFree: one datagram through a Mux — the pump
 // goroutine's receive and routing, MuxPort.enqueue, and the port's
-// receive. The endpoint under the mux is a feedConn, so the count is the
-// mux's own: over a UDPConn the pump's from.String() of a *net.UDPAddr
-// adds allocations this test does not cover.
+// receive — from a sender the endpoint under the mux has already seen.
+// The "feed" arm isolates the mux over an endpoint that allocates
+// nothing itself; the "udp" arm runs it over a loopback UDPConn, whose
+// senders the mux must route without a String() per datagram.
 func TestMuxPumpAllocFree(t *testing.T) {
-	under := &feedConn{nopConn: nopConn{addr: MemAddr("peer")}, in: make(chan []byte)}
-	m := NewMux([]Conn{under})
-	defer m.Close()
-	defer close(under.in) // ends the pump, which Close then waits for
-	port := m.Port(0)
 	payload := make([]byte, 26)
 	buf := make([]byte, MaxDatagram)
-	requireAllocFree(t, "mux pump", 1000, func() {
-		under.in <- payload
-		// Block without a timer: the pump runs while this goroutine
-		// waits, so its allocations count too.
-		if _, _, err := port.Recv(buf, -1); err != nil {
-			t.Fatal(err)
-		}
+	t.Run("feed", func(t *testing.T) {
+		under := &feedConn{nopConn: nopConn{addr: MemAddr("peer")}, in: make(chan []byte)}
+		m := NewMux([]Conn{under})
+		defer m.Close()
+		defer close(under.in) // ends the pump, which Close then waits for
+		port := m.Port(0)
+		requireAllocFree(t, "mux pump", 1000, func() {
+			under.in <- payload
+			// Block without a timer: the pump runs while this goroutine
+			// waits, so its allocations count too.
+			if _, _, err := port.Recv(buf, -1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+	t.Run("udp", func(t *testing.T) {
+		src, under := listenUDP(t, "127.0.0.1:0"), listenUDP(t, "127.0.0.1:0")
+		m := NewMux([]Conn{under})
+		defer m.Close()
+		port, to := m.Port(0), under.LocalAddr()
+		requireAllocFree(t, "mux pump over UDP", 1000, func() {
+			if err := src.Send(to, payload); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := port.Recv(buf, -1); err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 }
 

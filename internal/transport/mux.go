@@ -2,6 +2,8 @@ package transport
 
 import (
 	"log"
+	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,17 +32,35 @@ type Mux struct {
 	ports []*MuxPort
 
 	mu    sync.Mutex
-	route map[string]int // source address → port index
+	route map[routeKey]int // source address → port index
 
 	// drops counts datagrams lost to port-queue overflow; the pre-fix
 	// behavior dropped them silently, hiding receive-queue pressure from
 	// every report. dropsBySrc drives the sampled per-client log.
 	drops      atomic.Int64
-	dropsBySrc map[string]int64
+	dropsBySrc map[routeKey]int64
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
+}
+
+// routeKey identifies a sender in the routing table. A UDP sender keys
+// by its address and port, with an IPv4-mapped IPv6 address unmapped so
+// that a 4-byte and a 16-byte IPv4 sender share one route, as their
+// String()s do; building it allocates nothing. Any other Addr keys by
+// its String().
+type routeKey struct {
+	ap  netip.AddrPort
+	str string
+}
+
+func keyOf(a Addr) routeKey {
+	if ua, ok := a.(*net.UDPAddr); ok && ua != nil {
+		ap := ua.AddrPort()
+		return routeKey{ap: netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())}
+	}
+	return routeKey{str: a.String()}
 }
 
 // muxDropLogSample is the per-client sampling rate of the overflow log:
@@ -61,8 +81,8 @@ func NewMux(conns []Conn) *Mux {
 	m := &Mux{
 		conns:      conns,
 		ports:      make([]*MuxPort, len(conns)),
-		route:      make(map[string]int),
-		dropsBySrc: make(map[string]int64),
+		route:      make(map[routeKey]int),
+		dropsBySrc: make(map[routeKey]int64),
 		stop:       make(chan struct{}),
 	}
 	for i, c := range conns {
@@ -110,7 +130,7 @@ func (m *Mux) AddPort() (int, *MuxPort) {
 func (m *Mux) Route(addr Addr, port int) {
 	m.mu.Lock()
 	if port >= 0 && port < len(m.ports) {
-		m.route[addr.String()] = port
+		m.route[keyOf(addr)] = port
 	}
 	m.mu.Unlock()
 }
@@ -118,9 +138,10 @@ func (m *Mux) Route(addr Addr, port int) {
 // Unroute forgets a source address (client disconnected or evicted);
 // its datagrams fall back to arrival-endpoint routing.
 func (m *Mux) Unroute(addr Addr) {
+	k := keyOf(addr)
 	m.mu.Lock()
-	delete(m.route, addr.String())
-	delete(m.dropsBySrc, addr.String())
+	delete(m.route, k)
+	delete(m.dropsBySrc, k)
 	m.mu.Unlock()
 }
 
@@ -172,7 +193,7 @@ func (m *Mux) pump(i int) {
 		if err != nil {
 			return // conn closed out from under us
 		}
-		key := from.String()
+		key := keyOf(from)
 		m.mu.Lock()
 		port, ok := m.route[key]
 		if !ok {
@@ -209,12 +230,13 @@ func (p *MuxPort) enqueue(pkt memPacket) {
 		// Receive-queue overflow: the datagram is lost, as with a full
 		// socket buffer — but never silently. The counter feeds the
 		// engine's metrics and the sampled log names the flooding source.
-		from := pkt.from.String()
+		from := pkt.from
 		pkt.release()
 		p.mux.drops.Add(1)
+		k := keyOf(from)
 		p.mux.mu.Lock()
-		p.mux.dropsBySrc[from]++
-		n := p.mux.dropsBySrc[from]
+		p.mux.dropsBySrc[k]++
+		n := p.mux.dropsBySrc[k]
 		p.mux.mu.Unlock()
 		if n == 1 || n%muxDropLogSample == 0 {
 			log.Printf("transport: mux queue overflow, dropped datagram from %s (%d total from this source)", from, n)
