@@ -45,11 +45,13 @@ type Mux struct {
 	closeOnce sync.Once
 }
 
-// routeKey identifies a sender in the routing table. A UDP sender keys
-// by its address and port, with an IPv4-mapped IPv6 address unmapped so
-// that a 4-byte and a 16-byte IPv4 sender share one route, as their
-// String()s do; building it allocates nothing. Any other Addr keys by
-// its String().
+// routeKey identifies a sender in the routing table. A sender whose
+// String() is an ip:port keys by that address and port, with an
+// IPv4-mapped IPv6 address unmapped, so every form of one UDP sender
+// shares one route: the *net.UDPAddr a socket reports (4- or 16-byte)
+// and the MemAddr the server rebuilds from a cached or checkpointed
+// address string. Keying a *net.UDPAddr allocates nothing. Any other
+// Addr keys by its String().
 type routeKey struct {
 	ap  netip.AddrPort
 	str string
@@ -57,10 +59,20 @@ type routeKey struct {
 
 func keyOf(a Addr) routeKey {
 	if ua, ok := a.(*net.UDPAddr); ok && ua != nil {
-		ap := ua.AddrPort()
-		return routeKey{ap: netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())}
+		if ap := ua.AddrPort(); ap.Addr().IsValid() {
+			return routeKey{ap: netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())}
+		}
 	}
-	return routeKey{str: a.String()}
+	s := a.String()
+	// Only a string that can be an ip:port is parsed: a failed parse
+	// allocates its error, and in-memory names ("mem:3") reach the pump
+	// on every datagram.
+	if s != "" && (s[0] == '[' || '0' <= s[0] && s[0] <= '9') {
+		if ap, err := netip.ParseAddrPort(s); err == nil {
+			return routeKey{ap: netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())}
+		}
+	}
+	return routeKey{str: s}
 }
 
 // muxDropLogSample is the per-client sampling rate of the overflow log:

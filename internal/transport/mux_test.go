@@ -223,3 +223,92 @@ func TestMuxRoutesUDPSenderByAddress(t *testing.T) {
 		t.Fatalf("unrouted datagram = %q, want b on arrival port 1", data)
 	}
 }
+
+// TestMuxUnrouteByAddressStringClearsUDPRoute: the server forgets a
+// client by the MemAddr of its cached address string, while the route
+// and the drop count were keyed from the *net.UDPAddr the socket
+// reported. Unroute must clear both, or a dead client's route outlives
+// it and steers the next sender at that ip:port to its thread.
+func TestMuxUnrouteByAddressStringClearsUDPRoute(t *testing.T) {
+	srv := []Conn{listenUDP(t, "127.0.0.1:0"), listenUDP(t, "127.0.0.1:0")}
+	cl := listenUDP(t, "127.0.0.1:0")
+	mux := NewMux(srv)
+	defer mux.Close()
+	me := cl.LocalAddr().(*net.UDPAddr)
+
+	mux.Route(me, 0)
+	if err := cl.Send(srv[1].LocalAddr(), []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := recvFrom(t, mux.Port(0)); data != "a" {
+		t.Fatalf("routed datagram = %q, want a on port 0", data)
+	}
+	// Overflow port 0's queue so the sender has a drop count to forget.
+	for range muxQueueLen + 1 {
+		mux.Forward(0, []byte("x"), me)
+	}
+	mux.mu.Lock()
+	drops := mux.dropsBySrc[keyOf(me)]
+	mux.mu.Unlock()
+	if drops != 1 {
+		t.Fatalf("drop count for %v = %d, want 1", me, drops)
+	}
+
+	mux.Unroute(MemAddr(me.String()))
+	mux.mu.Lock()
+	routes, srcs := len(mux.route), len(mux.dropsBySrc)
+	mux.mu.Unlock()
+	if routes != 0 || srcs != 0 {
+		t.Fatalf("after Unroute: %d routes, %d drop counts left, want none", routes, srcs)
+	}
+	if err := cl.Send(srv[1].LocalAddr(), []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := recvFrom(t, mux.Port(1)); data != "b" {
+		t.Fatalf("unrouted datagram = %q, want b on arrival port 1", data)
+	}
+}
+
+// TestMuxAddressStringRouteSteersUDPSender: a crash-recovered server
+// routes each parked survivor up front by the MemAddr of its
+// checkpointed address string; the survivor's UDP datagrams must follow
+// that route before it has resumed.
+func TestMuxAddressStringRouteSteersUDPSender(t *testing.T) {
+	srv := []Conn{listenUDP(t, "127.0.0.1:0"), listenUDP(t, "127.0.0.1:0")}
+	cl := listenUDP(t, "127.0.0.1:0")
+	mux := NewMux(srv)
+	defer mux.Close()
+
+	mux.Route(MemAddr(cl.LocalAddr().String()), 0)
+	if err := cl.Send(srv[1].LocalAddr(), []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := recvFrom(t, mux.Port(0)); data != "a" {
+		t.Fatalf("datagram = %q, want a on the routed port 0", data)
+	}
+}
+
+// TestRouteKeyForms: every form of one ip:port sender shares a key;
+// in-memory names key by their string.
+func TestRouteKeyForms(t *testing.T) {
+	v4 := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1).To4(), Port: 5}
+	want := keyOf(v4)
+	for _, a := range []Addr{
+		&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 5}, // 16-byte form
+		MemAddr("127.0.0.1:5"),
+		MemAddr("[::ffff:127.0.0.1]:5"),
+	} {
+		if got := keyOf(a); got != want {
+			t.Errorf("keyOf(%T %v) = %+v, want %+v", a, a, got, want)
+		}
+	}
+	v6 := &net.UDPAddr{IP: net.IPv6loopback, Port: 5}
+	if keyOf(v6) != keyOf(MemAddr("[::1]:5")) || keyOf(v6) == want {
+		t.Errorf("IPv6 sender keys %+v, its string %+v", keyOf(v6), keyOf(MemAddr("[::1]:5")))
+	}
+	for _, name := range []string{"mem:3", "peer", "127.0.0.1", "1.2.3.4:99999"} {
+		if got := keyOf(MemAddr(name)); got != (routeKey{str: name}) {
+			t.Errorf("keyOf(MemAddr(%q)) = %+v, want the string key", name, got)
+		}
+	}
+}
