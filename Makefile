@@ -126,18 +126,20 @@ lint:
 	GOOS=darwin $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 
-# rungates keeps the -run 'A|B|…' lists of the targets in this file
-# honest: each alternative must match at least one test, fuzz target or
-# benchmark in its line's packages (`go test -list`), so a renamed test
-# cannot silently leave its gate.
+# rungates keeps the -run 'A|B|…' and -bench='A|B|…' lists of the
+# targets in this file honest: each alternative must match at least one
+# test, fuzz target or benchmark in its line's packages (`go test
+# -list`), so a renamed test or benchmark cannot silently leave its gate.
 rungates:
-	@sed -n "s/^\t\$$(GO) test .*-run '\([^']*\)' \(.*\)$$/\1 \2/p" $(firstword $(MAKEFILE_LIST)) | \
+	@sed -n -e "s/^\t\$$(GO) test .*-run '\([^']*\)' \(.*\)$$/\1 \2/p" \
+		-e "s/^\t\$$(GO) test .*-bench='\{0,1\}\([^' ]*\)'\{0,1\}\( -[^ ]*\)* \(\..*\)$$/\1 \3/p" \
+		$(firstword $(MAKEFILE_LIST)) | \
 	while read -r re pkgs; do \
 		names=$$($(GO) test -list . $$pkgs | grep -E '^(Test|Fuzz|Benchmark|Example)') || \
 			{ echo "rungates: cannot list the tests of $$pkgs"; exit 1; }; \
 		for alt in $$(echo "$$re" | tr '|' ' '); do \
 			echo "$$names" | grep -Eq -- "$$alt" || \
-				{ echo "rungates: -run alternative $$alt matches no test in $$pkgs"; exit 1; }; \
+				{ echo "rungates: alternative $$alt matches no test or benchmark in $$pkgs"; exit 1; }; \
 		done; \
 		echo "rungates: $$pkgs: $$re"; \
 	done

@@ -52,9 +52,10 @@ func BenchmarkExperiments(b *testing.B) {
 // BenchmarkReplyPhaseAllocs measures the reply phase's per-round heap
 // traffic: forming and encoding one snapshot for each of 16 players in a
 // warmed-up world. "naive" is the pre-pooling path (fresh entity list,
-// delta list, and encoder per client, baseline replaced wholesale);
-// "pooled" is the live engine's ReplyScratch/Baseline pipeline. Run with
-// -benchmem; the pooled path reports 0 allocs/op in steady state
+// delta list, and encoder per client, baseline replaced wholesale, each
+// client's set found by a table scan); "indexed" is the live engine's
+// ReplyScratch/Baseline pipeline over the frame's visibility index. Run
+// with -benchmem; the indexed path reports 0 allocs/op in steady state
 // (internal/server.TestFormSnapshotSteadyStateAllocFree gates it) while
 // producing byte-identical datagrams (TestGoldenReplyStream).
 func BenchmarkReplyPhaseAllocs(b *testing.B) {
@@ -110,35 +111,8 @@ func BenchmarkReplyPhaseAllocs(b *testing.B) {
 		}
 	})
 
-	b.Run("pooled", func(b *testing.B) {
-		w, players := setup(b)
-		var scratch server.ReplyScratch
-		baselines := make([]server.Baseline, numPlayers)
-		// Warm-up: the scratch and baselines circulate buffers that each
-		// grow to the high-water mark once; steady state is what the
-		// benchmark measures.
-		for round := 0; round < 8; round++ {
-			for i, e := range players {
-				scratch.FormSnapshot(w, nil, e, &baselines[i], 1, 1, 1, events, events, 0)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			frame := uint32(n + 1)
-			for i, e := range players {
-				data, _ := scratch.FormSnapshot(w, nil, e, &baselines[i],
-					frame, frame, frame*33, events, events, 0)
-				if len(data) == 0 {
-					b.Fatal("empty datagram")
-				}
-			}
-		}
-	})
-
-	// The indexed path: one shared visibility-index build per round plus
-	// 16 merge-based snapshots, also 0 allocs/op in steady state (the
-	// indexed arm of TestFormSnapshotSteadyStateAllocFree).
+	// One shared visibility-index build per round plus 16 merge-based
+	// snapshots.
 	b.Run("indexed", func(b *testing.B) {
 		w, players := setup(b)
 		var scratch server.ReplyScratch

@@ -352,7 +352,9 @@ func decodeEntity(r *protocol.Reader, e *EntityRec) {
 	e.ModelFrame = r.U8()
 }
 
-func encodeClient(p *protocol.Writer, c *ClientRec) {
+// encodeClient writes c. A non-nil addr is its address text, written in
+// place of c.Addr.
+func encodeClient(p *protocol.Writer, c *ClientRec, addr []byte) {
 	p.U16(c.ID)
 	p.I32(c.EntID)
 	p.U8(c.Thread)
@@ -360,7 +362,13 @@ func encodeClient(p *protocol.Writer, c *ClientRec) {
 	p.U32(c.RepliedFrame)
 	p.I64(c.LoadNs)
 	p.String(c.Name)
-	p.String(c.Addr)
+	if addr == nil {
+		p.String(c.Addr)
+	} else {
+		addr = addr[:min(len(addr), 255)] // String's bound
+		p.U8(uint8(len(addr)))
+		p.Buf = append(p.Buf, addr...)
+	}
 	p.U32(c.BaselineTag)
 	p.U16(uint16(len(c.Baseline)))
 	for i := range c.Baseline {
@@ -440,7 +448,7 @@ func (ck *Checkpoint) Encode() ([]byte, error) {
 	appendIDChunks(&em, CkGone, ck.Gone)
 	appendIDChunks(&em, CkFree, ck.Free)
 	for i := range ck.Clients {
-		encodeClient(&em.p, &ck.Clients[i])
+		encodeClient(&em.p, &ck.Clients[i], nil)
 		em.record(CkClient)
 	}
 	encodeEnd(&em.p, len(ck.Entities), len(ck.Gone), len(ck.Free), len(ck.Clients), ck.Digest)

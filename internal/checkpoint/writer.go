@@ -272,14 +272,25 @@ func (w *Writer) begin(buf []byte, world *game.World, meta Meta) {
 // feed clients in ascending client-id order. No-op when Begin skipped.
 //
 //qvet:phase=reply
-func (w *Writer) AddClient(rec ClientRec) {
+func (w *Writer) AddClient(rec ClientRec) { w.addClient(&rec, nil) }
+
+// AddClientAddr is AddClient with the address recorded from addr's bytes
+// in place of rec.Addr, for a caller that keeps addresses in binary form
+// and appends each one's text into a reused buffer rather than formatting
+// a string per client per capture.
+//
+//qvet:phase=reply
+func (w *Writer) AddClientAddr(rec ClientRec, addr []byte) { w.addClient(&rec, addr) }
+
+//qvet:phase=reply
+func (w *Writer) addClient(rec *ClientRec, addr []byte) {
 	if !w.capturing {
 		return
 	}
 	if len(rec.Baseline) > maxBaseline {
 		rec.Baseline = rec.Baseline[:maxBaseline]
 	}
-	encodeClient(&w.em.p, &rec)
+	encodeClient(&w.em.p, rec, addr)
 	w.em.record(CkClient)
 	w.nClients++
 }

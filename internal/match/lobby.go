@@ -13,18 +13,24 @@ import (
 // Lobby is the admission tier of a match-manager deployment: one
 // underlying datagram endpoint shared by every match, fanned out by a
 // transport.Mux. Each match owns a dynamically added mux port; the
-// routing table maps a client's source address to its match's port, so
+// routing table maps a client's sender key to its match's port, so
 // gameplay traffic reaches the right engine without the lobby on the
 // path. Unrouted datagrams (new clients) land on the control port: the
 // lobby decodes the Connect, picks a match — the datagram's Match field
 // names one, empty means "assign me" (rotation over live matches) —
-// installs the route, and forwards the original Connect into the
-// match's port, so the engine itself runs its normal admission path and
-// the Accept the client sees is indistinguishable from a solo server's.
+// routes the sender to the match's port, and forwards the original
+// Connect into it, so the engine itself runs its normal admission path
+// and the Accept the client sees is indistinguishable from a solo
+// server's.
 //
-// Reconnects from a routed address flow straight to their match; a
-// client that wants to switch matches must let its route age out
-// (disconnect/eviction unroutes it) and connect again.
+// From then on the engine owns the route, as it owns the routes of its
+// own Mux: it unroutes the client through the same port when it leaves
+// (disconnect, timeout reap), and only while the route still points at
+// that port. Reconnects from a routed sender flow straight to their
+// match; a client that wants another match disconnects, and its next
+// Connect reaches the lobby again. (Match eviction stops the engine
+// without removing its clients, so their routes stay until the lobby
+// closes.)
 type Lobby struct {
 	mgr *Manager
 	mux *transport.Mux
@@ -67,8 +73,8 @@ func NewLobby(mgr *Manager, conn transport.Conn) *Lobby {
 // the manager's Shared pool into the engine Config for the idle-match
 // memory bound to hold.
 func (l *Lobby) CreateMatch(name string, build func(conn transport.Conn) (*server.Parallel, error)) (*Match, error) {
-	port, mp := l.mux.AddPort()
-	eng, err := build(mp)
+	_, port := l.mux.AddPort()
+	eng, err := build(port)
 	if err != nil {
 		return nil, err
 	}
@@ -96,9 +102,6 @@ func (l *Lobby) Routed() int64 { return l.routed.Load() }
 
 // Rejects returns how many connects named a match that doesn't exist.
 func (l *Lobby) Rejects() int64 { return l.rejects.Load() }
-
-// Unroute forgets a client's address (eviction, or switching matches).
-func (l *Lobby) Unroute(addr transport.Addr) { l.mux.Unroute(addr) }
 
 func (l *Lobby) run() {
 	defer l.wg.Done()
@@ -139,8 +142,8 @@ func (l *Lobby) run() {
 		}
 		// Route first, then forward: the engine's Accept must not race a
 		// Move the client fires immediately after it.
-		l.mux.Route(from, mt.port)
-		l.mux.Forward(mt.port, buf[:n], from)
+		mt.port.Route(transport.KeyOf(from))
+		mt.port.Forward(buf[:n], from)
 		l.mgr.Poke(mt.name)
 		l.routed.Add(1)
 	}

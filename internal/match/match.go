@@ -19,6 +19,7 @@ import (
 
 	"qserve/internal/metrics"
 	"qserve/internal/server"
+	"qserve/internal/transport"
 )
 
 // Config parameterizes a Manager.
@@ -72,7 +73,7 @@ func (c *Config) fill() {
 type Match struct {
 	name string
 	eng  *server.Parallel
-	port int // lobby mux port index; -1 when not lobby-routed
+	port *transport.MuxPort // the lobby's port for this match; nil when not lobby-routed
 
 	// Scheduler state, all guarded by the Manager's mutex. A match is in
 	// exactly one of three places: the deadline heap (heapIdx >= 0), a
@@ -136,10 +137,10 @@ func (m *Manager) Shared() *server.SharedBufs { return m.cfg.Shared }
 // manager's Shared pool and must not have been started; Add puts it in
 // stepped mode.
 func (m *Manager) Add(name string, eng *server.Parallel) (*Match, error) {
-	return m.add(name, eng, -1)
+	return m.add(name, eng, nil)
 }
 
-func (m *Manager) add(name string, eng *server.Parallel, port int) (*Match, error) {
+func (m *Manager) add(name string, eng *server.Parallel, port *transport.MuxPort) (*Match, error) {
 	mt := &Match{name: name, eng: eng, port: port, heapIdx: -1}
 	eng.StartStepped()
 	m.mu.Lock()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"net"
 	"runtime"
 	"testing"
 
@@ -83,9 +84,15 @@ func TestReplySweepAllocFree(t *testing.T) {
 // goroutine, cannot see the capture's own allocations; this test counts
 // around one capture instead, with GOMAXPROCS(1) so the flusher runs
 // only while the capture is parked or preempted — and a capture never
-// parks.
+// parks. Half the clients call from UDP senders, whose address text the
+// capture appends from the binary key rather than formatting it.
 func TestCaptureCheckpointAllocFree(t *testing.T) {
 	eng := connectedEngine(t, 8)
+	for i, c := range eng.clients.snapshotInto(nil) {
+		if i%2 == 0 {
+			eng.clients.rebind(c, &net.UDPAddr{IP: net.IPv4(10, 0, 0, byte(i)).To4(), Port: 27960 + i})
+		}
+	}
 	wr, err := checkpoint.NewWriter(checkpoint.Config{Dir: t.TempDir(), DeltaEvery: 1, WorldSeed: 3, Map: eng.world.Map})
 	if err != nil {
 		t.Fatal(err)
@@ -125,6 +132,24 @@ func TestCaptureCheckpointAllocFree(t *testing.T) {
 	}
 	if err := wr.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClientLookupAllocFree: the request path's client-table lookup of a
+// UDP sender. The table is keyed by transport.Key, so the *net.UDPAddr a
+// socket reports is looked up without formatting its address.
+func TestClientLookupAllocFree(t *testing.T) {
+	tab := newClientTable(8)
+	c := &client{addr: &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1).To4(), Port: 27960}}
+	if !tab.add(c) {
+		t.Fatal("join refused")
+	}
+	from := transport.Addr(&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 27960}) // the 16-byte form
+	if tab.lookup(from) != c {
+		t.Fatal("lookup missed the client")
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { tab.lookup(from) }); allocs != 0 {
+		t.Fatalf("client lookup allocates %.1f objects, want 0", allocs)
 	}
 }
 

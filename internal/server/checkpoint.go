@@ -7,6 +7,7 @@ import (
 	"qserve/internal/entity"
 	"qserve/internal/game"
 	"qserve/internal/metrics"
+	"qserve/internal/transport"
 )
 
 // This file is the engine side of durable world state (DESIGN.md §12):
@@ -67,7 +68,8 @@ func captureCheckpoint(wr *checkpoint.Writer, world *game.World, clients *client
 	}
 	buf = clients.snapshotInto(buf[:0])
 	for _, c := range buf {
-		wr.AddClient(checkpoint.ClientRec{
+		var addr [64]byte // the key's text, appended rather than formatted
+		wr.AddClientAddr(checkpoint.ClientRec{
 			ID:           c.id,
 			EntID:        int32(c.entID),
 			Thread:       uint8(c.thread),
@@ -75,10 +77,9 @@ func captureCheckpoint(wr *checkpoint.Writer, world *game.World, clients *client
 			RepliedFrame: c.repliedFrame.Load(),
 			LoadNs:       c.loadNs.Load(),
 			Name:         c.name,
-			Addr:         c.addrStr,
 			BaselineTag:  c.baseline.tag,
 			Baseline:     c.baseline.states,
-		})
+		}, c.key.AppendTo(addr[:0]))
 	}
 	st := wr.Commit()
 	bd.Checkpoints++
@@ -112,11 +113,11 @@ func parkRestoredClients(clients *clientTable, rs *RestoreState, threads int, no
 	for i := range rs.Clients {
 		rec := &rs.Clients[i]
 		c := &client{
-			id:      rec.ID,
-			entID:   entity.ID(rec.EntID),
-			name:    rec.Name,
-			addrStr: rec.Addr,
-			thread:  int(rec.Thread),
+			id:     rec.ID,
+			entID:  entity.ID(rec.EntID),
+			name:   rec.Name,
+			key:    transport.ParseKey(rec.Addr),
+			thread: int(rec.Thread),
 		}
 		if threads > 0 {
 			c.thread %= threads

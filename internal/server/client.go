@@ -28,12 +28,12 @@ type client struct {
 	entID entity.ID
 	name  string
 	addr  transport.Addr
-	// addrStr caches addr.String(): it keys the byAddr index and lets the
-	// checkpoint capture record the address without allocating per frame.
+	// key is the sender identity of addr: it keys the client table and
+	// the client's mux route, and its text is the checkpointed address.
 	// For a client parked by restore (addr == nil until it reconnects) it
-	// holds the checkpointed address, so a survivor returning from the
-	// same endpoint maps straight onto its old record.
-	addrStr string
+	// is parsed from the checkpointed address, so a survivor returning
+	// from the same endpoint maps straight onto its old record.
+	key transport.Key
 	// thread is the owning server thread. Static until the load balancer
 	// migrates the client: the frame master rewrites it at the rebalance
 	// barrier, where no request is in flight and the frame controller's
@@ -186,7 +186,7 @@ func (c *client) drainBacklog(dst []protocol.GameEvent) []protocol.GameEvent {
 // common case because ids are assigned in increasing order.
 type clientTable struct {
 	mu      sync.RWMutex
-	byAddr  map[string]*client
+	byKey   map[transport.Key]*client
 	byID    map[uint16]*client
 	ordered []*client
 	nextID  uint16
@@ -195,16 +195,17 @@ type clientTable struct {
 
 func newClientTable(maxSize int) *clientTable {
 	return &clientTable{
-		byAddr:  make(map[string]*client),
+		byKey:   make(map[transport.Key]*client),
 		byID:    make(map[uint16]*client),
 		maxSize: maxSize,
 	}
 }
 
 func (t *clientTable) lookup(addr transport.Addr) *client {
+	k := transport.KeyOf(addr)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.byAddr[addr.String()]
+	return t.byKey[k]
 }
 
 func (t *clientTable) lookupID(id uint16) *client {
@@ -226,8 +227,8 @@ func (t *clientTable) add(c *client) bool {
 	}
 	c.id = t.nextID
 	t.nextID++
-	c.addrStr = c.addr.String()
-	t.byAddr[c.addrStr] = c
+	c.key = transport.KeyOf(c.addr)
+	t.byKey[c.key] = c
 	t.byID[c.id] = c
 	t.insertOrdered(c)
 	return true
@@ -245,9 +246,7 @@ func (t *clientTable) addRestored(c *client) bool {
 	if _, dup := t.byID[c.id]; dup {
 		return false
 	}
-	if c.addrStr != "" {
-		t.byAddr[c.addrStr] = c
-	}
+	t.byKey[c.key] = c
 	t.byID[c.id] = c
 	t.insertOrdered(c)
 	if c.id >= t.nextID {
@@ -281,15 +280,15 @@ func (t *clientTable) insertOrdered(c *client) {
 }
 
 // rebind points a parked (or roaming) client at a new transport address,
-// rekeying the byAddr index.
+// rekeying the byKey index.
 func (t *clientTable) rebind(c *client, addr transport.Addr) {
 	t.mu.Lock()
-	if c.addrStr != "" && t.byAddr[c.addrStr] == c {
-		delete(t.byAddr, c.addrStr)
+	if t.byKey[c.key] == c {
+		delete(t.byKey, c.key)
 	}
 	c.addr = addr
-	c.addrStr = addr.String()
-	t.byAddr[c.addrStr] = c
+	c.key = transport.KeyOf(addr)
+	t.byKey[c.key] = c
 	t.mu.Unlock()
 }
 
@@ -314,8 +313,8 @@ func (t *clientTable) remove(c *client) {
 	if t.byID[c.id] != c {
 		return // already removed (idempotent paths race benignly)
 	}
-	if t.byAddr[c.addrStr] == c {
-		delete(t.byAddr, c.addrStr)
+	if t.byKey[c.key] == c {
+		delete(t.byKey, c.key)
 	}
 	delete(t.byID, c.id)
 	for i, o := range t.ordered {

@@ -11,7 +11,7 @@ import (
 // TestClientIDsSkipLiveAfterWrap: once the uint16 id counter wraps, a
 // join must not take the id of a client that is still connected — it
 // would overwrite that client's byID entry and strand it in ordered and
-// byAddr forever. Both ways the counter reaches the wrap are covered: a
+// byKey forever. Both ways the counter reaches the wrap are covered: a
 // long-running session's 65 536th join, and a restore whose survivor
 // holds id 65535.
 func TestClientIDsSkipLiveAfterWrap(t *testing.T) {
@@ -44,15 +44,15 @@ func TestClientIDsSkipLiveAfterWrap(t *testing.T) {
 			t.Fatal("the live client lost its table entries")
 		}
 		tab.remove(live)
-		if tab.count() != 0 || len(tab.ordered) != 0 || len(tab.byAddr) != 0 {
+		if tab.count() != 0 || len(tab.ordered) != 0 || len(tab.byKey) != 0 {
 			t.Fatalf("table not empty after every client left: %d ids, %d ordered, %d addrs",
-				tab.count(), len(tab.ordered), len(tab.byAddr))
+				tab.count(), len(tab.ordered), len(tab.byKey))
 		}
 	})
 	t.Run("restore", func(t *testing.T) {
 		tab := newClientTable(8)
 		for _, id := range []uint16{0, math.MaxUint16} {
-			if !tab.addRestored(&client{id: id, addrStr: fmt.Sprint("survivor", id)}) {
+			if !tab.addRestored(&client{id: id, key: transport.ParseKey(fmt.Sprint("survivor", id))}) {
 				t.Fatalf("survivor %d refused", id)
 			}
 		}

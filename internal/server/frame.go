@@ -79,7 +79,7 @@ func (s *session) dispatch(w *worker, data []byte, from transport.Addr) (*client
 			return nil, nil
 		}
 		// A parked survivor that never noticed the crash keeps sending
-		// moves from its old address (it matched the byAddr index to get
+		// moves from its old address (it matched the byKey index to get
 		// here): that is a resume like any other.
 		if c.awaitingResume.Load() && !s.resume(c, from) {
 			return nil, nil
@@ -230,10 +230,10 @@ func (s *session) admit(w *worker, m *protocol.Connect, from transport.Addr) (*c
 		s.removePlayer(w, ent.ID)
 		return nil, "server full"
 	}
-	if s.mux != nil {
+	if p := s.workers[c.thread].port; p != nil {
 		// Pin the client's datagrams to its owning thread regardless of
 		// which endpoint they arrive at; migrations re-route later.
-		s.mux.Route(from, c.thread)
+		p.Route(c.key)
 	}
 	if r := s.cfg.Record; r != nil {
 		r.RecordConnect(c.id, int32(ent.ID), c.thread, m.Name)
@@ -269,10 +269,8 @@ func (s *session) removeClient(w *worker, c *client, reason uint8) bool {
 		return false
 	}
 	s.clients.remove(c)
-	if s.mux != nil && c.addrStr != "" {
-		// Keyed by the cached address string, so a restore-parked client
-		// (addr nil until reconnect) is handled uniformly.
-		s.mux.Unroute(transport.MemAddr(c.addrStr))
+	if p := s.workers[c.thread].port; p != nil {
+		p.Unroute(c.key)
 	}
 	s.removePlayer(w, c.entID)
 	if r := s.cfg.Record; r != nil {
@@ -330,13 +328,13 @@ func (s *session) applyResume(c *client, addr transport.Addr) {
 	if !c.awaitingResume.Load() || s.clients.lookupID(c.id) != c {
 		return
 	}
-	old := c.addrStr
+	old := c.key
 	s.clients.rebind(c, addr)
-	if s.mux != nil {
-		if old != "" && old != c.addrStr {
-			s.mux.Unroute(transport.MemAddr(old))
+	if p := s.workers[c.thread].port; p != nil {
+		if old != c.key {
+			p.Unroute(old)
 		}
-		s.mux.Route(addr, c.thread)
+		p.Route(c.key)
 	}
 	c.resetBaseline.Store(true)
 	c.awaitingResume.Store(false)

@@ -14,8 +14,8 @@ import (
 
 // TestGoldenReplyStream is the byte-identity proof for the reply
 // pipeline: a seeded 16-player world driven for ~120 frames, with every
-// client's snapshot formed three ways — the allocating reference path,
-// the pooled naive path, and the pooled path over the frame's shared
+// client's snapshot formed two ways — the allocating reference path
+// over the naive table scan, and the pooled path over the frame's shared
 // visibility index — must produce identical datagrams frame by frame,
 // including frames with combat events, backlogs, pickups, and deaths.
 func TestGoldenReplyStream(t *testing.T) {
@@ -37,9 +37,8 @@ func TestGoldenReplyStream(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(99))
-	var scratch, idxScratch ReplyScratch
+	var idxScratch ReplyScratch
 	var vis game.VisIndex
-	pooled := make([]Baseline, numPlayers)
 	indexed := make([]Baseline, numPlayers)
 	reference := make([][]protocol.EntityState, numPlayers)
 	refTags := make([]uint32, numPlayers)
@@ -87,50 +86,39 @@ func TestGoldenReplyStream(t *testing.T) {
 			ackSeq := frame*100 + uint32(i)
 			want, newBase, newTag := ReferenceFormSnapshot(w, e, reference[i], refTags[i],
 				frame, ackSeq, serverTime, backlog, frameEvents)
-			reference[i], refTags[i] = newBase, newTag
-			got, st := scratch.FormSnapshot(w, nil, e, &pooled[i],
-				frame, ackSeq, serverTime, backlog, frameEvents, 0)
-			if !bytes.Equal(want, got) {
-				t.Fatalf("frame %d player %d: pooled datagram differs from reference\nreference: %x\npooled:    %x",
-					frame, i, want, got)
-			}
-			if st.Bytes != len(got) {
-				t.Errorf("frame %d player %d: ReplyStats.Bytes=%d, datagram is %d bytes",
-					frame, i, st.Bytes, len(got))
-			}
 			gotIdx, stIdx := idxScratch.FormSnapshot(w, &vis, e, &indexed[i],
 				frame, ackSeq, serverTime, backlog, frameEvents, 0)
 			if !bytes.Equal(want, gotIdx) {
 				t.Fatalf("frame %d player %d: indexed datagram differs from reference\nreference: %x\nindexed:   %x",
 					frame, i, want, gotIdx)
 			}
-			if st.Work.Visible != stIdx.Work.Visible {
-				t.Errorf("frame %d player %d: indexed Visible=%d, naive Visible=%d",
-					frame, i, stIdx.Work.Visible, st.Work.Visible)
+			if stIdx.Bytes != len(gotIdx) {
+				t.Errorf("frame %d player %d: ReplyStats.Bytes=%d, datagram is %d bytes",
+					frame, i, stIdx.Bytes, len(gotIdx))
 			}
+			if stIdx.Work.Visible != len(newBase) {
+				t.Errorf("frame %d player %d: indexed Visible=%d, naive scan found %d",
+					frame, i, stIdx.Work.Visible, len(newBase))
+			}
+			reference[i], refTags[i] = newBase, newTag
 		}
 	}
 
 	// Invalidation mid-stream must resend full state and stay identical
 	// to a reference client whose baseline is likewise cleared.
-	pooled[0].Invalidate()
 	indexed[0].Invalidate()
 	reference[0] = nil
 	want, _, _ := ReferenceFormSnapshot(w, players[0], reference[0], 0, 999, 1, 0, nil, nil)
-	got, _ := scratch.FormSnapshot(w, nil, players[0], &pooled[0], 999, 1, 0, nil, nil, 0)
-	if !bytes.Equal(want, got) {
-		t.Fatalf("post-invalidation datagram differs from reference")
-	}
 	gotIdx, _ := idxScratch.FormSnapshot(w, &vis, players[0], &indexed[0], 999, 1, 0, nil, nil, 0)
 	if !bytes.Equal(want, gotIdx) {
 		t.Fatalf("post-invalidation indexed datagram differs from reference")
 	}
 }
 
-// TestFormSnapshotSteadyStateAllocFree asserts that both arms of
-// FormSnapshot — the table scan (BuildSnapshot, vi == nil) and the merge
-// over a built visibility index (AppendVisible) — report zero buffer
-// growths once warmed up, and that Go's allocation counter agrees.
+// TestFormSnapshotSteadyStateAllocFree asserts that FormSnapshot, the
+// merge over a built visibility index (AppendVisible), reports zero
+// buffer growths once warmed up, and that Go's allocation counter
+// agrees.
 func TestFormSnapshotSteadyStateAllocFree(t *testing.T) {
 	m := worldmap.MustGenerate(worldmap.DefaultConfig())
 	w, err := game.NewWorld(game.Config{Map: m, Seed: 7})
@@ -146,43 +134,38 @@ func TestFormSnapshotSteadyStateAllocFree(t *testing.T) {
 	var vis game.VisIndex
 	vis.Build(w)
 	events := []protocol.GameEvent{{Kind: 1, Actor: 2}}
-	for _, arm := range []struct {
-		name string
-		vi   *game.VisIndex
-	}{{"scan", nil}, {"indexed", &vis}} {
-		t.Run(arm.name, func(t *testing.T) {
-			var scratch ReplyScratch
-			baselines := make([]Baseline, len(players))
-			form := func() int {
-				allocs := 0
-				for i, e := range players {
-					_, st := scratch.FormSnapshot(w, arm.vi, e, &baselines[i], 1, 1, 1, events, events, 0)
-					allocs += st.Allocs
-				}
-				return allocs
+	t.Run("indexed", func(t *testing.T) {
+		var scratch ReplyScratch
+		baselines := make([]Baseline, len(players))
+		form := func() int {
+			allocs := 0
+			for i, e := range players {
+				_, st := scratch.FormSnapshot(w, &vis, e, &baselines[i], 1, 1, 1, events, events, 0)
+				allocs += st.Allocs
 			}
-			// Warm-up: the scratch and the 8 baselines circulate 9 distinct
-			// buffers, and each must individually reach the high-water mark, so
-			// convergence takes a few rounds — but it must happen.
-			converged := false
-			for round := 0; round < 20; round++ {
-				if form() == 0 {
-					converged = true
-					break
-				}
+			return allocs
+		}
+		// Warm-up: the scratch and the 8 baselines circulate 9 distinct
+		// buffers, and each must individually reach the high-water mark, so
+		// convergence takes a few rounds — but it must happen.
+		converged := false
+		for round := 0; round < 20; round++ {
+			if form() == 0 {
+				converged = true
+				break
 			}
-			if !converged {
-				t.Fatal("FormSnapshot buffer growth never converged to zero")
-			}
-			if got := form(); got != 0 {
-				t.Errorf("steady-state FormSnapshot reported %d buffer growths, want 0", got)
-			}
-			avg := testing.AllocsPerRun(50, func() { form() })
-			if avg != 0 {
-				t.Errorf("steady-state FormSnapshot allocates %.1f objects/round, want 0", avg)
-			}
-		})
-	}
+		}
+		if !converged {
+			t.Fatal("FormSnapshot buffer growth never converged to zero")
+		}
+		if got := form(); got != 0 {
+			t.Errorf("steady-state FormSnapshot reported %d buffer growths, want 0", got)
+		}
+		avg := testing.AllocsPerRun(50, func() { form() })
+		if avg != 0 {
+			t.Errorf("steady-state FormSnapshot allocates %.1f objects/round, want 0", avg)
+		}
+	})
 }
 
 // TestBaselineSurvivesMigration is the regression test for the balancer
@@ -215,6 +198,7 @@ func TestBaselineSurvivesMigration(t *testing.T) {
 	// migrate to thread 1 at migrateFrame. The reference path never
 	// migrates (it has no thread affinity at all).
 	var threadScratch [2]ReplyScratch
+	var vis game.VisIndex
 	pooled := make([]Baseline, numPlayers)
 	reference := make([][]protocol.EntityState, numPlayers)
 	refTags := make([]uint32, numPlayers)
@@ -236,6 +220,7 @@ func TestBaselineSurvivesMigration(t *testing.T) {
 			thread = 1
 		}
 		serverTime := uint32(w.Time * 1000)
+		vis.Build(w)
 		frameAllocs := 0
 		for i, e := range players {
 			if !e.Active {
@@ -245,7 +230,7 @@ func TestBaselineSurvivesMigration(t *testing.T) {
 			want, newBase, newTag := ReferenceFormSnapshot(w, e, reference[i], refTags[i],
 				frame, ackSeq, serverTime, nil, nil)
 			reference[i], refTags[i] = newBase, newTag
-			got, st := threadScratch[thread].FormSnapshot(w, nil, e, &pooled[i],
+			got, st := threadScratch[thread].FormSnapshot(w, &vis, e, &pooled[i],
 				frame, ackSeq, serverTime, nil, nil, 0)
 			if !bytes.Equal(want, got) {
 				t.Fatalf("frame %d player %d (thread %d): datagram differs across migration\nreference: %x\nmigrated:  %x",

@@ -106,6 +106,8 @@ type worker struct {
 	// conn is the worker's receive side: the thread's endpoint, or its mux
 	// port under load balancing. Replies leave through it too.
 	conn transport.Conn
+	// port is conn when it is a Mux port; nil when no Mux routes to it.
+	port *transport.MuxPort
 	bd   metrics.Breakdown
 	// writer encodes control messages (send).
 	writer protocol.Writer
@@ -233,6 +235,11 @@ func NewParallel(cfg Config) (*Parallel, error) {
 			w.conn = s.mux.Port(i)
 		}
 		s.bal = balance.New(cfg.Balance)
+	}
+	for _, w := range s.workers {
+		// A worker behind a Mux, the engine's own or a lobby's, routes
+		// the clients it owns through its port.
+		w.port, _ = w.conn.(*transport.MuxPort)
 	}
 	if rs := cfg.Restore; rs != nil {
 		s.fc.setFrame(rs.Frame + 1)
@@ -397,9 +404,9 @@ func (s *Parallel) safeProcessPacket(w *worker, data []byte, from transport.Addr
 		// lands, so the datagram chases at most one migration. Without the
 		// mux it is a client ignoring Accept.Addr — drop, as the static
 		// design always did.
-		if s.mux != nil {
+		if p := s.workers[c.thread].port; p != nil {
 			c.fwdFrame.Store(s.fc.frameNumber() + 1)
-			s.mux.Forward(c.thread, data, from)
+			p.Forward(data, from)
 		}
 		return
 	}
@@ -604,8 +611,8 @@ func (s *Parallel) rebalance() {
 			c.fwdFrame.Store(0)
 		}
 		c.thread = mg.To
-		if s.mux != nil {
-			s.mux.Route(c.addr, mg.To)
+		if p := s.workers[mg.To].port; p != nil {
+			p.Route(c.key)
 		}
 		if r := s.cfg.Record; r != nil {
 			r.RecordMigrate(c.id, mg.To)

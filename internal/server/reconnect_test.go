@@ -5,11 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"qserve/internal/balance"
 	"qserve/internal/botclient"
 	"qserve/internal/checkpoint"
 	"qserve/internal/entity"
 	"qserve/internal/game"
 	"qserve/internal/locking"
+	"qserve/internal/protocol"
 	"qserve/internal/transport"
 	"qserve/internal/worldmap"
 )
@@ -285,5 +287,81 @@ func TestParkedClientsReaped(t *testing.T) {
 			t.Fatalf("parked survivors never reaped: %d of %d entities still live",
 				len(rig.rs.Clients)-gone, len(rig.rs.Clients))
 		}
+	}
+}
+
+// TestRestoredUDPClientResumes: a survivor parked from a checkpoint
+// captured over UDP resumes when the same UDP sender calls again. Its
+// route, set at restore from the checkpointed address text, steers the
+// Connect to the owning thread: the Accept leaves from thread 1's
+// endpoint although the Connect was sent to thread 0's.
+func TestRestoredUDPClientResumes(t *testing.T) {
+	m, err := worldmap.GenerateArena(worldmap.DefaultArenaConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := game.NewWorld(game.Config{Map: m, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := w.SpawnPlayer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	listen := func() *transport.UDPConn {
+		c, err := transport.ListenUDP("127.0.0.1:0")
+		if err != nil {
+			t.Skip(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	conns := []transport.Conn{listen(), listen()}
+	cl := listen()
+	eng, err := NewParallel(Config{
+		World: w, Conns: conns, Threads: 2, Strategy: locking.Optimized{}, MaxClients: 8,
+		Balance: balance.Policy{Enabled: true},
+		Restore: &RestoreState{Frame: 500, JoinIdx: 1, NextClientID: 40, Clients: []checkpoint.ClientRec{{
+			ID: 3, EntID: int32(e.ID), Thread: 1, LastSeq: 900, Name: "survivor", Addr: cl.LocalAddr().String(),
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	defer eng.Stop()
+
+	var wr protocol.Writer
+	if err := protocol.Encode(&wr, &protocol.Connect{Name: "survivor", FrameMs: 33}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Send(conns[0].LocalAddr(), wr.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, transport.MaxDatagram)
+	n, from, err := cl.Recv(buf, 2*time.Second)
+	if err != nil {
+		t.Fatalf("no reply to the survivor's Connect: %v", err)
+	}
+	msg, err := protocol.Decode(buf[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc, ok := msg.(*protocol.Accept); !ok || acc.ClientID != 3 {
+		t.Fatalf("survivor got %#v, want the Accept of client 3", msg)
+	}
+	if from.String() != conns[1].LocalAddr().String() {
+		t.Fatalf("Accept came from %v, want the owning thread's endpoint %v: the restored route missed", from, conns[1].LocalAddr())
+	}
+	c := eng.clients.lookupID(3)
+	deadline := time.Now().Add(2 * time.Second)
+	for c.awaitingResume.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("survivor still parked after its Connect")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := eng.NumClients(); got != 1 {
+		t.Fatalf("%d clients after the resume, want the survivor alone", got)
 	}
 }

@@ -78,7 +78,7 @@ type ReplyStats struct {
 }
 
 // ReplyScratch is one server thread's reusable reply-phase state: the
-// entity-state slice fed to BuildSnapshot's dst, the delta and event
+// entity-state slice fed to AppendVisible's dst, the delta and event
 // lists, the encoder, and the outgoing datagram buffer. The zero value
 // is ready to use; buffers grow to the high-water mark and are then
 // reused forever.
@@ -96,12 +96,12 @@ type ReplyScratch struct {
 // built entity set by buffer swap (the old baseline buffer becomes the
 // next call's scratch), so callers never copy entity states.
 //
-// vi, when non-nil, is the frame's shared visibility index: the visible
-// set is assembled by filtering the index's precomputed entity-state
-// cache (byte-identical to the naive scan) instead of re-scanning and
-// re-encoding the entity table per client. A nil vi keeps the naive
-// path. Either way the states are copied into the scratch, so the
-// baseline-swap ownership dance below never aliases the shared index.
+// vi is the frame's shared visibility index over w: the visible set is
+// assembled by filtering the index's precomputed entity-state cache
+// (byte-identical to the naive scan, World.BuildSnapshot) instead of
+// re-scanning and re-encoding the entity table per client. The states
+// are copied into the scratch, so the baseline-swap ownership dance
+// below never aliases the shared index.
 //
 // entityLimit, when positive, caps the visible-entity set (the overload
 // ladder's level-2 degradation). Truncation stays delta-consistent: the
@@ -121,13 +121,7 @@ func (rs *ReplyScratch) FormSnapshot(
 	capBuf := cap(rs.writer.Buf)
 
 	snapStart := time.Now()
-	var states []protocol.EntityState
-	var work game.SnapshotWork
-	if vi != nil {
-		states, work = vi.AppendVisible(viewer, rs.states[:0])
-	} else {
-		states, work = w.BuildSnapshot(viewer, rs.states[:0])
-	}
+	states, work := vi.AppendVisible(viewer, rs.states[:0])
 	snapNs := time.Since(snapStart).Nanoseconds()
 	capped := 0
 	if entityLimit > 0 && len(states) > entityLimit {

@@ -46,16 +46,17 @@ type session struct {
 
 	// The fields below are only ever set on two or more threads; the
 	// frame rules read them as data, and their zero values are the
-	// one-thread behaviour. mux re-routes migrated clients' datagrams
-	// (nil: no routing); stealing arms the per-client execution claim
-	// that removals must win first.
+	// one-thread behaviour. mux is the balancer's own Mux, whose ports
+	// the workers read (nil: no migration; routes go through the
+	// workers' ports); stealing arms the per-client execution claim that
+	// removals must win first.
 	mux      *transport.Mux
 	stealing bool
 
 	// pendingResume holds reconnect handshakes for restore-parked clients
 	// (DESIGN.md §12) on a multi-thread engine. A Connect may arrive on any
 	// thread's endpoint, but resuming rewrites client identity state (addr,
-	// byAddr key) that the owning thread and the disconnect paths read —
+	// key) that the owning thread and the disconnect paths read —
 	// so the application is deferred to the frame barrier (applyResumes)
 	// where no request is in flight. The Accept is sent immediately; moves
 	// sent before the resume lands are dropped and retransmitted by the
@@ -91,8 +92,8 @@ type resumePending struct {
 func (s *session) restore(rs *RestoreState) {
 	s.joinIdx.Store(int64(rs.JoinIdx))
 	for _, c := range parkRestoredClients(s.clients, rs, len(s.workers), time.Now()) {
-		if s.mux != nil && c.addrStr != "" {
-			s.mux.Route(transport.MemAddr(c.addrStr), c.thread)
+		if p := s.workers[c.thread].port; p != nil {
+			p.Route(c.key)
 		}
 	}
 	s.workers[0].bd.RecoveryNs = rs.RecoveryNs

@@ -554,18 +554,18 @@ func (e *engine) sendReplies(p *sim.Proc) {
 
 	// Build the frame's shared visibility index on the first thread to
 	// reach its reply phase; later threads reuse it for free, mirroring
-	// the live parallel engine's cooperative build. The builder pays the
-	// once-per-frame cost from the model.
-	var vi *game.VisIndex
-	if e.cfg.IndexedSnapshots {
-		if e.visFrame != e.fc.frame+1 {
-			e.vis.Build(e.world)
-			e.visFrame = e.fc.frame + 1
+	// the live parallel engine's cooperative build. Under
+	// IndexedSnapshots the builder pays the once-per-frame cost from the
+	// model; the paper server's arm is charged nothing for it, since it
+	// prices each client's naive scan instead (below).
+	if e.visFrame != e.fc.frame+1 {
+		e.vis.Build(e.world)
+		e.visFrame = e.fc.frame + 1
+		if e.cfg.IndexedSnapshots {
 			build := e.model.SnapshotBuildCost(e.vis.Len())
 			p.Advance(build)
 			bd.SnapBuildNs += build
 		}
-		vi = &e.vis
 	}
 
 	for _, c := range e.byThread[p.ID] {
@@ -573,8 +573,11 @@ func (e *engine) sendReplies(p *sim.Proc) {
 			continue
 		}
 		c.pending = false
-		data, st := rs.FormSnapshot(e.world, vi, c.ent, &c.baseline,
+		data, st := rs.FormSnapshot(e.world, &e.vis, c.ent, &c.baseline,
 			uint32(e.fc.frame), 0, uint32(e.world.Time*1000), nil, nil, 0)
+		if !e.cfg.IndexedSnapshots {
+			st.Work.Considered = naiveConsidered(&e.vis, c.ent)
+		}
 		events := c.backlog + e.frameEvents
 		c.backlog = 0
 		p.Advance(e.model.SnapshotCost(st.Work, events))
@@ -589,6 +592,16 @@ func (e *engine) sendReplies(p *sim.Proc) {
 		e.resp.Replies++
 		e.resp.Record(float64(latNs) / 1e9)
 	}
+}
+
+// naiveConsidered is how many entities the paper server's per-client
+// scan (World.BuildSnapshot) considers: every snapshot-eligible entity
+// but the viewer itself.
+func naiveConsidered(vi *game.VisIndex, viewer *entity.Entity) int {
+	if viewer.SnapEligible {
+		return vi.Len() - 1
+	}
+	return vi.Len()
 }
 
 // masterCleanup distributes leftover events, logs the frame, and clears

@@ -3,8 +3,11 @@ package simserver
 import (
 	"testing"
 
+	"qserve/internal/entity"
+	"qserve/internal/game"
 	"qserve/internal/locking"
 	"qserve/internal/metrics"
+	"qserve/internal/protocol"
 	"qserve/internal/worldmap"
 )
 
@@ -248,5 +251,44 @@ func TestDooredMapRunsOnSimServer(t *testing.T) {
 	}
 	if res.Resp.P95Ms() <= 0 {
 		t.Error("p95 not computed")
+	}
+}
+
+// TestNaiveConsideredMatchesBuildSnapshot: the paper server's reply arm
+// prices each client's naive scan from the frame's visibility index, so
+// the count it charges must be the Considered of the scan itself, for
+// every viewer, across frames of movement, combat and item pickups.
+func TestNaiveConsideredMatchesBuildSnapshot(t *testing.T) {
+	w, err := game.NewWorld(game.Config{Map: worldmap.MustGenerate(worldmap.DefaultConfig()), Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	players := make([]*entity.Entity, 24)
+	for i := range players {
+		if players[i], err = w.SpawnPlayer(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var vi game.VisIndex
+	for frame := 0; frame < 60; frame++ {
+		for i, p := range players {
+			cmd := protocol.MoveCmd{Forward: 320, Msec: 33,
+				Yaw: protocol.AngleToWire(float64((frame*29 + i*83) % 360))}
+			if (frame+i)%5 == 0 {
+				cmd.Buttons = protocol.BtnFire
+			}
+			w.ExecuteMove(p, &cmd, &game.LockContext{})
+		}
+		w.RunWorldFrame(0.033)
+		vi.Build(w)
+		for i, p := range players {
+			if !p.Active {
+				continue
+			}
+			if _, work := w.BuildSnapshot(p, nil); naiveConsidered(&vi, p) != work.Considered {
+				t.Fatalf("frame %d player %d: priced %d considered, the scan considers %d",
+					frame, i, naiveConsidered(&vi, p), work.Considered)
+			}
+		}
 	}
 }

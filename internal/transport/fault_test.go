@@ -263,7 +263,7 @@ func TestMuxOverflowCounted(t *testing.T) {
 	src := MemAddr("flood")
 	payload := []byte("p")
 	for i := 0; i < muxQueueLen+10; i++ {
-		m.Forward(0, payload, src)
+		port.Forward(payload, src)
 	}
 	if got := m.Drops(); got != 10 {
 		t.Fatalf("mux drops = %d, want 10", got)

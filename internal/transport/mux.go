@@ -2,8 +2,6 @@ package transport
 
 import (
 	"log"
-	"net"
-	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,13 +15,15 @@ import (
 // thread that no longer owns the sender. The Mux sits between the real
 // endpoints and the worker threads: one pump goroutine per underlying
 // conn drains datagrams and enqueues each onto the port chosen by a
-// source-address routing table (defaulting to the arrival endpoint's own
+// routing table keyed by sender (defaulting to the arrival endpoint's own
 // port, which reproduces the static behavior exactly).
 //
-// The frame master updates routes at the rebalance barrier; Forward lets
-// a worker bounce an already-received datagram to the owning thread's
-// port, so commands in flight across a migration are executed rather
-// than dropped.
+// Routes are set through the ports: whoever owns a port routes the
+// senders it serves to it (MuxPort.Route), moves them by routing them to
+// another port (the frame master at the rebalance barrier), and unroutes
+// them when they leave. A port's Forward lets a worker bounce an
+// already-received datagram to the owning thread's port, so commands in
+// flight across a migration are executed rather than dropped.
 //
 // The Mux does not own the underlying conns: Close stops the pumps but
 // leaves the conns open for their creator to close.
@@ -32,47 +32,17 @@ type Mux struct {
 	ports []*MuxPort
 
 	mu    sync.Mutex
-	route map[routeKey]int // source address → port index
+	route map[Key]int // sender → port index
 
 	// drops counts datagrams lost to port-queue overflow; the pre-fix
 	// behavior dropped them silently, hiding receive-queue pressure from
 	// every report. dropsBySrc drives the sampled per-client log.
 	drops      atomic.Int64
-	dropsBySrc map[routeKey]int64
+	dropsBySrc map[Key]int64
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
-}
-
-// routeKey identifies a sender in the routing table. A sender whose
-// String() is an ip:port keys by that address and port, with an
-// IPv4-mapped IPv6 address unmapped, so every form of one UDP sender
-// shares one route: the *net.UDPAddr a socket reports (4- or 16-byte)
-// and the MemAddr the server rebuilds from a cached or checkpointed
-// address string. Keying a *net.UDPAddr allocates nothing. Any other
-// Addr keys by its String().
-type routeKey struct {
-	ap  netip.AddrPort
-	str string
-}
-
-func keyOf(a Addr) routeKey {
-	if ua, ok := a.(*net.UDPAddr); ok && ua != nil {
-		if ap := ua.AddrPort(); ap.Addr().IsValid() {
-			return routeKey{ap: netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())}
-		}
-	}
-	s := a.String()
-	// Only a string that can be an ip:port is parsed: a failed parse
-	// allocates its error, and in-memory names ("mem:3") reach the pump
-	// on every datagram.
-	if s != "" && (s[0] == '[' || '0' <= s[0] && s[0] <= '9') {
-		if ap, err := netip.ParseAddrPort(s); err == nil {
-			return routeKey{ap: netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())}
-		}
-	}
-	return routeKey{str: s}
 }
 
 // muxDropLogSample is the per-client sampling rate of the overflow log:
@@ -93,13 +63,14 @@ func NewMux(conns []Conn) *Mux {
 	m := &Mux{
 		conns:      conns,
 		ports:      make([]*MuxPort, len(conns)),
-		route:      make(map[routeKey]int),
-		dropsBySrc: make(map[routeKey]int64),
+		route:      make(map[Key]int),
+		dropsBySrc: make(map[Key]int64),
 		stop:       make(chan struct{}),
 	}
 	for i, c := range conns {
 		m.ports[i] = &MuxPort{
 			mux:   m,
+			idx:   i,
 			inner: c,
 			queue: make(chan memPacket, muxQueueLen),
 		}
@@ -130,51 +101,10 @@ func (m *Mux) AddPort() (int, *MuxPort) {
 		queue: make(chan memPacket, muxQueueLen),
 	}
 	m.mu.Lock()
-	idx := len(m.ports)
+	p.idx = len(m.ports)
 	m.ports = append(m.ports, p)
 	m.mu.Unlock()
-	return idx, p
-}
-
-// Route directs future datagrams from addr to the given port. Safe to
-// call concurrently with pumps (connect handling) and from the frame
-// master (migration).
-func (m *Mux) Route(addr Addr, port int) {
-	m.mu.Lock()
-	if port >= 0 && port < len(m.ports) {
-		m.route[keyOf(addr)] = port
-	}
-	m.mu.Unlock()
-}
-
-// Unroute forgets a source address (client disconnected or evicted);
-// its datagrams fall back to arrival-endpoint routing.
-func (m *Mux) Unroute(addr Addr) {
-	k := keyOf(addr)
-	m.mu.Lock()
-	delete(m.route, k)
-	delete(m.dropsBySrc, k)
-	m.mu.Unlock()
-}
-
-// Forward re-injects an already-received datagram into another port's
-// queue, preserving the original source address (the Addr value itself,
-// so a reply to it needs no re-resolving). Workers use it when a
-// datagram for a migrated client arrives before the client's routing
-// update takes effect. The data is copied; the caller may reuse it.
-func (m *Mux) Forward(port int, data []byte, from Addr) {
-	m.mu.Lock()
-	var dst *MuxPort
-	if port >= 0 && port < len(m.ports) {
-		dst = m.ports[port]
-	}
-	m.mu.Unlock()
-	if dst == nil {
-		return
-	}
-	pb := pktPool.Get().(*pktBuf)
-	pb.b = append(pb.b[:0], data...)
-	dst.enqueue(memPacket{buf: pb, from: from})
+	return p.idx, p
 }
 
 // Close stops the pump goroutines and wakes any blocked port Recv. The
@@ -205,7 +135,7 @@ func (m *Mux) pump(i int) {
 		if err != nil {
 			return // conn closed out from under us
 		}
-		key := keyOf(from)
+		key := KeyOf(from)
 		m.mu.Lock()
 		port, ok := m.route[key]
 		if !ok {
@@ -225,11 +155,48 @@ func (m *Mux) pump(i int) {
 	}
 }
 
-// MuxPort is one worker-facing Conn of a Mux.
+// MuxPort is one worker-facing Conn of a Mux. Its owner routes the
+// senders it serves to it, and unroutes them when they leave.
 type MuxPort struct {
 	mux   *Mux
+	idx   int
 	inner Conn
 	queue chan memPacket
+}
+
+// Route directs the sender's future datagrams to this port, wherever
+// they arrive. Safe to call concurrently with pumps (connect handling)
+// and from a frame master (migration).
+func (p *MuxPort) Route(k Key) {
+	p.mux.mu.Lock()
+	p.mux.route[k] = p.idx
+	p.mux.mu.Unlock()
+}
+
+// Unroute forgets the sender (its client disconnected or was evicted):
+// its datagrams fall back to arrival-endpoint routing and its drop count
+// goes. A route another port has taken over since stays, so a late
+// removal here cannot cut off a sender that has moved on.
+func (p *MuxPort) Unroute(k Key) {
+	m := p.mux
+	m.mu.Lock()
+	if port, ok := m.route[k]; !ok || port == p.idx {
+		delete(m.route, k)
+		delete(m.dropsBySrc, k)
+	}
+	m.mu.Unlock()
+}
+
+// Forward enqueues an already-received datagram on this port,
+// preserving the original source (the Addr value itself, so a reply to
+// it needs no re-resolving). Workers use it when a datagram for a
+// migrated client arrives before the client's route takes effect, and
+// the lobby to hand a Connect to its match. The data is copied; the
+// caller may reuse it.
+func (p *MuxPort) Forward(data []byte, from Addr) {
+	pb := pktPool.Get().(*pktBuf)
+	pb.b = append(pb.b[:0], data...)
+	p.enqueue(memPacket{buf: pb, from: from})
 }
 
 // enqueue delivers one pumped datagram to this port's receive queue.
@@ -245,7 +212,7 @@ func (p *MuxPort) enqueue(pkt memPacket) {
 		from := pkt.from
 		pkt.release()
 		p.mux.drops.Add(1)
-		k := keyOf(from)
+		k := KeyOf(from)
 		p.mux.mu.Lock()
 		p.mux.dropsBySrc[k]++
 		n := p.mux.dropsBySrc[k]
@@ -258,6 +225,15 @@ func (p *MuxPort) enqueue(pkt memPacket) {
 
 // Drops returns the number of datagrams lost to port-queue overflow.
 func (m *Mux) Drops() int64 { return m.drops.Load() }
+
+// Tracked returns how many senders have a route and how many have a drop
+// count. Port owners unroute the senders that leave, so once every
+// client has gone both read 0.
+func (m *Mux) Tracked() (routes, dropCounts int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.route), len(m.dropsBySrc)
+}
 
 // Send implements Conn, transmitting from the port's own endpoint so
 // replies carry the address the client expects.

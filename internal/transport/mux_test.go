@@ -58,7 +58,8 @@ func TestMuxRouteRedirectsAndUnrouteRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux.Route(MemAddr("client"), 0)
+	client := KeyOf(MemAddr("client"))
+	mux.Port(0).Route(client)
 	// Client still sends to endpoint 1 — the route must win.
 	if err := cl.Send(conns[1].LocalAddr(), []byte("a")); err != nil {
 		t.Fatal(err)
@@ -66,7 +67,7 @@ func TestMuxRouteRedirectsAndUnrouteRestores(t *testing.T) {
 	if data, _ := recvFrom(t, mux.Port(0)); data != "a" {
 		t.Fatalf("routed datagram = %q, want a", data)
 	}
-	mux.Unroute(MemAddr("client"))
+	mux.Port(0).Unroute(client)
 	if err := cl.Send(conns[1].LocalAddr(), []byte("b")); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestMuxRouteRedirectsAndUnrouteRestores(t *testing.T) {
 func TestMuxForwardPreservesSource(t *testing.T) {
 	_, _, mux := newMuxRig(t, 2)
 	payload := []byte("move")
-	mux.Forward(1, payload, MemAddr("client"))
+	mux.Port(1).Forward(payload, MemAddr("client"))
 	payload[0] = 'X' // caller may reuse the buffer immediately
 	data, from := recvFrom(t, mux.Port(1))
 	if data != "move" || from != "client" {
@@ -177,7 +178,7 @@ func TestMuxOverUDPRepliesWithoutResolving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux.Forward(0, []byte("move"), from)
+	port.Forward([]byte("move"), from)
 	_, forwarded, err := port.Recv(buf, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -195,48 +196,19 @@ func TestMuxOverUDPRepliesWithoutResolving(t *testing.T) {
 	}
 }
 
-// TestMuxRoutesUDPSenderByAddress: a route names a UDP sender by its
-// address and port, whichever form of IPv4 address the caller holds. A
-// route set through the 16-byte form steers the datagrams the socket
-// reports from the 4-byte form, and Unroute through the 4-byte form
-// clears it, as when the table was keyed by String().
-func TestMuxRoutesUDPSenderByAddress(t *testing.T) {
+// TestMuxPortUnrouteClearsOwnRouteOnly: a port's Unroute forgets a UDP
+// sender it routes — route and drop count, so neither outlives the
+// client — but leaves a route another port has taken over since: a
+// late removal behind the old port must not cut off a sender that has
+// moved on.
+func TestMuxPortUnrouteClearsOwnRouteOnly(t *testing.T) {
 	srv := []Conn{listenUDP(t, "127.0.0.1:0"), listenUDP(t, "127.0.0.1:0")}
 	cl := listenUDP(t, "127.0.0.1:0")
 	mux := NewMux(srv)
 	defer mux.Close()
-	me := cl.LocalAddr().(*net.UDPAddr)
-	mapped := &net.UDPAddr{IP: me.IP.To16(), Port: me.Port}
+	me := KeyOf(cl.LocalAddr())
 
-	mux.Route(mapped, 0)
-	if err := cl.Send(srv[1].LocalAddr(), []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if data, _ := recvFrom(t, mux.Port(0)); data != "a" {
-		t.Fatalf("routed datagram = %q, want a on port 0", data)
-	}
-	mux.Unroute(&net.UDPAddr{IP: me.IP.To4(), Port: me.Port})
-	if err := cl.Send(srv[1].LocalAddr(), []byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	if data, _ := recvFrom(t, mux.Port(1)); data != "b" {
-		t.Fatalf("unrouted datagram = %q, want b on arrival port 1", data)
-	}
-}
-
-// TestMuxUnrouteByAddressStringClearsUDPRoute: the server forgets a
-// client by the MemAddr of its cached address string, while the route
-// and the drop count were keyed from the *net.UDPAddr the socket
-// reported. Unroute must clear both, or a dead client's route outlives
-// it and steers the next sender at that ip:port to its thread.
-func TestMuxUnrouteByAddressStringClearsUDPRoute(t *testing.T) {
-	srv := []Conn{listenUDP(t, "127.0.0.1:0"), listenUDP(t, "127.0.0.1:0")}
-	cl := listenUDP(t, "127.0.0.1:0")
-	mux := NewMux(srv)
-	defer mux.Close()
-	me := cl.LocalAddr().(*net.UDPAddr)
-
-	mux.Route(me, 0)
+	mux.Port(0).Route(me)
 	if err := cl.Send(srv[1].LocalAddr(), []byte("a")); err != nil {
 		t.Fatal(err)
 	}
@@ -245,21 +217,22 @@ func TestMuxUnrouteByAddressStringClearsUDPRoute(t *testing.T) {
 	}
 	// Overflow port 0's queue so the sender has a drop count to forget.
 	for range muxQueueLen + 1 {
-		mux.Forward(0, []byte("x"), me)
+		mux.Port(0).Forward([]byte("x"), cl.LocalAddr())
 	}
-	mux.mu.Lock()
-	drops := mux.dropsBySrc[keyOf(me)]
-	mux.mu.Unlock()
-	if drops != 1 {
-		t.Fatalf("drop count for %v = %d, want 1", me, drops)
+	if _, drops := mux.Tracked(); drops != 1 {
+		t.Fatalf("%d senders with drops, want 1", drops)
 	}
 
-	mux.Unroute(MemAddr(me.String()))
-	mux.mu.Lock()
-	routes, srcs := len(mux.route), len(mux.dropsBySrc)
-	mux.mu.Unlock()
-	if routes != 0 || srcs != 0 {
-		t.Fatalf("after Unroute: %d routes, %d drop counts left, want none", routes, srcs)
+	mux.Port(1).Unroute(me) // not port 1's route
+	if routes, drops := mux.Tracked(); routes != 1 || drops != 1 {
+		t.Fatalf("after another port's Unroute: %d routes, %d drop counts, want 1 and 1", routes, drops)
+	}
+	mux.Port(0).Unroute(me)
+	if routes, drops := mux.Tracked(); routes != 0 || drops != 0 {
+		t.Fatalf("after Unroute: %d routes, %d drop counts left, want none", routes, drops)
+	}
+	for mux.Port(0).Pending() > 0 {
+		recvFrom(t, mux.Port(0))
 	}
 	if err := cl.Send(srv[1].LocalAddr(), []byte("b")); err != nil {
 		t.Fatal(err)
@@ -269,46 +242,31 @@ func TestMuxUnrouteByAddressStringClearsUDPRoute(t *testing.T) {
 	}
 }
 
-// TestMuxAddressStringRouteSteersUDPSender: a crash-recovered server
-// routes each parked survivor up front by the MemAddr of its
-// checkpointed address string; the survivor's UDP datagrams must follow
-// that route before it has resumed.
-func TestMuxAddressStringRouteSteersUDPSender(t *testing.T) {
-	srv := []Conn{listenUDP(t, "127.0.0.1:0"), listenUDP(t, "127.0.0.1:0")}
-	cl := listenUDP(t, "127.0.0.1:0")
-	mux := NewMux(srv)
-	defer mux.Close()
-
-	mux.Route(MemAddr(cl.LocalAddr().String()), 0)
-	if err := cl.Send(srv[1].LocalAddr(), []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if data, _ := recvFrom(t, mux.Port(0)); data != "a" {
-		t.Fatalf("datagram = %q, want a on the routed port 0", data)
-	}
-}
-
-// TestRouteKeyForms: every form of one ip:port sender shares a key;
-// in-memory names key by their string.
+// TestRouteKeyForms: a sender's Key is the Key of its text, so a
+// checkpointed address names the sender that calls again from it; every
+// form of one sender shares a key; and in-memory names key by their
+// string.
 func TestRouteKeyForms(t *testing.T) {
 	v4 := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1).To4(), Port: 5}
-	want := keyOf(v4)
-	for _, a := range []Addr{
-		&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 5}, // 16-byte form
-		MemAddr("127.0.0.1:5"),
-		MemAddr("[::ffff:127.0.0.1]:5"),
-	} {
-		if got := keyOf(a); got != want {
-			t.Errorf("keyOf(%T %v) = %+v, want %+v", a, a, got, want)
+	mapped := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 5} // 16-byte form
+	zoned := &net.UDPAddr{IP: net.ParseIP("fe80::1"), Port: 7, Zone: "eth0"}
+	for _, a := range []Addr{v4, mapped, zoned, &net.UDPAddr{IP: net.IPv6loopback, Port: 5},
+		MemAddr("mem:3"), MemAddr("peer"), MemAddr("127.0.0.1"), MemAddr("1.2.3.4:99999")} {
+		k := KeyOf(a)
+		if got := ParseKey(a.String()); got != k {
+			t.Errorf("%T %v: ParseKey(String()) = %+v, KeyOf = %+v", a, a, got, k)
+		}
+		if text := string(k.AppendTo(nil)); text != a.String() {
+			t.Errorf("%T %v: key text %q, want the address's String()", a, a, text)
 		}
 	}
-	v6 := &net.UDPAddr{IP: net.IPv6loopback, Port: 5}
-	if keyOf(v6) != keyOf(MemAddr("[::1]:5")) || keyOf(v6) == want {
-		t.Errorf("IPv6 sender keys %+v, its string %+v", keyOf(v6), keyOf(MemAddr("[::1]:5")))
+	if KeyOf(mapped) != KeyOf(v4) || ParseKey("[::ffff:127.0.0.1]:5") != KeyOf(v4) {
+		t.Error("the 4- and 16-byte forms of one IPv4 sender key differently")
 	}
-	for _, name := range []string{"mem:3", "peer", "127.0.0.1", "1.2.3.4:99999"} {
-		if got := keyOf(MemAddr(name)); got != (routeKey{str: name}) {
-			t.Errorf("keyOf(MemAddr(%q)) = %+v, want the string key", name, got)
-		}
+	if KeyOf(&net.UDPAddr{IP: net.IPv6loopback, Port: 5}) == KeyOf(v4) {
+		t.Error("[::1]:5 and 127.0.0.1:5 share a key")
+	}
+	if name := KeyOf(MemAddr("mem:3")); name != (Key{name: "mem:3"}) {
+		t.Errorf("KeyOf(MemAddr(mem:3)) = %+v, want the name key", name)
 	}
 }

@@ -16,15 +16,59 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"os"
 	"time"
 )
 
-// Addr identifies a transport endpoint. Implementations must be usable as
-// map keys via String().
+// Addr is where a datagram came from or goes to: a *net.UDPAddr over
+// UDP, a MemAddr in memory. Sends take it as given; which sender it
+// names is decided by its Key.
 type Addr interface {
 	Network() string
 	String() string
+}
+
+// Key is a sender's identity: the one answer to "is this the same
+// sender?" for every table keyed by sender (Mux routes, the server's
+// client table). A UDP sender keys by its address and port, with an
+// IPv4-mapped IPv6 address unmapped, so the 4- and 16-byte forms of one
+// address are one sender; an in-memory sender keys by its name.
+type Key struct {
+	ap   netip.AddrPort
+	name string
+}
+
+// KeyOf returns the sender identity of a. It parses nothing: keying the
+// *net.UDPAddr a socket reports allocates nothing, and any other Addr
+// keys by its String().
+func KeyOf(a Addr) Key {
+	if ua, ok := a.(*net.UDPAddr); ok && ua != nil {
+		if ap := ua.AddrPort(); ap.Addr().IsValid() {
+			return Key{ap: netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())}
+		}
+	}
+	return Key{name: a.String()}
+}
+
+// ParseKey is the inverse of AppendTo: the Key of the sender whose text
+// is s, as recorded in a checkpoint. An ip:port parses to the key its UDP
+// sender has; anything else is an in-memory name (which is never an
+// ip:port).
+func ParseKey(s string) Key {
+	if ap, err := netip.ParseAddrPort(s); err == nil {
+		return Key{ap: netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())}
+	}
+	return Key{name: s}
+}
+
+// AppendTo appends the sender's text — what its Addr's String() reads —
+// to b.
+func (k Key) AppendTo(b []byte) []byte {
+	if k.ap.IsValid() {
+		return k.ap.AppendTo(b)
+	}
+	return append(b, k.name...)
 }
 
 // Errors returned by Conn implementations.
