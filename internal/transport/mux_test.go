@@ -196,6 +196,35 @@ func TestMuxOverUDPRepliesWithoutResolving(t *testing.T) {
 	}
 }
 
+// TestMuxRoutesUDPSenderByAddress: a route names a UDP sender by its
+// address and port, whichever form of IPv4 address the caller holds. A
+// route set through the key of the 16-byte form steers the datagrams the
+// socket reports from the 4-byte form, and Unroute through the key of
+// the 4-byte form clears it.
+func TestMuxRoutesUDPSenderByAddress(t *testing.T) {
+	srv := []Conn{listenUDP(t, "127.0.0.1:0"), listenUDP(t, "127.0.0.1:0")}
+	cl := listenUDP(t, "127.0.0.1:0")
+	mux := NewMux(srv)
+	defer mux.Close()
+	me := cl.LocalAddr().(*net.UDPAddr)
+	mapped := &net.UDPAddr{IP: me.IP.To16(), Port: me.Port}
+
+	mux.Port(0).Route(KeyOf(mapped))
+	if err := cl.Send(srv[1].LocalAddr(), []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := recvFrom(t, mux.Port(0)); data != "a" {
+		t.Fatalf("routed datagram = %q, want a on port 0", data)
+	}
+	mux.Port(0).Unroute(KeyOf(&net.UDPAddr{IP: me.IP.To4(), Port: me.Port}))
+	if err := cl.Send(srv[1].LocalAddr(), []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := recvFrom(t, mux.Port(1)); data != "b" {
+		t.Fatalf("unrouted datagram = %q, want b on arrival port 1", data)
+	}
+}
+
 // TestMuxPortUnrouteClearsOwnRouteOnly: a port's Unroute forgets a UDP
 // sender it routes — route and drop count, so neither outlives the
 // client — but leaves a route another port has taken over since: a
